@@ -16,6 +16,8 @@ import os
 import sys
 import tempfile
 import time
+import warnings
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -93,52 +95,71 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+# Rows per writer chunk: big enough to amortise the per-chunk numpy calls,
+# small enough that the chunk's string lists stay a few MB.
+_CSV_CHUNK_ROWS = 8192
+
+
 def paths_to_csv(batch: PathBatch) -> str:
-    """CSV rows path_id,t,x1..xd,alive; alive=0 rows carry nan states."""
-    d = batch.dim
+    """CSV rows path_id,t,x1..xd,alive; alive=0 rows carry nan states.
+
+    Coordinates are ``repr(float)``, the shortest round-trip decimal; times
+    are fixed to 9 decimals.  Columns are formatted a chunk of paths at a time.
+    """
+    n, g, d = batch.states.shape
     header = "path_id,t," + ",".join(f"x{i + 1}" for i in range(d)) + ",alive"
-    lines = [header]
     times = batch.times
-    for pid in range(len(batch)):
-        alive_row = times < batch.xi[pid]
-        for j, t in enumerate(times):
-            if alive_row[j]:
-                coords = ",".join(repr(float(v)) for v in batch.states[pid, j])
-                lines.append(f"{pid},{t:.9f},{coords},1")
-            else:
-                coords = ",".join("nan" for _ in range(d))
-                lines.append(f"{pid},{t:.9f},{coords},0")
-    return "\n".join(lines) + "\n"
+    t_text = [f"{t:.9f}" for t in times.tolist()]
+    per_chunk = max(1, _CSV_CHUNK_ROWS // max(g, 1))
+    parts = [header]
+    for p0 in range(0, n if g else 0, per_chunk):
+        p1 = min(p0 + per_chunk, n)
+        alive = (times[None, :] < batch.xi[p0:p1, None]).ravel()
+        states = np.where(alive[:, None], batch.states[p0:p1].reshape(-1, d), np.nan)
+        coords = [map(repr, states[:, k].tolist()) for k in range(d)]
+        ids = chain.from_iterable(repeat(str(p), g) for p in range(p0, p1))
+        flags = np.where(alive, "1", "0").tolist()
+        parts.append("\n".join(map(",".join, zip(ids, t_text * (p1 - p0), *coords, flags))))
+    return "\n".join(parts) + "\n"
 
 
 def read_paths_csv(path: str) -> PathBatch:
-    """Rebuild a batch from the CSV layout written by the simulators."""
+    """Rebuild a batch from the CSV layout written by the simulators.
+
+    Rows are grouped by ``path_id`` (file order kept within a path).  Every
+    path must have the same ``t`` column; ``xi`` is the first grid time whose
+    ``alive`` flag is not 1, and ``truncated`` is not stored.
+    """
     with open(path) as handle:
         header = handle.readline().strip().split(",")
         if header[:2] != ["path_id", "t"] or header[-1] != "alive":
             raise ValidationError(f"{path} does not look like a path CSV")
         d = len(header) - 3
-        times_by_path: dict[int, list[float]] = {}
-        states_by_path: dict[int, list[list[float]]] = {}
-        xi_by_path: dict[int, float] = {}
-        for line in handle:
-            parts = line.strip().split(",")
-            if len(parts) != d + 3:
-                raise ValidationError(f"malformed row in {path}: {line!r}")
-            pid = int(parts[0])
-            t = float(parts[1])
-            alive = parts[-1] == "1"
-            times_by_path.setdefault(pid, []).append(t)
-            states_by_path.setdefault(pid, []).append([float(v) for v in parts[2:-1]])
-            if not alive and pid not in xi_by_path:
-                xi_by_path[pid] = t
-    if not times_by_path:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                rows = np.loadtxt(handle, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ValidationError(f"malformed row in {path}: {exc}") from None
+    if rows.size == 0:
         raise ValidationError(f"{path} holds no paths")
-    pids = sorted(times_by_path)
-    times = np.asarray(times_by_path[pids[0]])
-    states = np.stack([np.asarray(states_by_path[p]) for p in pids])
-    xi = np.array([xi_by_path.get(p, np.inf) for p in pids])
-    return PathBatch(times, states, xi=xi)
+    if rows.shape[1] != d + 3:
+        raise ValidationError(f"malformed rows in {path}: {rows.shape[1]} columns, "
+                              f"header has {d + 3}")
+    if not np.array_equal(rows[:, 0], np.trunc(rows[:, 0])):
+        raise ValidationError(f"{path} has a path_id that is not an integer")
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    _, counts = np.unique(rows[:, 0], return_counts=True)
+    if np.any(counts != counts[0]):
+        raise ValidationError(f"paths in {path} have different row counts "
+                              f"({counts.min()} to {counts.max()})")
+    rows = rows.reshape(counts.size, counts[0], d + 3)
+    times = rows[0, :, 1].copy()
+    if np.any(rows[:, :, 1] != times):
+        raise ValidationError(f"paths in {path} do not share the first path's time grid")
+    dead = rows[:, :, -1] != 1.0
+    xi = np.where(dead.any(axis=1), times[dead.argmax(axis=1)], np.inf)
+    return PathBatch(times, rows[:, :, 2:-1].copy(), xi=xi)
 
 
 def _manifest(subcommand: str, seed: int, args_dict: dict, outputs: list[str],

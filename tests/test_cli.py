@@ -1,10 +1,19 @@
+import hashlib
 import json
+import math
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from levylab import cli
 from levylab.cli import build_parser, paths_to_csv, read_paths_csv, run
+from levylab.core import PathBatch
 
 
 @pytest.fixture
@@ -186,3 +195,148 @@ def test_parser_help_lists_subcommands():
     # the usage error path prints these; the parser must know them all
     sub = parser._subparsers._group_actions[0]
     assert names <= set(sub.choices)
+
+
+# sha256 of CLI outputs recorded with the row-by-row writer; any writer must
+# reproduce them byte for byte.
+GOLDEN_OUTPUTS = [
+    (["simulate-stable", "--dim", "2", "--alpha-expr", "1.2", "--n", "50", "--T", "0.5",
+      "--paths", "30", "--seed", "11", "--grid-points", "6", "--escape-radius", "1.5",
+      "--out", "stable2d.csv"],
+     {"stable2d.csv": "d99efece1d8c126468883fa965b1030af7b5d9adeda4c16ffe0e63a9776c6a4d"}),
+    (["simulate-euler", "--triplet-config", "triplet.json", "--eps", "0.05", "--T", "0.2",
+      "--paths", "20", "--seed", "11", "--grid-points", "5", "--out", "euler.csv"],
+     {"euler.csv": "3cc527c46365bf0bcff211c584a6cd7cce9c3370b8899cad38252c1db76b3c48"}),
+    (["simulate-potential", "--potential", "zero", "--eps", "0.1", "--T", "0.3",
+      "--paths", "20", "--seed", "11", "--grid-points", "4", "--out", "pot.csv"],
+     {"pot.csv": "7efee7324d1f74607d7bcddfcfd51bcc7b34e3e4bd1ccccbd689963866248a4c"}),
+    (["simulate-rwre", "--env", "bernoulli:1:1", "--eps", "0.1", "--T", "0.2", "--envs", "2",
+      "--paths", "15", "--seed", "11", "--grid-points", "3", "--out", "walks.csv"],
+     {"walks_env000.csv": "bf9707c971e2490c031537829264e34355f4119c1976f93d57ac353f06ec4c9f",
+      "walks_env001.csv": "8a2f0db500472a5d36aed263081716ce93957bde355c246dcb014d7c31fd5ed9"}),
+]
+
+
+@pytest.mark.parametrize("argv,digests", GOLDEN_OUTPUTS,
+                         ids=[argv[0] for argv, _ in GOLDEN_OUTPUTS])
+def test_golden_output_bytes(workdir, capsys, argv, digests):
+    with open("triplet.json", "w") as fh:
+        json.dump(TRIPLET, fh)
+    run_ok(argv, capsys)
+    for name, digest in digests.items():
+        assert hashlib.sha256(open(name, "rb").read()).hexdigest() == digest, name
+    if argv[0] == "simulate-stable":
+        assert ",nan,nan,0\n" in open("stable2d.csv").read()
+
+
+def write_text(name, text):
+    with open(name, "w") as fh:
+        fh.write(text)
+
+
+def diagnose_exit(name, capsys):
+    code = run(["diagnose-paths", name, "--out", "d.json"])
+    err = capsys.readouterr().err
+    return code, err
+
+
+HOSTILE_CSV = {
+    "ragged": "path_id,t,x1,alive\n0,0.0,1.0,1\n0,1.0,2.0,1\n1,0.0,1.0,1\n",
+    "non_numeric": "path_id,t,x1,alive\n0,0.0,abc,1\n0,1.0,2.0,1\n",
+    "column_count": "path_id,t,x1,x2,alive\n0,0.0,1.0,1\n0,1.0,2.0,1\n",
+    "fractional_id": "path_id,t,x1,alive\n0,0.0,1.0,1\n0.5,0.0,2.0,1\n",
+    "short_row": "path_id,t,x1,alive\n0,0.0,1.0,1\n0,1.0,2.0\n",
+    "grid_mismatch": "path_id,t,x1,alive\n0,0.0,1.0,1\n0,1.0,2.0,1\n"
+                     "1,0.0,1.0,1\n1,0.5,2.0,1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_CSV))
+def test_hostile_path_csv_is_a_validation_error(workdir, capsys, case):
+    write_text("bad.csv", HOSTILE_CSV[case])
+    code, err = diagnose_exit("bad.csv", capsys)
+    assert code == 1
+    assert err.startswith("validation error:")
+    assert not os.path.exists("d.json")
+
+
+def test_header_only_path_csv_holds_no_paths(workdir, capsys, recwarn):
+    write_text("empty.csv", "path_id,t,x1,alive\n")
+    code, err = diagnose_exit("empty.csv", capsys)
+    assert code == 1
+    assert "holds no paths" in err
+    assert not [w for w in recwarn if "no data" in str(w.message)]
+
+
+def test_reader_groups_rows_by_path_id(workdir):
+    write_text("p.csv", "path_id,t,x1,alive\n3,0.0,1.5,1\n0,0.0,0.5,1\n"
+                        "3,1.0,nan,0\n0,1.0,-2.0,1\n")
+    batch = read_paths_csv("p.csv")
+    assert batch.times.tolist() == [0.0, 1.0]
+    assert batch.states[:, 0, 0].tolist() == [0.5, 1.5]
+    assert batch.xi.tolist() == [math.inf, 1.0]
+
+
+def row_loop_paths_to_csv(batch):
+    """The original one-row-at-a-time writer, kept as the oracle."""
+    d = batch.dim
+    header = "path_id,t," + ",".join(f"x{i + 1}" for i in range(d)) + ",alive"
+    lines = [header]
+    times = batch.times
+    for pid in range(len(batch)):
+        alive_row = times < batch.xi[pid]
+        for j, t in enumerate(times):
+            if alive_row[j]:
+                coords = ",".join(repr(float(v)) for v in batch.states[pid, j])
+                lines.append(f"{pid},{t:.9f},{coords},1")
+            else:
+                coords = ",".join("nan" for _ in range(d))
+                lines.append(f"{pid},{t:.9f},{coords},0")
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_STATES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                  1e300, -1e300, math.inf, -math.inf, 0.1, -1.0 / 3.0]
+STATE_VALUES = st.one_of(st.sampled_from(SPECIAL_STATES), st.floats(allow_nan=False))
+
+
+@st.composite
+def path_batches(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    g = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
+    horizon = draw(st.floats(1e-3, 1e3))
+    times = np.linspace(0.0, horizon, g)
+    states = draw(arrays(np.float64, (n, g, d), elements=STATE_VALUES))
+    mids = np.append((times[:-1] + times[1:]) / 2, times[-1] + 1.0)
+    xi_choices = st.one_of(st.just(math.inf), st.just(0.0),
+                           st.sampled_from(times.tolist()), st.sampled_from(mids.tolist()))
+    xi = np.array(draw(st.lists(xi_choices, min_size=n, max_size=n)))
+    return PathBatch(times, states, xi=xi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=path_batches(), chunk_rows=st.sampled_from([1, 2, 5, cli._CSV_CHUNK_ROWS]))
+def test_writer_matches_row_loop_and_round_trips(batch, chunk_rows):
+    with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows):
+        text = paths_to_csv(batch)
+    assert text == row_loop_paths_to_csv(batch)
+    with tempfile.TemporaryDirectory() as tmp:
+        name = os.path.join(tmp, "p.csv")
+        write_text(name, text)
+        assert paths_to_csv(read_paths_csv(name)) == text
+
+
+def test_writer_matches_row_loop_across_default_chunks(tmp_path):
+    rng = np.random.default_rng(3)
+    n, g = 3000, 7                      # 21000 rows: three default-size chunks
+    times = np.linspace(0.0, 2.0, g)
+    states = rng.standard_cauchy((n, g, 2))
+    states.flat[rng.integers(0, states.size, 200)] = rng.choice(SPECIAL_STATES, 200)
+    xi = np.where(rng.random(n) < 0.3, rng.uniform(0.0, 2.5, n), math.inf)
+    batch = PathBatch(times, states, xi=xi)
+    assert n * g > 2 * cli._CSV_CHUNK_ROWS
+    text = paths_to_csv(batch)
+    assert text == row_loop_paths_to_csv(batch)
+    (tmp_path / "p.csv").write_text(text)
+    assert paths_to_csv(read_paths_csv(str(tmp_path / "p.csv"))) == text
