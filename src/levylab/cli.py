@@ -344,6 +344,8 @@ def _cmd_simulate_euler(args, seed: int) -> list[str]:
 def _cmd_simulate_potential(args, seed: int) -> list[str]:
     if float(args.eps) <= 0:
         raise ValidationError("--eps must be positive")
+    if not np.isfinite(args.start):
+        raise ValidationError("start points must be finite")
     potential = _load_potential(args)
     cfg = _scheme_config(args, seed, float(args.T))
     batch = potential_chain_simulate(potential, float(args.start), float(args.eps),

@@ -8,13 +8,16 @@ explicitly instead of being encoded in a float sentinel.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ConfigurationError, QuadratureError, ValidationError
+from . import rng as _rng
+from .errors import ConfigurationError, QuadratureError, SchemeStepError, ValidationError
 
 
 class Cemetery:
@@ -224,8 +227,6 @@ class StableLike(JumpMeasure):
         The radial law has an inverse CDF in closed form; directions are
         uniform on the sphere.
         """
-        from . import rng as _rng
-
         r0 = max(r, self.min_radius)
         if r0 <= 0:
             raise ValidationError("tail sampling needs a positive radius")
@@ -476,6 +477,8 @@ class LevyTriplet:
             self._validate()
 
     def _validate(self):
+        if not (np.all(np.isfinite(self.drift)) and np.all(np.isfinite(self.gamma))):
+            raise ValidationError("drift and gamma must be finite")
         g = self.gamma
         scale = float(np.max(np.abs(g))) if g.size else 0.0
         if scale > 0.0:
@@ -631,15 +634,18 @@ class PathBatch:
 
 
 def resolve_start(start, dim: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Materialize ``m`` starting points from a point or a sampler callable."""
+    """Materialize ``m`` finite starting points from a point or a sampler callable."""
     if callable(start):
         pts = np.asarray(start(rng, m), dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.shape != (m, dim):
             raise ValidationError(f"start sampler must return shape ({m}, {dim})")
-        return pts
-    return np.tile(as_point(start, dim), (m, 1))
+    else:
+        pts = np.tile(as_point(start, dim), (m, 1))
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("start points must be finite")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -680,6 +686,74 @@ class SchemeConfig:
 
     def with_(self, **kw) -> "SchemeConfig":
         return replace(self, **kw)
+
+
+def run_chain(init, step, n_steps: int, capture: np.ndarray, dt: float, grid: np.ndarray,
+              dim: int, config: SchemeConfig, seed: Optional[int] = None,
+              emit: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> PathBatch:
+    """Run a Markov chain over path blocks and return its floor-clock embedding.
+
+    Each block of ``config.block_size`` paths owns the Philox stream
+    ``(seed, block)`` (``seed`` defaults to ``config.seed``), starts from
+    ``resolve_start(init, ...)`` and takes ``n_steps`` steps.  A step maps
+    the (m, dim) states of the live paths and the block's generator to the
+    new states and a mask of paths absorbed by that step; an absorbed path
+    records ``xi = (k + 1) * dt`` and stops moving.  Grid point ``j`` stores
+    the state (through ``emit``, if given) after step ``capture[j]``, which
+    must be nondecreasing.  A live path holding a non-finite state after a
+    step raises SchemeStepError.  Blocks run on ``config.threads`` threads;
+    the result does not depend on that count.
+    """
+    seed = config.seed if seed is None else seed
+    out = np.empty((config.paths, grid.size, dim))
+    xi = np.full(config.paths, np.inf)
+    capture = capture.tolist()
+    if emit is None:
+        emit = np.asarray
+
+    def run_block(block):
+        lo, hi, idx = block
+        gen = _rng.stream(seed, idx, _rng.PATHS)
+        x = resolve_start(init, dim, hi - lo, gen)
+        live = np.arange(hi - lo)
+        block_out, block_xi = out[lo:hi], xi[lo:hi]
+        j = 0
+        for k in range(n_steps):
+            if not live.size:
+                break
+            j_end = bisect_right(capture, k, j)
+            if j_end > j:
+                block_out[:, j:j_end] = emit(x)[:, None, :]
+                j = j_end
+            all_alive = live.size == x.shape[0]
+            x_new, gone = step(x if all_alive else x[live], gen)
+            if not np.all(np.isfinite(x_new)):
+                bad = ~gone & ~np.all(np.isfinite(x_new), axis=1)
+                if np.any(bad):
+                    raise SchemeStepError(
+                        f"step {k + 1} produced a non-finite state for a live path "
+                        f"(from {x[live[bad][0]].tolist()})"
+                    )
+            if all_alive:
+                x = x_new
+            else:
+                x[live] = x_new
+            if np.any(gone):
+                block_xi[live[gone]] = (k + 1) * dt
+                live = live[~gone]
+        block_out[:, j:] = emit(x)[:, None, :]
+
+    blocks = _rng.path_blocks(config.paths, config.block_size)
+    if config.threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            list(pool.map(run_block, blocks))
+    else:
+        for b in blocks:
+            run_block(b)
+
+    batch = PathBatch(grid, out, xi=xi)
+    batch.blank_dead()
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +851,6 @@ def validate_hypotheses(field: TripletField, chi: CompensationFunction,
     separations drives the small-jump modulus, and a subsample of base
     points drives the pointwise triplet checks.
     """
-    from . import rng as _rng
-
     low = as_point(low, field.dim)
     high = as_point(high, field.dim)
     if np.any(high <= low):

@@ -17,11 +17,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng as _rng
-from .core import PathBatch, SchemeConfig
+from .core import PathBatch, SchemeConfig, run_chain
 from .diagnostics import ks_distance, wasserstein1
 from .errors import ConfigurationError, ValidationError
 from .potential import (
     PiecewiseConstantPotential,
+    lattice_kernel,
     p_eval_many,
     potential_chain_simulate,
     psi_solve_many,
@@ -131,51 +132,6 @@ class QuenchedRun:
         return (self.k_min, self.k_min + self.q.size - 1)
 
 
-def _walk_lattice(q: np.ndarray, k_min: int, start_site: int, n_steps: int,
-                  eps: float, config: SchemeConfig, grid: np.ndarray,
-                  path_seed: int) -> PathBatch:
-    """Vectorized nearest-neighbour walk; output rescaled by eps.
-
-    Right probability at site k is 1/(e^{q_k} + 1}); leaving the q-window
-    absorbs the path at the cemetery.
-    """
-    p_right = 1.0 / (np.exp(q) + 1.0)
-    n_sites = q.size
-    dt = eps * eps
-    capture = np.minimum(np.floor(grid / dt + 1e-12).astype(int), n_steps)
-    out = np.empty((config.paths, grid.size, 1))
-    xi = np.full(config.paths, np.inf)
-
-    blocks = _rng.path_blocks(config.paths, config.block_size)
-    for lo_i, hi_i, idx in blocks:
-        m = hi_i - lo_i
-        gen = _rng.stream(path_seed, idx, _rng.PATHS)
-        sites = np.full(m, start_site)
-        alive = np.ones(m, dtype=bool)
-        block_xi = np.full(m, np.inf)
-        for k in range(n_steps + 1):
-            for j in np.nonzero(capture == k)[0]:
-                out[lo_i:hi_i, j, 0] = sites * eps
-            if k == n_steps:
-                break
-            if not np.any(alive):
-                continue
-            live = np.nonzero(alive)[0]
-            rel = sites[live] - k_min
-            u = gen.random(live.size)
-            sites[live] = sites[live] + np.where(u < p_right[rel], 1, -1)
-            gone = (sites[live] < k_min) | (sites[live] > k_min + n_sites - 1)
-            if np.any(gone):
-                dead = live[gone]
-                alive[dead] = False
-                block_xi[dead] = (k + 1) * dt
-        xi[lo_i:hi_i] = block_xi
-
-    batch = PathBatch(grid, out, xi=xi)
-    batch.blank_dead()
-    return batch
-
-
 def rwre_simulate(env: EnvironmentSpec, eps: float, start_site: int, horizon: float,
                   environments: int, config: SchemeConfig) -> list[QuenchedRun]:
     """Sample environments and run a quenched walk batch inside each.
@@ -183,8 +139,11 @@ def rwre_simulate(env: EnvironmentSpec, eps: float, start_site: int, horizon: fl
     The window is sized so walks cannot leave it (a nearest-neighbour walk
     moves at most one site per step), holding the exit probability at zero;
     a memory cap converts oversize windows into a configuration error.
-    Environments are drawn sequentially from the master seed; paths within
-    an environment use independent per-block streams.
+    Environments are drawn sequentially from the master seed.  The walks of
+    one environment run on :func:`levylab.core.run_chain` with the potential
+    scheme's lattice kernel: independent per-block streams keyed by the
+    run's ``path_seed``, spread over ``config.threads`` threads without
+    changing the output.
     """
     if horizon <= 0:
         raise ValidationError("the horizon must be positive")
@@ -200,6 +159,8 @@ def rwre_simulate(env: EnvironmentSpec, eps: float, start_site: int, horizon: fl
     k_lo = start_site - radius
     k_hi = start_site + radius
     grid = config.output_grid(horizon)
+    dt = eps * eps
+    capture = np.minimum(np.floor(grid / dt + 1e-12).astype(int), n_steps)
 
     runs = []
     for e_idx in range(environments):
@@ -207,7 +168,12 @@ def rwre_simulate(env: EnvironmentSpec, eps: float, start_site: int, horizon: fl
         q = env.sample(env_gen, eps, k_lo, k_hi)
         potential = potential_from_q(q, eps, k_min=k_lo)
         path_seed = config.seed + 1_000_003 * (e_idx + 1)
-        walks = _walk_lattice(q, k_lo, start_site, n_steps, eps, config, grid, path_seed)
+        # Right probability at site k is 1/(e^{q_k} + 1); leaving the q-window
+        # absorbs the walk at the cemetery.
+        step = lattice_kernel(1.0 / (np.exp(q) + 1.0), k_lo, (k_lo, k_lo + q.size - 1),
+                              eps, math.inf)
+        walks = run_chain(float(start_site), step, n_steps, capture, dt, grid, 1, config,
+                          seed=path_seed, emit=lambda sites: sites * eps)
         runs.append(QuenchedRun(
             eps=eps, k_min=k_lo, q=q, potential=potential, walks=walks,
             start_site=start_site, environment_seed=e_idx, path_seed=path_seed,

@@ -6,12 +6,13 @@ a decomposition: deterministic drift (with the compensation convention
 folded in), an exact Gaussian part, and a compound-Poisson sum of jumps
 above a truncation radius.  Jumps below the radius are either dropped (they
 form a mean-zero compensated sum, so the step stays unbiased) or replaced
-by a Gaussian surrogate matching their second moment.
+by a Gaussian surrogate matching their second moment.  The chain runs on the
+shared block driver :func:`levylab.core.run_chain` with time step ``eps``;
+cemetery jumps and the escape radius absorb paths.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,7 +31,7 @@ from .core import (
     TripletField,
     UserDensity,
     as_point,
-    resolve_start,
+    run_chain,
     sphere_surface_area,
 )
 from .errors import SchemeStepError, ValidationError
@@ -305,7 +306,8 @@ def euler_chain_simulate(field: TripletField, chi: CompensationFunction, start,
 
     Constant or covariant fields and stable-like fields step whole path
     blocks at once; a generic field falls back to per-path sampling and is
-    correspondingly slower.
+    correspondingly slower.  A path is absorbed at the cemetery by a
+    cemetery jump or beyond the escape radius.
     """
     if horizon <= 0:
         raise ValidationError("the horizon must be positive")
@@ -317,7 +319,6 @@ def euler_chain_simulate(field: TripletField, chi: CompensationFunction, start,
     d = field.dim
 
     frozen = None
-    frozen_drift = None
     if isinstance(field, CovariantField):
         frozen = field.frozen
     elif field.is_constant:
@@ -332,56 +333,23 @@ def euler_chain_simulate(field: TripletField, chi: CompensationFunction, start,
                 f"expected jump count {lam0 * eps:.3e} exceeds the overflow guard; "
                 "decrease the step size or raise the truncation radius"
             )
-    stable_fast = isinstance(field, StableTripletField)
 
-    out = np.empty((config.paths, grid.size, d))
-    xi = np.full(config.paths, np.inf)
-
-    def run_block(block):
-        lo, hi, idx = block
-        m = hi - lo
-        gen = _rng.stream(config.seed, idx, _rng.PATHS)
-        x = resolve_start(start, d, m, gen)
-        alive = np.ones(m, dtype=bool)
-        block_xi = np.full(m, np.inf)
-        for k in range(n_steps + 1):
-            for j in np.nonzero(capture == k)[0]:
-                out[lo:hi, j, :] = x
-            if k == n_steps:
-                break
-            if not np.any(alive):
-                continue
-            live = np.nonzero(alive)[0]
-            if frozen is not None:
-                inc, to_delta = levy_increment_sample(
-                    frozen, chi, eps, plan, gen, size=live.size,
-                    _drift_eff=frozen_drift)
-            elif stable_fast:
-                inc, to_delta = field.sample_increments(x[live], chi, eps, plan, gen)
-            else:
-                inc = np.empty((live.size, d))
-                to_delta = np.zeros(live.size, dtype=bool)
-                for row, i in enumerate(live):
-                    one, dd_flag = levy_increment_sample(
-                        field(x[i]), chi, eps, plan, gen, size=1, at=x[i])
-                    inc[row] = one[0]
-                    to_delta[row] = dd_flag[0]
-            x[live] = x[live] + inc
-            gone = to_delta | (np.linalg.norm(x[live], axis=1) > config.escape_radius)
-            if np.any(gone):
-                dead_rows = live[gone]
-                alive[dead_rows] = False
-                block_xi[dead_rows] = (k + 1) * eps
-        xi[lo:hi] = block_xi
-
-    blocks = _rng.path_blocks(config.paths, config.block_size)
-    if config.threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(run_block, blocks))
+        def increments(x, gen):
+            return levy_increment_sample(frozen, chi, eps, plan, gen, size=x.shape[0],
+                                         _drift_eff=frozen_drift)
+    elif isinstance(field, StableTripletField):
+        def increments(x, gen):
+            return field.sample_increments(x, chi, eps, plan, gen)
     else:
-        for b in blocks:
-            run_block(b)
+        def increments(x, gen):
+            draws = [levy_increment_sample(field(a), chi, eps, plan, gen, size=1, at=a)
+                     for a in x]
+            return (np.concatenate([inc for inc, _ in draws]),
+                    np.concatenate([dead for _, dead in draws]))
 
-    batch = PathBatch(grid, out, xi=xi)
-    batch.blank_dead()
-    return batch
+    def step(x, gen):
+        inc, to_delta = increments(x, gen)
+        x = x + inc
+        return x, to_delta | (np.linalg.norm(x, axis=1) > config.escape_radius)
+
+    return run_chain(start, step, n_steps, capture, eps, grid, d, config)

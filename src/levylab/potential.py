@@ -14,20 +14,21 @@ form cell by cell.  Short-span queries (phi, p, psi) walk only the cells
 they touch, anchored at the query point, so no precision is lost to large
 cumulative offsets; long-span integrals use global cumulative tables.  All
 exponentials are rescaled by the window extrema, so only genuinely
-overflowing windows fail.
+overflowing windows fail.  The chain runs on the shared block driver
+:func:`levylab.core.run_chain` with time step ``eps^2``: either a
+nearest-neighbour lattice walk (:func:`lattice_kernel`, shared with the
+random walks in random environments) or a generic psi-solver step.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import rng as _rng
-from .core import PathBatch, SchemeConfig, resolve_start
+from .core import PathBatch, SchemeConfig, as_point, run_chain
 from .errors import (
     PotentialOverflowError,
     RangeError,
@@ -40,6 +41,7 @@ BRACKET_CAP_FACTOR = 2 ** 10
 MAX_TABLE_SHIFT = 600.0  # beyond this the rescaled integrals would denormalize
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 MAX_WALK_CELLS = 1 << 14
+WALK_END_ULPS = 64
 
 
 def _phi1(z):
@@ -350,16 +352,30 @@ def _walk_phi(cd: _CellData, a: np.ndarray, h: np.ndarray) -> np.ndarray:
             pos = pos + sgn * length
             remaining = remaining - length
             done = remaining <= 1e-300
+            cell = cell + (1 if sgn > 0 else -1)
+            if np.any(cell < 0) or np.any(cell >= cd.left_value.size):
+                outside = (cell < 0) | (cell >= cd.left_value.size)
+                slack = _walk_slack(a[active], a[active] + h[active])
+                if np.any(outside & ~done & (remaining > slack)):
+                    raise RangeError("phi walk left the potential window")
+                done |= outside
             if np.any(done):
                 keep = ~done
                 active = active[keep]
                 pos = pos[keep]
                 remaining = remaining[keep]
                 cell = cell[keep]
-            cell = cell + (1 if sgn > 0 else -1)
-            if active.size and (np.any(cell < 0) or np.any(cell >= cd.left_value.size)):
-                raise RangeError("phi walk left the potential window")
     return res
+
+
+def _walk_slack(start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Walk length a cell walk may have left when it reaches the window end.
+
+    Stepping ``pos`` from cell edge to cell edge rounds at the scale of the
+    positions visited, so a walk that ends exactly on the window edge can
+    stop a few ulps short; that leftover is rounding, not an exit.
+    """
+    return WALK_END_ULPS * np.finfo(float).eps * (np.abs(start) + np.abs(end))
 
 
 def _walk_exp(cd: _CellData, lo: np.ndarray, hi: np.ndarray, sign: float) -> np.ndarray:
@@ -385,15 +401,19 @@ def _walk_exp(cd: _CellData, lo: np.ndarray, hi: np.ndarray, sign: float) -> np.
         pos = pos + length
         remaining = remaining - length
         done = remaining <= 1e-300
+        cell = cell + 1
+        if np.any(cell >= cd.left_value.size):
+            outside = cell >= cd.left_value.size
+            slack = _walk_slack(lo[active], hi[active])
+            if np.any(outside & ~done & (remaining > slack)):
+                raise RangeError("integral walk left the potential window")
+            done |= outside
         if np.any(done):
             keep = ~done
             active = active[keep]
             pos = pos[keep]
             remaining = remaining[keep]
             cell = cell[keep]
-        cell = cell + 1
-        if active.size and np.any(cell >= cd.left_value.size):
-            raise RangeError("integral walk left the potential window")
     return out
 
 
@@ -594,85 +614,61 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
 
     V.cells()  # materialize closed-form tables before any worker touches them
     lattice = _lattice_tables(V, eps, start, n_steps)
-    out = np.empty((config.paths, grid.size, 1))
-    xi = np.full(config.paths, np.inf)
+    if lattice is not None:
+        site0, site_lo, p_table = lattice
+        step = lattice_kernel(p_table, site_lo, (site_lo + 1, site_lo + p_table.size - 2),
+                              eps, config.escape_radius)
+        return run_chain(site0, step, n_steps, capture, dt, grid, 1, config,
+                         emit=lambda sites: sites * eps)
 
-    def run_block(block):
-        lo_i, hi_i, idx = block
-        m = hi_i - lo_i
-        gen = _rng.stream(config.seed, idx, _rng.PATHS)
-        x = resolve_start(start, 1, m, gen)[:, 0]
-        alive = np.ones(m, dtype=bool)
-        block_xi = np.full(m, np.inf)
-        if lattice is not None:
-            site_lo, p_table = lattice
-            sites = np.rint(x / eps).astype(int)
-            for k in range(n_steps + 1):
-                for j in np.nonzero(capture == k)[0]:
-                    out[lo_i:hi_i, j, 0] = sites * eps
-                if k == n_steps:
-                    break
-                if not np.any(alive):
-                    continue
-                live = np.nonzero(alive)[0]
-                rel = sites[live] - site_lo
-                u = gen.random(live.size)
-                sites[live] = sites[live] + np.where(u < p_table[rel], 1, -1)
-                gone = ((sites[live] <= site_lo) | (sites[live] >= site_lo + p_table.size - 1)
-                        | (np.abs(sites[live] * eps) > config.escape_radius))
-                if np.any(gone):
-                    dead_rows = live[gone]
-                    alive[dead_rows] = False
-                    block_xi[dead_rows] = (k + 1) * dt
-        else:
-            lo_d, hi_d = V.domain
-            margin = 8.0 * eps
-            for k in range(n_steps + 1):
-                for j in np.nonzero(capture == k)[0]:
-                    out[lo_i:hi_i, j, 0] = x
-                if k == n_steps:
-                    break
-                if not np.any(alive):
-                    continue
-                live = np.nonzero(alive)[0]
-                try:
-                    psiu = psi_solve_many(V, x[live], eps, "up")
-                    psid = psi_solve_many(V, x[live], eps, "down")
-                    p = p_eval_many(V, x[live], psiu, psid)
-                except RangeError as exc:
-                    raise SchemeStepError(
-                        f"step solve left the potential window near positions "
-                        f"[{float(np.min(x[live]))}, {float(np.max(x[live]))}]: {exc}"
-                    ) from exc
-                u = gen.random(live.size)
-                x[live] = np.where(u < p, x[live] + psiu, x[live] - psid)
-                gone = ((np.abs(x[live]) > config.escape_radius)
-                        | (x[live] < lo_d + margin) | (x[live] > hi_d - margin))
-                if np.any(gone):
-                    dead_rows = live[gone]
-                    alive[dead_rows] = False
-                    block_xi[dead_rows] = (k + 1) * dt
-        xi[lo_i:hi_i] = block_xi
+    lo_d, hi_d = V.domain
+    margin = 8.0 * eps
 
-    blocks = _rng.path_blocks(config.paths, config.block_size)
-    if config.threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(run_block, blocks))
-    else:
-        for b in blocks:
-            run_block(b)
+    def step(x, gen):
+        a = x[:, 0]
+        try:
+            psiu = psi_solve_many(V, a, eps, "up")
+            psid = psi_solve_many(V, a, eps, "down")
+            p = p_eval_many(V, a, psiu, psid)
+        except RangeError as exc:
+            raise SchemeStepError(
+                f"step solve left the potential window near positions "
+                f"[{float(np.min(a))}, {float(np.max(a))}]: {exc}"
+            ) from exc
+        u = gen.random(a.size)
+        a = np.where(u < p, a + psiu, a - psid)
+        gone = (np.abs(a) > config.escape_radius) | (a < lo_d + margin) | (a > hi_d - margin)
+        return a[:, None], gone
 
-    batch = PathBatch(grid, out, xi=xi)
-    batch.blank_dead()
-    return batch
+    return run_chain(start, step, n_steps, capture, dt, grid, 1, config)
+
+
+def lattice_kernel(p_table: np.ndarray, site_lo: int, keep: tuple[int, int], eps: float,
+                   radius: float):
+    """Chain step of a nearest-neighbour walk on integer sites (held as floats).
+
+    A walk at site ``s`` moves up with probability ``p_table[s - site_lo]``
+    and down otherwise; it is absorbed once it leaves the kept site range
+    ``keep`` (inclusive) or ``|s * eps|`` exceeds ``radius``.
+    """
+    keep_lo, keep_hi = keep
+
+    def step(sites, gen):
+        rel = (sites[:, 0] - site_lo).astype(np.intp)
+        u = gen.random(rel.size)
+        sites = sites + np.where(u < p_table[rel], 1.0, -1.0)[:, None]
+        s = sites[:, 0]
+        return sites, (s < keep_lo) | (s > keep_hi) | (np.abs(s * eps) > radius)
+
+    return step
 
 
 def _lattice_tables(V: Potential, eps: float, start, n_steps: int):
     """Site-indexed up-probabilities when the scheme reduces to a lattice walk.
 
-    Returns (site_lo, p_table) or None when the reduction does not apply;
-    used only after verifying psi_up = psi_down = eps at every reachable
-    site through the generic solver.
+    Returns (start_site, site_lo, p_table) or None when the reduction does
+    not apply; used only after verifying psi_up = psi_down = eps at every
+    reachable site through the generic solver.
     """
     if not isinstance(V, PiecewiseConstantPotential):
         return None
@@ -680,7 +676,9 @@ def _lattice_tables(V: Potential, eps: float, start, n_steps: int):
         return None
     if callable(start):
         return None
-    s = float(np.atleast_1d(np.asarray(start, dtype=float))[0])
+    s = float(as_point(start, 1)[0])
+    if not math.isfinite(s):
+        return None
     site0 = np.rint(s / eps)
     if abs(s - site0 * eps) > 1e-9 * eps:
         return None
@@ -700,7 +698,7 @@ def _lattice_tables(V: Potential, eps: float, start, n_steps: int):
             or np.max(np.abs(psid - eps)) > 1e-9 * eps):
         return None
     p_table = p_eval_many(V, pos, psiu, psid)
-    return site_lo, p_table
+    return float(site0), site_lo, p_table
 
 
 # ---------------------------------------------------------------------------

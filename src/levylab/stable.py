@@ -5,11 +5,12 @@ sphere direction and an inverse-power radius; its law is exactly the
 normalized truncation of the radial density ``c(a) |h|^{-d-alpha(a)}`` to
 radii above a closed-form threshold.  Composing steps and embedding with the
 floor clock ``t -> Z_{floor(n t)}`` approximates the continuous dynamics.
+The chain runs on the shared block driver :func:`levylab.core.run_chain`;
+this module supplies its one-step kernel.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,7 +24,7 @@ from .core import (
     StableLike,
     TripletField,
     as_point,
-    resolve_start,
+    run_chain,
     sphere_surface_area,
 )
 from .errors import DegenerateStateError, ValidationError
@@ -50,9 +51,9 @@ class StableField:
         points = np.atleast_2d(points)
         c = np.broadcast_to(np.asarray(self.c(points), dtype=float), (points.shape[0],)).copy()
         a = np.broadcast_to(np.asarray(self.alpha(points), dtype=float), (points.shape[0],)).copy()
-        if np.any(c < 0):
-            raise ValidationError("the scale function must be nonnegative")
-        if np.any((a <= 0) | (a >= 2)):
+        if not np.all(np.isfinite(c) & (c >= 0)):
+            raise ValidationError("the scale function must be finite and nonnegative")
+        if not np.all((a > 0) & (a < 2)):
             raise ValidationError("the stability index must stay inside (0, 2)")
         return c, a
 
@@ -114,54 +115,22 @@ def stable_chain_simulate(field: StableField, start, n: float, horizon: float,
         raise ValidationError("the scale n must be at least 1")
     grid = config.output_grid(horizon)
     n_steps = int(np.ceil(n * horizon))
-    eps = 1.0 / n
     # Step index at which each grid time is captured (right-continuous floor).
     capture = np.minimum(np.floor(grid * n + 1e-12).astype(int), n_steps)
 
-    out = np.empty((config.paths, grid.size, field.dim))
-    xi = np.full(config.paths, np.inf)
-    blocks = _rng.path_blocks(config.paths, config.block_size)
+    def step(x, gen):
+        c, alpha = field.evaluate(x)
+        q = _rng.unit_sphere(gen, x.shape[0], field.dim)
+        u = _rng.uniform_open_closed(gen, x.shape[0])
+        moving = c > 0.0
+        mag = np.zeros(x.shape[0])
+        if np.any(moving):
+            mag[moving] = stable_jump_magnitude(
+                c[moving], alpha[moving], field.dim, n, u[moving])
+        x = x + q * mag[:, None]
+        return x, np.linalg.norm(x, axis=1) > config.escape_radius
 
-    def run_block(block):
-        lo, hi, idx = block
-        m = hi - lo
-        gen = _rng.stream(config.seed, idx, _rng.PATHS)
-        x = resolve_start(start, field.dim, m, gen)
-        alive = np.ones(m, dtype=bool)
-        block_xi = np.full(m, np.inf)
-        for k in range(n_steps + 1):
-            for j in np.nonzero(capture == k)[0]:
-                out[lo:hi, j, :] = x
-            if k == n_steps:
-                break
-            if np.any(alive):
-                live = np.nonzero(alive)[0]
-                c, alpha = field.evaluate(x[live])
-                q = _rng.unit_sphere(gen, live.size, field.dim)
-                u = _rng.uniform_open_closed(gen, live.size)
-                moving = c > 0.0
-                mag = np.zeros(live.size)
-                if np.any(moving):
-                    mag[moving] = stable_jump_magnitude(
-                        c[moving], alpha[moving], field.dim, n, u[moving])
-                x[live] = x[live] + q * mag[:, None]
-                escaped = np.linalg.norm(x[live], axis=1) > config.escape_radius
-                if np.any(escaped):
-                    dead = live[escaped]
-                    alive[dead] = False
-                    block_xi[dead] = (k + 1) * eps
-        xi[lo:hi] = block_xi
-
-    if config.threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(run_block, blocks))
-    else:
-        for b in blocks:
-            run_block(b)
-
-    batch = PathBatch(grid, out, xi=xi)
-    batch.blank_dead()
-    return batch
+    return run_chain(start, step, n_steps, capture, 1.0 / n, grid, field.dim, config)
 
 
 def stable_triplet_field(field: StableField) -> TripletField:

@@ -197,36 +197,116 @@ def test_parser_help_lists_subcommands():
     assert names <= set(sub.choices)
 
 
-# sha256 of CLI outputs recorded with the row-by-row writer; any writer must
-# reproduce them byte for byte.
-GOLDEN_OUTPUTS = [
-    (["simulate-stable", "--dim", "2", "--alpha-expr", "1.2", "--n", "50", "--T", "0.5",
-      "--paths", "30", "--seed", "11", "--grid-points", "6", "--escape-radius", "1.5",
-      "--out", "stable2d.csv"],
-     {"stable2d.csv": "d99efece1d8c126468883fa965b1030af7b5d9adeda4c16ffe0e63a9776c6a4d"}),
-    (["simulate-euler", "--triplet-config", "triplet.json", "--eps", "0.05", "--T", "0.2",
-      "--paths", "20", "--seed", "11", "--grid-points", "5", "--out", "euler.csv"],
-     {"euler.csv": "3cc527c46365bf0bcff211c584a6cd7cce9c3370b8899cad38252c1db76b3c48"}),
-    (["simulate-potential", "--potential", "zero", "--eps", "0.1", "--T", "0.3",
-      "--paths", "20", "--seed", "11", "--grid-points", "4", "--out", "pot.csv"],
-     {"pot.csv": "7efee7324d1f74607d7bcddfcfd51bcc7b34e3e4bd1ccccbd689963866248a4c"}),
-    (["simulate-rwre", "--env", "bernoulli:1:1", "--eps", "0.1", "--T", "0.2", "--envs", "2",
-      "--paths", "15", "--seed", "11", "--grid-points", "3", "--out", "walks.csv"],
-     {"walks_env000.csv": "bf9707c971e2490c031537829264e34355f4119c1976f93d57ac353f06ec4c9f",
-      "walks_env001.csv": "8a2f0db500472a5d36aed263081716ce93957bde355c246dcb014d7c31fd5ed9"}),
-]
+# sha256 of CLI outputs recorded with the row-by-row writer and the
+# per-scheme block loops; any writer or chain driver must reproduce them byte
+# for byte.  The last three pin the Euler stable-field fast path, the generic
+# psi solver on a grid potential, and a lattice file whose edge absorbs.
+GOLDEN_OUTPUTS = {
+    "simulate-stable": (
+        ["simulate-stable", "--dim", "2", "--alpha-expr", "1.2", "--n", "50", "--T", "0.5",
+         "--paths", "30", "--seed", "11", "--grid-points", "6", "--escape-radius", "1.5",
+         "--out", "stable2d.csv"],
+        {"stable2d.csv": "d99efece1d8c126468883fa965b1030af7b5d9adeda4c16ffe0e63a9776c6a4d"}),
+    "simulate-euler": (
+        ["simulate-euler", "--triplet-config", "triplet.json", "--eps", "0.05", "--T", "0.2",
+         "--paths", "20", "--seed", "11", "--grid-points", "5", "--out", "euler.csv"],
+        {"euler.csv": "3cc527c46365bf0bcff211c584a6cd7cce9c3370b8899cad38252c1db76b3c48"}),
+    "simulate-potential": (
+        ["simulate-potential", "--potential", "zero", "--eps", "0.1", "--T", "0.3",
+         "--paths", "20", "--seed", "11", "--grid-points", "4", "--out", "pot.csv"],
+        {"pot.csv": "7efee7324d1f74607d7bcddfcfd51bcc7b34e3e4bd1ccccbd689963866248a4c"}),
+    "simulate-rwre": (
+        ["simulate-rwre", "--env", "bernoulli:1:1", "--eps", "0.1", "--T", "0.2", "--envs", "2",
+         "--paths", "15", "--seed", "11", "--grid-points", "3", "--out", "walks.csv"],
+        {"walks_env000.csv": "bf9707c971e2490c031537829264e34355f4119c1976f93d57ac353f06ec4c9f",
+         "walks_env001.csv": "8a2f0db500472a5d36aed263081716ce93957bde355c246dcb014d7c31fd5ed9"}),
+    "simulate-euler-stable-field": (
+        ["simulate-euler", "--triplet-config", "sf.json", "--eps", "0.02", "--tau", "0.001",
+         "--T", "0.1", "--paths", "20", "--seed", "11", "--grid-points", "4",
+         "--escape-radius", "0.5", "--out", "sfe.csv"],
+        {"sfe.csv": "93cbc6ec70d12e4884f4dde676f021b28d623454de9b381fa69b6765442f850c"}),
+    "simulate-potential-grid": (
+        ["simulate-potential", "--potential", "vgrid.csv", "--eps", "0.2", "--T", "0.4",
+         "--paths", "20", "--seed", "11", "--grid-points", "4", "--out", "grid.csv"],
+        {"grid.csv": "28cdc79529b25e9dbc5618775c8890c743b4677ab0a06679f6fd3849f9c1ec59"}),
+    "simulate-potential-lattice-file": (
+        ["simulate-potential", "--potential", "lat.csv", "--mesh", "0.125", "--eps", "0.125",
+         "--T", "0.5", "--paths", "200", "--seed", "11", "--grid-points", "5",
+         "--out", "lat125.csv"],
+        {"lat125.csv": "bb346896d59368d732a521403fe5b85330eb796a040d5354cbbfb6c193c4574b"}),
+}
 
 
-@pytest.mark.parametrize("argv,digests", GOLDEN_OUTPUTS,
-                         ids=[argv[0] for argv, _ in GOLDEN_OUTPUTS])
-def test_golden_output_bytes(workdir, capsys, argv, digests):
+def write_golden_inputs():
     with open("triplet.json", "w") as fh:
         json.dump(TRIPLET, fh)
+    with open("sf.json", "w") as fh:
+        json.dump({"kind": "stable-field", "dim": 1, "c_expr": "1",
+                   "alpha_expr": "1.2 + 0.2*exp(-x1*x1)"}, fh)
+    knots = np.linspace(-3, 3, 13)
+    np.savetxt("vgrid.csv", np.stack([knots, 0.5 * knots], axis=1), delimiter=",")
+    write_zero_lattice_file("lat.csv")
+
+
+def write_zero_lattice_file(name):
+    """Increments q_k = 0 for k = -20..20: the potential window is 41 cells wide."""
+    ks = np.arange(-20, 21)
+    np.savetxt(name, np.stack([ks, np.zeros_like(ks)], axis=1), delimiter=",")
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_OUTPUTS))
+def test_golden_output_bytes(workdir, capsys, case):
+    argv, digests = GOLDEN_OUTPUTS[case]
+    write_golden_inputs()
     run_ok(argv, capsys)
     for name, digest in digests.items():
         assert hashlib.sha256(open(name, "rb").read()).hexdigest() == digest, name
     if argv[0] == "simulate-stable":
         assert ",nan,nan,0\n" in open("stable2d.csv").read()
+
+
+@pytest.mark.parametrize("mesh", ["0.1", "0.05"])
+def test_lattice_file_walks_absorb_at_the_window_edge(workdir, capsys, mesh):
+    # Edge sites of this window used to fail the lattice check with
+    # "phi walk left the potential window".  Sites -19 and 19 absorb.
+    write_zero_lattice_file("lat.csv")
+    steps = round(0.5 / float(mesh) ** 2)
+    run_ok(["simulate-potential", "--potential", "lat.csv", "--mesh", mesh, "--eps", mesh,
+            "--T", "0.5", "--paths", "400", "--seed", "3", "--grid-points", str(steps + 1),
+            "--out", "edge.csv"], capsys)
+    batch = read_paths_csv("edge.csv")
+    edge = 19 * float(mesh)
+    assert np.nanmax(np.abs(batch.states)) <= edge * (1 + 1e-12)
+    reached = np.any(np.abs(batch.states[:, :, 0]) >= edge * (1 - 1e-12), axis=1)
+    assert np.isfinite(batch.xi).any()
+    assert np.all(np.isfinite(batch.xi[reached]))
+
+
+def write_nan_triplet(name):
+    with open(name, "w") as fh:
+        fh.write('{"drift": [NaN], "gamma": [[1.0]]}')
+
+
+NON_FINITE_INPUTS = {
+    "stable-alpha": ["simulate-stable", "--alpha-expr", "1.2 + 0*log(x1 - 5)", "--n", "10",
+                     "--T", "0.3", "--paths", "3", "--grid-points", "3", "--out", "nan.csv"],
+    "euler-drift": ["simulate-euler", "--triplet-config", "nan.json", "--eps", "0.1",
+                    "--T", "0.3", "--paths", "3", "--grid-points", "3", "--out", "nan.csv"],
+    "stable-start": ["simulate-stable", "--n", "10", "--T", "0.3", "--start", "nan",
+                     "--paths", "3", "--grid-points", "3", "--out", "nan.csv"],
+    "potential-start": ["simulate-potential", "--potential", "zero", "--eps", "0.1",
+                        "--T", "0.05", "--start", "inf", "--paths", "3", "--out", "nan.csv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
+def test_non_finite_input_is_a_validation_error(workdir, capsys, case):
+    write_nan_triplet("nan.json")
+    with np.errstate(invalid="ignore"):
+        code = run(NON_FINITE_INPUTS[case])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("validation error:")
+    assert not os.path.exists("nan.csv")
 
 
 def write_text(name, text):
