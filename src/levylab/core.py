@@ -8,7 +8,7 @@ explicitly instead of being encoded in a float sentinel.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -81,17 +81,12 @@ class JumpMeasure:
         """Point mass at ``a`` (must be zero for a valid triplet at ``a``)."""
         return 0.0
 
-    @property
-    def is_radially_symmetric(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class Atoms(JumpMeasure):
     """Finitely many atoms at absolute locations, optionally including DELTA.
 
-    Locations are absolute points of the state space; relative jump vectors
-    for a base point ``a`` are obtained with :meth:`jumps_from`.
+    Locations are absolute points of the state space.
     """
 
     points: np.ndarray  # (k, dim)
@@ -152,11 +147,6 @@ class Atoms(JumpMeasure):
     def total_mass(self) -> float:
         return float(np.sum(self.masses)) + self.delta_mass
 
-    def jumps_from(self, a) -> tuple[np.ndarray, np.ndarray, float]:
-        """Relative jump vectors, their masses, and the cemetery mass."""
-        a = as_point(a, self.dim)
-        return self.points - a, self.masses.copy(), self.delta_mass
-
 
 @dataclass(frozen=True)
 class StableLike(JumpMeasure):
@@ -186,10 +176,6 @@ class StableLike(JumpMeasure):
     @property
     def surface(self) -> float:
         return sphere_surface_area(self.dim)
-
-    @property
-    def is_radially_symmetric(self) -> bool:
-        return True
 
     def density(self, h: np.ndarray) -> np.ndarray:
         h = np.atleast_2d(h)
@@ -251,59 +237,40 @@ class UserDensity(JumpMeasure):
     tail_sampler: Optional[Callable[[np.random.Generator, int, float], np.ndarray]] = None
     tail_mass_fn: Optional[Callable[[float], float]] = None
     second_moment_fn: Optional[Callable[[float], float]] = None
-    symmetric: bool = False
 
-    @property
-    def is_radially_symmetric(self) -> bool:
-        return self.symmetric
-
-    def _require_1d(self, what: str):
+    def _two_sided_quad(self, fn, lo: float, hi: float, what: str) -> float:
+        """int_lo^hi (fn(x) + fn(-x)) dx by scipy quadrature, for dim=1 only."""
         if self.dim != 1:
             raise ConfigurationError(
                 f"{what} for a user density needs dim=1 or an explicit callable"
             )
+        from scipy.integrate import quad
+
+        up, err_u = quad(fn, lo, hi, epsabs=1e-11, epsrel=1e-9, limit=200)
+        down, err_d = quad(lambda x: fn(-x), lo, hi, epsabs=1e-11, epsrel=1e-9, limit=200)
+        total = up + down
+        if err_u + err_d > 1e-8 * (1.0 + abs(total)):
+            raise QuadratureError(
+                f"{what} quadrature did not converge",
+                estimate=total, previous=None, tolerance=err_u + err_d,
+            )
+        return total
 
     def tail_mass(self, r: float, a=None) -> float:
         if r <= 0:
             raise ValidationError("radius must be positive")
         if self.tail_mass_fn is not None:
             return float(self.tail_mass_fn(r))
-        self._require_1d("tail mass")
-        from scipy.integrate import quad
-
-        def rho(x):
-            return float(self.density(np.array([[x]]))[0])
-
-        upper, err_u = quad(rho, r, np.inf, epsabs=1e-11, epsrel=1e-9, limit=200)
-        lower, err_l = quad(lambda x: rho(-x), r, np.inf, epsabs=1e-11, epsrel=1e-9, limit=200)
-        total = upper + lower
-        if err_u + err_l > 1e-8 * (1.0 + abs(total)):
-            raise QuadratureError(
-                "tail-mass quadrature did not converge",
-                estimate=total, previous=None, tolerance=err_u + err_l,
-            )
-        return total
+        return self._two_sided_quad(lambda x: float(self.density(np.array([[x]]))[0]),
+                                    r, np.inf, "tail mass")
 
     def truncated_second_moment(self, r: float, a=None) -> float:
         if r <= 0:
             raise ValidationError("radius must be positive")
         if self.second_moment_fn is not None:
             return float(self.second_moment_fn(r))
-        self._require_1d("second moment")
-        from scipy.integrate import quad
-
-        def rho2(x):
-            return x * x * float(self.density(np.array([[x]]))[0])
-
-        up, err_u = quad(rho2, 0.0, r, epsabs=1e-11, epsrel=1e-9, limit=200)
-        lo, err_l = quad(lambda x: rho2(-x), 0.0, r, epsabs=1e-11, epsrel=1e-9, limit=200)
-        total = up + lo
-        if err_u + err_l > 1e-8 * (1.0 + abs(total)):
-            raise QuadratureError(
-                "second-moment quadrature did not converge",
-                estimate=total, previous=None, tolerance=err_u + err_l,
-            )
-        return total
+        return self._two_sided_quad(
+            lambda x: x * x * float(self.density(np.array([[x]]))[0]), 0.0, r, "second moment")
 
     def sample_tail(self, rng: np.random.Generator, size: int, r: float) -> np.ndarray:
         if self.tail_sampler is None:
@@ -511,11 +478,9 @@ class TripletField:
     point.
     """
 
-    def __init__(self, fn: Callable[[np.ndarray], LevyTriplet], dim: int,
-                 claimed_continuous: bool = True):
+    def __init__(self, fn: Callable[[np.ndarray], LevyTriplet], dim: int):
         self._fn = fn
         self.dim = dim
-        self.claimed_continuous = claimed_continuous
 
     def __call__(self, a) -> LevyTriplet:
         return self._fn(as_point(a, self.dim))
@@ -529,7 +494,7 @@ class ConstantTripletField(TripletField):
     """The same triplet at every point; simulators use a vectorized fast path."""
 
     def __init__(self, triplet: LevyTriplet):
-        super().__init__(lambda a: triplet, triplet.dim, claimed_continuous=True)
+        super().__init__(lambda a: triplet, triplet.dim)
         self.triplet = triplet
 
     @property
@@ -698,9 +663,10 @@ def run_chain(init, step, n_steps: int, capture: np.ndarray, dt: float, grid: np
     ``resolve_start(init, ...)`` and takes ``n_steps`` steps.  A step maps
     the (m, dim) states of the live paths and the block's generator to the
     new states and a mask of paths absorbed by that step; an absorbed path
-    records ``xi = (k + 1) * dt`` and stops moving.  Grid point ``j`` stores
-    the state (through ``emit``, if given) after step ``capture[j]``, which
-    must be nondecreasing.  A live path holding a non-finite state after a
+    records ``xi = (k + 1) * dt`` (or the first grid time that shows its
+    absorbed state, if rounding puts that time below) and stops moving.
+    Grid point ``j`` stores the state (through ``emit``, if given) after
+    step ``capture[j]``, which must be nondecreasing.  A live path holding a non-finite state after a
     step raises SchemeStepError.  Blocks run on ``config.threads`` threads;
     the result does not depend on that count.
     """
@@ -710,6 +676,12 @@ def run_chain(init, step, n_steps: int, capture: np.ndarray, dt: float, grid: np
     capture = capture.tolist()
     if emit is None:
         emit = np.asarray
+
+    def absorbed_at(k):
+        # (k * dt) can round above the first grid time that captures step k;
+        # that grid point shows the absorbed state, so it must read dead.
+        j = bisect_left(capture, k)
+        return min(k * dt, float(grid[j])) if j < grid.size else k * dt
 
     def run_block(block):
         lo, hi, idx = block
@@ -739,7 +711,7 @@ def run_chain(init, step, n_steps: int, capture: np.ndarray, dt: float, grid: np
             else:
                 x[live] = x_new
             if np.any(gone):
-                block_xi[live[gone]] = (k + 1) * dt
+                block_xi[live[gone]] = absorbed_at(k + 1)
                 live = live[~gone]
         block_out[:, j:] = emit(x)[:, None, :]
 

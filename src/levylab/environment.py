@@ -54,14 +54,6 @@ class IIDScaled(EnvironmentSpec):
         s = float(sigma)
         return IIDScaled(base=lambda rng, n: s * rng.standard_normal(n), sigma2=s * s)
 
-    @staticmethod
-    def rademacher(sigma: float = 1.0) -> "IIDScaled":
-        s = float(sigma)
-        return IIDScaled(
-            base=lambda rng, n: s * np.where(rng.random(n) < 0.5, -1.0, 1.0),
-            sigma2=s * s,
-        )
-
     def __post_init__(self):
         if not (self.sigma2 > 0 and math.isfinite(self.sigma2)):
             raise ValidationError("the base distribution needs a finite positive variance")

@@ -35,7 +35,7 @@ from .core import (
     sphere_surface_area,
 )
 from .errors import SchemeStepError, ValidationError
-from .operators import chi_drift_adjustment, refine_midpoint
+from .operators import _require_1d, _two_sided, chi_drift_adjustment
 from .stable import StableField
 
 DRIFT_COMPENSATE = "drift-compensate"
@@ -116,11 +116,9 @@ def _compensator_window(nu, lo: float, hi: float) -> np.ndarray:
     if isinstance(nu, StableLike):
         return np.zeros(d)  # radial symmetry
     if isinstance(nu, UserDensity):
-        if d != 1:
-            raise ValidationError("user densities are supported in dimension 1 only")
-        pos = refine_midpoint(lambda h: h * nu.density(h[:, None]), lo, hi, 1e-10, 1e-8)
-        neg = refine_midpoint(lambda h: -h * nu.density(-h[:, None]), lo, hi, 1e-10, 1e-8)
-        return np.array([pos + neg])
+        _require_1d(nu)
+        return np.array([_two_sided(lambda h: h * nu.density(h[:, None]), [lo, hi],
+                                    1e-10, 1e-8)])
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
 
 
@@ -239,7 +237,7 @@ class CovariantField(TripletField):
                 nu = _shift_to_origin(nu, -a)
             return LevyTriplet(frozen.drift, frozen.gamma, nu, _checked=False)
 
-        super().__init__(fn, frozen.dim, claimed_continuous=True)
+        super().__init__(fn, frozen.dim)
 
 
 class StableTripletField(TripletField):
@@ -260,7 +258,7 @@ class StableTripletField(TripletField):
                 if c[0] > 0 else None
             return LevyTriplet(np.zeros(dd), np.zeros((dd, dd)), nu)
 
-        super().__init__(fn, stable.dim, claimed_continuous=True)
+        super().__init__(fn, stable.dim)
 
     def sample_increments(self, x: np.ndarray, chi: CompensationFunction, dt: float,
                           plan: IncrementPlan, gen: np.random.Generator):

@@ -394,6 +394,40 @@ def _chi_deviation_coeff(chi: CompensationFunction, eta: float) -> float:
     return max(vals) * 1.5
 
 
+def _require_1d(nu) -> None:
+    if nu.dim != 1:
+        raise ValidationError("user densities are integrated in dimension 1 only")
+
+
+def _core_radius(bound: Callable[[float], float], budget: float, shrink: float) -> float:
+    """Shrink the excluded core ``|h| <= eta`` from 0.25 until ``bound(eta)`` fits."""
+    eta = 0.25
+    while not (bound(eta) < budget or eta < 1e-8):
+        eta /= shrink
+    return eta
+
+
+def _tail_radius(excess: Callable[[float], float], r0: float, budget: float) -> float:
+    """Double the cut radius from ``r0`` until the neglected tail ``excess(r)`` fits."""
+    r = r0
+    while excess(r) > budget and r < 1e9:
+        r *= 2.0
+    return r
+
+
+def _two_sided(integrand, cuts: Sequence[float], tol_abs: float, tol_rel: float,
+               total: float = 0.0) -> float:
+    """``total`` plus the integral of ``integrand(h)`` over cuts[0] < |h| < cuts[-1].
+
+    Each side is integrated piece by piece between consecutive cuts, the
+    positive side first.
+    """
+    for sgn in (1.0, -1.0):
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            total += refine_midpoint(lambda r: integrand(sgn * r), lo, hi, tol_abs, tol_rel)
+    return total
+
+
 def jump_integral(nu, chi: CompensationFunction, f: TestFunction, a,
                   tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL) -> float:
     """The compensated jump part of the operator at ``a``.
@@ -450,33 +484,26 @@ def jump_integral(nu, chi: CompensationFunction, f: TestFunction, a,
 
 
 def _user_jump_integral(nu: UserDensity, chi, f, a, fa, grad, tol_abs, tol_rel) -> float:
-    if nu.dim != 1:
-        raise ValidationError("user densities are integrated in dimension 1 only")
+    _require_1d(nu)
     hess_a = float(f.hess_at(a)[0, 0])
+    gnorm = float(np.abs(grad[0]))
 
     # Replace the excluded core by its quadratic Taylor term; the error is
     # then controlled by the local oscillation of f'' instead of its size,
     # so eta stays well above quadrature-hostile scales.
-    eta = 0.25
-    while True:
+    def core_bound(eta):
         probes = a[None, :] + np.linspace(-eta, eta, 33)[:, None]
         osc = float(np.max(np.abs(f.hess(probes)[:, 0, 0] - hess_a)))
-        coeff = 0.5 * osc + _chi_deviation_coeff(chi, eta) * float(np.abs(grad[0]))
-        bound = coeff * nu.truncated_second_moment(eta)
-        if bound < 0.5 * tol_abs or eta < 1e-8:
-            break
-        eta /= 2.0
+        coeff = 0.5 * osc + _chi_deviation_coeff(chi, eta) * gnorm
+        return coeff * nu.truncated_second_moment(eta)
+
+    eta = _core_radius(core_bound, 0.5 * tol_abs, 2.0)
     core = 0.5 * hess_a * nu.truncated_second_moment(eta)
 
-    reach = f.support_reach(a)
     # Integrate far enough out that the chi . grad remainder is negligible;
     # the constant -fa tail is added in closed form afterwards.
-    r_out = max(reach, eta * 2, 1.0)
-    budget = 0.25 * tol_abs
-    gnorm = float(np.abs(grad[0]))
-    while (nu.tail_mass(r_out) * chi.abs_bound_beyond(r_out) * gnorm > budget
-           and r_out < 1e9):
-        r_out *= 2.0
+    r_out = _tail_radius(lambda r: nu.tail_mass(r) * chi.abs_bound_beyond(r) * gnorm,
+                         max(f.support_reach(a), eta * 2, 1.0), 0.25 * tol_abs)
 
     def integrand(h):
         pts = a[None, :] + h[:, None]
@@ -484,14 +511,7 @@ def _user_jump_integral(nu: UserDensity, chi, f, a, fa, grad, tol_abs, tol_rel) 
         return vals * nu.density(h[:, None])
 
     kinks = sorted({k for k in chi.radial_kinks() if eta < k < r_out})
-    total = core
-    for sgn in (1.0, -1.0):
-        lo = eta
-        for k in kinks + [r_out]:
-            seg = refine_midpoint(lambda r: integrand(sgn * r), lo, k,
-                                  tol_abs / 8.0, tol_rel)
-            total += seg
-            lo = k
+    total = _two_sided(integrand, [eta] + kinks + [r_out], tol_abs / 8.0, tol_rel, core)
     total += -(fa - f.const_at_delta) * nu.tail_mass(r_out)
     return total
 
@@ -535,21 +555,14 @@ def measure_integral(nu, f: TestFunction, a, margin: float,
         return body + const * nu.tail_mass(max(lo, 1e-300))
 
     if isinstance(nu, UserDensity):
-        if nu.dim != 1:
-            raise ValidationError("user densities are integrated in dimension 1 only")
-        reach = max(f.support_reach(a), margin * 2)
-        r_out = reach
-        budget = 0.25 * tol_abs
-        while nu.tail_mass(r_out) * (abs(const) + 1e-300) > budget and r_out < 1e9:
-            r_out *= 2.0
+        _require_1d(nu)
+        r_out = _tail_radius(lambda r: nu.tail_mass(r) * (abs(const) + 1e-300),
+                             max(f.support_reach(a), margin * 2), 0.25 * tol_abs)
 
         def integrand(h):
             return (f(a[None, :] + h[:, None]) - const) * nu.density(h[:, None])
 
-        total = 0.0
-        for sgn in (1.0, -1.0):
-            total += refine_midpoint(lambda r: integrand(sgn * r), margin, r_out,
-                                     tol_abs / 4.0, tol_rel)
+        total = _two_sided(integrand, [margin, r_out], tol_abs / 4.0, tol_rel)
         return total + const * nu.tail_mass(margin)
 
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
@@ -601,32 +614,23 @@ def chi_quadratic_matrix(nu, chi: CompensationFunction, a,
         return out
 
     if isinstance(nu, UserDensity):
-        if dim != 1:
-            raise ValidationError("user densities are integrated in dimension 1 only")
-        eta = 0.25
-        while True:
+        _require_1d(nu)
+
+        def core_bound(eta):
             coeff = _chi_deviation_coeff(chi, eta)
-            bound = (2 * coeff * eta + (coeff * eta) ** 2) * nu.truncated_second_moment(eta)
-            if bound < 0.25 * tol_abs or eta < 1e-8:
-                break
-            eta /= 4.0
-        r_cut = 2.0
-        while (nu.tail_mass(r_cut) * chi.abs_bound_beyond(r_cut) ** 2 > 0.25 * tol_abs
-               and r_cut < 1e9):
-            r_cut *= 2.0
+            return (2 * coeff * eta + (coeff * eta) ** 2) * nu.truncated_second_moment(eta)
+
+        eta = _core_radius(core_bound, 0.25 * tol_abs, 4.0)
+        r_cut = _tail_radius(lambda r: nu.tail_mass(r) * chi.abs_bound_beyond(r) ** 2,
+                             2.0, 0.25 * tol_abs)
 
         def integrand(h):
             vals = chi(a, a[None, :] + h[:, None])[:, 0]
             return vals * vals * nu.density(h[:, None])
 
-        total = nu.truncated_second_moment(eta)
         kinks = sorted({k for k in chi.radial_kinks() if eta < k < r_cut})
-        for sgn in (1.0, -1.0):
-            lo = eta
-            for k in kinks + [r_cut]:
-                total += refine_midpoint(lambda r: integrand(sgn * r), lo, k,
-                                         tol_abs / 8.0, tol_rel)
-                lo = k
+        total = _two_sided(integrand, [eta] + kinks + [r_cut], tol_abs / 8.0, tol_rel,
+                           nu.truncated_second_moment(eta))
         return np.array([[total]])
 
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
@@ -659,35 +663,24 @@ def chi_drift_adjustment(nu, chi_from: CompensationFunction, chi_to: Compensatio
         raise ValidationError("drift adjustment for non-odd chi needs Atoms or UserDensity")
 
     if isinstance(nu, UserDensity):
-        if dim != 1:
-            raise ValidationError("user densities are integrated in dimension 1 only")
-        eta = 0.25
-        while True:
-            coeff = _chi_deviation_coeff(chi_from, eta) + _chi_deviation_coeff(chi_to, eta)
-            bound = coeff * nu.truncated_second_moment(eta)
-            if bound < 0.25 * tol_abs or eta < 1e-8:
-                break
-            eta /= 4.0
-        r_cut = 2.0
-        while (nu.tail_mass(r_cut)
-               * (chi_from.abs_bound_beyond(r_cut) + chi_to.abs_bound_beyond(r_cut))
-               > 0.25 * tol_abs and r_cut < 1e9):
-            r_cut *= 2.0
+        _require_1d(nu)
+        eta = _core_radius(
+            lambda e: ((_chi_deviation_coeff(chi_from, e) + _chi_deviation_coeff(chi_to, e))
+                       * nu.truncated_second_moment(e)),
+            0.25 * tol_abs, 4.0)
+        r_cut = _tail_radius(
+            lambda r: (nu.tail_mass(r)
+                       * (chi_from.abs_bound_beyond(r) + chi_to.abs_bound_beyond(r))),
+            2.0, 0.25 * tol_abs)
 
         def integrand(h):
             pts = a[None, :] + h[:, None]
             dv = chi_to(a, pts) - chi_from(a, pts)
             return dv[:, 0] * nu.density(h[:, None])
 
-        total = 0.0
         kinks = sorted({k for k in (chi_from.radial_kinks() + chi_to.radial_kinks())
                         if eta < k < r_cut})
-        for sgn in (1.0, -1.0):
-            lo = eta
-            for k in kinks + [r_cut]:
-                total += refine_midpoint(lambda r: integrand(sgn * r), lo, k,
-                                         tol_abs / 8.0, tol_rel)
-                lo = k
+        total = _two_sided(integrand, [eta] + kinks + [r_cut], tol_abs / 8.0, tol_rel)
         return np.array([total])
 
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")

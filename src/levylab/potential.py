@@ -10,14 +10,15 @@ equal to the squared time step, then moves up with probability
     p(a) = int_{a-psi_down}^{a} e^V / int_{a-psi_down}^{a+psi_up} e^V.
 
 Piecewise-constant and piecewise-linear potentials are integrated in closed
-form cell by cell.  Short-span queries (phi, p, psi) walk only the cells
-they touch, anchored at the query point, so no precision is lost to large
-cumulative offsets; long-span integrals use global cumulative tables.  All
+form cell by cell.  Every integral (phi, p, psi and ``exp_integral``) comes
+from one cell walk that touches only the cells it spans, anchored at the
+query point, so no precision is lost to large cumulative offsets.  All
 exponentials are rescaled by the window extrema, so only genuinely
-overflowing windows fail.  The chain runs on the shared block driver
-:func:`levylab.core.run_chain` with time step ``eps^2``: either a
-nearest-neighbour lattice walk (:func:`lattice_kernel`, shared with the
-random walks in random environments) or a generic psi-solver step.
+overflowing windows fail, and such a window fails on every query.  The
+chain runs on the shared block driver :func:`levylab.core.run_chain` with
+time step ``eps^2``: either a nearest-neighbour lattice walk
+(:func:`lattice_kernel`, shared with the random walks in random
+environments) or a generic psi-solver step.
 """
 
 from __future__ import annotations
@@ -77,6 +78,13 @@ class _CellData:
     slope: np.ndarray    # (n,)
     splus: float
     sminus: float
+
+    def __post_init__(self):
+        if self.shift > MAX_TABLE_SHIFT:
+            raise PotentialOverflowError(
+                "window oscillation of the potential exceeds the double-precision "
+                "budget for rescaled exponentials"
+            )
 
     @property
     def shift(self) -> float:
@@ -164,13 +172,6 @@ class PiecewiseConstantPotential(Potential):
     def domain(self) -> tuple[float, float]:
         return (self.cell_lo * self.mesh, (self.cell_hi + 1) * self.mesh)
 
-    def increment_at(self, k: int) -> float:
-        if k < self.k_min or k > self.k_max:
-            raise RangeError(
-                f"increment index {k} outside the window [{self.k_min}, {self.k_max}]"
-            )
-        return float(self.q[k - self.k_min])
-
     def cell_values(self) -> np.ndarray:
         """Potential value per cell, cells ``cell_lo .. cell_hi``."""
         if "cells" not in self._cache:
@@ -208,11 +209,6 @@ class PiecewiseConstantPotential(Potential):
                 bounds=bounds, left_value=vals, slope=np.zeros(n),
                 splus=float(np.max(vals)), sminus=float(np.max(-vals)),
             )
-            if self._cache["celldata"].shift > MAX_TABLE_SHIFT:
-                raise PotentialOverflowError(
-                    "window oscillation of the potential exceeds the double-precision "
-                    "budget for rescaled exponentials"
-                )
         return self._cache["celldata"]
 
 
@@ -260,11 +256,6 @@ class GridPotential(Potential):
                 slope=np.diff(self.values) / w,
                 splus=float(np.max(self.values)), sminus=float(np.max(-self.values)),
             )
-            if self._cache["celldata"].shift > MAX_TABLE_SHIFT:
-                raise PotentialOverflowError(
-                    "window oscillation of the potential exceeds the double-precision "
-                    "budget for rescaled exponentials"
-                )
         return self._cache["celldata"]
 
 
@@ -316,12 +307,18 @@ def zero_potential(mesh: float, k_min: int, k_max: int) -> PiecewiseConstantPote
 # ---------------------------------------------------------------------------
 
 
-def _walk_phi(cd: _CellData, a: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Rescaled phi/2: int over [a, a+h] of e^{V(b)-s+} int e^{-V(c)-s-},
-    walked cell by cell from ``a`` so all terms stay local-sized."""
+def _walk(cd: _CellData, a: np.ndarray, h: np.ndarray):
+    """Rescaled integrals over [a, a+h], walked cell by cell from ``a``.
+
+    Returns ``(phi_half, ep, em)``: phi/2 as int e^{V(b)-s+} int e^{-V(c)-s-}
+    over the walked span, and the unsigned masses int e^{V-s+} and
+    int e^{-V-s-} of that span.  Anchoring at ``a`` keeps all terms
+    local-sized.
+    """
     n_q = a.size
     res = np.zeros(n_q)
-    w_acc = np.zeros(n_q)
+    ep = np.zeros(n_q)
+    em = np.zeros(n_q)
     e_s = math.exp(-cd.shift)
     for sgn, mask0 in ((1.0, h > 0), (-1.0, h < 0)):
         if not np.any(mask0):
@@ -335,20 +332,19 @@ def _walk_phi(cd: _CellData, a: np.ndarray, h: np.ndarray) -> np.ndarray:
             guard += 1
             if guard > MAX_WALK_CELLS:
                 raise RangeError("cell walk exceeded its budget; query spans too many cells")
-            if sgn > 0:
-                room = cd.bounds[cell + 1] - pos
-            else:
-                room = pos - cd.bounds[cell]
+            off = pos - cd.bounds[cell]
+            room = cd.bounds[cell + 1] - pos if sgn > 0 else off
             length = np.minimum(np.maximum(room, 0.0), remaining)
             m = cd.slope[cell]
-            v_edge = cd.left_value[cell] + m * (pos - cd.bounds[cell])
+            v_edge = cd.left_value[cell] + m * off
             ep_f = np.exp(v_edge - cd.splus)
             em_f = np.exp(-v_edge - cd.sminus)
             z = sgn * m * length
             ep_piece = ep_f * length * _phi1(z)
             em_piece = em_f * length * _phi1(-z)
-            res[active] += ep_piece * w_acc[active] + e_s * length * length * _phi2(z)
-            w_acc[active] += em_piece
+            res[active] += ep_piece * em[active] + e_s * length * length * _phi2(z)
+            ep[active] += ep_piece
+            em[active] += em_piece
             pos = pos + sgn * length
             remaining = remaining - length
             done = remaining <= 1e-300
@@ -357,7 +353,7 @@ def _walk_phi(cd: _CellData, a: np.ndarray, h: np.ndarray) -> np.ndarray:
                 outside = (cell < 0) | (cell >= cd.left_value.size)
                 slack = _walk_slack(a[active], a[active] + h[active])
                 if np.any(outside & ~done & (remaining > slack)):
-                    raise RangeError("phi walk left the potential window")
+                    raise RangeError("cell walk left the potential window")
                 done |= outside
             if np.any(done):
                 keep = ~done
@@ -365,7 +361,7 @@ def _walk_phi(cd: _CellData, a: np.ndarray, h: np.ndarray) -> np.ndarray:
                 pos = pos[keep]
                 remaining = remaining[keep]
                 cell = cell[keep]
-    return res
+    return res, ep, em
 
 
 def _walk_slack(start: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -376,45 +372,6 @@ def _walk_slack(start: np.ndarray, end: np.ndarray) -> np.ndarray:
     stop a few ulps short; that leftover is rounding, not an exit.
     """
     return WALK_END_ULPS * np.finfo(float).eps * (np.abs(start) + np.abs(end))
-
-
-def _walk_exp(cd: _CellData, lo: np.ndarray, hi: np.ndarray, sign: float) -> np.ndarray:
-    """Rescaled int_{lo}^{hi} e^{sign V - shift} db via a rightward cell walk."""
-    n_q = lo.size
-    out = np.zeros(n_q)
-    active = np.nonzero(hi > lo)[0]
-    pos = lo[active].copy()
-    remaining = (hi - lo)[active]
-    cell = cd.locate(pos)
-    shift = cd.splus if sign > 0 else cd.sminus
-    guard = 0
-    while active.size:
-        guard += 1
-        if guard > MAX_WALK_CELLS:
-            raise RangeError("cell walk exceeded its budget; query spans too many cells")
-        room = cd.bounds[cell + 1] - pos
-        length = np.minimum(np.maximum(room, 0.0), remaining)
-        m = cd.slope[cell]
-        v_edge = cd.left_value[cell] + m * (pos - cd.bounds[cell])
-        f = np.exp(sign * v_edge - shift)
-        out[active] += f * length * _phi1(sign * m * length)
-        pos = pos + length
-        remaining = remaining - length
-        done = remaining <= 1e-300
-        cell = cell + 1
-        if np.any(cell >= cd.left_value.size):
-            outside = cell >= cd.left_value.size
-            slack = _walk_slack(lo[active], hi[active])
-            if np.any(outside & ~done & (remaining > slack)):
-                raise RangeError("integral walk left the potential window")
-            done |= outside
-        if np.any(done):
-            keep = ~done
-            active = active[keep]
-            pos = pos[keep]
-            remaining = remaining[keep]
-            cell = cell[keep]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +389,8 @@ def exp_integral(V: Potential, a1: float, a2: float, sign: str = "+") -> float:
     s = 1.0 if sign == "+" else -1.0
     cd = V.cells()
     if cd is not None:
-        raw = float(_walk_exp(cd, np.array([a1]), np.array([a2]), s)[0])
-        shift = cd.splus if s > 0 else cd.sminus
+        _, ep, em = _walk(cd, np.array([a1]), np.array([a2 - a1]))
+        raw, shift = (float(ep[0]), cd.splus) if s > 0 else (float(em[0]), cd.sminus)
         if raw <= 0.0:
             return 0.0
         log_val = shift + math.log(raw)
@@ -480,7 +437,7 @@ def phi_eval(V: Potential, a, h):
         lo = float(min(np.min(a_arr), np.min(b_arr)))
         hi = float(max(np.max(a_arr), np.max(b_arr)))
         V.check_window(lo, hi)
-        res = _walk_phi(cd, a_arr, h_arr)
+        res = _walk(cd, a_arr, h_arr)[0]
         out = np.zeros_like(res)
         pos = res > 0.0
         log_vals = cd.shift + np.log(res[pos]) + math.log(2.0)
@@ -574,9 +531,10 @@ def p_eval_many(V: Potential, a: np.ndarray, psi_up: np.ndarray,
         raise ValidationError("step sizes must be positive")
     cd = V.cells()
     if cd is not None:
-        V.check_window(float(np.min(a - psi_down)), float(np.max(a + psi_up)))
-        num = _walk_exp(cd, a - psi_down, a, 1.0)
-        den = num + _walk_exp(cd, a, a + psi_up, 1.0)
+        lo, hi = a - psi_down, a + psi_up
+        V.check_window(float(np.min(lo)), float(np.max(hi)))
+        num = _walk(cd, lo, a - lo)[1]
+        den = num + _walk(cd, a, hi - a)[1]
     else:
         num = np.array([exp_integral(V, ai - d, ai, "+") for ai, d in zip(a, psi_down)])
         den = num + np.array([exp_integral(V, ai, ai + u, "+")
@@ -607,6 +565,13 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
         raise ValidationError("the horizon must be positive")
     if eps <= 0:
         raise ValidationError("the step parameter must be positive")
+    if not callable(start):
+        s = float(as_point(start, 1)[0])
+        lo_d, hi_d = V.domain
+        if s < lo_d or s > hi_d:
+            raise ValidationError(
+                f"start point {s} lies outside the potential domain [{lo_d}, {hi_d}]"
+            )
     dt = eps * eps
     grid = config.output_grid(horizon)
     n_steps = int(np.ceil(horizon / dt))
@@ -688,8 +653,8 @@ def _lattice_tables(V: Potential, eps: float, start, n_steps: int):
     # the window; at aligned sites the bracket never expands further.
     site_lo = max(reach_lo, V.cell_lo + 2)
     site_hi = min(reach_hi, V.cell_hi - 1)
-    if site_hi < site_lo:
-        return None
+    if not site_lo <= site0 <= site_hi:
+        return None  # the start site itself is not verified
     sites = np.arange(site_lo, site_hi + 1)
     pos = sites * eps
     psiu = psi_solve_many(V, pos, eps, "up")

@@ -142,7 +142,7 @@ def stable_triplet_field(field: StableField) -> TripletField:
         return LevyTriplet(np.zeros(d), np.zeros((d, d)),
                            StableLike(c=float(c[0]), alpha=float(alpha[0]), dim=d))
 
-    return TripletField(fn, field.dim, claimed_continuous=True)
+    return TripletField(fn, field.dim)
 
 
 def scheme_triplet_field(field: StableField, n: float) -> TripletField:
@@ -163,4 +163,4 @@ def scheme_triplet_field(field: StableField, n: float) -> TripletField:
         nu = StableLike(c=float(c[0]), alpha=float(alpha[0]), dim=d, min_radius=rmin)
         return LevyTriplet(np.zeros(d), np.zeros((d, d)), nu)
 
-    return TripletField(fn, field.dim, claimed_continuous=True)
+    return TripletField(fn, field.dim)

@@ -282,6 +282,33 @@ def test_lattice_file_walks_absorb_at_the_window_edge(workdir, capsys, mesh):
     assert np.all(np.isfinite(batch.xi[reached]))
 
 
+def test_absorbed_rows_are_never_marked_alive(workdir, capsys):
+    # Paths absorbed at step 35 used to get xi = 35 * 0.01, which rounds
+    # above the grid time 0.35 that shows their absorbing site, so that row
+    # was written with alive=1.
+    write_zero_lattice_file("lat.csv")
+    run_ok(["simulate-potential", "--potential", "lat.csv", "--mesh", "0.1", "--eps", "0.1",
+            "--T", "0.5", "--paths", "400", "--seed", "3", "--grid-points", "11",
+            "--out", "edge.csv"], capsys)
+    rows = np.loadtxt("edge.csv", delimiter=",", skiprows=1)
+    alive = rows[:, 3] == 1
+    assert np.all(np.isfinite(rows[alive, 2]))
+    assert np.max(np.abs(rows[alive, 2])) <= 1.8 * (1 + 1e-12)
+    assert np.all(np.isnan(rows[~alive, 2]))
+
+
+@pytest.mark.parametrize("start, code", [("-2.5", 1), ("2.2", 1), ("-2.0", 2), ("2.0", 2)])
+def test_lattice_start_outside_the_verified_sites(workdir, capsys, start, code):
+    # The window holds sites -21..20 but only -19..19 have a verified
+    # up-probability.  A start outside the domain used to crash with an
+    # IndexError (-2.5) or walk on the table's far end (-2.0).
+    write_zero_lattice_file("lat.csv")
+    argv = ["simulate-potential", "--potential", "lat.csv", "--mesh", "0.1", "--eps", "0.1",
+            "--T", "0.05", "--paths", "20", "--start", start, "--out", "out.csv"]
+    assert run(argv) == code
+    assert not os.path.exists("out.csv")
+
+
 def write_nan_triplet(name):
     with open(name, "w") as fh:
         fh.write('{"drift": [NaN], "gamma": [[1.0]]}')

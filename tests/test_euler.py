@@ -234,8 +234,7 @@ def test_user_density_tail_sampler_path():
         density=stable.density, dim=1,
         tail_sampler=lambda rng, size, r: stable.sample_tail(rng, size, r),
         tail_mass_fn=stable.tail_mass,
-        second_moment_fn=stable.truncated_second_moment,
-        symmetric=True)
+        second_moment_fn=stable.truncated_second_moment)
     trip_u = LevyTriplet([0.0], [[0.0]], user)
     trip_s = LevyTriplet([0.0], [[0.0]], stable)
     plan = IncrementPlan(tau=0.05)

@@ -290,6 +290,30 @@ def test_user_density_jump_integral_matches_stable():
     assert vu == pytest.approx(vs, abs=5e-6)
 
 
+def stable_as_user_density(stable):
+    return UserDensity(density=stable.density, dim=1,
+                       tail_mass_fn=lambda r: stable.tail_mass(r),
+                       second_moment_fn=lambda r: stable.truncated_second_moment(r))
+
+
+@pytest.mark.parametrize("center, radius, a", [(3.0, 0.8, 0.0), (-2.5, 0.5, 0.3)])
+def test_user_density_measure_integral_matches_stable(center, radius, a):
+    stable = StableLike(c=0.9, alpha=1.1, dim=1)
+    f = bump([center], radius)
+    vs = measure_integral(stable, f, [a], margin=0.5)
+    vu = measure_integral(stable_as_user_density(stable), f, [a], margin=0.5)
+    assert vu == pytest.approx(vs, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("chi", [Chi1(), Chi2()], ids=["chi1", "chi2"])
+def test_user_density_chi_quadratic_matrix_matches_stable(chi):
+    stable = StableLike(c=0.9, alpha=1.1, dim=1)
+    ms = chi_quadratic_matrix(stable, chi, [0.2])
+    mu = chi_quadratic_matrix(stable_as_user_density(stable), chi, [0.2])
+    assert mu.shape == (1, 1)
+    assert mu[0, 0] == pytest.approx(ms[0, 0], rel=1e-6)
+
+
 def test_asymmetric_user_density_drift_adjustment():
     # an asymmetric density has a nonzero convention adjustment; cross-check
     # against direct quadrature of (chi2 - chi1) against the density

@@ -65,6 +65,17 @@ class TestExpIntegral:
             V = GridPotential([-1.0, 1.0], [-400.0, 400.0])
             phi_eval(V, 0.0, 0.5)
 
+    @pytest.mark.parametrize("V", [GridPotential([-1.0, 1.0], [-400.0, 400.0]),
+                                   PiecewiseConstantPotential(1.0, [700.0, 0.0], 0)],
+                             ids=["grid", "lattice"])
+    def test_window_overflow_raises_on_every_call(self, V):
+        # The cell table used to be cached before the overflow check raised,
+        # so every query after the first silently went on.
+        queries = (lambda: phi_eval(V, 0.0, 0.5), lambda: exp_integral(V, -0.5, 0.5), V.cells)
+        for query in queries * 2:
+            with pytest.raises(PotentialOverflowError):
+                query()
+
 
 class TestPhi:
     def test_constant_potential_square(self):
@@ -222,6 +233,27 @@ class TestChain:
         cfg = SchemeConfig(paths=100, seed=9, grid=np.array([0.0, 4.0]))
         batch = potential_chain_simulate(V, 0.0, 0.1, 4.0, cfg)
         assert np.isfinite(batch.xi).any()
+
+    @pytest.mark.parametrize("V", [zero_potential(0.1, -5, 5),
+                                   GridPotential([-1.0, 1.0], [0.0, 0.5])],
+                                 ids=["lattice", "grid"])
+    def test_start_outside_the_domain_is_rejected(self, V):
+        cfg = SchemeConfig(paths=4, seed=1)
+        for start in (V.domain[0] - 0.05, V.domain[1] + 1.0):
+            with pytest.raises(ValidationError, match="outside the potential domain"):
+                potential_chain_simulate(V, start, 0.1, 0.05, cfg)
+
+    def test_lattice_start_outside_the_verified_sites(self, monkeypatch):
+        # Site -5 lies in the window but its psi bracket does not, so it has
+        # no verified up-probability; the lattice table used to be read at
+        # index -1 there.  The generic solver takes over and fails cleanly.
+        import levylab.potential as pot
+
+        V = zero_potential(0.1, -5, 5)
+        monkeypatch.setattr(pot, "lattice_kernel",
+                            lambda *a, **k: pytest.fail("lattice table used"))
+        with pytest.raises(SchemeStepError, match="left the potential window"):
+            potential_chain_simulate(V, -0.5, 0.1, 0.05, SchemeConfig(paths=4, seed=1))
 
 
 class TestTransport:
