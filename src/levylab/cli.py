@@ -17,6 +17,7 @@ import sys
 import tempfile
 import time
 import warnings
+from contextlib import contextmanager
 from itertools import chain, repeat
 from typing import Sequence
 
@@ -318,20 +319,30 @@ def _cmd_simulate_stable(args, seed: int) -> list[str]:
     return [args.out]
 
 
+@contextmanager
+def _json_config(path: str):
+    """Yield the JSON document at ``path`` to the block that builds a model;
+    a missing key, wrong type or bad value met there is a ValidationError."""
+    with open(path) as handle:
+        cfg = json.load(handle)
+    try:
+        yield cfg
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"malformed config {path}: {type(exc).__name__}: {exc}") from None
+
+
+def _stable_field_from_json(cfg: dict) -> StableField:
+    dim = int(cfg.get("dim", 1))
+    return StableField(c=compile_expression(cfg["c_expr"], dim),
+                       alpha=compile_expression(cfg["alpha_expr"], dim), dim=dim)
+
+
 def _cmd_simulate_euler(args, seed: int) -> list[str]:
-    with open(args.triplet_config) as handle:
-        cfg_json = json.load(handle)
-    if cfg_json.get("kind") == "stable-field":
-        dim = int(cfg_json.get("dim", 1))
-        field = stable_euler_field(
-            StableField(
-                c=compile_expression(cfg_json["c_expr"], dim),
-                alpha=compile_expression(cfg_json["alpha_expr"], dim),
-                dim=dim,
-            ))
-    else:
-        triplet = triplet_from_config(cfg_json)
-        field = CovariantField(triplet)
+    with _json_config(args.triplet_config) as cfg_json:
+        if cfg_json.get("kind") == "stable-field":
+            field = stable_euler_field(_stable_field_from_json(cfg_json))
+        else:
+            field = CovariantField(triplet_from_config(cfg_json))
     chi = compensation_by_name(args.chi)
     plan = IncrementPlan(tau=float(args.tau), small_jump_mode=args.small_jump_mode)
     cfg = _scheme_config(args, seed, float(args.T))
@@ -400,31 +411,23 @@ def _field_from_json(cfg: dict):
     if kind == "constant":
         return CovariantField(triplet_from_config(cfg["triplet"]))
     if kind == "stable":
-        dim = int(cfg.get("dim", 1))
-        return stable_triplet_field(StableField(
-            c=compile_expression(cfg["c_expr"], dim),
-            alpha=compile_expression(cfg["alpha_expr"], dim),
-            dim=dim,
-        ))
+        return stable_triplet_field(_stable_field_from_json(cfg))
     raise ValidationError(f"unknown field kind {kind!r}")
 
 
 def _cmd_diagnose_operator(args, seed: int) -> list[str]:
-    with open(args.config) as handle:
-        cfg = json.load(handle)
-    limit = _field_from_json(cfg["limit"])
-    fields = [_field_from_json(f) for f in cfg["fields"]]
-    chi = compensation_by_name(cfg.get("chi", "chi2"))
-    low = np.asarray(cfg["box"]["low"], dtype=float)
-    high = np.asarray(cfg["box"]["high"], dtype=float)
-    testfns = vanishing_test_functions(low, high, limit.dim,
-                                       margin=float(cfg.get("margin", 0.5)))
-    reports = convergence_gaps(
-        fields, limit, chi, low, high, testfns=testfns,
-        grid_points=int(cfg.get("grid_points", 16)),
-        jump_margin=float(cfg.get("jump_margin", 0.25)),
-        labels=cfg.get("labels"),
-    )
+    with _json_config(args.config) as cfg:
+        limit = _field_from_json(cfg["limit"])
+        fields = [_field_from_json(f) for f in cfg["fields"]]
+        chi = compensation_by_name(cfg.get("chi", "chi2"))
+        low = np.asarray(cfg["box"]["low"], dtype=float)
+        high = np.asarray(cfg["box"]["high"], dtype=float)
+        testfns = vanishing_test_functions(low, high, limit.dim,
+                                           margin=float(cfg.get("margin", 0.5)))
+        options = dict(grid_points=int(cfg.get("grid_points", 16)),
+                       jump_margin=float(cfg.get("jump_margin", 0.25)),
+                       labels=cfg.get("labels"))
+    reports = convergence_gaps(fields, limit, chi, low, high, testfns=testfns, **options)
     payload = {"chi": chi.name, "reports": [r.to_dict() for r in reports]}
     atomic_write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return [args.out]

@@ -547,10 +547,6 @@ class PathRecord:
             return DELTA
         return self.states[i]
 
-    def check_absorption(self) -> bool:
-        """True when no state after the explosion time is marked alive."""
-        return bool(np.all(~self.alive[self.times >= self.xi]))
-
 
 class PathBatch:
     """Paths sharing one output time grid, stored as a dense array."""

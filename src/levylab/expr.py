@@ -1,149 +1,102 @@
 """Tiny arithmetic expression language for coefficient fields.
 
-Grammar (hand-written recursive descent):
-
-    expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := ('+' | '-') factor | power
-    power  := atom ('**' factor)?
-    atom   := NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
-
-Names are the coordinates x1..xd; functions are exp, log, abs, min, max.
+Expressions are written in Python syntax, parsed by :mod:`ast` and
+translated through a whitelist; the text is never evaluated by Python.
+The whitelist admits binary ``+ - * / **``, unary ``+ -``, numbers
+(digits with an optional point and exponent), the coordinates x1..xd and
+the functions exp, log, abs (one argument) and min, max (two or more).
+Trees nested deeper than ``MAX_DEPTH`` levels are rejected.
 Compiled expressions evaluate vectorized over an (m, d) array of points.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
 import re
+import warnings
 from typing import Callable
 
 import numpy as np
 
 from .errors import ExpressionError
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|(\*\*|[()+\-*/,])|([A-Za-z_][A-Za-z_0-9]*))")
+MAX_DEPTH = 200
 
-_FUNCTIONS: dict[str, Callable] = {
+_NUMBER = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
+_COORD = re.compile(r"x([0-9]{1,9})")
+
+_FUNCTIONS: dict[str, np.ufunc] = {
     "exp": np.exp,
     "log": np.log,
     "abs": np.abs,
     "min": np.minimum,
     "max": np.maximum,
 }
-_MULTI_ARG = {"min", "max"}
+_BINARY = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+           ast.Div: np.divide, ast.Pow: np.power}
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ExpressionError(f"unexpected character {text[pos]!r} at position {pos}")
-        token = m.group(0).strip()
-        # Re-attach exponent suffixes the regex captured as one blob.
-        tokens.append(token)
-        pos = m.end()
-    return tokens
+def _short(text: str) -> str:
+    """``text`` quoted, cut to a prefix that fits in an error message."""
+    return repr(text if len(text) <= 40 else text[:40] + "...")
 
 
-class _Parser:
-    def __init__(self, tokens: list[str], dim: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.dim = dim
+def _parse(text: str, dim: int):
+    # Any run of whitespace separates tokens, so the source is one line and
+    # ast column offsets index its UTF-8 bytes directly.
+    source = " ".join(text.split())
+    if not source:
+        raise ExpressionError("empty expression")
+    try:
+        # The parser warns on some inputs (invalid escapes, `1if`) that the
+        # whitelist rejects anyway.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            body = ast.parse(source, mode="eval").body
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        reason = str(getattr(exc, "msg", exc)) or "nested too deeply"
+        raise ExpressionError(f"cannot parse {_short(source)}: {reason}") from None
+    encoded = source.encode()
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def segment(node) -> str:
+        return encoded[node.col_offset:node.end_col_offset].decode()
 
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError("unexpected end of expression")
-        self.pos += 1
-        return tok
+    def translate(node, depth: int):
+        if depth > MAX_DEPTH:
+            raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels")
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return (_BINARY[type(node.op)], translate(node.left, depth + 1),
+                    translate(node.right, depth + 1))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            inner = translate(node.operand, depth + 1)
+            return inner if isinstance(node.op, ast.UAdd) else (np.negative, inner)
+        if isinstance(node, ast.Constant) and _NUMBER.fullmatch(segment(node)):
+            return ("const", float(segment(node)))
+        if isinstance(node, ast.Name):
+            m = _COORD.fullmatch(node.id)
+            if m is None:
+                raise ExpressionError(f"unknown name {_short(node.id)}")
+            axis = int(m.group(1))
+            if not 1 <= axis <= dim:
+                raise ExpressionError(f"coordinate {node.id} outside the dimension ({dim})")
+            return ("coord", axis - 1)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCTIONS and not node.keywords):
+            name, n = node.func.id, len(node.args)
+            fn = _FUNCTIONS[name]
+            if fn.nin == 1:
+                if n != 1:
+                    raise ExpressionError(f"{name} takes exactly one argument")
+                return (fn, translate(node.args[0], depth + 1))
+            if n < 2:
+                raise ExpressionError(f"{name} needs at least two arguments")
+            # min/max fold to the left: one tree level per extra argument.
+            args = [translate(arg, depth + n - 1) for arg in node.args]
+            return functools.reduce(lambda acc, arg: (fn, acc, arg), args)
+        raise ExpressionError(f"unsupported syntax {_short(segment(node))}")
 
-    def expect(self, tok: str) -> None:
-        got = self.take()
-        if got != tok:
-            raise ExpressionError(f"expected {tok!r}, got {got!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek() is not None:
-            raise ExpressionError(f"trailing input starting at {self.peek()!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = (np.add if op == "+" else np.subtract, node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            node = (np.multiply if op == "*" else np.divide, node, rhs)
-        return node
-
-    def factor(self):
-        tok = self.peek()
-        if tok in ("+", "-"):
-            self.take()
-            inner = self.factor()
-            return inner if tok == "+" else (np.negative, inner)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == "**":
-            self.take()
-            exponent = self.factor()
-            return (np.power, base, exponent)
-        return base
-
-    def atom(self):
-        tok = self.take()
-        if tok == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if re.fullmatch(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?", tok):
-            return ("const", float(tok))
-        if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
-            if tok in _FUNCTIONS:
-                self.expect("(")
-                args = [self.expr()]
-                while self.peek() == ",":
-                    self.take()
-                    args.append(self.expr())
-                self.expect(")")
-                if tok in _MULTI_ARG:
-                    if len(args) < 2:
-                        raise ExpressionError(f"{tok} needs at least two arguments")
-                    node = args[0]
-                    for extra in args[1:]:
-                        node = (_FUNCTIONS[tok], node, extra)
-                    return node
-                if len(args) != 1:
-                    raise ExpressionError(f"{tok} takes exactly one argument")
-                return (_FUNCTIONS[tok], args[0])
-            m = re.fullmatch(r"x(\d+)", tok)
-            if m:
-                axis = int(m.group(1))
-                if not (1 <= axis <= self.dim):
-                    raise ExpressionError(
-                        f"coordinate {tok} outside the dimension ({self.dim})"
-                    )
-                return ("coord", axis - 1)
-            raise ExpressionError(f"unknown name {tok!r}")
-        raise ExpressionError(f"unexpected token {tok!r}")
+    return translate(body, 0)
 
 
 def _evaluate(node, points: np.ndarray):
@@ -159,9 +112,7 @@ def _evaluate(node, points: np.ndarray):
 
 def compile_expression(text: str, dim: int) -> Callable[[np.ndarray], np.ndarray]:
     """Compile ``text`` into a vectorized function of an (m, dim) point array."""
-    if not text.strip():
-        raise ExpressionError("empty expression")
-    tree = _Parser(_tokenize(text), dim).parse()
+    tree = _parse(text, dim)
 
     def fn(points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -29,7 +29,6 @@ from .core import (
     Chi1,
     Chi2,
     CompensationFunction,
-    ConstantTripletField,
     LevyTriplet,
     StableLike,
     TripletField,

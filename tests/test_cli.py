@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -334,6 +336,61 @@ def test_non_finite_input_is_a_validation_error(workdir, capsys, case):
     assert code == 1
     assert capsys.readouterr().err.startswith("validation error:")
     assert not os.path.exists("nan.csv")
+
+
+EULER_ON_CONFIG = ["simulate-euler", "--triplet-config", "cfg.json", "--eps", "0.1",
+                   "--T", "0.3", "--paths", "3", "--out", "out.csv"]
+OPERATOR_ON_CONFIG = ["diagnose-operator", "--config", "cfg.json", "--out", "out.csv"]
+MALFORMED_CONFIGS = {
+    "stable-field-without-alpha": (EULER_ON_CONFIG,
+                                   {"kind": "stable-field", "dim": 1, "c_expr": "1"}),
+    "non-numeric-drift": (EULER_ON_CONFIG, {"drift": "abc"}),
+    "stable-nu-without-c": (EULER_ON_CONFIG, {"nu": {"kind": "stable", "alpha": 1.5}}),
+    "not-an-object": (EULER_ON_CONFIG, [1, 2]),
+    "operator-without-fields": (OPERATOR_ON_CONFIG,
+                                {k: v for k, v in OPERATOR_CONFIG.items() if k != "fields"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_malformed_json_config_is_a_validation_error(workdir, capsys, case):
+    argv, cfg = MALFORMED_CONFIGS[case]
+    with open("cfg.json", "w") as fh:
+        json.dump(cfg, fh)
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("validation error: malformed config cfg.json")
+    assert not os.path.exists("out.csv")
+
+
+HOSTILE_EXPRESSIONS = {
+    "nested-parentheses": "(" * 3000 + "1" + ")" * 3000,
+    "unary-minus": "-" * 5000 + "1",
+    "long-sum": "+".join(["1"] * 20000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_EXPRESSIONS))
+def test_hostile_expression_is_a_validation_error(workdir, capsys, case):
+    code = run(["simulate-stable", f"--alpha-expr={HOSTILE_EXPRESSIONS[case]}", "--n", "10",
+                "--T", "0.3", "--paths", "3", "--out", "out.csv"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("validation error:")
+    assert len(err) < 200, "the message should quote only a prefix of the input"
+    assert not os.path.exists("out.csv")
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats adds 0.4-0.5 s to `import levylab.cli` on a 2-vCPU x86 host;
+    # the KS and W1 helpers import it on first use, so CLI start-up stays fast.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, levylab.cli as cli; "
+             "assert callable(cli.ks_distance) and callable(cli.wasserstein1); "
+             "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def write_text(name, text):

@@ -133,7 +133,6 @@ class TestPathRecord:
         rec = PathRecord(times=[0.0, 1.0, 2.0], states=[0.0, 1.0, 5.0], xi=1.5)
         assert rec.state_at(0) is not DELTA
         assert rec.state_at(2) is DELTA
-        assert rec.check_absorption()
         np.testing.assert_array_equal(rec.alive, [True, True, False])
 
     def test_batch_marginal_and_blanking(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levylab.errors import ExpressionError
 from levylab.expr import compile_expression
@@ -33,6 +35,9 @@ class TestEvaluation:
 
     def test_scientific_numbers(self):
         np.testing.assert_allclose(ev("1e-3 + 2.5E2", [0.0]), [250.001])
+
+    def test_any_whitespace_separates_tokens(self):
+        np.testing.assert_allclose(ev("\tx1 +\n 2 *\r\n(x1\f- 1) ", [3.0]), [7.0])
 
     def test_vectorized(self):
         fn = compile_expression("1.2 + 0.3 * exp(-x1*x1)", 1)
@@ -68,3 +73,25 @@ class TestErrors:
     def test_min_arity(self):
         with pytest.raises(ExpressionError):
             compile_expression("min(x1)", 1)
+
+    @pytest.mark.parametrize("text", ["1_0", "0x1F", "1j", "True", "x1 if x1 else 1",
+                                      "x1.real", "__import__('os')", "min(x1, y=2)"])
+    def test_python_beyond_the_language(self, text):
+        with pytest.raises(ExpressionError):
+            compile_expression(text, 1)
+
+    def test_nesting_limit(self):
+        compile_expression("-" * 200 + "x1", 1)
+        with pytest.raises(ExpressionError, match="nested deeper"):
+            compile_expression("-" * 201 + "x1", 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.text(alphabet="x12.e+-*/(), expminlogabs"))
+def test_any_text_compiles_or_raises_expression_error(text):
+    try:
+        fn = compile_expression(text, 2)
+    except ExpressionError:
+        return
+    with np.errstate(all="ignore"):
+        assert fn(np.ones((3, 2))).shape == (3,)
