@@ -74,13 +74,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _convert(kind, text, what: str):
+    """``kind(text)``, with text that does not convert reported as a validation error."""
+    try:
+        return kind(text)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what}: cannot read {str(text)[:60]!r} ({exc})") from None
+
+
 def _seed_from(args) -> int:
-    if args.seed is not None:
-        return int(args.seed)
+    """The --seed flag, else LEVYLAB_SEED, else 0; a key word, so in [0, 2^64)."""
     env = os.environ.get("LEVYLAB_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    if args.seed is not None:
+        seed = args.seed
+    elif env is not None:
+        seed = _convert(int, env, "LEVYLAB_SEED")
+    else:
+        seed = 0
+    if not 0 <= seed < 2 ** 64:
+        raise ValidationError(f"seed {seed} lies outside [0, 2^64)")
+    return seed
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -268,7 +281,7 @@ def build_parser() -> _Parser:
 
 
 def _parse_start(text: str, dim: int) -> np.ndarray:
-    parts = [float(v) for v in str(text).split(",")]
+    parts = [_convert(float, v, "--start") for v in str(text).split(",")]
     if len(parts) == 1 and dim > 1:
         parts = parts * dim
     if len(parts) != dim:
@@ -285,7 +298,8 @@ def _load_potential(args):
         pad = n_steps + 8
         return zero_potential(eps, start_site - pad, start_site + pad)
     if os.path.exists(spec):
-        data = np.loadtxt(spec, delimiter=",", ndmin=2)
+        data = _convert(lambda path: np.loadtxt(path, delimiter=",", ndmin=2), spec,
+                        "potential file")
         if data.shape[1] != 2:
             raise ValidationError("potential CSV needs two columns")
         if args.mesh is not None:
@@ -301,9 +315,10 @@ def _load_potential(args):
 def _parse_env(text: str):
     parts = text.split(":")
     if parts[0] == "iid" and len(parts) == 2:
-        return IIDScaled.normal(float(parts[1]))
+        return IIDScaled.normal(_convert(float, parts[1], "--env"))
     if parts[0] == "bernoulli" and len(parts) == 3:
-        return BernoulliPoisson(q=float(parts[1]), lam=float(parts[2]))
+        return BernoulliPoisson(q=_convert(float, parts[1], "--env"),
+                                lam=_convert(float, parts[2], "--env"))
     raise ValidationError(f"unknown environment spec {text!r}")
 
 
@@ -484,8 +499,8 @@ def run(argv: Sequence[str]) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
-    seed = _seed_from(args)
     try:
+        seed = _seed_from(args)
         outputs = _COMMANDS[args.subcommand](args, seed)
     except _VALIDATION_ERRORS as exc:
         print(f"validation error: {exc}", file=sys.stderr)

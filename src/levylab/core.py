@@ -238,39 +238,29 @@ class UserDensity(JumpMeasure):
     tail_mass_fn: Optional[Callable[[float], float]] = None
     second_moment_fn: Optional[Callable[[float], float]] = None
 
-    def _two_sided_quad(self, fn, lo: float, hi: float, what: str) -> float:
-        """int_lo^hi (fn(x) + fn(-x)) dx by scipy quadrature, for dim=1 only."""
+    def _integral(self, g, lo: float, hi: float, what: str) -> float:
+        """integral of g(h) rho(h) over lo < |h| < hi, for dim=1 only."""
         if self.dim != 1:
             raise ConfigurationError(
                 f"{what} for a user density needs dim=1 or an explicit callable"
             )
-        from scipy.integrate import quad
+        from .operators import _density_integral
 
-        up, err_u = quad(fn, lo, hi, epsabs=1e-11, epsrel=1e-9, limit=200)
-        down, err_d = quad(lambda x: fn(-x), lo, hi, epsabs=1e-11, epsrel=1e-9, limit=200)
-        total = up + down
-        if err_u + err_d > 1e-8 * (1.0 + abs(total)):
-            raise QuadratureError(
-                f"{what} quadrature did not converge",
-                estimate=total, previous=None, tolerance=err_u + err_d,
-            )
-        return total
+        return _density_integral(self, g, [lo, hi], 1e-11, 1e-9)
 
     def tail_mass(self, r: float, a=None) -> float:
         if r <= 0:
             raise ValidationError("radius must be positive")
         if self.tail_mass_fn is not None:
             return float(self.tail_mass_fn(r))
-        return self._two_sided_quad(lambda x: float(self.density(np.array([[x]]))[0]),
-                                    r, np.inf, "tail mass")
+        return self._integral(lambda h: 1.0, r, np.inf, "tail mass")
 
     def truncated_second_moment(self, r: float, a=None) -> float:
         if r <= 0:
             raise ValidationError("radius must be positive")
         if self.second_moment_fn is not None:
             return float(self.second_moment_fn(r))
-        return self._two_sided_quad(
-            lambda x: x * x * float(self.density(np.array([[x]]))[0]), 0.0, r, "second moment")
+        return self._integral(lambda h: h * h, 0.0, r, "second moment")
 
     def sample_tail(self, rng: np.random.Generator, size: int, r: float) -> np.ndarray:
         if self.tail_sampler is None:
@@ -329,6 +319,15 @@ class CompensationFunction:
         """Upper bound for |chi(a, b)| over |b - a| >= r."""
         return self.bound
 
+    def deviation(self, a: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """``h - chi(a, a + h)`` for jump vectors ``h`` of shape (m, d).
+
+        Computed here by subtraction; the built-in conventions override it
+        with a closed form that keeps full relative precision as h -> 0.
+        """
+        h = np.atleast_2d(np.asarray(h, dtype=float))
+        return h - self(a, np.asarray(a, dtype=float) + h)
+
 
 class Chi1(CompensationFunction):
     """Smooth compensation (b-a) / (1 + |b-a|^2); valid for every jump measure."""
@@ -352,6 +351,11 @@ class Chi1(CompensationFunction):
     def abs_bound_beyond(self, r):
         # |h| / (1 + |h|^2) peaks at 1/2 and decays like 1/|h| afterwards.
         return 0.5 if r <= 1.0 else r / (1.0 + r * r)
+
+    def deviation(self, a, h):
+        h = np.atleast_2d(np.asarray(h, dtype=float))
+        r2 = np.sum(h * h, axis=1)[:, None]
+        return h * (r2 / (1.0 + r2))
 
 
 class Chi2(CompensationFunction):
@@ -380,6 +384,10 @@ class Chi2(CompensationFunction):
 
     def abs_bound_beyond(self, r):
         return 1.0 if r < 1.0 else 0.0
+
+    def deviation(self, a, h):
+        h = np.atleast_2d(np.asarray(h, dtype=float))
+        return h * (np.linalg.norm(h, axis=1) >= 1.0)[:, None]
 
 
 class CustomChi(CompensationFunction):

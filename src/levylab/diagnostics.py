@@ -121,10 +121,8 @@ def martingale_residual(batch: PathBatch, f: TestFunction, g: Callable,
         return MartingaleReport(degenerate=True)
 
     # Cumulative left-endpoint integral of g along each path.
-    g_vals = np.zeros((n_paths, n_times))
-    ok = finite
     flat = states.reshape(-1, batch.dim)
-    ok_flat = ok.reshape(-1)
+    ok_flat = finite.reshape(-1)
     g_flat = np.zeros(flat.shape[0])
     if np.any(ok_flat):
         g_flat[ok_flat] = np.asarray(g(flat[ok_flat]), dtype=float)

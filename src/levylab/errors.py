@@ -18,16 +18,19 @@ class RangeError(LevylabError):
 
 
 class QuadratureError(LevylabError):
-    """Numerical integration failed to converge.
+    """Adaptive quadrature could not meet its tolerance.
 
-    Carries the last two successive estimates so callers can judge how far
-    the refinement got.
+    Raised when QUADPACK flags a failure (subdivision limit, roundoff,
+    divergence) and its error estimate exceeds ten times the requested
+    tolerance.  ``estimate`` is the best value reached, ``error`` QUADPACK's
+    error estimate for it, and ``tolerance`` the tolerance it was held to
+    (``tol_abs + tol_rel * |estimate|``).
     """
 
-    def __init__(self, message, estimate=None, previous=None, tolerance=None):
+    def __init__(self, message, estimate=None, error=None, tolerance=None):
         super().__init__(message)
         self.estimate = estimate
-        self.previous = previous
+        self.error = error
         self.tolerance = tolerance
 
 

@@ -35,7 +35,7 @@ from .core import (
     sphere_surface_area,
 )
 from .errors import SchemeStepError, ValidationError
-from .operators import _require_1d, _two_sided, chi_drift_adjustment
+from .operators import _density_integral, _require_1d, chi_drift_adjustment
 from .stable import StableField
 
 DRIFT_COMPENSATE = "drift-compensate"
@@ -117,8 +117,7 @@ def _compensator_window(nu, lo: float, hi: float) -> np.ndarray:
         return np.zeros(d)  # radial symmetry
     if isinstance(nu, UserDensity):
         _require_1d(nu)
-        return np.array([_two_sided(lambda h: h * nu.density(h[:, None]), [lo, hi],
-                                    1e-10, 1e-8)])
+        return np.array([_density_integral(nu, lambda h: h, [lo, hi], 1e-10, 1e-8)])
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
 
 

@@ -10,12 +10,19 @@ with ``f`` extended by its cemetery value beyond the locally compact part
 of the state space.  The jump integral is singular only at ``b = a`` where
 the integrand is quadratically compensated; radial measures are integrated
 shell by shell with the singular shell transformed into a bounded integrand.
+
+Every one-dimensional integral in the package goes through `_quad`
+(QUADPACK via scipy).  A user density is integrated on each half-line from
+0 to infinity, split at the Taylor radius, the test function's support
+reach and the kinks of chi.  Below the Taylor radius the compensated
+integrand ``f(a+h) - f(a) - chi(a, a+h) f'(a)`` is evaluated as the integral
+form of the Taylor remainder plus ``(h - chi(a, a+h)) f'(a)`` in closed
+form, so no small difference of large numbers is ever formed.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,8 +33,6 @@ from scipy import optimize as _so
 from . import rng as _rng
 from .core import (
     Atoms,
-    Chi1,
-    Chi2,
     CompensationFunction,
     LevyTriplet,
     StableLike,
@@ -210,68 +215,27 @@ def vanishing_test_functions(low, high, dim: int = 1, margin: float = 0.5,
 # ---------------------------------------------------------------------------
 
 
-def refine_midpoint(fn, lo: float, hi: float, tol_abs: float, tol_rel: float,
-                    start: int = 64, max_evals: int = 1 << 21) -> float:
-    """Adaptive midpoint rule: cells split until successive estimates agree.
+def _quad(fn, lo: float, hi: float, tol_abs: float, tol_rel: float) -> float:
+    """Integral of the scalar ``fn`` over [lo, hi] (``hi`` may be ``np.inf``).
 
-    ``fn`` must accept a vector of abscissae.  Each cell's one-point
-    estimate is compared with the sum over its two children; cells that
-    disagree keep subdividing, so evaluations concentrate where the
-    integrand bends.  Raises QuadratureError with the last two global
-    estimates when the budget runs out.
+    QUADPACK's adaptive Gauss-Kronrod rule with extrapolation (QAGS, or QAGI
+    on a half-line), called through scipy.  When QUADPACK flags a failure
+    (subdivision limit, roundoff, divergence) and its error estimate exceeds
+    ten times the requested tolerance, QuadratureError is raised.  The
+    failure is read from ``full_output`` rather than from a warning, so
+    concurrent calls from worker threads do not share warning state.
     """
     if hi <= lo:
         return 0.0
-    total_len = hi - lo
-    n0 = max(int(start), 1)
-    edges = np.linspace(lo, hi, n0 + 1)
-    cell_lo = edges[:-1]
-    cell_hi = edges[1:]
-    width = cell_hi - cell_lo
-    est = width * fn(cell_lo + 0.5 * width)
-    confirmed = 0.0
-    evals = n0
-    while cell_lo.size:
-        mid = 0.5 * (cell_lo + cell_hi)
-        lw = mid - cell_lo
-        rw = cell_hi - mid
-        vals = fn(np.concatenate([cell_lo + 0.5 * lw, mid + 0.5 * rw]))
-        evals += 2 * cell_lo.size
-        left = lw * vals[: cell_lo.size]
-        right = rw * vals[cell_lo.size:]
-        child = left + right
-        budget = tol_abs * (cell_hi - cell_lo) / total_len + tol_rel * np.abs(child)
-        good = np.abs(child - est) <= budget
-        confirmed += float(np.sum(child[good]))
-        if np.all(good):
-            return confirmed
-        if evals > max_evals:
-            raise QuadratureError(
-                "midpoint refinement exhausted its budget",
-                estimate=confirmed + float(np.sum(child[~good])),
-                previous=confirmed + float(np.sum(est[~good])),
-                tolerance=tol_abs,
-            )
-        bad = ~good
-        cell_lo = np.concatenate([cell_lo[bad], mid[bad]])
-        cell_hi = np.concatenate([mid[bad], cell_hi[bad]])
-        est = np.concatenate([left[bad], right[bad]])
-    return confirmed
-
-
-def _quad(fn, lo: float, hi: float, tol_abs: float, tol_rel: float) -> float:
-    """scipy adaptive quadrature with warnings promoted to QuadratureError."""
-    if hi <= lo:
-        return 0.0
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", _si.IntegrationWarning)
-        value, abserr = _si.quad(fn, lo, hi, epsabs=tol_abs, epsrel=tol_rel, limit=400)
-    if any(issubclass(w.category, _si.IntegrationWarning) for w in caught):
-        if abserr > 10 * (tol_abs + tol_rel * abs(value)):
-            raise QuadratureError(
-                "adaptive quadrature did not converge",
-                estimate=value, previous=value - abserr, tolerance=tol_abs,
-            )
+    value, abserr, _info, *failure = _si.quad(fn, lo, hi, epsabs=tol_abs, epsrel=tol_rel,
+                                              limit=400, full_output=1)
+    tolerance = tol_abs + tol_rel * abs(value)
+    if failure and abserr > 10 * tolerance:
+        reason = str(failure[0]).split("\n")[0]
+        raise QuadratureError(
+            f"adaptive quadrature over [{lo}, {hi}] did not converge: {reason}",
+            estimate=value, error=abserr, tolerance=tolerance,
+        )
     return float(value)
 
 
@@ -379,18 +343,16 @@ def _stable_radial_integral(nu: StableLike, sphere_avg: Callable[[float], float]
 # ---------------------------------------------------------------------------
 
 
-def _chi_deviation_coeff(chi: CompensationFunction, eta: float) -> float:
-    """sup over |h| <= eta of |chi(a, a+h) - h| / |h|^2."""
-    if isinstance(chi, Chi2):
-        return 0.0 if eta < 1.0 else 1.0
-    if isinstance(chi, Chi1):
-        e = min(eta, 1.0)
-        return e / (1.0 + e * e)
-    # Sampled fallback for custom compensation functions.
-    rs = np.linspace(eta / 64.0, eta, 64)
-    a0 = np.zeros(1)
-    vals = [abs(float(chi(a0, np.array([[r]]))[0, 0]) - r) / (r * r) for r in rs]
-    return max(vals) * 1.5
+# Below this jump size the compensated integrand of a user density is taken
+# in Taylor-remainder form.  Much larger switch radii lose accuracy on narrow
+# test functions (8 nodes no longer resolve f''); much smaller ones leave the
+# direct difference to cancel near the switch.
+_TAYLOR_RADIUS = 2.0 ** -10
+
+# int_0^1 (1 - t) g(t) dt by 8-point Gauss-Legendre on [0, 1].
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+_TAYLOR_T = 0.5 * (_GL_X + 1.0)
+_TAYLOR_W = 0.5 * _GL_W * (1.0 - _TAYLOR_T)
 
 
 def _require_1d(nu) -> None:
@@ -398,33 +360,30 @@ def _require_1d(nu) -> None:
         raise ValidationError("user densities are integrated in dimension 1 only")
 
 
-def _core_radius(bound: Callable[[float], float], budget: float, shrink: float) -> float:
-    """Shrink the excluded core ``|h| <= eta`` from 0.25 until ``bound(eta)`` fits."""
-    eta = 0.25
-    while not (bound(eta) < budget or eta < 1e-8):
-        eta /= shrink
-    return eta
+def _density_integral(nu: UserDensity, g: Callable[[float], float], cuts: Sequence[float],
+                      tol_abs: float, tol_rel: float) -> float:
+    """integral of g(h) rho(h) over cuts[0] < |h| < cuts[-1] for a 1-d density.
 
-
-def _tail_radius(excess: Callable[[float], float], r0: float, budget: float) -> float:
-    """Double the cut radius from ``r0`` until the neglected tail ``excess(r)`` fits."""
-    r = r0
-    while excess(r) > budget and r < 1e9:
-        r *= 2.0
-    return r
-
-
-def _two_sided(integrand, cuts: Sequence[float], tol_abs: float, tol_rel: float,
-               total: float = 0.0) -> float:
-    """``total`` plus the integral of ``integrand(h)`` over cuts[0] < |h| < cuts[-1].
-
-    Each side is integrated piece by piece between consecutive cuts, the
-    positive side first.
+    ``cuts`` increase and may end at ``np.inf``; each side is integrated by
+    `_quad` piece by piece between consecutive cuts, the tolerance split
+    evenly over the pieces.
     """
+    pieces = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
+    tol = tol_abs / (2 * max(len(pieces), 1))
+    total = 0.0
     for sgn in (1.0, -1.0):
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            total += refine_midpoint(lambda r: integrand(sgn * r), lo, hi, tol_abs, tol_rel)
+        def integrand(r, sgn=sgn):
+            h = sgn * r
+            return g(h) * float(nu.density(np.array([[h]]))[0])
+
+        for lo, hi in pieces:
+            total += _quad(integrand, lo, hi, tol, tol_rel)
     return total
+
+
+def _cuts(lo: float, *radii: float) -> list[float]:
+    """``lo``, the radii above it in increasing order, then infinity."""
+    return [lo] + sorted({r for r in radii if r > lo}) + [np.inf]
 
 
 def jump_integral(nu, chi: CompensationFunction, f: TestFunction, a,
@@ -484,35 +443,22 @@ def jump_integral(nu, chi: CompensationFunction, f: TestFunction, a,
 
 def _user_jump_integral(nu: UserDensity, chi, f, a, fa, grad, tol_abs, tol_rel) -> float:
     _require_1d(nu)
-    hess_a = float(f.hess_at(a)[0, 0])
-    gnorm = float(np.abs(grad[0]))
+    g = float(grad[0])
 
-    # Replace the excluded core by its quadratic Taylor term; the error is
-    # then controlled by the local oscillation of f'' instead of its size,
-    # so eta stays well above quadrature-hostile scales.
-    def core_bound(eta):
-        probes = a[None, :] + np.linspace(-eta, eta, 33)[:, None]
-        osc = float(np.max(np.abs(f.hess(probes)[:, 0, 0] - hess_a)))
-        coeff = 0.5 * osc + _chi_deviation_coeff(chi, eta) * gnorm
-        return coeff * nu.truncated_second_moment(eta)
+    def core(h):
+        # f(a+h) - f(a) - h f'(a) = h^2 int_0^1 (1-t) f''(a+th) dt, and
+        # h - chi(a, a+h) in closed form: nothing cancels however small h is.
+        rem = float(np.dot(_TAYLOR_W, f.hess(a + h * _TAYLOR_T[:, None])[:, 0, 0]))
+        return h * h * rem + float(chi.deviation(a, np.array([[h]]))[0, 0]) * g
 
-    eta = _core_radius(core_bound, 0.5 * tol_abs, 2.0)
-    core = 0.5 * hess_a * nu.truncated_second_moment(eta)
+    def direct(h):
+        b = (a + h)[None, :]
+        return float(f(b)[0]) - fa - float(chi(a, b)[0, 0]) * g
 
-    # Integrate far enough out that the chi . grad remainder is negligible;
-    # the constant -fa tail is added in closed form afterwards.
-    r_out = _tail_radius(lambda r: nu.tail_mass(r) * chi.abs_bound_beyond(r) * gnorm,
-                         max(f.support_reach(a), eta * 2, 1.0), 0.25 * tol_abs)
-
-    def integrand(h):
-        pts = a[None, :] + h[:, None]
-        vals = f(pts) - fa - (chi(a, pts) @ grad)
-        return vals * nu.density(h[:, None])
-
-    kinks = sorted({k for k in chi.radial_kinks() if eta < k < r_out})
-    total = _two_sided(integrand, [eta] + kinks + [r_out], tol_abs / 8.0, tol_rel, core)
-    total += -(fa - f.const_at_delta) * nu.tail_mass(r_out)
-    return total
+    return (_density_integral(nu, core, [0.0, _TAYLOR_RADIUS], tol_abs / 2.0, tol_rel)
+            + _density_integral(nu, direct,
+                                _cuts(_TAYLOR_RADIUS, f.support_reach(a), *chi.radial_kinks()),
+                                tol_abs / 2.0, tol_rel))
 
 
 def measure_integral(nu, f: TestFunction, a, margin: float,
@@ -555,14 +501,11 @@ def measure_integral(nu, f: TestFunction, a, margin: float,
 
     if isinstance(nu, UserDensity):
         _require_1d(nu)
-        r_out = _tail_radius(lambda r: nu.tail_mass(r) * (abs(const) + 1e-300),
-                             max(f.support_reach(a), margin * 2), 0.25 * tol_abs)
-
-        def integrand(h):
-            return (f(a[None, :] + h[:, None]) - const) * nu.density(h[:, None])
-
-        total = _two_sided(integrand, [margin, r_out], tol_abs / 4.0, tol_rel)
-        return total + const * nu.tail_mass(margin)
+        # f - const vanishes beyond the support reach.
+        body = _density_integral(nu, lambda h: f.value_at(a + h) - const,
+                                 [margin, max(margin, f.support_reach(a))],
+                                 tol_abs / 2.0, tol_rel)
+        return body + const * nu.tail_mass(margin)
 
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
 
@@ -591,7 +534,10 @@ def chi_quadratic_matrix(nu, chi: CompensationFunction, a,
         if c == 0.0:
             return out
         theta_mat = np.einsum("k,ki,kj->ij", wts, nodes, nodes)
-        kinks = sorted(chi.radial_kinks())
+        # The singular shell ends at radius 1 at the latest: stretched over
+        # [0, r_cut], its substitution squeezes the bend of chi near r = 1
+        # into a sliver that the quadrature does not see.
+        kinks = sorted({1.0, *chi.radial_kinks()})
         # Cut the radial integration where the chi-squared remainder bound
         # (decay-aware per compensation function) drops below tolerance.
         r_cut = max([2.0] + [k * 2 for k in kinks])
@@ -615,21 +561,12 @@ def chi_quadratic_matrix(nu, chi: CompensationFunction, a,
     if isinstance(nu, UserDensity):
         _require_1d(nu)
 
-        def core_bound(eta):
-            coeff = _chi_deviation_coeff(chi, eta)
-            return (2 * coeff * eta + (coeff * eta) ** 2) * nu.truncated_second_moment(eta)
+        def chi_sq(h):
+            return float(chi(a, (a + h)[None, :])[0, 0]) ** 2
 
-        eta = _core_radius(core_bound, 0.25 * tol_abs, 4.0)
-        r_cut = _tail_radius(lambda r: nu.tail_mass(r) * chi.abs_bound_beyond(r) ** 2,
-                             2.0, 0.25 * tol_abs)
-
-        def integrand(h):
-            vals = chi(a, a[None, :] + h[:, None])[:, 0]
-            return vals * vals * nu.density(h[:, None])
-
-        kinks = sorted({k for k in chi.radial_kinks() if eta < k < r_cut})
-        total = _two_sided(integrand, [eta] + kinks + [r_cut], tol_abs / 8.0, tol_rel,
-                           nu.truncated_second_moment(eta))
+        # the Taylor radius gives the singular end at 0 a short piece of its own
+        total = _density_integral(nu, chi_sq, _cuts(0.0, _TAYLOR_RADIUS, *chi.radial_kinks()),
+                                  tol_abs, tol_rel)
         return np.array([[total]])
 
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
@@ -663,23 +600,14 @@ def chi_drift_adjustment(nu, chi_from: CompensationFunction, chi_to: Compensatio
 
     if isinstance(nu, UserDensity):
         _require_1d(nu)
-        eta = _core_radius(
-            lambda e: ((_chi_deviation_coeff(chi_from, e) + _chi_deviation_coeff(chi_to, e))
-                       * nu.truncated_second_moment(e)),
-            0.25 * tol_abs, 4.0)
-        r_cut = _tail_radius(
-            lambda r: (nu.tail_mass(r)
-                       * (chi_from.abs_bound_beyond(r) + chi_to.abs_bound_beyond(r))),
-            2.0, 0.25 * tol_abs)
 
-        def integrand(h):
-            pts = a[None, :] + h[:, None]
-            dv = chi_to(a, pts) - chi_from(a, pts)
-            return dv[:, 0] * nu.density(h[:, None])
+        def chi_gap(h):
+            # chi_to - chi_from = dev_from - dev_to, cubically small at h = 0
+            hh = np.array([[h]])
+            return float(chi_from.deviation(a, hh)[0, 0] - chi_to.deviation(a, hh)[0, 0])
 
-        kinks = sorted({k for k in (chi_from.radial_kinks() + chi_to.radial_kinks())
-                        if eta < k < r_cut})
-        total = _two_sided(integrand, [eta] + kinks + [r_cut], tol_abs / 8.0, tol_rel)
+        kinks = chi_from.radial_kinks() + chi_to.radial_kinks()
+        total = _density_integral(nu, chi_gap, _cuts(0.0, *kinks), tol_abs, tol_rel)
         return np.array([total])
 
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")

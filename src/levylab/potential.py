@@ -406,10 +406,10 @@ def exp_integral(V: Potential, a1: float, a2: float, sign: str = "+") -> float:
     V.integrability_check(a1, a2)
     xs = np.linspace(a1, a2, 257)
     shift = float(np.max(s * V.value(xs)))
-    from scipy.integrate import quad
+    from .operators import _quad
 
-    val, _ = quad(lambda x: math.exp(s * float(V.value(np.array([x]))[0]) - shift),
-                  a1, a2, epsabs=1e-13, epsrel=1e-11, limit=400)
+    val = _quad(lambda x: math.exp(s * float(V.value(np.array([x]))[0]) - shift),
+                a1, a2, 1e-13, 1e-11)
     if val <= 0.0:
         return 0.0
     log_val = shift + math.log(val)
@@ -455,7 +455,7 @@ def phi_eval(V: Potential, a, h):
 def _phi_callable(V: Potential, a: float, h: float) -> float:
     if h == 0.0:
         return 0.0
-    from scipy.integrate import quad
+    from .operators import _quad
 
     lo, hi = (a, a + h) if h > 0 else (a + h, a)
     V.check_window(lo, hi)
@@ -468,8 +468,8 @@ def _phi_callable(V: Potential, a: float, h: float) -> float:
     def outer(b):
         return math.exp(float(V.value(np.array([b]))[0])) * inner(b)
 
-    val, _ = quad(outer, a, a + h, epsabs=1e-14, epsrel=1e-12, limit=200)
-    return 2.0 * val
+    val = _quad(outer, lo, hi, 1e-14, 1e-12)
+    return 2.0 * val if h > 0 else -2.0 * val
 
 
 def psi_solve(V: Potential, a: float, eps: float, side: str = "up") -> float:
@@ -727,7 +727,7 @@ def potential_distance(V: Potential, Vn: Potential, window: float,
     """int_{-M}^{M} max(|e^V - e^{Vn}|, |e^{-V} - e^{-Vn}|) da."""
     if window <= 0:
         raise ValidationError("the window must be positive")
-    from .operators import refine_midpoint
+    from .operators import _quad
 
     lo, hi = -window, window
     V.check_window(lo, hi)
@@ -736,13 +736,12 @@ def potential_distance(V: Potential, Vn: Potential, window: float,
         [lo, hi], V.breakpoints(lo, hi), Vn.breakpoints(lo, hi)]))
 
     def integrand(x):
-        va = V.value(x)
-        vb = Vn.value(x)
-        return np.maximum(np.abs(np.exp(va) - np.exp(vb)),
-                          np.abs(np.exp(-va) - np.exp(-vb)))
+        va = V.value(np.array([x]))
+        vb = Vn.value(np.array([x]))
+        return float(np.maximum(np.abs(np.exp(va) - np.exp(vb)),
+                                np.abs(np.exp(-va) - np.exp(-vb)))[0])
 
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        total += refine_midpoint(integrand, float(a), float(b),
-                                 tol_abs / max(len(cuts) - 1, 1), tol_rel, start=4)
+    tol = tol_abs / max(len(cuts) - 1, 1)
+    total = sum(_quad(integrand, float(a), float(b), tol, tol_rel)
+                for a, b in zip(cuts[:-1], cuts[1:]))
     return PotentialDistance(window=window, value=total)

@@ -362,6 +362,53 @@ def test_malformed_json_config_is_a_validation_error(workdir, capsys, case):
     assert not os.path.exists("out.csv")
 
 
+# Flag and environment text that does not convert to a number; bad.csv has a
+# non-numeric cell.
+MALFORMED_TEXT = {
+    "stable-start": (["simulate-stable", "--start", "abc", "--n", "10", "--T", "0.3",
+                      "--paths", "3", "--out", "out.csv"], {}),
+    "rwre-env": (["simulate-rwre", "--env", "iid:abc", "--eps", "0.1", "--T", "0.1",
+                  "--paths", "3", "--out", "out.csv"], {}),
+    "potential-file-cell": (["simulate-potential", "--potential", "bad.csv", "--eps", "0.1",
+                             "--T", "0.1", "--paths", "3", "--out", "out.csv"], {}),
+    "seed-env": (["simulate-potential", "--potential", "zero", "--eps", "0.1", "--T", "0.1",
+                  "--paths", "3", "--out", "out.csv"], {"LEVYLAB_SEED": "x"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TEXT))
+def test_malformed_number_text_is_a_validation_error(workdir, capsys, monkeypatch, case):
+    argv, env = MALFORMED_TEXT[case]
+    with open("bad.csv", "w") as fh:
+        fh.write("0.0,1.0\n0.5,abc\n")
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "Traceback" not in err
+    assert not os.path.exists("out.csv")
+
+
+SEED_ARGV = ["simulate-potential", "--potential", "zero", "--eps", "0.1", "--T", "0.1",
+             "--paths", "3", "--out", "out.csv"]
+
+
+@pytest.mark.parametrize("flag, env", [("-1", None), (str(2 ** 64), None),
+                                       (None, "-1"), (None, str(2 ** 64))])
+def test_seed_outside_key_range_is_a_validation_error(workdir, capsys, monkeypatch, flag, env):
+    # rng streams key on the seed modulo 2^64, so -1 would alias 2^64 - 1
+    if env is not None:
+        monkeypatch.setenv("LEVYLAB_SEED", env)
+    assert run(SEED_ARGV + (["--seed", flag] if flag is not None else [])) == 1
+    assert capsys.readouterr().err.startswith("validation error: seed")
+    assert not os.path.exists("out.csv")
+
+
+def test_largest_seed_is_accepted(workdir, capsys):
+    run_ok(SEED_ARGV + ["--seed", str(2 ** 64 - 1)], capsys)
+    assert os.path.exists("out.csv")
+
 HOSTILE_EXPRESSIONS = {
     "nested-parentheses": "(" * 3000 + "1" + ")" * 3000,
     "unary-minus": "-" * 5000 + "1",

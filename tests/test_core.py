@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from levylab.core import (
     Chi1,
     Chi2,
     ConstantTripletField,
+    CustomChi,
     LevyTriplet,
     PathBatch,
     PathRecord,
@@ -109,6 +111,28 @@ class TestCompensationFunctions:
         assert np.max(np.abs(Chi1()(a, b))) <= 0.5
         assert np.max(np.abs(Chi2()(a, b))) <= 1.0
 
+
+    @pytest.mark.parametrize("size", [1e-12, 1e-6, 0.5, -1e-12, -1e-6, -0.5])
+    def test_deviation_closed_form(self, size):
+        # h - chi(a, a + h) in exact rational arithmetic, rounded once
+        exact = Fraction(size) ** 3 / (1 + Fraction(size) ** 2)
+        a = np.array([0.3])
+        h = np.array([[size]])
+        assert Chi1().deviation(a, h)[0, 0] == pytest.approx(float(exact), rel=1e-15)
+        assert Chi2().deviation(a, h)[0, 0] == 0.0
+
+    def test_custom_deviation_subtracts(self):
+        chi = CustomChi(lambda a, b: np.tanh(b - a), bound=1.0)
+        a = np.array([0.3])
+        h = np.array([[0.5], [-2.0]])
+        np.testing.assert_array_equal(chi.deviation(a, h), h - np.tanh((a + h) - a))
+
+    def test_deviation_beyond_unit_ball(self):
+        h = np.array([[3.0, 4.0], [0.6, 0.0]])
+        np.testing.assert_array_equal(Chi2().deviation(np.zeros(2), h), [[3.0, 4.0], [0.0, 0.0]])
+        np.testing.assert_allclose(Chi1().deviation(np.zeros(2), h),
+                                   h * (np.array([[25.0], [0.36]]) / np.array([[26.0], [1.36]])),
+                                   rtol=1e-15)
 
 class TestLevyTriplet:
     def test_gamma_symmetry_enforced(self):
