@@ -309,7 +309,10 @@ def _load_potential(args):
             return PiecewiseConstantPotential(float(args.mesh), data[:, 1], int(ks[0]))
         return GridPotential(data[:, 0], data[:, 1])
     fn = compile_expression(spec, 1)
-    return CallablePotential(lambda x: fn(x[:, None]) if x.ndim == 1 else fn(x))
+    # Twice the window `zero` gets: steps of at most 2 eps stay clear of its edge.
+    reach = 2.0 * (n_steps + 8) * eps
+    return CallablePotential(lambda x: fn(x[:, None]),
+                             domain=(args.start - reach, args.start + reach))
 
 
 def _parse_env(text: str):

@@ -9,16 +9,17 @@ equal to the squared time step, then moves up with probability
 
     p(a) = int_{a-psi_down}^{a} e^V / int_{a-psi_down}^{a+psi_up} e^V.
 
-Piecewise-constant and piecewise-linear potentials are integrated in closed
-form cell by cell.  Every integral (phi, p, psi and ``exp_integral``) comes
-from one cell walk that touches only the cells it spans, anchored at the
-query point, so no precision is lost to large cumulative offsets.  All
-exponentials are rescaled by the window extrema, so only genuinely
-overflowing windows fail, and such a window fails on every query.  The
-chain runs on the shared block driver :func:`levylab.core.run_chain` with
-time step ``eps^2``: either a nearest-neighbour lattice walk
-(:func:`lattice_kernel`, shared with the random walks in random
-environments) or a generic psi-solver step.
+Every integral (phi, p, psi and ``exp_integral``) comes from one cell walk
+that touches only the cells it spans, anchored at the query point, so no
+precision is lost to large cumulative offsets.  Lattice and grid cells are
+integrated in closed form; a callable potential is split into cells where
+a degree-24 Chebyshev interpolant resolves ``e^{+-V}`` (chebfun-style), and
+the walk integrates each piece at its Chebyshev points.  All exponentials
+are rescaled by the window extrema, so only genuinely overflowing windows
+fail, and such a window fails on every query.  The chain runs on the shared
+block driver :func:`levylab.core.run_chain` with time step ``eps^2``: either
+a nearest-neighbour lattice walk (:func:`lattice_kernel`, shared with the
+random walks in random environments) or a generic psi-solver step.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import chebyshev as _cheb
 
 from .core import PathBatch, SchemeConfig, as_point, run_chain
 from .errors import (
@@ -43,61 +45,97 @@ MAX_TABLE_SHIFT = 600.0  # beyond this the rescaled integrals would denormalize
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 MAX_WALK_CELLS = 1 << 14
 WALK_END_ULPS = 64
+CHEB_DEGREE = 24
+CHEB_TAIL_TOL = 1e-14  # trailing coefficients of a resolved cell, relative to the largest
+
+# Chebyshev points of the second kind on [-1, 1], ascending and symmetric;
+# values there -> Chebyshev coefficients; values -> values of the integral
+# from -1 (cumulative spectral integration); and the Clenshaw-Curtis weights.
+_CHEB_X = np.sin(0.5 * np.pi * np.arange(-CHEB_DEGREE, CHEB_DEGREE + 1, 2) / CHEB_DEGREE)
+_CHEB_COEF = np.linalg.inv(_cheb.chebvander(_CHEB_X, CHEB_DEGREE))
+_CHEB_CUM = _cheb.chebvander(_CHEB_X, CHEB_DEGREE + 1) @ _cheb.chebint(_CHEB_COEF, lbnd=-1)
+_CHEB_W = _CHEB_CUM[-1]
 
 
 def _phi1(z):
     """(e^z - 1) / z, stable near zero."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-6
-    zs = z[small]
-    out[small] = 1.0 + zs / 2.0 + zs * zs / 6.0
-    zb = z[~small]
-    out[~small] = np.expm1(zb) / zb
-    return out
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return np.where(np.abs(z) < 1e-6, 1.0 + z / 2.0 + z * z / 6.0, np.expm1(z) / z)
 
 
 def _phi2(z):
     """(e^z - 1 - z) / z^2, stable near zero."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-5
-    zs = z[small]
-    out[small] = 0.5 + zs / 6.0 + zs * zs / 24.0
-    zb = z[~small]
-    out[~small] = (np.expm1(zb) - zb) / (zb * zb)
-    return out
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return np.where(np.abs(z) < 1e-5, 0.5 + z / 6.0 + z * z / 24.0,
+                        (np.expm1(z) - z) / (z * z))
+
+
+def _check_shift(splus: float, sminus: float) -> None:
+    if splus + sminus > MAX_TABLE_SHIFT:
+        raise PotentialOverflowError(
+            "window oscillation of the potential exceeds the double-precision "
+            "budget for rescaled exponentials"
+        )
+
+
+def _sample(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """``fn`` at the points ``x`` (any shape); a non-finite value is a ValidationError."""
+    v = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(
+            f"potential is not finite on [{float(np.min(x))}, {float(np.max(x))}]; "
+            "e^|V| cannot be integrable"
+        )
+    return v
 
 
 @dataclass
 class _CellData:
-    """Per-cell closed-form data: breakpoints, left values, slopes, shifts."""
+    """Cell table: breakpoints, window shifts, and either each closed-form cell's
+    left value and slope or, for smooth Chebyshev cells, the potential ``fn``."""
 
     bounds: np.ndarray   # (n+1,)
-    left_value: np.ndarray  # (n,)
-    slope: np.ndarray    # (n,)
     splus: float
     sminus: float
+    left_value: Optional[np.ndarray] = None  # (n,)
+    slope: Optional[np.ndarray] = None    # (n,)
+    fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.shift > MAX_TABLE_SHIFT:
-            raise PotentialOverflowError(
-                "window oscillation of the potential exceeds the double-precision "
-                "budget for rescaled exponentials"
-            )
+        _check_shift(self.splus, self.sminus)
 
     @property
     def shift(self) -> float:
         return self.splus + self.sminus
 
-    def locate(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.bounds, x, side="right") - 1
-        return np.clip(idx, 0, self.left_value.size - 1)
+    @property
+    def n_cells(self) -> int:
+        return self.bounds.size - 1
 
-    def locate_left(self, x: np.ndarray) -> np.ndarray:
-        """Cell index when approaching ``x`` from the left."""
-        idx = np.searchsorted(self.bounds, x, side="left") - 1
-        return np.clip(idx, 0, self.left_value.size - 1)
+    def locate(self, x: np.ndarray, side: str) -> np.ndarray:
+        """Cell a walk from ``x`` starts in: ``side`` "right" walks up, "left" down."""
+        return np.clip(np.searchsorted(self.bounds, x, side=side) - 1, 0, self.n_cells - 1)
+
+    def piece(self, cell: np.ndarray, pos: np.ndarray, length: np.ndarray, sgn: float):
+        """Rescaled integrals over the piece from ``pos`` to ``pos + sgn * length``
+        inside ``cell``: the masses int e^{V-s+} and int e^{-V-s-}, and the
+        self term int e^{V(b)-s+} int_pos^b e^{-V(c)-s-} dc db."""
+        if self.fn is not None:
+            half = 0.5 * length
+            v = _sample(self.fn, pos[:, None] + (sgn * half)[:, None] * (_CHEB_X + 1.0))
+            ep = np.exp(v - self.splus)
+            em = np.exp(-v - self.sminus)
+            return (half * (ep @ _CHEB_W), half * (em @ _CHEB_W),
+                    half * half * ((ep * (em @ _CHEB_CUM.T)) @ _CHEB_W))
+        m = self.slope[cell]
+        v_edge = self.left_value[cell] + m * (pos - self.bounds[cell])
+        ep_f = np.exp(v_edge - self.splus)
+        em_f = np.exp(-v_edge - self.sminus)
+        z = sgn * m * length
+        return (ep_f * length * _phi1(z), em_f * length * _phi1(-z),
+                math.exp(-self.shift) * length * length * _phi2(z))
 
 
 class Potential:
@@ -108,12 +146,8 @@ class Potential:
     def value(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def breakpoints(self, lo: float, hi: float) -> np.ndarray:
-        """Discontinuity / kink locations inside (lo, hi)."""
-        return np.empty(0)
-
-    def cells(self) -> Optional[_CellData]:
-        return None
+    def cells(self) -> _CellData:
+        raise NotImplementedError
 
     def check_window(self, lo: float, hi: float) -> None:
         lo_d, hi_d = self.domain
@@ -195,11 +229,6 @@ class PiecewiseConstantPotential(Potential):
         j = np.clip(j, self.cell_lo, self.cell_hi)
         return self.cell_values()[j - self.cell_lo]
 
-    def breakpoints(self, lo: float, hi: float) -> np.ndarray:
-        k0 = int(np.ceil(lo / self.mesh))
-        k1 = int(np.floor(hi / self.mesh))
-        return np.arange(k0, k1 + 1) * self.mesh
-
     def cells(self) -> _CellData:
         if "celldata" not in self._cache:
             vals = self.cell_values()
@@ -244,10 +273,6 @@ class GridPotential(Potential):
         self.check_window(float(np.min(x)), float(np.max(x)))
         return np.interp(x, self.knots, self.values)
 
-    def breakpoints(self, lo: float, hi: float) -> np.ndarray:
-        k = self.knots
-        return k[(k > lo) & (k < hi)]
-
     def cells(self) -> _CellData:
         if "celldata" not in self._cache:
             w = np.diff(self.knots)
@@ -260,34 +285,67 @@ class GridPotential(Potential):
 
 
 class CallablePotential(Potential):
-    """Arbitrary callable potential; integrals use adaptive quadrature.
+    """Callable potential ``fn`` (1-d array -> values) on a finite domain.
 
-    The locally-integrable-exponential requirement is spot-checked by
-    sampling the queried window; genuinely singular potentials should be
-    represented on a grid instead.
+    The first query splits the domain, level by level, until the last three
+    degree-24 Chebyshev coefficients of ``e^{+-(V - V(mid))}`` on each cell
+    are within 1e-14 of the largest, plus what moving the samples by an ulp
+    changes in V (the rounding noise near a cusp such as ``sqrt|x - c|``);
+    cells narrower than ``WALK_END_ULPS`` ulps of their position are kept.
+    An infinite domain or a non-finite sample is a ValidationError, over
+    ``MAX_WALK_CELLS`` cells a RangeError, and an oscillation beyond
+    ``MAX_TABLE_SHIFT`` a PotentialOverflowError.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray],
                  domain: tuple[float, float] = (-math.inf, math.inf)):
         self.fn = fn
         self.domain = (float(domain[0]), float(domain[1]))
-        self._checked_windows: list[tuple[float, float]] = []
+        self._cells: Optional[_CellData] = None
 
     def value(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         self.check_window(float(np.min(x)), float(np.max(x)))
         return np.asarray(self.fn(x), dtype=float)
 
-    def integrability_check(self, lo: float, hi: float) -> None:
-        for a, b in self._checked_windows:
-            if a <= lo and hi <= b:
-                return
-        sample = self.value(np.linspace(lo, hi, 257))
-        if not np.all(np.isfinite(sample)):
-            raise ValidationError(
-                f"potential is not finite on [{lo}, {hi}]; e^|V| cannot be integrable"
-            )
-        self._checked_windows.append((lo, hi))
+    def cells(self) -> _CellData:
+        if self._cells is None:
+            self._cells = _chebyshev_cells(self.fn, *self.domain)
+        return self._cells
+
+
+def _chebyshev_cells(fn: Callable[[np.ndarray], np.ndarray], lo: float,
+                     hi: float) -> _CellData:
+    """Split [lo, hi] until ``e^{+-V}`` is resolved on every cell (see CallablePotential)."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError("a callable potential needs a finite domain")
+    left, right = np.array([lo]), np.array([hi])
+    accepted = []
+    splus = sminus = -math.inf
+    while left.size:
+        x = 0.5 * (left + right)[:, None] + 0.5 * (right - left)[:, None] * _CHEB_X
+        x[:, 0], x[:, -1] = left, right
+        v = _sample(fn, x)
+        splus, sminus = max(splus, float(np.max(v))), max(sminus, float(np.max(-v)))
+        _check_shift(splus, sminus)
+        dv = v - v[:, CHEB_DEGREE // 2, None]
+        resolved = np.ones(left.size, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # The tail may also hold what moving the samples by an ulp changes in V.
+            slope = np.max(np.abs(np.diff(v, axis=1) / np.diff(x, axis=1)), axis=1)
+            tol = CHEB_TAIL_TOL + np.finfo(float).eps * np.maximum(-left, right) * slope
+            for sign in (1.0, -1.0):
+                coef = np.abs(np.exp(sign * dv) @ _CHEB_COEF.T)
+                resolved &= np.max(coef[:, -3:], axis=1) <= tol * np.max(coef, axis=1)
+        resolved |= (right - left) <= _walk_slack(left, right)
+        accepted.append(left[resolved])
+        left, right = left[~resolved], right[~resolved]
+        mid = 0.5 * (left + right)
+        left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
+        if sum(a.size for a in accepted) + left.size > MAX_WALK_CELLS:
+            raise RangeError(f"the potential needs over {MAX_WALK_CELLS} cells on [{lo}, {hi}]")
+    bounds = np.append(np.sort(np.concatenate(accepted)), hi)
+    return _CellData(bounds=bounds, splus=splus, sminus=sminus, fn=fn)
 
 
 def constant_potential(level: float = 0.0, lo: float = -100.0, hi: float = 100.0,
@@ -315,52 +373,37 @@ def _walk(cd: _CellData, a: np.ndarray, h: np.ndarray):
     int e^{-V-s-} of that span.  Anchoring at ``a`` keeps all terms
     local-sized.
     """
-    n_q = a.size
-    res = np.zeros(n_q)
-    ep = np.zeros(n_q)
-    em = np.zeros(n_q)
-    e_s = math.exp(-cd.shift)
+    res, ep, em = np.zeros((3, a.size))
     for sgn, mask0 in ((1.0, h > 0), (-1.0, h < 0)):
         if not np.any(mask0):
             continue
         active = np.nonzero(mask0)[0]
         pos = a[active].copy()
         remaining = np.abs(h[active])
-        cell = cd.locate(pos) if sgn > 0 else cd.locate_left(pos)
+        cell = cd.locate(pos, "right" if sgn > 0 else "left")
         guard = 0
         while active.size:
             guard += 1
             if guard > MAX_WALK_CELLS:
                 raise RangeError("cell walk exceeded its budget; query spans too many cells")
-            off = pos - cd.bounds[cell]
-            room = cd.bounds[cell + 1] - pos if sgn > 0 else off
+            room = cd.bounds[cell + 1] - pos if sgn > 0 else pos - cd.bounds[cell]
             length = np.minimum(np.maximum(room, 0.0), remaining)
-            m = cd.slope[cell]
-            v_edge = cd.left_value[cell] + m * off
-            ep_f = np.exp(v_edge - cd.splus)
-            em_f = np.exp(-v_edge - cd.sminus)
-            z = sgn * m * length
-            ep_piece = ep_f * length * _phi1(z)
-            em_piece = em_f * length * _phi1(-z)
-            res[active] += ep_piece * em[active] + e_s * length * length * _phi2(z)
+            ep_piece, em_piece, self_piece = cd.piece(cell, pos, length, sgn)
+            res[active] += ep_piece * em[active] + self_piece
             ep[active] += ep_piece
             em[active] += em_piece
             pos = pos + sgn * length
             remaining = remaining - length
             done = remaining <= 1e-300
             cell = cell + (1 if sgn > 0 else -1)
-            if np.any(cell < 0) or np.any(cell >= cd.left_value.size):
-                outside = (cell < 0) | (cell >= cd.left_value.size)
+            outside = (cell < 0) | (cell >= cd.n_cells)
+            if np.any(outside):
                 slack = _walk_slack(a[active], a[active] + h[active])
                 if np.any(outside & ~done & (remaining > slack)):
                     raise RangeError("cell walk left the potential window")
                 done |= outside
             if np.any(done):
-                keep = ~done
-                active = active[keep]
-                pos = pos[keep]
-                remaining = remaining[keep]
-                cell = cell[keep]
+                active, pos, remaining, cell = (z[~done] for z in (active, pos, remaining, cell))
     return res, ep, em
 
 
@@ -380,39 +423,18 @@ def _walk_slack(start: np.ndarray, end: np.ndarray) -> np.ndarray:
 
 
 def exp_integral(V: Potential, a1: float, a2: float, sign: str = "+") -> float:
-    """int_{a1}^{a2} e^{+-V(b)} db, closed form per cell for table-backed V."""
+    """int_{a1}^{a2} e^{+-V(b)} db by the cell walk."""
     if a2 < a1:
         raise ValidationError("need a1 <= a2")
     if sign not in ("+", "-"):
         raise ValidationError("sign must be '+' or '-'")
     V.check_window(a1, a2)
-    s = 1.0 if sign == "+" else -1.0
     cd = V.cells()
-    if cd is not None:
-        _, ep, em = _walk(cd, np.array([a1]), np.array([a2 - a1]))
-        raw, shift = (float(ep[0]), cd.splus) if s > 0 else (float(em[0]), cd.sminus)
-        if raw <= 0.0:
-            return 0.0
-        log_val = shift + math.log(raw)
-        if log_val > LOG_FLOAT_MAX:
-            raise PotentialOverflowError(
-                f"exp integral over [{a1}, {a2}] overflows double precision"
-            )
-        return math.exp(log_val)
-
-    assert isinstance(V, CallablePotential)
-    if a2 == a1:
+    _, ep, em = _walk(cd, np.array([a1]), np.array([a2 - a1]))
+    raw, shift = (float(ep[0]), cd.splus) if sign == "+" else (float(em[0]), cd.sminus)
+    if raw <= 0.0:
         return 0.0
-    V.integrability_check(a1, a2)
-    xs = np.linspace(a1, a2, 257)
-    shift = float(np.max(s * V.value(xs)))
-    from .operators import _quad
-
-    val = _quad(lambda x: math.exp(s * float(V.value(np.array([x]))[0]) - shift),
-                a1, a2, 1e-13, 1e-11)
-    if val <= 0.0:
-        return 0.0
-    log_val = shift + math.log(val)
+    log_val = shift + math.log(raw)
     if log_val > LOG_FLOAT_MAX:
         raise PotentialOverflowError(
             f"exp integral over [{a1}, {a2}] overflows double precision"
@@ -427,49 +449,19 @@ def phi_eval(V: Potential, a, h):
     lattice and grid potentials.
     """
     scalar = np.isscalar(a) and np.isscalar(h)
-    a_arr, h_arr = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
-                                       np.atleast_1d(np.asarray(h, dtype=float)))
-    a_arr = np.ascontiguousarray(a_arr, dtype=float)
-    h_arr = np.ascontiguousarray(h_arr, dtype=float)
+    a_arr, h_arr = (np.array(z, dtype=float) for z in
+                    np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(h)))
     cd = V.cells()
-    if cd is not None:
-        b_arr = a_arr + h_arr
-        lo = float(min(np.min(a_arr), np.min(b_arr)))
-        hi = float(max(np.max(a_arr), np.max(b_arr)))
-        V.check_window(lo, hi)
-        res = _walk(cd, a_arr, h_arr)[0]
-        out = np.zeros_like(res)
-        pos = res > 0.0
-        log_vals = cd.shift + np.log(res[pos]) + math.log(2.0)
-        if np.any(log_vals > LOG_FLOAT_MAX):
-            raise PotentialOverflowError("phi overflows double precision")
-        out[pos] = np.exp(log_vals)
-        return float(out[0]) if scalar else out
-
-    out = np.array([_phi_callable(V, float(ai), float(hi_))
-                    for ai, hi_ in zip(a_arr.ravel(), h_arr.ravel())])
-    out = out.reshape(a_arr.shape)
+    V.check_window(float(np.min(np.minimum(a_arr, a_arr + h_arr))),
+                   float(np.max(np.maximum(a_arr, a_arr + h_arr))))
+    res = _walk(cd, a_arr, h_arr)[0]
+    out = np.zeros_like(res)
+    pos = res > 0.0
+    log_vals = cd.shift + np.log(res[pos]) + math.log(2.0)
+    if np.any(log_vals > LOG_FLOAT_MAX):
+        raise PotentialOverflowError("phi overflows double precision")
+    out[pos] = np.exp(log_vals)
     return float(out[0]) if scalar else out
-
-
-def _phi_callable(V: Potential, a: float, h: float) -> float:
-    if h == 0.0:
-        return 0.0
-    from .operators import _quad
-
-    lo, hi = (a, a + h) if h > 0 else (a + h, a)
-    V.check_window(lo, hi)
-    if isinstance(V, CallablePotential):
-        V.integrability_check(lo, hi)
-
-    def inner(b):
-        return exp_integral(V, a, b, "-") if h > 0 else -exp_integral(V, b, a, "-")
-
-    def outer(b):
-        return math.exp(float(V.value(np.array([b]))[0])) * inner(b)
-
-    val = _quad(outer, lo, hi, 1e-14, 1e-12)
-    return 2.0 * val if h > 0 else -2.0 * val
 
 
 def psi_solve(V: Potential, a: float, eps: float, side: str = "up") -> float:
@@ -479,12 +471,12 @@ def psi_solve(V: Potential, a: float, eps: float, side: str = "up") -> float:
     until the target is covered, with a doubling cap flagging pathological
     potentials.
     """
-    if side not in ("up", "down"):
-        raise ValidationError("side must be 'up' or 'down'")
     return float(psi_solve_many(V, np.array([a]), eps, side)[0])
 
 
 def psi_solve_many(V: Potential, a: np.ndarray, eps: float, side: str) -> np.ndarray:
+    if side not in ("up", "down"):
+        raise ValidationError("side must be 'up' or 'down'")
     if eps <= 0:
         raise ValidationError("the step parameter must be positive")
     a = np.asarray(a, dtype=float)
@@ -530,15 +522,10 @@ def p_eval_many(V: Potential, a: np.ndarray, psi_up: np.ndarray,
     if np.any(psi_up <= 0) or np.any(psi_down <= 0):
         raise ValidationError("step sizes must be positive")
     cd = V.cells()
-    if cd is not None:
-        lo, hi = a - psi_down, a + psi_up
-        V.check_window(float(np.min(lo)), float(np.max(hi)))
-        num = _walk(cd, lo, a - lo)[1]
-        den = num + _walk(cd, a, hi - a)[1]
-    else:
-        num = np.array([exp_integral(V, ai - d, ai, "+") for ai, d in zip(a, psi_down)])
-        den = num + np.array([exp_integral(V, ai, ai + u, "+")
-                              for ai, u in zip(a, psi_up)])
+    lo, hi = a - psi_down, a + psi_up
+    V.check_window(float(np.min(lo)), float(np.max(hi)))
+    num = _walk(cd, lo, a - lo)[1]
+    den = num + _walk(cd, a, hi - a)[1]
     if np.any(den <= 0):
         raise ValidationError("degenerate step window: zero exponential mass")
     p = num / den
@@ -577,7 +564,7 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
     n_steps = int(np.ceil(horizon / dt))
     capture = np.minimum(np.floor(grid / dt + 1e-12).astype(int), n_steps)
 
-    V.cells()  # materialize closed-form tables before any worker touches them
+    V.cells()  # build the cell table before any worker touches it
     lattice = _lattice_tables(V, eps, start, n_steps)
     if lattice is not None:
         site0, site_lo, p_table = lattice
@@ -671,6 +658,12 @@ def _lattice_tables(V: Potential, eps: float, start, n_steps: int):
 # ---------------------------------------------------------------------------
 
 
+def _bounds_within(V: Potential, lo: float, hi: float) -> np.ndarray:
+    """Cell bounds of ``V`` inside [lo, hi]: the only places where V may jump or kink."""
+    b = V.cells().bounds
+    return b[(b >= lo) & (b <= hi)]
+
+
 def transport_test_function(V: Potential, f0: float, s0: float,
                             g: Callable[[np.ndarray], np.ndarray],
                             interval: tuple[float, float],
@@ -687,7 +680,7 @@ def transport_test_function(V: Potential, f0: float, s0: float,
         raise ValidationError("the reconstruction interval must contain zero")
     V.check_window(lo, hi)
     base = np.linspace(lo, hi, resolution)
-    nodes = np.unique(np.concatenate([base, V.breakpoints(lo, hi), [0.0]]))
+    nodes = np.unique(np.concatenate([base, _bounds_within(V, lo, hi), [0.0]]))
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     widths = np.diff(nodes)
     vm = V.value(mids)
@@ -733,7 +726,7 @@ def potential_distance(V: Potential, Vn: Potential, window: float,
     V.check_window(lo, hi)
     Vn.check_window(lo, hi)
     cuts = np.unique(np.concatenate([
-        [lo, hi], V.breakpoints(lo, hi), Vn.breakpoints(lo, hi)]))
+        [lo, hi], _bounds_within(V, lo, hi), _bounds_within(Vn, lo, hi)]))
 
     def integrand(x):
         va = V.value(np.array([x]))

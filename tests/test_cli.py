@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from unittest import mock
 
 import numpy as np
@@ -176,6 +177,39 @@ def test_potential_file_inputs(workdir, capsys):
     run_ok(["simulate-potential", "--potential", "0.1*x1", "--eps", "0.05",
             "--T", "0.01", "--paths", "4", "--seed", "2", "--grid-points", "2",
             "--out", "e.csv"], capsys)
+
+
+def test_expression_potential_run_is_fast(workdir, capsys):
+    # The same run as in test_potential_file_inputs; it walks Chebyshev cells.
+    t0 = time.perf_counter()
+    run_ok(["simulate-potential", "--potential", "0.1*x1", "--eps", "0.05",
+            "--T", "0.01", "--paths", "4", "--seed", "2", "--grid-points", "2",
+            "--out", "e.csv"], capsys)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_expression_potential_far_from_the_origin(workdir, capsys):
+    # V ~ 729 at the start: the rescaled walk needs only the window's oscillation.
+    run_ok(["simulate-potential", "--potential", "x1*x1", "--start", "27", "--eps", "0.05",
+            "--T", "0.0025", "--paths", "4", "--seed", "3", "--out", "far.csv"], capsys)
+
+
+def test_expression_potential_not_finite_in_its_window(workdir, capsys):
+    # The window is start +- 2 (n_steps + 8) eps = [-0.4, 1.4]; log is NaN left of 0.
+    code = run(["simulate-potential", "--potential", "log(x1)", "--start", "0.5",
+                "--eps", "0.05", "--T", "0.0025", "--paths", "4", "--out", "log.csv"])
+    assert code == 1
+    assert "not finite" in capsys.readouterr().err
+    assert not os.path.exists("log.csv")
+
+
+def test_expression_potential_oscillating_beyond_its_budget(workdir, capsys):
+    # n_steps = 240 gives the window [-24.8, 24.8], where x^2 oscillates by 615 > 600.
+    code = run(["simulate-potential", "--potential", "x1*x1", "--eps", "0.05",
+                "--T", "0.6", "--paths", "4", "--out", "wide.csv"])
+    assert code == 2
+    assert "oscillation" in capsys.readouterr().err
+    assert not os.path.exists("wide.csv")
 
 
 def test_euler_stable_field_config(workdir, capsys):

@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levylab import rng as lrng
 from levylab.core import SchemeConfig
@@ -17,6 +21,7 @@ from levylab.potential import (
     constant_potential,
     exp_integral,
     p_eval,
+    p_eval_many,
     phi_eval,
     potential_chain_simulate,
     potential_distance,
@@ -99,8 +104,10 @@ class TestPhi:
     def test_matches_nested_quadrature(self):
         V = GridPotential(np.linspace(-2, 2, 9), [0.3, -0.1, 0.4, 0.0, -0.5,
                                                   0.2, 0.1, -0.3, 0.6])
-        from scipy.integrate import dblquad
+        from scipy.integrate import quad
         a, h = -0.4, 0.9
+        # Nested quad, each level split at the grid knots inside its span.
+        knots = V.knots[(V.knots > a) & (V.knots < a + h)]
 
         def ex(x):
             return float(np.exp(V.value(np.array([x]))[0]))
@@ -108,8 +115,11 @@ class TestPhi:
         def emx(x):
             return float(np.exp(-V.value(np.array([x]))[0]))
 
-        oracle, err = dblquad(lambda c, b: ex(b) * emx(c), a, a + h, a, lambda b: b,
-                              epsabs=1e-12, epsrel=1e-11)
+        def inner(b):
+            return quad(emx, a, b, points=knots[knots < b], epsabs=1e-14, epsrel=1e-13)[0]
+
+        oracle, err = quad(lambda b: ex(b) * inner(b), a, a + h, points=knots,
+                           epsabs=1e-12, epsrel=1e-11)
         assert phi_eval(V, a, h) == pytest.approx(2 * oracle, abs=10 * err + 1e-12)
 
 
@@ -142,6 +152,11 @@ class TestPsi:
                 assert phi_eval(V, a, sgn * psi) == pytest.approx(
                     eps * eps, abs=1e-10 * eps * eps)
 
+    def test_unknown_side_is_a_validation_error(self):
+        V = constant_potential(0.0, -5, 5)
+        with pytest.raises(ValidationError, match="side"):
+            psi_solve_many(V, np.array([0.0]), 0.1, "sideways")
+
     def test_domain_edge_error(self):
         # bracket expansion that would leave the window surfaces a range error
         V = GridPotential([-1.0, 1.0], [0.0, -30.0])
@@ -156,6 +171,74 @@ class TestPsi:
         psi = psi_solve(V, 0.0, eps, "up")
         assert psi > 2 * eps
         assert phi_eval(V, 0.0, psi) == pytest.approx(eps * eps, rel=1e-9)
+
+
+class TestChebyshevCells:
+    """Callable potentials integrate through smooth Chebyshev cells of the one walk."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(amp=st.floats(-2.0, 2.0), freq=st.floats(0.2, 5.0), phase=st.floats(0.0, 6.3),
+           tilt=st.floats(-1.0, 1.0), a=st.floats(-1.5, 1.5), eps=st.floats(0.01, 0.2))
+    def test_solver_invariants_on_smooth_callables(self, amp, freq, phase, tilt, a, eps):
+        V = CallablePotential(lambda x: amp * np.sin(freq * x + phase) + tilt * x,
+                              domain=(-3.0, 3.0))
+        psiu = psi_solve(V, a, eps, "up")
+        psid = psi_solve(V, a, eps, "down")
+        assert abs(phi_eval(V, a, psiu) / eps ** 2 - 1.0) <= 1e-10
+        assert abs(phi_eval(V, a, -psid) / eps ** 2 - 1.0) <= 1e-10
+        assert 0.0 < p_eval(V, a, psiu, psid) < 1.0
+
+    def test_linear_callable_matches_two_knot_grid(self):
+        Vc = CallablePotential(lambda x: 0.7 * x - 0.2, domain=(-3.0, 3.0))
+        Vg = GridPotential([-3.0, 3.0], [-2.3, 1.9])
+        a = np.linspace(-1.5, 1.5, 7)
+        for h in (0.3, -0.4, 1.1):
+            np.testing.assert_allclose(phi_eval(Vc, a, h), phi_eval(Vg, a, h), rtol=1e-13)
+        psi_c, psi_g = ((psi_solve_many(V, a, 0.05, "up"), psi_solve_many(V, a, 0.05, "down"))
+                        for V in (Vc, Vg))
+        for k in (0, 1):
+            np.testing.assert_allclose(psi_c[k], psi_g[k], rtol=1e-13)
+        np.testing.assert_allclose(p_eval_many(Vc, a, *psi_c), p_eval_many(Vg, a, *psi_g),
+                                   rtol=1e-13)
+
+    @pytest.mark.parametrize("a, h", [(-0.4, 0.9), (0.9, -1.1), (0.3, 0.5), (0.25, -0.6)])
+    def test_kinked_callable_matches_split_quadrature(self, a, h):
+        from scipy.integrate import quad
+        V = CallablePotential(lambda x: 2.0 * np.abs(x - 0.3), domain=(-4.0, 4.0))
+        kink = [0.3] if min(a, a + h) < 0.3 < max(a, a + h) else None
+
+        def inner(b):
+            split = kink if kink and min(a, b) < 0.3 < max(a, b) else None
+            return quad(lambda c: np.exp(-2.0 * abs(c - 0.3)), a, b, points=split,
+                        epsabs=1e-15, epsrel=1e-13)[0]
+
+        oracle = 2.0 * quad(lambda b: np.exp(2.0 * abs(b - 0.3)) * inner(b), a, a + h,
+                            points=kink, epsabs=1e-15, epsrel=1e-13)[0]
+        assert phi_eval(V, a, h) == pytest.approx(oracle, rel=1e-12)
+
+    def test_non_finite_potential_is_a_validation_error(self):
+        V = CallablePotential(lambda x: np.where(x < 0.2, np.nan, x), domain=(-1.0, 1.0))
+        with pytest.raises(ValidationError, match="not finite"):
+            phi_eval(V, 0.5, 0.1)
+
+    def test_infinite_domain_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="finite domain"):
+            exp_integral(CallablePotential(np.sin), 0.0, 1.0)
+
+    def test_square_root_cusp_builds_quickly(self):
+        # Rounding noise near the cusp must end the splitting, not the cell cap.
+        V = CallablePotential(lambda x: np.sqrt(np.abs(x - 0.3)), domain=(-4.0, 4.0))
+        t0 = time.perf_counter()
+        V.cells()
+        assert time.perf_counter() - t0 < 0.5
+        assert phi_eval(V, 0.2, 0.2) > 0.0
+
+    def test_window_overflow_raises_on_every_call(self):
+        V = CallablePotential(lambda x: 400.0 * x, domain=(-1.0, 1.0))
+        queries = (lambda: phi_eval(V, 0.0, 0.5), lambda: exp_integral(V, -0.5, 0.5), V.cells)
+        for query in queries * 2:
+            with pytest.raises(PotentialOverflowError):
+                query()
 
 
 class TestP:
