@@ -18,7 +18,7 @@ import tempfile
 import time
 import warnings
 from contextlib import contextmanager
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +42,7 @@ from .errors import (
     RangeError,
     SchemeStepError,
     ValidationError,
+    WindowEdgeError,
 )
 from .euler import CovariantField, IncrementPlan, euler_chain_simulate, stable_euler_field
 from .expr import compile_expression
@@ -289,7 +290,7 @@ def _parse_start(text: str, dim: int) -> np.ndarray:
     return np.asarray(parts)
 
 
-def _load_potential(args):
+def _load_potential(args, widen: int = 0):
     spec = args.potential
     eps = float(args.eps)
     n_steps = int(np.ceil(float(args.T) / (eps * eps)))
@@ -309,8 +310,8 @@ def _load_potential(args):
             return PiecewiseConstantPotential(float(args.mesh), data[:, 1], int(ks[0]))
         return GridPotential(data[:, 0], data[:, 1])
     fn = compile_expression(spec, 1)
-    # Twice the window `zero` gets: steps of at most 2 eps stay clear of its edge.
-    reach = 2.0 * (n_steps + 8) * eps
+    # Twice the window `zero` gets, doubled `widen` times (see _cmd_simulate_potential).
+    reach = 2.0 ** (1 + widen) * (n_steps + 8) * eps
     return CallablePotential(lambda x: fn(x[:, None]),
                              domain=(args.start - reach, args.start + reach))
 
@@ -375,10 +376,19 @@ def _cmd_simulate_potential(args, seed: int) -> list[str]:
         raise ValidationError("--eps must be positive")
     if not np.isfinite(args.start):
         raise ValidationError("start points must be finite")
-    potential = _load_potential(args)
     cfg = _scheme_config(args, seed, float(args.T))
-    batch = potential_chain_simulate(potential, float(args.start), float(args.eps),
-                                     float(args.T), cfg)
+    # An expression's window is only a working range, so instead of absorbing
+    # a path at its edge the run restarts on a doubled window; steps never
+    # exceed 1024 eps, so this ends.
+    for widen in count():
+        potential = _load_potential(args, widen)
+        try:
+            batch = potential_chain_simulate(
+                potential, float(args.start), float(args.eps), float(args.T), cfg,
+                absorb_at_edge=not isinstance(potential, CallablePotential))
+            break
+        except WindowEdgeError:
+            continue
     atomic_write_text(args.out, paths_to_csv(batch))
     return [args.out]
 

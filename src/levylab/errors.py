@@ -38,6 +38,10 @@ class SchemeStepError(LevylabError):
     """A simulation step cannot be carried out with the given parameters."""
 
 
+class WindowEdgeError(SchemeStepError):
+    """A path reached the edge of a potential window that is not its domain."""
+
+
 class DegenerateStateError(LevylabError):
     """The scheme's transition law degenerates at the current state."""
 

@@ -37,6 +37,7 @@ from .errors import (
     RangeError,
     SchemeStepError,
     ValidationError,
+    WindowEdgeError,
 )
 
 PSI_REL_TOL = 1e-12
@@ -72,10 +73,10 @@ def _phi2(z):
                         (np.expm1(z) - z) / (z * z))
 
 
-def _check_shift(splus: float, sminus: float) -> None:
+def _check_shift(splus: float, sminus: float, where: str = "") -> None:
     if splus + sminus > MAX_TABLE_SHIFT:
         raise PotentialOverflowError(
-            "window oscillation of the potential exceeds the double-precision "
+            f"window oscillation of the potential{where} exceeds the double-precision "
             "budget for rescaled exponentials"
         )
 
@@ -141,9 +142,14 @@ class _CellData:
 class Potential:
     """Base class: a measurable scalar potential with locally integrable e^{|V|}."""
 
-    domain: tuple[float, float] = (-math.inf, math.inf)
+    domain: tuple[float, float]
 
     def value(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        self.check_window(float(np.min(x)), float(np.max(x)))
+        return self._value(x)
+
+    def _value(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def cells(self) -> _CellData:
@@ -222,9 +228,7 @@ class PiecewiseConstantPotential(Potential):
             self._cache["cells"] = vals
         return self._cache["cells"]
 
-    def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        self.check_window(float(np.min(x)), float(np.max(x)))
+    def _value(self, x: np.ndarray) -> np.ndarray:
         j = np.floor(x / self.mesh + 1e-12).astype(int)
         j = np.clip(j, self.cell_lo, self.cell_hi)
         return self.cell_values()[j - self.cell_lo]
@@ -268,9 +272,7 @@ class GridPotential(Potential):
     def domain(self) -> tuple[float, float]:
         return (float(self.knots[0]), float(self.knots[-1]))
 
-    def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        self.check_window(float(np.min(x)), float(np.max(x)))
+    def _value(self, x: np.ndarray) -> np.ndarray:
         return np.interp(x, self.knots, self.values)
 
     def cells(self) -> _CellData:
@@ -292,20 +294,20 @@ class CallablePotential(Potential):
     are within 1e-14 of the largest, plus what moving the samples by an ulp
     changes in V (the rounding noise near a cusp such as ``sqrt|x - c|``);
     cells narrower than ``WALK_END_ULPS`` ulps of their position are kept.
-    An infinite domain or a non-finite sample is a ValidationError, over
-    ``MAX_WALK_CELLS`` cells a RangeError, and an oscillation beyond
+    A non-finite or empty domain or a non-finite sample is a ValidationError,
+    over ``MAX_WALK_CELLS`` cells a RangeError, and an oscillation beyond
     ``MAX_TABLE_SHIFT`` a PotentialOverflowError.
     """
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray],
-                 domain: tuple[float, float] = (-math.inf, math.inf)):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], domain: tuple[float, float]):
+        lo, hi = float(domain[0]), float(domain[1])
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValidationError(f"a callable potential needs a finite domain, got [{lo}, {hi}]")
         self.fn = fn
-        self.domain = (float(domain[0]), float(domain[1]))
+        self.domain = (lo, hi)
         self._cells: Optional[_CellData] = None
 
-    def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        self.check_window(float(np.min(x)), float(np.max(x)))
+    def _value(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(x), dtype=float)
 
     def cells(self) -> _CellData:
@@ -317,8 +319,6 @@ class CallablePotential(Potential):
 def _chebyshev_cells(fn: Callable[[np.ndarray], np.ndarray], lo: float,
                      hi: float) -> _CellData:
     """Split [lo, hi] until ``e^{+-V}`` is resolved on every cell (see CallablePotential)."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValidationError("a callable potential needs a finite domain")
     left, right = np.array([lo]), np.array([hi])
     accepted = []
     splus = sminus = -math.inf
@@ -327,7 +327,7 @@ def _chebyshev_cells(fn: Callable[[np.ndarray], np.ndarray], lo: float,
         x[:, 0], x[:, -1] = left, right
         v = _sample(fn, x)
         splus, sminus = max(splus, float(np.max(v))), max(sminus, float(np.max(-v)))
-        _check_shift(splus, sminus)
+        _check_shift(splus, sminus, f" on [{lo}, {hi}]")
         dv = v - v[:, CHEB_DEGREE // 2, None]
         resolved = np.ones(left.size, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -540,13 +540,17 @@ def p_eval_many(V: Potential, a: np.ndarray, psi_up: np.ndarray,
 
 
 def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
-                             config: SchemeConfig) -> PathBatch:
+                             config: SchemeConfig, *,
+                             absorb_at_edge: bool = True) -> PathBatch:
     """Run the two-point scheme and emit the embedding t -> X_{floor(t/eps^2)}.
 
     Lattice-aligned piecewise-constant potentials with lattice starts reduce
     exactly to a nearest-neighbour walk; the reduction is verified per site
-    against the solver before being used.  Paths that would leave the
-    potential's window (or the escape radius) are absorbed at the cemetery.
+    against the solver before being used.  Paths beyond the escape radius
+    are absorbed at the cemetery, and so are paths that come within
+    ``8 eps`` of the edge of the potential's window, unless
+    ``absorb_at_edge`` is false: then such a path raises WindowEdgeError,
+    for windows that only cut a larger potential down to size.
     """
     if horizon <= 0:
         raise ValidationError("the horizon must be positive")
@@ -565,7 +569,7 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
     capture = np.minimum(np.floor(grid / dt + 1e-12).astype(int), n_steps)
 
     V.cells()  # build the cell table before any worker touches it
-    lattice = _lattice_tables(V, eps, start, n_steps)
+    lattice = _lattice_tables(V, eps, start, n_steps) if absorb_at_edge else None
     if lattice is not None:
         site0, site_lo, p_table = lattice
         step = lattice_kernel(p_table, site_lo, (site_lo + 1, site_lo + p_table.size - 2),
@@ -583,13 +587,16 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
             psid = psi_solve_many(V, a, eps, "down")
             p = p_eval_many(V, a, psiu, psid)
         except RangeError as exc:
-            raise SchemeStepError(
+            raise (SchemeStepError if absorb_at_edge else WindowEdgeError)(
                 f"step solve left the potential window near positions "
                 f"[{float(np.min(a))}, {float(np.max(a))}]: {exc}"
             ) from exc
         u = gen.random(a.size)
         a = np.where(u < p, a + psiu, a - psid)
         gone = (np.abs(a) > config.escape_radius) | (a < lo_d + margin) | (a > hi_d - margin)
+        if not absorb_at_edge and np.any(gone & (np.abs(a) <= config.escape_radius)):
+            raise WindowEdgeError(f"a path came within {margin} of the edge of the "
+                                  f"potential window [{lo_d}, {hi_d}]")
         return a[:, None], gone
 
     return run_chain(start, step, n_steps, capture, dt, grid, 1, config)
@@ -659,7 +666,10 @@ def _lattice_tables(V: Potential, eps: float, start, n_steps: int):
 
 
 def _bounds_within(V: Potential, lo: float, hi: float) -> np.ndarray:
-    """Cell bounds of ``V`` inside [lo, hi]: the only places where V may jump or kink."""
+    """Cell bounds of a lattice or grid ``V`` inside [lo, hi], where V may jump or
+    kink; a callable's cells only resolve ``e^{+-V}``, so it has none here."""
+    if isinstance(V, CallablePotential):
+        return np.empty(0)
     b = V.cells().bounds
     return b[(b >= lo) & (b <= hi)]
 

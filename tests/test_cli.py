@@ -212,6 +212,27 @@ def test_expression_potential_oscillating_beyond_its_budget(workdir, capsys):
     assert not os.path.exists("wide.csv")
 
 
+def test_expression_window_grows_past_steep_steps(workdir, capsys):
+    # Steps of about 0.32 carry every path beyond 0.8, the edge margin of the
+    # first window [-1.2, 1.2]; the window doubles instead of absorbing them.
+    run_ok(["simulate-potential", "--potential=min(max(-250*x1, -250), 250)",
+            "--eps", "0.05", "--T", "0.01", "--paths", "8", "--seed", "2",
+            "--grid-points", "3", "--out", "steep.csv"], capsys)
+    batch = read_paths_csv("steep.csv")
+    assert np.all(np.isinf(batch.xi))
+    assert np.all(batch.states[:, -1, 0] > 0.8)
+
+
+def test_steep_linear_expression_is_not_absorbed_silently(workdir, capsys):
+    # Steps of about 0.26 outrun the window [-1.2, 1.2]; the doubled window
+    # oscillates by 960 > 600, so the run fails instead of absorbing paths.
+    code = run(["simulate-potential", "--potential=-200*x1", "--eps", "0.05",
+                "--T", "0.01", "--paths", "8", "--seed", "2", "--out", "lin.csv"])
+    assert code == 2
+    assert "oscillation of the potential on [-2.4" in capsys.readouterr().err
+    assert not os.path.exists("lin.csv")
+
+
 def test_euler_stable_field_config(workdir, capsys):
     with open("sf.json", "w") as fh:
         json.dump({"kind": "stable-field", "dim": 1, "c_expr": "1",

@@ -13,6 +13,7 @@ from levylab.errors import (
     RangeError,
     SchemeStepError,
     ValidationError,
+    WindowEdgeError,
 )
 from levylab.potential import (
     CallablePotential,
@@ -222,8 +223,9 @@ class TestChebyshevCells:
             phi_eval(V, 0.5, 0.1)
 
     def test_infinite_domain_is_a_validation_error(self):
-        with pytest.raises(ValidationError, match="finite domain"):
-            exp_integral(CallablePotential(np.sin), 0.0, 1.0)
+        for domain in ((-np.inf, np.inf), (0.0, np.inf), (1.0, 1.0)):
+            with pytest.raises(ValidationError, match="finite domain"):
+                CallablePotential(np.sin, domain=domain)
 
     def test_square_root_cusp_builds_quickly(self):
         # Rounding noise near the cusp must end the splitting, not the cell cap.
@@ -239,6 +241,18 @@ class TestChebyshevCells:
         for query in queries * 2:
             with pytest.raises(PotentialOverflowError):
                 query()
+
+
+    def test_distance_and_transport_ignore_the_cells_of_a_wide_callable(self):
+        # x^2 oscillates by 625 over its domain, beyond the cell-table budget,
+        # yet neither function integrates e^{+-V} by the walk.
+        V = CallablePotential(lambda x: x * x, domain=(-25.0, 25.0))
+        W = CallablePotential(lambda x: x * x + np.log(2.0), domain=(-25.0, 25.0))
+        # int_{-1}^{1} max(e^{x^2}, e^{-x^2} / 2) dx = sqrt(pi) erfi(1)
+        assert potential_distance(V, W, 1.0).value == pytest.approx(2.925303491814362,
+                                                                   rel=1e-8)
+        f = transport_test_function(V, 1.0, 0.0, lambda x: np.zeros_like(x), (-1, 1))
+        assert f(0.5) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestP:
@@ -316,6 +330,16 @@ class TestChain:
         cfg = SchemeConfig(paths=100, seed=9, grid=np.array([0.0, 4.0]))
         batch = potential_chain_simulate(V, 0.0, 0.1, 4.0, cfg)
         assert np.isfinite(batch.xi).any()
+
+    @pytest.mark.parametrize("V", [zero_potential(0.05, -12, 12),
+                                   GridPotential([-0.6, 0.6], [0.0, 0.0])],
+                                 ids=["lattice", "grid"])
+    def test_window_edge_raises_when_not_absorbing(self, V):
+        cfg = SchemeConfig(paths=20, seed=9, grid=np.array([0.0, 0.5]))
+        batch = potential_chain_simulate(V, 0.0, 0.05, 0.5, cfg)
+        assert np.isfinite(batch.xi).any()
+        with pytest.raises(WindowEdgeError, match="edge of the potential window"):
+            potential_chain_simulate(V, 0.0, 0.05, 0.5, cfg, absorb_at_edge=False)
 
     @pytest.mark.parametrize("V", [zero_potential(0.1, -5, 5),
                                    GridPotential([-1.0, 1.0], [0.0, 0.5])],
