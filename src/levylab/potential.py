@@ -16,7 +16,9 @@ integrated in closed form; a callable potential is split into cells where
 a degree-24 Chebyshev interpolant resolves ``e^{+-V}`` (chebfun-style), and
 the walk integrates each piece at its Chebyshev points.  All exponentials
 are rescaled by the window extrema, so only genuinely overflowing windows
-fail, and such a window fails on every query.  The chain runs on the shared
+fail, and such a window fails on every query.  Since one walk gives phi and
+its slope together, psi is found by a few Newton walks, certified to be
+bisection's value to the bit.  The chain runs on the shared
 block driver :func:`levylab.core.run_chain` with time step ``eps^2``: either
 a nearest-neighbour lattice walk (:func:`lattice_kernel`, shared with the
 random walks in random environments) or a generic psi-solver step.
@@ -42,6 +44,9 @@ from .errors import (
 
 PSI_REL_TOL = 1e-12
 BRACKET_CAP_FACTOR = 2 ** 10
+NEWTON_MAX_ITER = 8
+NEWTON_STOP = 1e-2 * PSI_REL_TOL  # Newton ends when every next step is below this times eps
+CERTIFY_ROUNDS = 2
 MAX_TABLE_SHIFT = 600.0  # beyond this the rescaled integrals would denormalize
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 MAX_WALK_CELLS = 1 << 14
@@ -449,8 +454,9 @@ def phi_eval(V: Potential, a, h):
     lattice and grid potentials.
     """
     scalar = np.isscalar(a) and np.isscalar(h)
-    a_arr, h_arr = (np.array(z, dtype=float) for z in
-                    np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(h)))
+    a_arr, h_arr = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(h))
+    shape = a_arr.shape
+    a_arr, h_arr = (np.array(z, dtype=float).ravel() for z in (a_arr, h_arr))
     cd = V.cells()
     V.check_window(float(np.min(np.minimum(a_arr, a_arr + h_arr))),
                    float(np.max(np.maximum(a_arr, a_arr + h_arr))))
@@ -461,20 +467,34 @@ def phi_eval(V: Potential, a, h):
     if np.any(log_vals > LOG_FLOAT_MAX):
         raise PotentialOverflowError("phi overflows double precision")
     out[pos] = np.exp(log_vals)
-    return float(out[0]) if scalar else out
+    return float(out[0]) if scalar else out.reshape(shape)
 
 
 def psi_solve(V: Potential, a: float, eps: float, side: str = "up") -> float:
     """The unique positive step with phi(a, +-psi) equal to the squared step.
 
-    Monotone bisection; the bracket starts at twice the step and doubles
-    until the target is covered, with a doubling cap flagging pathological
-    potentials.
+    The value is that of bisection to ``PSI_REL_TOL * eps`` from the bracket
+    ``(0, hi0]``, where ``hi0`` starts at twice the step and doubles until the
+    target is covered (a doubling cap flags pathological potentials).  It is
+    reached by certified Newton: see :func:`psi_solve_many`.
     """
     return float(psi_solve_many(V, np.array([a]), eps, side)[0])
 
 
 def psi_solve_many(V: Potential, a: np.ndarray, eps: float, side: str) -> np.ndarray:
+    """Vectorized :func:`psi_solve`: bisection's value, found by Newton.
+
+    Newton's method on ``sqrt(phi) - eps`` finds the root in a few walks,
+    since each walk gives phi and its slope ``2 e^{V(end)} int e^{-V}``.
+    Bisection's float loop is then replayed against that root, at no cost,
+    and one phi evaluation at the two ends it stops on certifies the replay:
+    if phi is below the target at ``lo`` and not below it at ``hi``, and
+    phi does not decrease, every comparison bisection makes agrees with the
+    replay, so the result is bisection's to the bit.  A failed end shows
+    which way bisection turns there, so the root moves across it and the
+    replay runs again, up to ``CERTIFY_ROUNDS`` times; paths still failing
+    are bisected with real phi comparisons.
+    """
     if side not in ("up", "down"):
         raise ValidationError("side must be 'up' or 'down'")
     if eps <= 0:
@@ -482,30 +502,82 @@ def psi_solve_many(V: Potential, a: np.ndarray, eps: float, side: str) -> np.nda
     a = np.asarray(a, dtype=float)
     sgn = 1.0 if side == "up" else -1.0
     target = eps * eps
-    hi = np.full(a.shape, 2.0 * eps)
+    hi0 = np.full(a.shape, 2.0 * eps)
     cap = BRACKET_CAP_FACTOR * eps
     while True:
-        vals = phi_eval(V, a, sgn * hi)
+        vals = phi_eval(V, a, sgn * hi0)
         short = vals < target
         if not np.any(short):
             break
-        hi[short] *= 2.0
-        over = hi > cap * (1 + 1e-12)
+        hi0[short] *= 2.0
+        over = hi0 > cap * (1 + 1e-12)
         if np.any(over):
             bad = float(a[over][0])
             raise SchemeStepError(
                 f"psi bracket expansion exceeded {BRACKET_CAP_FACTOR} steps at "
                 f"position {bad}; the potential is pathological for this step size"
             )
-    lo = np.zeros_like(hi)
     tol = PSI_REL_TOL * eps
+    root = _psi_newton(V, a, sgn, eps, hi0)
+    for _ in range(CERTIFY_ROUNDS):
+        lo, hi = _bisect(hi0, tol, lambda mid: mid < root)
+        ends = phi_eval(V, np.concatenate([a, a]), sgn * np.concatenate([lo, hi]))
+        up, down = ends[: a.size] >= target, ends[a.size:] < target
+        failed = up | down
+        if not np.any(failed):
+            return 0.5 * (lo + hi)
+        # Bisection turns the other way at that end: move the root across it.
+        root = np.where(up, lo, np.where(down, np.nextafter(hi, np.inf), root))
+
+    def below(mid):
+        less = mid < root
+        less[failed] = phi_eval(V, a[failed], sgn * mid[failed]) < target
+        return less
+
+    lo, hi = _bisect(hi0, tol, below)
+    return 0.5 * (lo + hi)
+
+
+def _psi_newton(V: Potential, a: np.ndarray, sgn: float, eps: float,
+                hi0: np.ndarray) -> np.ndarray:
+    """Newton's method on ``g(h) = sqrt(phi(a, sgn h)) - eps`` from ``h = eps``,
+    one walk per iterate, each iterate clamped to ``[h/2, hi0]``.
+
+    In the walk's rescaled terms ``phi'/phi = e^{V(end)-s+} em / phi_half``,
+    so the step ``g/g' = 2 (1 - eps/sqrt(phi)) phi/phi'`` never overflows; a
+    step that is not a number leaves ``h/2``.  The iteration stops once every
+    next step, predicted from the last two by quadratic convergence, is at
+    most ``NEWTON_STOP * eps``: that spares the walks that would only stir
+    rounding noise.
+    """
+    cd = V.cells()
+    h = np.full_like(hi0, eps)
+    last = np.zeros_like(hi0)
+    for _ in range(NEWTON_MAX_ITER):
+        res, _, em = _walk(cd, a, sgn * h)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = np.exp(0.5 * (cd.shift + np.log(2.0 * res)) - math.log(eps))
+            slope = np.exp(V._value(a + sgn * h) - cd.splus) * em / res
+            step = 2.0 * (1.0 - 1.0 / ratio) / slope
+        new = np.fmin(np.fmax(h - step, 0.5 * h), hi0)
+        step = np.abs(new - h)
+        shrink = np.divide(step, last, out=np.ones_like(step), where=last > 0)
+        h, last = new, step
+        if float(np.max(step * np.minimum(shrink, 1.0) ** 2)) <= NEWTON_STOP * eps:
+            break
+    return h
+
+
+def _bisect(hi: np.ndarray, tol: float, below: Callable[[np.ndarray], np.ndarray]):
+    """Halve every bracket ``(0, hi]`` until all are at most ``tol`` wide,
+    keeping the upper half where ``below(mid)`` is false; returns (lo, hi)."""
+    lo = np.zeros_like(hi)
     while float(np.max(hi - lo)) > tol:
         mid = 0.5 * (lo + hi)
-        vals = phi_eval(V, a, sgn * mid)
-        less = vals < target
+        less = below(mid)
         lo = np.where(less, mid, lo)
         hi = np.where(less, hi, mid)
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
 def p_eval(V: Potential, a: float, psi_up: float, psi_down: float) -> float:

@@ -7,6 +7,7 @@ independent reference samplers, never the code path under test.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,9 +377,9 @@ def test_criterion_12_cli_reproducibility(tmp_path, monkeypatch, capsys):
     identical = True
     for argv, outputs in commands:
         assert cli_run(argv) == 0
-        first = {o: open(o, "rb").read() for o in outputs}
+        first = {o: Path(o).read_bytes() for o in outputs}
         assert cli_run(argv) == 0
-        identical = identical and all(open(o, "rb").read() == first[o]
+        identical = identical and all(Path(o).read_bytes() == first[o]
                                       for o in outputs)
     capsys.readouterr()
     verdict(12, "CLI reproducibility", identical,

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -76,10 +77,10 @@ def test_every_subcommand_is_byte_deterministic(workdir, capsys):
     for argv, outputs in all_commands(workdir):
         manifest = run_ok(argv, capsys)
         assert manifest["outputs"] == outputs
-        first = {o: open(o, "rb").read() for o in outputs}
+        first = {o: Path(o).read_bytes() for o in outputs}
         run_ok(argv, capsys)
         for o in outputs:
-            assert open(o, "rb").read() == first[o], f"{o} changed between runs"
+            assert Path(o).read_bytes() == first[o], f"{o} changed between runs"
 
 
 def test_validation_exit_code(workdir, capsys):
@@ -113,7 +114,7 @@ def test_seed_env_fallback(workdir, capsys, monkeypatch):
     assert m1["seed"] == 99
     monkeypatch.delenv("LEVYLAB_SEED")
     m2 = run_ok(argv[:-1] + ["b.csv", "--seed", "99"], capsys)
-    assert open("a.csv", "rb").read() == open("b.csv", "rb").read()
+    assert Path("a.csv").read_bytes() == Path("b.csv").read_bytes()
 
 
 def test_csv_round_trip(workdir, capsys):
@@ -124,7 +125,7 @@ def test_csv_round_trip(workdir, capsys):
     assert len(batch) == 25
     assert batch.times.size == 4
     # writing the parsed batch again reproduces the file
-    assert paths_to_csv(batch) == open("s.csv").read()
+    assert paths_to_csv(batch) == Path("s.csv").read_text()
 
 
 def test_manifest_contents(workdir, capsys):
@@ -142,7 +143,7 @@ def test_rwre_summary_structure(workdir, capsys):
     run_ok(["simulate-rwre", "--env", "iid:1", "--eps", "0.1", "--T", "0.1",
             "--envs", "2", "--paths", "10", "--seed", "4", "--grid-points", "3",
             "--out", "w.csv"], capsys)
-    summary = json.load(open("w_summary.json"))
+    summary = json.loads(Path("w_summary.json").read_text())
     assert summary["environments"] == 2
     assert len(summary["files"]) == 2
     for entry in summary["files"]:
@@ -317,9 +318,9 @@ def test_golden_output_bytes(workdir, capsys, case):
     write_golden_inputs()
     run_ok(argv, capsys)
     for name, digest in digests.items():
-        assert hashlib.sha256(open(name, "rb").read()).hexdigest() == digest, name
+        assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, name
     if argv[0] == "simulate-stable":
-        assert ",nan,nan,0\n" in open("stable2d.csv").read()
+        assert ",nan,nan,0\n" in Path("stable2d.csv").read_text()
 
 
 @pytest.mark.parametrize("mesh", ["0.1", "0.05"])

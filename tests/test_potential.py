@@ -31,6 +31,52 @@ from levylab.potential import (
     transport_test_function,
     zero_potential,
 )
+import levylab.potential as pot
+
+
+def bisection_psi(V, a, eps, side):
+    """The psi solver as plain bisection: bracket doubling from 2 eps, then
+    halving to PSI_REL_TOL * eps.  The oracle the Newton solver must match
+    bit for bit."""
+    a = np.asarray(a, dtype=float)
+    sgn = 1.0 if side == "up" else -1.0
+    target = eps * eps
+    hi = np.full(a.shape, 2.0 * eps)
+    while True:
+        short = phi_eval(V, a, sgn * hi) < target
+        if not np.any(short):
+            break
+        hi[short] *= 2.0
+    lo = np.zeros_like(hi)
+    while float(np.max(hi - lo)) > pot.PSI_REL_TOL * eps:
+        mid = 0.5 * (lo + hi)
+        less = phi_eval(V, a, sgn * mid) < target
+        lo = np.where(less, mid, lo)
+        hi = np.where(less, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def check_solver(V, a, eps):
+    """psi is bisection's value to the bit, solves phi(a, +-psi) = eps^2,
+    gives 0 < p < 1, and phi does not decrease on a dyadic ladder around it.
+
+    The finest rung, 2^-40 psi, is about the width of bisection's last
+    bracket, the closest two floats bisection compares can be; closer than
+    that, phi may wobble by its rounding error.
+    """
+    j = np.arange(1.0, 41.0)
+    ladder = np.concatenate([1.0 - 2.0 ** -j, [1.0], 1.0 + 2.0 ** -j])
+    psis = []
+    for side, sgn in (("up", 1.0), ("down", -1.0)):
+        psi = psi_solve(V, a, eps, side)
+        assert psi == bisection_psi(V, [a], eps, side)[0]
+        assert abs(phi_eval(V, a, sgn * psi) / eps ** 2 - 1.0) <= 1e-10
+        hs = np.sort(psi * ladder)
+        inside = (a + sgn * hs >= V.domain[0]) & (a + sgn * hs <= V.domain[1])
+        vals = phi_eval(V, np.full(int(inside.sum()), a), sgn * hs[inside])
+        assert np.all(np.diff(vals) >= 0.0)
+        psis.append(psi)
+    assert 0.0 < p_eval(V, a, *psis) < 1.0
 
 
 class TestExpIntegral:
@@ -93,6 +139,14 @@ class TestPhi:
     def test_zero_at_zero_step(self):
         V = zero_potential(1.0, -3, 3)
         assert phi_eval(V, 0.0, 0.0) == 0.0
+
+    def test_two_dimensional_inputs_broadcast(self):
+        V = GridPotential([-2.0, 2.0], [0.0, 1.0])
+        h = np.array([[0.1, 0.2], [0.3, 0.4]])
+        vals = phi_eval(V, np.zeros((2, 2)), h)
+        assert vals.shape == (2, 2)
+        for idx in np.ndindex(2, 2):
+            assert vals[idx] == phi_eval(V, 0.0, float(h[idx]))
 
     def test_monotone_in_step(self):
         V = GridPotential(np.linspace(-3, 3, 13), np.sin(np.linspace(-3, 3, 13)))
@@ -173,6 +227,34 @@ class TestPsi:
         assert psi > 2 * eps
         assert phi_eval(V, 0.0, psi) == pytest.approx(eps * eps, rel=1e-9)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(inner=st.lists(st.tuples(st.floats(-5.5, 5.5), st.floats(-2.0, 2.0)),
+                          max_size=10, unique_by=lambda knot: knot[0]),
+           ends=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+           a=st.floats(-1.5, 1.5), eps=st.floats(0.01, 0.2))
+    def test_solver_invariants_on_random_grids(self, inner, ends, a, eps):
+        # an oscillation of at most 4 keeps psi below eps e^2, so every
+        # bracket and ladder stays inside [-6, 6]
+        inner = sorted(inner)
+        knots = [-6.0] + [x for x, _ in inner] + [6.0]
+        values = [ends[0]] + [v for _, v in inner] + [ends[1]]
+        check_solver(GridPotential(knots, values), a, eps)
+
+    @pytest.mark.parametrize("wrong_root", ["first-guess", "one-bracket-off"])
+    def test_uncertified_roots_fall_back_to_bisection(self, monkeypatch, wrong_root):
+        # flat left of 0 (psi = eps), sloped right of it
+        V = GridPotential([-3.0, 0.0, 3.0], [0.0, 0.0, 2.4])
+        a = np.concatenate([np.linspace(-2.0, -0.5, 5), np.linspace(0.5, 2.0, 6)])
+        if wrong_root == "first-guess":
+            monkeypatch.setattr(pot, "NEWTON_MAX_ITER", 0)
+        else:
+            newton = pot._psi_newton
+            monkeypatch.setattr(pot, "_psi_newton",
+                                lambda *args: newton(*args) * (1.0 + 1e-12))
+        for side in ("up", "down"):
+            np.testing.assert_array_equal(psi_solve_many(V, a, 0.05, side),
+                                          bisection_psi(V, a, 0.05, side))
+
 
 class TestChebyshevCells:
     """Callable potentials integrate through smooth Chebyshev cells of the one walk."""
@@ -183,11 +265,7 @@ class TestChebyshevCells:
     def test_solver_invariants_on_smooth_callables(self, amp, freq, phase, tilt, a, eps):
         V = CallablePotential(lambda x: amp * np.sin(freq * x + phase) + tilt * x,
                               domain=(-3.0, 3.0))
-        psiu = psi_solve(V, a, eps, "up")
-        psid = psi_solve(V, a, eps, "down")
-        assert abs(phi_eval(V, a, psiu) / eps ** 2 - 1.0) <= 1e-10
-        assert abs(phi_eval(V, a, -psid) / eps ** 2 - 1.0) <= 1e-10
-        assert 0.0 < p_eval(V, a, psiu, psid) < 1.0
+        check_solver(V, a, eps)
 
     def test_linear_callable_matches_two_knot_grid(self):
         Vc = CallablePotential(lambda x: 0.7 * x - 0.2, domain=(-3.0, 3.0))
