@@ -473,10 +473,10 @@ def phi_eval(V: Potential, a, h):
 def psi_solve(V: Potential, a: float, eps: float, side: str = "up") -> float:
     """The unique positive step with phi(a, +-psi) equal to the squared step.
 
-    The value is that of bisection to ``PSI_REL_TOL * eps`` from the bracket
-    ``(0, hi0]``, where ``hi0`` starts at twice the step and doubles until the
-    target is covered (a doubling cap flags pathological potentials).  It is
-    reached by certified Newton: see :func:`psi_solve_many`.
+    Bisection's value to ``PSI_REL_TOL * eps``: the bracket starts at twice
+    the step and doubles until the target is covered, with a doubling cap
+    flagging pathological potentials, then halves.  :func:`psi_solve_many`
+    reaches that value by certified Newton.
     """
     return float(psi_solve_many(V, np.array([a]), eps, side)[0])
 
