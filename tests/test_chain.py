@@ -22,7 +22,14 @@ from levylab.core import (
 )
 from levylab.environment import BernoulliPoisson, rwre_simulate
 from levylab.errors import SchemeStepError, ValidationError
-from levylab.euler import IncrementPlan, euler_chain_simulate, stable_euler_field
+from levylab.euler import (
+    DRIFT_COMPENSATE,
+    GAUSSIAN_SURROGATE,
+    IncrementPlan,
+    StableTripletField,
+    euler_chain_simulate,
+    stable_euler_field,
+)
 from levylab.potential import (
     GridPotential,
     PiecewiseConstantPotential,
@@ -63,6 +70,31 @@ def test_stable_callable_start_multi_block_bytes():
     batch = stable_chain_simulate(TANH_STABLE, uniform_start, 40, 0.5, PINNED_CONFIG)
     assert np.isfinite(batch.xi).sum() == 11
     assert digest(batch) == "d561034da828cd8d748f7a7ebebaa94ff51f9594f4d50bd5d378d3f1906e2553"
+
+
+# sha256 of states + xi recorded with the np.add.at stable-field sampler, in
+# 2-d, where directions are normalized Gaussians: constant alpha, and a
+# state-dependent scale and index with and without the Gaussian surrogate.
+TANH_STABLE_2D = StableField(lambda x: 1.0 + 0.5 * np.tanh(x[:, 1]) ** 2,
+                             lambda x: 1.2 + 0.3 * np.tanh(x[:, 0]), 2)
+EULER_2D_CONFIG = SchemeConfig(paths=25, seed=7, grid=np.linspace(0.0, 0.2, 3),
+                               block_size=6, escape_radius=4.0)
+
+
+@pytest.mark.parametrize("field, chi, mode, escaped, expected", [
+    (stable_euler_field(1.0, 1.5, dim=2), Chi2(), DRIFT_COMPENSATE, 4,
+     "0cf9b30b2859eb6866c657c67f698caddb79f50f9396b394e11c0ea9db48c12f"),
+    (StableTripletField(TANH_STABLE_2D), Chi1(), DRIFT_COMPENSATE, 6,
+     "81f9109a7d480e545d954df31325f22e53d3d3079912ff0b67bd31fe74a23f43"),
+    (StableTripletField(TANH_STABLE_2D), Chi2(), GAUSSIAN_SURROGATE, 4,
+     "d86b12762617d9df47b3d9a53e53d2729fdee7592c589ef7fd7d8b466a7c48e2"),
+], ids=["constant-alpha", "state-alpha", "state-alpha-surrogate"])
+def test_euler_stable_field_2d_bytes(field, chi, mode, escaped, expected):
+    batch = euler_chain_simulate(field, chi, [0.0, 0.1], 0.05, 0.2,
+                                 IncrementPlan(tau=1e-2, small_jump_mode=mode),
+                                 EULER_2D_CONFIG)
+    assert np.isfinite(batch.xi).sum() == escaped
+    assert digest(batch) == expected
 
 
 def _rwre(cfg):
