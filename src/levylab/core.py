@@ -216,10 +216,8 @@ class StableLike(JumpMeasure):
         r0 = max(r, self.min_radius)
         if r0 <= 0:
             raise ValidationError("tail sampling needs a positive radius")
-        u = _rng.uniform_open_closed(rng, size)
-        radii = r0 * u ** (-1.0 / self.alpha)
-        dirs = _rng.unit_sphere(rng, size, self.dim)
-        return dirs * radii[:, None]
+        radii = r0 * _rng.uniform_open_closed(rng, size) ** (-1.0 / self.alpha)
+        return _rng.along(_rng.sphere_draw(rng, size, self.dim), radii)
 
 
 @dataclass(frozen=True)
@@ -664,15 +662,20 @@ def run_chain(init, step, n_steps: int, capture: np.ndarray, dt: float, grid: np
 
     Each block of ``config.block_size`` paths owns the Philox stream
     ``(seed, block)`` (``seed`` defaults to ``config.seed``), starts from
-    ``resolve_start(init, ...)`` and takes ``n_steps`` steps.  A step maps
-    the (m, dim) states of the live paths and the block's generator to the
-    new states and a mask of paths absorbed by that step; an absorbed path
-    records ``xi = (k + 1) * dt`` (or the first grid time that shows its
-    absorbed state, if rounding puts that time below) and stops moving.
-    Grid point ``j`` stores the state (through ``emit``, if given) after
-    step ``capture[j]``, which must be nondecreasing.  A live path holding a non-finite state after a
-    step raises SchemeStepError.  Blocks run on ``config.threads`` threads;
-    the result does not depend on that count.
+    ``resolve_start(init, ...)`` and takes ``n_steps`` steps.  A kernel call
+    ``step(x, gen, limit)`` maps the (m, dim) states of the live paths, the
+    block's generator and ``limit``, the number of steps left before the
+    next grid capture or ``n_steps``, to ``(x_new, gone, taken)``: the
+    states after ``1 <= taken <= limit`` steps and a mask of the paths
+    absorbed at step ``taken``.  The kernel promises that no path is
+    absorbed before that step; most kernels take one step, and the lattice
+    walk takes many.  An absorbed path at step ``k`` records ``xi = k * dt``
+    (or the first grid time that shows its absorbed state, if rounding puts
+    that time below) and stops moving.  Grid point ``j`` stores the state
+    (through ``emit``, if given) after step ``capture[j]``, which must be
+    nondecreasing.  A live path holding a non-finite state after a call
+    raises SchemeStepError.  Blocks run on ``config.threads`` threads; the
+    result does not depend on that count.
     """
     seed = config.seed if seed is None else seed
     out = np.empty((config.paths, grid.size, dim))
@@ -693,21 +696,21 @@ def run_chain(init, step, n_steps: int, capture: np.ndarray, dt: float, grid: np
         x = resolve_start(init, dim, hi - lo, gen)
         live = np.arange(hi - lo)
         block_out, block_xi = out[lo:hi], xi[lo:hi]
-        j = 0
-        for k in range(n_steps):
-            if not live.size:
-                break
+        j = k = 0
+        while k < n_steps and live.size:
             j_end = bisect_right(capture, k, j)
             if j_end > j:
                 block_out[:, j:j_end] = emit(x)[:, None, :]
                 j = j_end
+            limit = (capture[j] if j < len(capture) else n_steps) - k
             all_alive = live.size == x.shape[0]
-            x_new, gone = step(x if all_alive else x[live], gen)
+            x_new, gone, taken = step(x if all_alive else x[live], gen, limit)
+            k += taken
             if not np.all(np.isfinite(x_new)):
                 bad = ~gone & ~np.all(np.isfinite(x_new), axis=1)
                 if np.any(bad):
                     raise SchemeStepError(
-                        f"step {k + 1} produced a non-finite state for a live path "
+                        f"step {k} produced a non-finite state for a live path "
                         f"(from {x[live[bad][0]].tolist()})"
                     )
             if all_alive:
@@ -715,7 +718,7 @@ def run_chain(init, step, n_steps: int, capture: np.ndarray, dt: float, grid: np
             else:
                 x[live] = x_new
             if np.any(gone):
-                block_xi[live[gone]] = absorbed_at(k + 1)
+                block_xi[live[gone]] = absorbed_at(k)
                 live = live[~gone]
         block_out[:, j:] = emit(x)[:, None, :]
 

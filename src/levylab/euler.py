@@ -271,15 +271,19 @@ class StableTripletField(TripletField):
         lam = c * surf * plan.tau ** (-alpha) / alpha
         if np.any(lam * dt > plan.max_expected_jumps):
             raise SchemeStepError("expected jump count exceeds the overflow guard")
-        inc = np.zeros((m, d))
         counts = gen.poisson(lam * dt)
         total = int(counts.sum())
         if total:
             owner = np.repeat(np.arange(m), counts)
-            u = _rng.uniform_open_closed(gen, total)
-            radii = plan.tau * u ** (-1.0 / alpha[owner])
-            dirs = _rng.unit_sphere(gen, total, d)
-            np.add.at(inc, owner, dirs * radii[:, None])
+            radii = _rng.uniform_open_closed(gen, total)
+            np.power(radii, (-1.0 / alpha)[owner], out=radii)
+            radii *= plan.tau
+            jumps = _rng.along(_rng.sphere_draw(gen, total, d), radii)
+            # Summed in owner order from zero, as np.add.at would.
+            inc = np.stack([np.bincount(owner, weights=col, minlength=m) for col in jumps.T],
+                           axis=1)
+        else:
+            inc = np.zeros((m, d))
         if plan.small_jump_mode == GAUSSIAN_SURROGATE:
             var = c * surf * plan.tau ** (2.0 - alpha) / (2.0 - alpha) / d
             inc += np.sqrt(var * dt)[:, None] * gen.standard_normal((m, d))
@@ -344,9 +348,9 @@ def euler_chain_simulate(field: TripletField, chi: CompensationFunction, start,
             return (np.concatenate([inc for inc, _ in draws]),
                     np.concatenate([dead for _, dead in draws]))
 
-    def step(x, gen):
+    def step(x, gen, limit):
         inc, to_delta = increments(x, gen)
         x = x + inc
-        return x, to_delta | (np.linalg.norm(x, axis=1) > config.escape_radius)
+        return x, to_delta | (np.linalg.norm(x, axis=1) > config.escape_radius), 1
 
     return run_chain(start, step, n_steps, capture, eps, grid, d, config)

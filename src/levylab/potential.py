@@ -652,7 +652,7 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
     lo_d, hi_d = V.domain
     margin = 8.0 * eps
 
-    def step(x, gen):
+    def step(x, gen, limit):
         a = x[:, 0]
         try:
             psiu = psi_solve_many(V, a, eps, "up")
@@ -669,29 +669,63 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
         if not absorb_at_edge and np.any(gone & (np.abs(a) <= config.escape_radius)):
             raise WindowEdgeError(f"a path came within {margin} of the edge of the "
                                   f"potential window [{lo_d}, {hi_d}]")
-        return a[:, None], gone
+        return a[:, None], gone, 1
 
     return run_chain(start, step, n_steps, capture, dt, grid, 1, config)
 
 
 def lattice_kernel(p_table: np.ndarray, site_lo: int, keep: tuple[int, int], eps: float,
                    radius: float):
-    """Chain step of a nearest-neighbour walk on integer sites (held as floats).
+    """Chain kernel of a nearest-neighbour walk on integer sites (held as floats).
 
     A walk at site ``s`` moves up with probability ``p_table[s - site_lo]``
     and down otherwise; it is absorbed once it leaves the kept site range
-    ``keep`` (inclusive) or ``|s * eps|`` exceeds ``radius``.
+    ``keep`` (inclusive) or ``|s * eps|`` exceeds ``radius``.  Both tests
+    are folded here into one integer live interval ``[L, H]``, exact for
+    the float escape test at its ends.  A call walks the sites as integers
+    for ``K`` steps: ``limit``, or fewer if a path could leave ``[L, H]``
+    sooner, so no path is absorbed before step ``K`` and absorption is
+    tested there only.  Each step draws ``gen.random(m)`` as the one-step
+    walk does, so the stream and the output are the same.
     """
-    keep_lo, keep_hi = keep
+    live_lo, live_hi = _live_interval(keep, eps, radius)
+    rel_lo, rel_hi = live_lo - site_lo, live_hi - site_lo
 
-    def step(sites, gen):
+    def step(sites, gen, limit):
+        m = sites.shape[0]
         rel = (sites[:, 0] - site_lo).astype(np.intp)
-        u = gen.random(rel.size)
-        sites = sites + np.where(u < p_table[rel], 1.0, -1.0)[:, None]
-        s = sites[:, 0]
-        return sites, (s < keep_lo) | (s > keep_hi) | (np.abs(s * eps) > radius)
+        room = min(int(rel.min()) - rel_lo, rel_hi - int(rel.max())) + 1
+        u, p = np.empty(m), np.empty(m)
+        up = np.empty(m, dtype=bool)
+        taken = max(1, min(limit, room))
+        for _ in range(taken):
+            gen.random(m, out=u)
+            np.take(p_table, rel, out=p)
+            np.less(u, p, out=up)
+            rel -= 1
+            rel += up
+            rel += up
+        gone = (rel < rel_lo) | (rel > rel_hi)
+        return (rel + site_lo).astype(float)[:, None], gone, taken
 
     return step
+
+
+def _live_interval(keep: tuple[int, int], eps: float, radius: float) -> tuple[int, int]:
+    """The sites ``s`` in ``keep`` with ``|s * eps| <= radius`` in floats.
+
+    The rounded product is monotone in ``s`` and odd, so they form the
+    interval ``keep`` cut to ``[-n, n]`` with ``n`` the largest such site.
+    """
+    keep_lo, keep_hi = keep
+    n = max(abs(keep_lo), abs(keep_hi))
+    if n * eps > radius:
+        n = int(radius / eps)
+        while (n + 1) * eps <= radius:
+            n += 1
+        while n * eps > radius:
+            n -= 1
+    return max(keep_lo, -n), min(keep_hi, n)
 
 
 def _lattice_tables(V: Potential, eps: float, start, n_steps: int):

@@ -57,15 +57,37 @@ def exponential(rng: np.random.Generator, size) -> np.ndarray:
 
 def uniform_open_closed(rng: np.random.Generator, size) -> np.ndarray:
     """Uniforms on (0, 1]; the closed right end keeps inverse-power jumps finite."""
-    return 1.0 - rng.random(size)
+    u = rng.random(size)
+    return np.subtract(1.0, u, out=u)
 
 
 def unit_sphere(rng: np.random.Generator, size: int, dim: int) -> np.ndarray:
     """Uniform points on the unit sphere via normalized Gaussians; exact in all dims."""
+    return along(sphere_draw(rng, size, dim), np.ones(size))
+
+
+def sphere_draw(rng: np.random.Generator, size: int, dim: int) -> np.ndarray:
+    """The draw behind a uniform sphere direction, for :func:`along`.
+
+    In 1-d this is ``size`` uniforms on [0, 1), the sign being the side of
+    1/2 they fall on; in higher dimensions, normalized Gaussian vectors.
+    """
     if dim == 1:
-        return np.where(rng.random(size) < 0.5, -1.0, 1.0).reshape(size, 1)
+        return rng.random(size)
     g = rng.standard_normal((size, dim))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     # A zero Gaussian vector has probability zero; guard anyway.
     norms[norms == 0.0] = 1.0
     return g / norms
+
+
+def along(draw: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The (size, dim) vectors of lengths ``r`` in the directions of ``draw``.
+
+    In 1-d the sign is copied onto ``r`` in place (``draw`` is consumed), so
+    no +-1 array is built; the result equals ``+-1.0 * r`` bit for bit.
+    """
+    if draw.ndim == 1:
+        draw -= 0.5
+        return np.copysign(r, draw, out=r)[:, None]
+    return draw * r[:, None]

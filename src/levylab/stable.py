@@ -118,17 +118,19 @@ def stable_chain_simulate(field: StableField, start, n: float, horizon: float,
     # Step index at which each grid time is captured (right-continuous floor).
     capture = np.minimum(np.floor(grid * n + 1e-12).astype(int), n_steps)
 
-    def step(x, gen):
+    def step(x, gen, limit):
         c, alpha = field.evaluate(x)
-        q = _rng.unit_sphere(gen, x.shape[0], field.dim)
+        q = _rng.sphere_draw(gen, x.shape[0], field.dim)
         u = _rng.uniform_open_closed(gen, x.shape[0])
         moving = c > 0.0
-        mag = np.zeros(x.shape[0])
-        if np.any(moving):
+        if moving.all():
+            mag = stable_jump_magnitude(c, alpha, field.dim, n, u)
+        else:
+            mag = np.zeros(x.shape[0])
             mag[moving] = stable_jump_magnitude(
                 c[moving], alpha[moving], field.dim, n, u[moving])
-        x = x + q * mag[:, None]
-        return x, np.linalg.norm(x, axis=1) > config.escape_radius
+        x = x + _rng.along(q, mag)
+        return x, np.linalg.norm(x, axis=1) > config.escape_radius, 1
 
     return run_chain(start, step, n_steps, capture, 1.0 / n, grid, field.dim, config)
 

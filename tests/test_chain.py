@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levylab import rng as lrng
 from levylab.core import (
     DELTA,
     Atoms,
@@ -15,10 +16,12 @@ from levylab.core import (
     Chi2,
     ConstantTripletField,
     LevyTriplet,
+    PathBatch,
     SchemeConfig,
     StableLike,
     TripletField,
     resolve_start,
+    run_chain,
 )
 from levylab.environment import BernoulliPoisson, rwre_simulate
 from levylab.errors import SchemeStepError, ValidationError
@@ -33,6 +36,8 @@ from levylab.euler import (
 from levylab.potential import (
     GridPotential,
     PiecewiseConstantPotential,
+    _live_interval,
+    lattice_kernel,
     phi_eval,
     potential_chain_simulate,
     zero_potential,
@@ -175,3 +180,94 @@ def test_phi_walk_ending_on_the_window_edge():
     pos = np.arange(-19, 20) * 0.1
     np.testing.assert_allclose(phi_eval(V, pos, 0.2), 0.04, rtol=1e-12)
     np.testing.assert_allclose(phi_eval(V, pos, -0.2), 0.04, rtol=1e-12)
+
+
+def one_step_lattice_kernel(p_table, site_lo, keep, eps, radius):
+    """The lattice step as it was before the multi-step walk: one step per
+    call, with the keep window and the float escape test applied to sites."""
+    keep_lo, keep_hi = keep
+
+    def step(sites, gen):
+        rel = (sites[:, 0] - site_lo).astype(np.intp)
+        u = gen.random(rel.size)
+        sites = sites + np.where(u < p_table[rel], 1.0, -1.0)[:, None]
+        s = sites[:, 0]
+        return sites, (s < keep_lo) | (s > keep_hi) | (np.abs(s * eps) > radius)
+
+    return step
+
+
+def one_step_run(site0, step, n_steps, capture, eps, grid, config):
+    """A single-threaded one-step block loop: the oracle for run_chain."""
+    out = np.empty((config.paths, grid.size, 1))
+    xi = np.full(config.paths, np.inf)
+    for lo, hi, idx in lrng.path_blocks(config.paths, config.block_size):
+        gen = lrng.stream(config.seed, idx, lrng.PATHS)
+        x = resolve_start(site0, 1, hi - lo, gen)
+        live = np.arange(hi - lo)
+        for k in range(n_steps + 1):
+            out[lo:hi][:, capture == k] = x[:, None, :] * eps
+            if k == n_steps or not live.size:
+                out[lo:hi][:, capture > k] = x[:, None, :] * eps
+                break
+            x_new, gone = step(x[live], gen)
+            x[live] = x_new
+            t, j = (k + 1) * (eps * eps), np.searchsorted(capture, k + 1)
+            xi[lo + live[gone]] = min(t, grid[j]) if j < grid.size else t
+            live = live[~gone]
+    batch = PathBatch(grid, out, xi=xi)
+    batch.blank_dead()
+    return batch
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_multi_step_lattice_walk_matches_the_one_step_walk(data):
+    eps = data.draw(st.one_of(st.sampled_from([0.1, 0.125, 0.2, 0.3, 0.07]),
+                              st.floats(0.01, 0.5)), label="eps")
+    site_lo = data.draw(st.integers(-12, 4), label="site_lo")
+    size = data.draw(st.integers(3, 30), label="table size")
+    table_seed = data.draw(st.integers(0, 2 ** 32), label="table seed")
+    p_table = np.random.default_rng(table_seed).uniform(0.05, 0.95, size)
+    site_hi = site_lo + size - 1
+    keep_lo = data.draw(st.integers(site_lo, site_hi), label="keep_lo")
+    keep_hi = data.draw(st.integers(keep_lo, site_hi), label="keep_hi")
+    # Start inside the kept window a few sites from an edge, or one site out.
+    site0 = data.draw(st.integers(max(site_lo, keep_lo - 1), min(site_hi, keep_hi + 1)),
+                      label="site0")
+    k = data.draw(st.integers(0, 12), label="radius sites")
+    radius = data.draw(st.sampled_from([
+        k * eps, np.nextafter(k * eps, 0.0), np.nextafter(k * eps, np.inf), np.inf]),
+        label="radius")
+    if radius <= 0:
+        radius = np.inf
+    n_steps = data.draw(st.integers(1, 40), label="n_steps")
+    dt = eps * eps
+    grid = np.unique(np.concatenate([[0.0], data.draw(
+        st.lists(st.integers(0, 4 * n_steps), max_size=3 * n_steps), label="grid")]))
+    grid = grid * (n_steps * dt) / (4 * n_steps)
+    capture = np.minimum(np.floor(grid / dt + 1e-12).astype(int), n_steps)
+    paths = data.draw(st.integers(1, 12), label="paths")
+    cfg = SchemeConfig(paths=paths, seed=data.draw(st.integers(0, 2 ** 32), label="seed"),
+                       block_size=data.draw(st.integers(1, paths), label="block_size"),
+                       threads=data.draw(st.integers(1, 3), label="threads"))
+    keep = (keep_lo, keep_hi)
+
+    expected = one_step_run(float(site0), one_step_lattice_kernel(
+        p_table, site_lo, keep, eps, radius), n_steps, capture, eps, grid, cfg)
+    batch = run_chain(float(site0), lattice_kernel(p_table, site_lo, keep, eps, radius),
+                      n_steps, capture, dt, grid, 1, cfg, emit=lambda sites: sites * eps)
+    np.testing.assert_array_equal(batch.xi, expected.xi)
+    np.testing.assert_array_equal(batch.states, expected.states)
+
+
+def test_live_interval_is_exact_at_its_ends():
+    # (k * eps) / eps truncates below k for some pairs (about 4% of them),
+    # so the interval must be settled by the float test itself.
+    sites = np.arange(-60, 61)
+    for eps in np.random.default_rng(5).uniform(0.01, 1.0, 300):
+        for k in range(1, 41):
+            for radius in (np.nextafter(k * eps, 0.0), k * eps, np.nextafter(k * eps, np.inf)):
+                live = sites[np.abs(sites * eps) <= radius]
+                assert _live_interval((-60, 60), eps, radius) == (live[0], live[-1])
+                assert _live_interval((-3, 70), eps, radius) == (max(-3, live[0]), live[-1])

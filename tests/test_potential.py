@@ -256,6 +256,35 @@ class TestPsi:
                                           bisection_psi(V, a, 0.05, side))
 
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(mesh=st.floats(0.02, 0.5), origin=st.floats(0.0, 1.0), size=st.integers(8, 60),
+           scale=st.floats(0.0, 2.0), q_seed=st.integers(0, 2 ** 32),
+           start=st.floats(0.0, 1.0), n_steps=st.integers(1, 25))
+    def test_exact_lattice_reduction_at_aligned_sites(self, mesh, origin, size, scale,
+                                                      q_seed, start, n_steps):
+        # At lattice sites of a potential aligned with eps, psi_up = psi_down
+        # = eps, and the up-probability is 1 / (e^{q_k} + 1).
+        q = scale * np.random.default_rng(q_seed).standard_normal(size)
+        k_min = 1 - int(origin * size)
+        V = PiecewiseConstantPotential(mesh, q, k_min)
+        site0 = V.cell_lo + 2 + int(start * (V.cell_hi - V.cell_lo - 3))
+        tables = pot._lattice_tables(V, mesh, site0 * mesh, n_steps)
+        assert tables is not None
+        assert tables[0] == site0
+        site_lo, p_table = tables[1:]
+        pos = (site_lo + np.arange(p_table.size)) * mesh
+        psiu = psi_solve_many(V, pos, mesh, "up")
+        psid = psi_solve_many(V, pos, mesh, "down")
+        assert np.max(np.abs(psiu - mesh)) <= 1e-9 * mesh
+        assert np.max(np.abs(psid - mesh)) <= 1e-9 * mesh
+        assert np.all((p_table > 0.0) & (p_table < 1.0))
+        np.testing.assert_array_equal(p_table, p_eval_many(V, pos, psiu, psid))
+        exact = 1.0 / (np.exp(q[site_lo + np.arange(p_table.size) - k_min]) + 1.0)
+        np.testing.assert_allclose(p_eval_many(V, pos, np.full(pos.size, mesh),
+                                               np.full(pos.size, mesh)), exact, rtol=1e-13)
+        np.testing.assert_allclose(p_table, exact, rtol=1e-9)
+
+
 class TestChebyshevCells:
     """Callable potentials integrate through smooth Chebyshev cells of the one walk."""
 
