@@ -27,6 +27,7 @@ random walks in random environments) or a generic psi-solver step.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -680,16 +681,19 @@ def lattice_kernel(p_table: np.ndarray, site_lo: int, keep: tuple[int, int], eps
 
     A walk at site ``s`` moves up with probability ``p_table[s - site_lo]``
     and down otherwise; it is absorbed once it leaves the kept site range
-    ``keep`` (inclusive) or ``|s * eps|`` exceeds ``radius``.  Both tests
-    are folded here into one integer live interval ``[L, H]``, exact for
-    the float escape test at its ends.  A call walks the sites as integers
-    for ``K`` steps: ``limit``, or fewer if a path could leave ``[L, H]``
-    sooner, so no path is absorbed before step ``K`` and absorption is
-    tested there only.  Each step draws ``gen.random(m)`` as the one-step
-    walk does, so the stream and the output are the same.
+    ``keep`` (inclusive) or ``|s * eps|`` exceeds ``radius``.  The kept
+    sites that pass the float escape test form one interval ``[L, H]``:
+    the rounded product is odd and monotone in ``s``, so bisecting on the
+    float test itself finds its ends exactly.
+    A call walks the sites as integers for ``K`` steps: ``limit``, or fewer
+    if a path could leave ``[L, H]`` sooner, so no path is absorbed before
+    step ``K`` and absorption is tested there only.  Each step draws
+    ``gen.random(m)`` as the one-step walk does, so the stream and the
+    output are the same.
     """
-    live_lo, live_hi = _live_interval(keep, eps, radius)
-    rel_lo, rel_hi = live_lo - site_lo, live_hi - site_lo
+    reach = max(abs(keep[0]), abs(keep[1]))
+    n = bisect_right(range(reach + 1), radius, key=lambda s: s * eps) - 1
+    rel_lo, rel_hi = max(keep[0], -n) - site_lo, min(keep[1], n) - site_lo
 
     def step(sites, gen, limit):
         m = sites.shape[0]
@@ -709,23 +713,6 @@ def lattice_kernel(p_table: np.ndarray, site_lo: int, keep: tuple[int, int], eps
         return (rel + site_lo).astype(float)[:, None], gone, taken
 
     return step
-
-
-def _live_interval(keep: tuple[int, int], eps: float, radius: float) -> tuple[int, int]:
-    """The sites ``s`` in ``keep`` with ``|s * eps| <= radius`` in floats.
-
-    The rounded product is monotone in ``s`` and odd, so they form the
-    interval ``keep`` cut to ``[-n, n]`` with ``n`` the largest such site.
-    """
-    keep_lo, keep_hi = keep
-    n = max(abs(keep_lo), abs(keep_hi))
-    if n * eps > radius:
-        n = int(radius / eps)
-        while (n + 1) * eps <= radius:
-            n += 1
-        while n * eps > radius:
-            n -= 1
-    return max(keep_lo, -n), min(keep_hi, n)
 
 
 def _lattice_tables(V: Potential, eps: float, start, n_steps: int):

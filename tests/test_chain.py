@@ -36,7 +36,6 @@ from levylab.euler import (
 from levylab.potential import (
     GridPotential,
     PiecewiseConstantPotential,
-    _live_interval,
     lattice_kernel,
     phi_eval,
     potential_chain_simulate,
@@ -260,14 +259,3 @@ def test_multi_step_lattice_walk_matches_the_one_step_walk(data):
     np.testing.assert_array_equal(batch.xi, expected.xi)
     np.testing.assert_array_equal(batch.states, expected.states)
 
-
-def test_live_interval_is_exact_at_its_ends():
-    # (k * eps) / eps truncates below k for some pairs (about 4% of them),
-    # so the interval must be settled by the float test itself.
-    sites = np.arange(-60, 61)
-    for eps in np.random.default_rng(5).uniform(0.01, 1.0, 300):
-        for k in range(1, 41):
-            for radius in (np.nextafter(k * eps, 0.0), k * eps, np.nextafter(k * eps, np.inf)):
-                live = sites[np.abs(sites * eps) <= radius]
-                assert _live_interval((-60, 60), eps, radius) == (live[0], live[-1])
-                assert _live_interval((-3, 70), eps, radius) == (max(-3, live[0]), live[-1])
