@@ -682,14 +682,13 @@ def lattice_kernel(p_table: np.ndarray, site_lo: int, keep: tuple[int, int], eps
     A walk at site ``s`` moves up with probability ``p_table[s - site_lo]``
     and down otherwise; it is absorbed once it leaves the kept site range
     ``keep`` (inclusive) or ``|s * eps|`` exceeds ``radius``.  The kept
-    sites that pass the float escape test form one interval ``[L, H]``:
-    the rounded product is odd and monotone in ``s``, so bisecting on the
-    float test itself finds its ends exactly.
-    A call walks the sites as integers for ``K`` steps: ``limit``, or fewer
-    if a path could leave ``[L, H]`` sooner, so no path is absorbed before
-    step ``K`` and absorption is tested there only.  Each step draws
-    ``gen.random(m)`` as the one-step walk does, so the stream and the
-    output are the same.
+    sites that pass the float escape test form one interval ``[L, H]``: the
+    rounded product is odd and monotone in ``s``, so bisecting on the float
+    test itself finds its ends exactly.  A call walks the sites as integers
+    for ``K`` steps: ``limit``, or fewer if a path could leave ``[L, H]``
+    sooner, so no path is absorbed before step ``K`` and absorption is
+    tested there only.  Each step draws ``gen.random(m)`` as the one-step
+    walk does, so the stream and the output are the same.
     """
     reach = max(abs(keep[0]), abs(keep[1]))
     n = bisect_right(range(reach + 1), radius, key=lambda s: s * eps) - 1
