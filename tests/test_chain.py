@@ -182,8 +182,8 @@ def test_phi_walk_ending_on_the_window_edge():
 
 
 def one_step_lattice_kernel(p_table, site_lo, keep, eps, radius):
-    """The lattice step as it was before the multi-step walk: one step per
-    call, with the keep window and the float escape test applied to sites."""
+    """Reference lattice walk: one step per call, with the keep window and
+    the float escape test applied to the sites themselves."""
     keep_lo, keep_hi = keep
 
     def step(sites, gen):
