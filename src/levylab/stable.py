@@ -122,13 +122,8 @@ def stable_chain_simulate(field: StableField, start, n: float, horizon: float,
         c, alpha = field.evaluate(x)
         q = _rng.sphere_draw(gen, x.shape[0], field.dim)
         u = _rng.uniform_open_closed(gen, x.shape[0])
-        moving = c > 0.0
-        if moving.all():
-            mag = stable_jump_magnitude(c, alpha, field.dim, n, u)
-        else:
-            mag = np.zeros(x.shape[0])
-            mag[moving] = stable_jump_magnitude(
-                c[moving], alpha[moving], field.dim, n, u[moving])
+        # u > 0 and alpha > 0, so a zero scale gives a magnitude of exactly +0.0.
+        mag = stable_jump_magnitude(c, alpha, field.dim, n, u)
         x = x + _rng.along(q, mag)
         return x, np.linalg.norm(x, axis=1) > config.escape_radius, 1
 
