@@ -48,7 +48,7 @@ from .environment import (
     quenched_cross_validate,
     rwre_simulate,
 )
-from .euler import IncrementPlan, euler_chain_simulate, levy_increment_sample
+from .euler import IncrementPlan, StableTripletField, euler_chain_simulate, levy_increment_sample
 from .operators import (
     ConvergenceReport,
     TestFunction,
@@ -78,7 +78,6 @@ from .stable import (
     stable_chain_simulate,
     stable_jump_sample,
     stable_threshold,
-    stable_triplet_field,
 )
 
 __version__ = "0.1.0"

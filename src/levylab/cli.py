@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    ConstantTripletField,
     PathBatch,
     SchemeConfig,
     compensation_by_name,
@@ -44,7 +45,7 @@ from .errors import (
     ValidationError,
     WindowEdgeError,
 )
-from .euler import CovariantField, IncrementPlan, euler_chain_simulate, stable_euler_field
+from .euler import IncrementPlan, StableTripletField, euler_chain_simulate
 from .expr import compile_expression
 from .operators import convergence_gaps, vanishing_test_functions
 from .potential import (
@@ -54,7 +55,7 @@ from .potential import (
     potential_chain_simulate,
     zero_potential,
 )
-from .stable import StableField, stable_chain_simulate, stable_triplet_field
+from .stable import StableField, stable_chain_simulate
 
 USAGE_EXIT = 64
 VALIDATION_EXIT = 1
@@ -210,9 +211,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="levylab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, with_paths=True):
-        if with_paths:
-            p.add_argument("--paths", type=int, default=1000)
+    def common(p):
+        p.add_argument("--paths", type=int, default=1000)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--grid-points", type=int, default=101)
@@ -359,9 +359,9 @@ def _stable_field_from_json(cfg: dict) -> StableField:
 def _cmd_simulate_euler(args, seed: int) -> list[str]:
     with _json_config(args.triplet_config) as cfg_json:
         if cfg_json.get("kind") == "stable-field":
-            field = stable_euler_field(_stable_field_from_json(cfg_json))
+            field = StableTripletField(_stable_field_from_json(cfg_json))
         else:
-            field = CovariantField(triplet_from_config(cfg_json))
+            field = ConstantTripletField(triplet_from_config(cfg_json))
     chi = compensation_by_name(args.chi)
     plan = IncrementPlan(tau=float(args.tau), small_jump_mode=args.small_jump_mode)
     cfg = _scheme_config(args, seed, float(args.T))
@@ -437,9 +437,9 @@ def _cmd_simulate_rwre(args, seed: int) -> list[str]:
 def _field_from_json(cfg: dict):
     kind = cfg.get("kind", "constant")
     if kind == "constant":
-        return CovariantField(triplet_from_config(cfg["triplet"]))
+        return ConstantTripletField(triplet_from_config(cfg["triplet"]))
     if kind == "stable":
-        return stable_triplet_field(_stable_field_from_json(cfg))
+        return StableTripletField(_stable_field_from_json(cfg))
     raise ValidationError(f"unknown field kind {kind!r}")
 
 

@@ -7,6 +7,7 @@ explicitly instead of being encoded in a float sentinel.
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
@@ -81,12 +82,18 @@ class JumpMeasure:
         """Point mass at ``a`` (must be zero for a valid triplet at ``a``)."""
         return 0.0
 
+    def shifted(self, offset) -> "JumpMeasure":
+        """The measure with its absolute locations moved by ``offset``; radial
+        measures are centred at the base point, so they stay as they are."""
+        return self
+
 
 @dataclass(frozen=True)
 class Atoms(JumpMeasure):
     """Finitely many atoms at absolute locations, optionally including DELTA.
 
-    Locations are absolute points of the state space.
+    Locations are absolute points of the state space; seen from the origin,
+    as in a :class:`ConstantTripletField`'s triplet, they are jump vectors.
     """
 
     points: np.ndarray  # (k, dim)
@@ -146,6 +153,11 @@ class Atoms(JumpMeasure):
 
     def total_mass(self) -> float:
         return float(np.sum(self.masses)) + self.delta_mass
+
+    def shifted(self, offset) -> "Atoms":
+        moved = copy.copy(self)
+        object.__setattr__(moved, "points", self.points + offset)
+        return moved
 
 
 @dataclass(frozen=True)
@@ -491,21 +503,26 @@ class TripletField:
     def __call__(self, a) -> LevyTriplet:
         return self._fn(as_point(a, self.dim))
 
-    @property
-    def is_constant(self) -> bool:
-        return False
-
 
 class ConstantTripletField(TripletField):
-    """The same triplet at every point; simulators use a vectorized fast path."""
+    """The same drift, diffusion and jump-vector law at every point.
+
+    ``triplet`` is the field at the origin, where atom locations are the jump
+    vectors themselves; at ``a`` the atoms sit at ``a`` plus those vectors.
+    The field is therefore the frozen triplet of one Levy process, which the
+    Euler scheme samples a whole block of paths at a time.
+    """
 
     def __init__(self, triplet: LevyTriplet):
-        super().__init__(lambda a: triplet, triplet.dim)
         self.triplet = triplet
+        nu = triplet.jumps
 
-    @property
-    def is_constant(self) -> bool:
-        return True
+        def fn(a: np.ndarray) -> LevyTriplet:
+            if nu is None:
+                return triplet
+            return LevyTriplet(triplet.drift, triplet.gamma, nu.shifted(a), _checked=False)
+
+        super().__init__(fn, triplet.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -806,16 +823,6 @@ class HypothesisReport:
     @property
     def all_ok(self) -> bool:
         return self.second_order_ok and self.triplet_ok and (self.modulus_ok is not False)
-
-    def to_dict(self) -> dict:
-        return {
-            "second_order_ok": self.second_order_ok,
-            "second_order_constant": self.second_order_constant,
-            "triplet_ok": self.triplet_ok,
-            "modulus_ok": self.modulus_ok,
-            "modulus_profile": self.modulus_profile,
-            "violations": self.violations,
-        }
 
 
 SECOND_ORDER_CAP = 1e6

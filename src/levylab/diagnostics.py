@@ -77,20 +77,6 @@ class MartingaleReport:
     def all_ok(self) -> bool:
         return (not self.degenerate) and all(r.ok for r in self.rows)
 
-    def to_dict(self) -> dict:
-        return {
-            "degenerate": self.degenerate,
-            "rows": [
-                {
-                    "time": r.time, "mean": r.mean, "std_error": r.std_error,
-                    "allowance": r.allowance, "in_region_fraction": r.in_region_fraction,
-                    "ok": r.ok,
-                }
-                for r in self.rows
-            ],
-            "all_ok": self.all_ok,
-        }
-
 
 def martingale_residual(batch: PathBatch, f: TestFunction, g: Callable,
                         region_low, region_high, grid: Sequence[float] | None = None,

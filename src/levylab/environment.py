@@ -186,17 +186,6 @@ class CrossValidationReport:
     lattice_start: bool
     sites_checked: int
 
-    def to_dict(self) -> dict:
-        return {
-            "kernel_max_dev": self.kernel_max_dev,
-            "psi_max_dev": self.psi_max_dev,
-            "ks_stat": self.ks_stat,
-            "ks_p_value": self.ks_p_value,
-            "wasserstein": self.wasserstein,
-            "lattice_start": self.lattice_start,
-            "sites_checked": self.sites_checked,
-        }
-
 
 def quenched_cross_validate(run: QuenchedRun, t: float, paths: int,
                             seed: Optional[int] = None,

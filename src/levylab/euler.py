@@ -14,7 +14,6 @@ cemetery jumps and the escape radius absorb paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .core import (
     Chi1,
     Chi2,
     CompensationFunction,
+    ConstantTripletField,
     LevyTriplet,
     PathBatch,
     SchemeConfig,
@@ -41,6 +41,10 @@ from .stable import StableField
 DRIFT_COMPENSATE = "drift-compensate"
 GAUSSIAN_SURROGATE = "gaussian-surrogate"
 
+# A step whose compound-Poisson part expects more jumps per path than this is
+# refused rather than drawn.
+MAX_EXPECTED_JUMPS = 1e6
+
 
 @dataclass(frozen=True)
 class IncrementPlan:
@@ -48,13 +52,10 @@ class IncrementPlan:
 
     ``tau`` is the small-jump truncation radius; it must stay below the
     compensation cutoff so every sampled jump's compensator is known.
-    ``max_expected_jumps`` guards against steps whose compound-Poisson part
-    would explode combinatorially.
     """
 
     tau: float = 1e-3
     small_jump_mode: str = DRIFT_COMPENSATE
-    max_expected_jumps: float = 1e6
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -65,6 +66,15 @@ class IncrementPlan:
             )
         if self.small_jump_mode not in (DRIFT_COMPENSATE, GAUSSIAN_SURROGATE):
             raise ValidationError(f"unknown small-jump mode {self.small_jump_mode!r}")
+
+
+def _guard_jump_count(expected) -> None:
+    """Refuse a step whose expected jump count (scalar or per path) is too large."""
+    if np.any(expected > MAX_EXPECTED_JUMPS):
+        raise SchemeStepError(
+            f"expected jump count {np.max(expected):.3e} exceeds the overflow guard; "
+            "decrease the step size or raise the truncation radius"
+        )
 
 
 def default_truncation(eps: float, jumps=None) -> float:
@@ -91,18 +101,6 @@ def gaussian_factor(gamma: np.ndarray) -> np.ndarray:
         return v * np.sqrt(w)[None, :]
 
 
-def _shift_to_origin(nu, at: np.ndarray):
-    """Express the measure relative to the base point (atoms become jump vectors)."""
-    if isinstance(nu, Atoms) and np.any(at):
-        shifted = Atoms.__new__(Atoms)
-        object.__setattr__(shifted, "points", nu.points - at)
-        object.__setattr__(shifted, "masses", nu.masses.copy())
-        object.__setattr__(shifted, "delta_mass", nu.delta_mass)
-        object.__setattr__(shifted, "dim", nu.dim)
-        return shifted
-    return nu
-
-
 def _compensator_window(nu, lo: float, hi: float) -> np.ndarray:
     """integral of h over lo < |h| < hi against nu (a vector), per variant."""
     d = nu.dim
@@ -121,10 +119,11 @@ def _compensator_window(nu, lo: float, hi: float) -> np.ndarray:
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
 
 
-def effective_drift(triplet: LevyTriplet, chi: CompensationFunction, plan: IncrementPlan,
-                    at=None) -> np.ndarray:
+def effective_drift(triplet: LevyTriplet, chi: CompensationFunction,
+                    plan: IncrementPlan) -> np.ndarray:
     """Drift of the sampled step once jumps above tau are taken raw.
 
+    The triplet is frozen at the origin, so atom locations are jump vectors.
     The jumps in [tau, 1) replace a compensated (martingale) integral, so
     their compensator is subtracted from the drift; a triplet expressed in
     the smooth compensation convention is first converted to the hard
@@ -134,17 +133,13 @@ def effective_drift(triplet: LevyTriplet, chi: CompensationFunction, plan: Incre
     delta = triplet.drift.copy()
     if nu is None:
         return delta
-    at = np.zeros(triplet.dim) if at is None else as_point(at, triplet.dim)
-    if isinstance(chi, Chi2):
-        pass
-    elif isinstance(chi, Chi1):
-        delta = delta + chi_drift_adjustment(nu, Chi1(), Chi2(), a=at)
-    else:
+    if isinstance(chi, Chi1):
+        delta = delta + chi_drift_adjustment(nu, Chi1(), Chi2())
+    elif not isinstance(chi, Chi2):
         raise ValidationError(
             "increment sampling supports the built-in compensation conventions only"
         )
-    rel = _shift_to_origin(nu, at)
-    return delta - _compensator_window(rel, plan.tau, 1.0)
+    return delta - _compensator_window(nu, plan.tau, 1.0)
 
 
 def _sample_tail_jumps(nu, rng: np.random.Generator, size: int, tau: float):
@@ -166,11 +161,54 @@ def _sample_tail_jumps(nu, rng: np.random.Generator, size: int, tau: float):
     return nu.sample_tail(rng, size, tau), np.zeros(size, dtype=bool)
 
 
+def _frozen_sampler(triplet: LevyTriplet, chi: CompensationFunction, dt: float,
+                    plan: IncrementPlan):
+    """Sampler of increments over ``dt`` of a triplet frozen at the origin.
+
+    The drift, Gaussian factor, jump rate and surrogate scale are computed
+    here, once; ``sample(gen, size)`` then draws ``size`` increments and a
+    mask of the samples that jumped straight to the cemetery.
+    """
+    if dt <= 0:
+        raise ValidationError("the step duration must be positive")
+    d = triplet.dim
+    nu = triplet.jumps
+    drift_dt = effective_drift(triplet, chi, plan) * dt
+    factor = gaussian_factor(triplet.gamma)
+    diffuse = bool(np.any(factor))
+    sqrt_dt = np.sqrt(dt)
+    rate = nu.tail_mass(plan.tau) * dt if nu is not None else 0.0
+    _guard_jump_count(rate)
+    surrogate_sd = None
+    if nu is not None and plan.small_jump_mode == GAUSSIAN_SURROGATE:
+        var = nu.truncated_second_moment(plan.tau) / d
+        if var > 0.0:
+            surrogate_sd = np.sqrt(var * dt)
+
+    def sample(gen: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        inc = np.tile(drift_dt, (size, 1))
+        dead = np.zeros(size, dtype=bool)
+        if diffuse:
+            inc += sqrt_dt * gen.standard_normal((size, d)) @ factor.T
+        if rate > 0.0:
+            counts = gen.poisson(rate, size=size)
+            total = int(counts.sum())
+            if total:
+                jumps, to_delta = _sample_tail_jumps(nu, gen, total, plan.tau)
+                owner = np.repeat(np.arange(size), counts)
+                if np.any(to_delta):
+                    dead |= np.bincount(owner[to_delta], minlength=size).astype(bool)
+                np.add.at(inc, owner, jumps)
+        if surrogate_sd is not None:
+            inc += surrogate_sd * gen.standard_normal((size, d))
+        return inc, dead
+
+    return sample
+
+
 def levy_increment_sample(triplet: LevyTriplet, chi: CompensationFunction, dt: float,
                           plan: IncrementPlan, rng: np.random.Generator,
-                          size: int = 1, at=None,
-                          _drift_eff: Optional[np.ndarray] = None,
-                          ) -> tuple[np.ndarray, np.ndarray]:
+                          size: int = 1, at=None) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``size`` increments over duration ``dt`` of the frozen triplet.
 
     ``at`` is the freezing point: atom locations are absolute, so jumps are
@@ -178,65 +216,12 @@ def levy_increment_sample(triplet: LevyTriplet, chi: CompensationFunction, dt: f
     locations are the jump vectors themselves).  Returns the increments and
     a mask of samples that jumped straight to the cemetery.
     """
-    if dt <= 0:
-        raise ValidationError("the step duration must be positive")
-    d = triplet.dim
-    at = np.zeros(d) if at is None else as_point(at, d)
-    nu = _shift_to_origin(triplet.jumps, at)
-
-    drift = effective_drift(triplet, chi, plan, at=at) if _drift_eff is None else _drift_eff
-    inc = np.tile(drift * dt, (size, 1))
-    dead = np.zeros(size, dtype=bool)
-
-    factor = gaussian_factor(triplet.gamma)
-    if np.any(factor):
-        inc += np.sqrt(dt) * rng.standard_normal((size, d)) @ factor.T
-
-    if nu is None:
-        return inc, dead
-
-    lam = nu.tail_mass(plan.tau)
-    if lam * dt > plan.max_expected_jumps:
-        raise SchemeStepError(
-            f"expected jump count {lam * dt:.3e} exceeds the overflow guard; "
-            "decrease the step size or raise the truncation radius"
-        )
-    if lam > 0.0:
-        counts = rng.poisson(lam * dt, size=size)
-        total = int(counts.sum())
-        if total:
-            jumps, to_delta = _sample_tail_jumps(nu, rng, total, plan.tau)
-            owner = np.repeat(np.arange(size), counts)
-            if np.any(to_delta):
-                dead |= np.bincount(owner[to_delta], minlength=size).astype(bool)
-            np.add.at(inc, owner, jumps)
-
-    if plan.small_jump_mode == GAUSSIAN_SURROGATE:
-        var = nu.truncated_second_moment(plan.tau) / d
-        if var > 0.0:
-            inc += np.sqrt(var * dt) * rng.standard_normal((size, d))
-
-    return inc, dead
-
-
-class CovariantField(TripletField):
-    """A field whose jump-vector law does not depend on the state.
-
-    Holds the triplet frozen at the origin (atoms are jump vectors) and
-    shifts atom locations with the queried point, which makes the dynamics
-    a genuine Levy process with the frozen increments.
-    """
-
-    def __init__(self, frozen: LevyTriplet):
-        self.frozen = frozen
-
-        def fn(a: np.ndarray) -> LevyTriplet:
-            nu = frozen.jumps
-            if isinstance(nu, Atoms) and np.any(a):
-                nu = _shift_to_origin(nu, -a)
-            return LevyTriplet(frozen.drift, frozen.gamma, nu, _checked=False)
-
-        super().__init__(fn, frozen.dim)
+    if at is not None:
+        at = as_point(at, triplet.dim)
+        if triplet.jumps is not None:
+            triplet = LevyTriplet(triplet.drift, triplet.gamma, triplet.jumps.shifted(-at),
+                                  _checked=False)
+    return _frozen_sampler(triplet, chi, dt, plan)(rng, size)
 
 
 class StableTripletField(TripletField):
@@ -269,8 +254,7 @@ class StableTripletField(TripletField):
         c, alpha = self.stable.evaluate(x)
         surf = sphere_surface_area(d)
         lam = c * surf * plan.tau ** (-alpha) / alpha
-        if np.any(lam * dt > plan.max_expected_jumps):
-            raise SchemeStepError("expected jump count exceeds the overflow guard")
+        _guard_jump_count(lam * dt)
         counts = gen.poisson(lam * dt)
         total = int(counts.sum())
         if total:
@@ -292,23 +276,18 @@ class StableTripletField(TripletField):
         return inc, np.zeros(m, dtype=bool)
 
 
-def stable_euler_field(c: float | StableField, alpha: Optional[float] = None,
-                       dim: int = 1) -> StableTripletField:
-    """Builder for a (possibly constant) stable-like Euler field."""
-    if isinstance(c, StableField):
-        return StableTripletField(c)
-    return StableTripletField(StableField.constant(float(c), float(alpha), dim))
-
-
 def euler_chain_simulate(field: TripletField, chi: CompensationFunction, start,
                          eps: float, horizon: float, plan: IncrementPlan,
                          config: SchemeConfig) -> PathBatch:
     """Iterate frozen-increment steps and emit the floor-time embedding.
 
-    Constant or covariant fields and stable-like fields step whole path
-    blocks at once; a generic field falls back to per-path sampling and is
-    correspondingly slower.  A path is absorbed at the cemetery by a
-    cemetery jump or beyond the escape radius.
+    The engine follows the field's class.  A :class:`ConstantTripletField`
+    runs ``frozen``: one sampler, built once per run, steps whole path
+    blocks.  A :class:`StableTripletField` runs ``stable-fast``, vectorized
+    over the block's states.  Any other field runs ``per-path``, one
+    increment sampler per path and step, and is correspondingly slower.  A
+    path is absorbed at the cemetery by a cemetery jump or beyond the
+    escape radius.
     """
     if horizon <= 0:
         raise ValidationError("the horizon must be positive")
@@ -317,27 +296,12 @@ def euler_chain_simulate(field: TripletField, chi: CompensationFunction, start,
     grid = config.output_grid(horizon)
     n_steps = int(np.ceil(horizon / eps))
     capture = np.minimum(np.floor(grid / eps + 1e-12).astype(int), n_steps)
-    d = field.dim
 
-    frozen = None
-    if isinstance(field, CovariantField):
-        frozen = field.frozen
-    elif field.is_constant:
-        trip = field(np.zeros(d))
-        if not isinstance(trip.jumps, Atoms):
-            frozen = trip
-    if frozen is not None:
-        frozen_drift = effective_drift(frozen, chi, plan)
-        lam0 = frozen.jumps.tail_mass(plan.tau) if frozen.jumps is not None else 0.0
-        if lam0 * eps > plan.max_expected_jumps:
-            raise SchemeStepError(
-                f"expected jump count {lam0 * eps:.3e} exceeds the overflow guard; "
-                "decrease the step size or raise the truncation radius"
-            )
+    if isinstance(field, ConstantTripletField):
+        sample = _frozen_sampler(field.triplet, chi, eps, plan)
 
         def increments(x, gen):
-            return levy_increment_sample(frozen, chi, eps, plan, gen, size=x.shape[0],
-                                         _drift_eff=frozen_drift)
+            return sample(gen, x.shape[0])
     elif isinstance(field, StableTripletField):
         def increments(x, gen):
             return field.sample_increments(x, chi, eps, plan, gen)
@@ -353,4 +317,4 @@ def euler_chain_simulate(field: TripletField, chi: CompensationFunction, start,
         x = x + inc
         return x, to_delta | (np.linalg.norm(x, axis=1) > config.escape_radius), 1
 
-    return run_chain(start, step, n_steps, capture, eps, grid, d, config)
+    return run_chain(start, step, n_steps, capture, eps, grid, field.dim, config)

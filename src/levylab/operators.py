@@ -743,21 +743,6 @@ class PMPReport:
     def all_ok(self) -> bool:
         return not self.violations
 
-    def to_dict(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "testfn": e.testfn,
-                    "argmax": e.argmax.tolist(),
-                    "f_max": e.f_max,
-                    "operator_value": e.operator_value,
-                    "ok": e.ok,
-                }
-                for e in self.entries
-            ],
-            "all_ok": self.all_ok,
-        }
-
 
 def pmp_spot_check(fld: TripletField, chi: CompensationFunction,
                    testfns: Sequence[TestFunction], tol: float = 1e-6,

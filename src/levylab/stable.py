@@ -44,18 +44,20 @@ class StableField:
 
     @staticmethod
     def constant(c: float, alpha: float, dim: int = 1) -> "StableField":
-        return StableField(lambda x: np.full(x.shape[0], float(c)),
-                           lambda x: np.full(x.shape[0], float(alpha)), dim)
+        c, alpha = float(c), float(alpha)
+        return StableField(lambda x: c, lambda x: alpha, dim)
 
     def evaluate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scale and index at each of the (m, d) points, as read-only (m,) arrays."""
         points = np.atleast_2d(points)
-        c = np.broadcast_to(np.asarray(self.c(points), dtype=float), (points.shape[0],)).copy()
-        a = np.broadcast_to(np.asarray(self.alpha(points), dtype=float), (points.shape[0],)).copy()
+        c = np.asarray(self.c(points), dtype=float)
+        a = np.asarray(self.alpha(points), dtype=float)
         if not np.all(np.isfinite(c) & (c >= 0)):
             raise ValidationError("the scale function must be finite and nonnegative")
         if not np.all((a > 0) & (a < 2)):
             raise ValidationError("the stability index must stay inside (0, 2)")
-        return c, a
+        m = points.shape[0]
+        return np.broadcast_to(c, (m,)), np.broadcast_to(a, (m,))
 
 
 def stable_threshold(field: StableField, a, n: float) -> float:
@@ -128,18 +130,6 @@ def stable_chain_simulate(field: StableField, start, n: float, horizon: float,
         return x, np.linalg.norm(x, axis=1) > config.escape_radius, 1
 
     return run_chain(start, step, n_steps, capture, 1.0 / n, grid, field.dim, config)
-
-
-def stable_triplet_field(field: StableField) -> TripletField:
-    """The drift-free, diffusion-free triplet field of the stable dynamics."""
-
-    def fn(a: np.ndarray) -> LevyTriplet:
-        c, alpha = field.evaluate(a[None, :])
-        d = field.dim
-        return LevyTriplet(np.zeros(d), np.zeros((d, d)),
-                           StableLike(c=float(c[0]), alpha=float(alpha[0]), dim=d))
-
-    return TripletField(fn, field.dim)
 
 
 def scheme_triplet_field(field: StableField, n: float) -> TripletField:

@@ -37,7 +37,7 @@ from levylab.environment import (
     quenched_cross_validate,
     rwre_simulate,
 )
-from levylab.euler import IncrementPlan, euler_chain_simulate, stable_euler_field
+from levylab.euler import IncrementPlan, StableTripletField, euler_chain_simulate
 from levylab.operators import apply_operator, bump, chi_drift_adjustment, default_test_functions
 from levylab.potential import (
     PiecewiseConstantPotential,
@@ -53,7 +53,6 @@ from levylab.stable import (
     StableField,
     stable_jump_magnitude,
     stable_tail_probability,
-    stable_triplet_field,
 )
 
 
@@ -90,7 +89,7 @@ def test_criterion_02_discrete_generator_consistency():
     t0 = time.time()
     fld = StableField(c=lambda x: 1.0 + 0.1 * np.cos(x[:, 0]),
                       alpha=lambda x: 1.2 + 0.2 * np.sin(x[:, 0]), dim=1)
-    limit = stable_triplet_field(fld)
+    limit = StableTripletField(fld)
     n = 10_000.0
     draws = 1_000_000
     gen = lrng.stream(1002, namespace=lrng.SCRATCH)
@@ -140,7 +139,7 @@ def test_criterion_03_euler_gaussian_exactness():
 
 def test_criterion_04_euler_eps_consistency():
     t0 = time.time()
-    field = stable_euler_field(1.0, 1.5, 1)
+    field = StableTripletField(StableField.constant(1.0, 1.5))
     plan = IncrementPlan(tau=1e-3)
     horizon = 0.04  # a common multiple of both steps, so marginals align
     marginals = {}

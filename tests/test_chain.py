@@ -31,7 +31,6 @@ from levylab.euler import (
     IncrementPlan,
     StableTripletField,
     euler_chain_simulate,
-    stable_euler_field,
 )
 from levylab.potential import (
     GridPotential,
@@ -86,7 +85,7 @@ EULER_2D_CONFIG = SchemeConfig(paths=25, seed=7, grid=np.linspace(0.0, 0.2, 3),
 
 
 @pytest.mark.parametrize("field, chi, mode, escaped, expected", [
-    (stable_euler_field(1.0, 1.5, dim=2), Chi2(), DRIFT_COMPENSATE, 4,
+    (StableTripletField(StableField.constant(1.0, 1.5, 2)), Chi2(), DRIFT_COMPENSATE, 4,
      "0cf9b30b2859eb6866c657c67f698caddb79f50f9396b394e11c0ea9db48c12f"),
     (StableTripletField(TANH_STABLE_2D), Chi1(), DRIFT_COMPENSATE, 6,
      "81f9109a7d480e545d954df31325f22e53d3d3079912ff0b67bd31fe74a23f43"),
@@ -99,6 +98,24 @@ def test_euler_stable_field_2d_bytes(field, chi, mode, escaped, expected):
                                  EULER_2D_CONFIG)
     assert np.isfinite(batch.xi).sum() == escaped
     assert digest(batch) == expected
+
+
+# A constant field's atoms are jump vectors, so the frozen engine samples it a
+# block at a time. sha256 recorded with the jump-vector field that the CLI
+# used before ConstantTripletField took over its semantics (2-d atoms, one
+# below tau, cemetery mass, chi1 and the Gaussian surrogate).
+ATOMS_FIELD = ConstantTripletField(LevyTriplet(
+    [0.3, -0.1], [[0.5, 0.1], [0.1, 0.2]],
+    Atoms([((0.5, 0.2), 2.0), ((-1.5, 0.0), 0.7), ((0.004, 0.0), 3.0), (DELTA, 0.1)])))
+ATOMS_PLAN = IncrementPlan(tau=1e-2, small_jump_mode=GAUSSIAN_SURROGATE)
+
+
+def test_euler_constant_atoms_field_bytes():
+    cfg = SchemeConfig(paths=200, seed=7, grid=np.linspace(0.0, 0.5, 6), block_size=64,
+                       escape_radius=3.0)
+    batch = euler_chain_simulate(ATOMS_FIELD, Chi1(), [0.2, 0.0], 0.05, 0.5, ATOMS_PLAN, cfg)
+    assert np.isfinite(batch.xi).sum() == 17
+    assert digest(batch) == "33d6b9653f15ca33ab44211e2ef51cfd46766175df7d4753e6f42c1a30c380bd"
 
 
 def _rwre(cfg):
@@ -115,9 +132,11 @@ ENGINES = {
     "euler-frozen": lambda cfg: euler_chain_simulate(
         ConstantTripletField(LevyTriplet([0.1], [[1.0]], StableLike(1.0, 1.5, 1))),
         Chi1(), 0.0, 0.1, 0.5, IncrementPlan(tau=1e-2), cfg.with_(escape_radius=1.5)),
+    "euler-frozen-atoms": lambda cfg: euler_chain_simulate(
+        ATOMS_FIELD, Chi1(), [0.2, 0.0], 0.1, 0.5, ATOMS_PLAN, cfg.with_(escape_radius=2.0)),
     "euler-stable-fast": lambda cfg: euler_chain_simulate(
-        stable_euler_field(1.0, 1.3), Chi2(), 0.0, 0.05, 0.2, IncrementPlan(tau=1e-2),
-        cfg.with_(escape_radius=0.5)),
+        StableTripletField(StableField.constant(1.0, 1.3)), Chi2(), 0.0, 0.05, 0.2,
+        IncrementPlan(tau=1e-2), cfg.with_(escape_radius=0.5)),
     "euler-generic": lambda cfg: euler_chain_simulate(
         GENERIC_FIELD, Chi2(), uniform_start, 0.1, 0.5, IncrementPlan(tau=1e-2),
         cfg.with_(escape_radius=2.0)),

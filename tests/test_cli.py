@@ -394,6 +394,42 @@ def test_non_finite_input_is_a_validation_error(workdir, capsys, case):
     assert not os.path.exists("nan.csv")
 
 
+# A constant field carrying atoms and cemetery mass: its atom points are jump
+# vectors, as in simulate-euler. sha256 recorded with the jump-vector field
+# that diagnose-operator used before ConstantTripletField took its semantics.
+ATOMS_OPERATOR_CONFIG = {
+    "limit": {"kind": "constant", "triplet": {
+        "drift": [0.1], "gamma": [[0.3]],
+        "nu": {"kind": "atoms", "atoms": [{"point": [0.4], "mass": 1.5},
+                                          {"point": [-0.7], "mass": 0.5},
+                                          {"point": "DELTA", "mass": 0.25}]}}},
+    "fields": [{"kind": "constant", "triplet": {
+        "drift": [0.12], "gamma": [[0.3]],
+        "nu": {"kind": "atoms", "atoms": [{"point": [0.45], "mass": 1.4},
+                                          {"point": [-0.7], "mass": 0.5}],
+               "delta_mass": 0.2}}}],
+    "chi": "chi1",
+    "box": {"low": [-1.0], "high": [1.0]},
+    "grid_points": 3,
+}
+
+
+def test_operator_report_on_a_constant_atoms_field(workdir, capsys):
+    with open("op.json", "w") as fh:
+        json.dump(ATOMS_OPERATOR_CONFIG, fh)
+    run_ok(["diagnose-operator", "--config", "op.json", "--out", "report.json"], capsys)
+    assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == \
+        "db902a22a79335b4fb1e794e62e119261e942c24738f7b21aa0e29fc3161243f"
+
+
+def test_unknown_field_kind_is_a_validation_error(workdir, capsys):
+    with open("op.json", "w") as fh:
+        json.dump({**OPERATOR_CONFIG, "fields": [{"kind": "brownian"}]}, fh)
+    assert run(["diagnose-operator", "--config", "op.json", "--out", "report.json"]) == 1
+    assert "unknown field kind 'brownian'" in capsys.readouterr().err
+    assert not os.path.exists("report.json")
+
+
 EULER_ON_CONFIG = ["simulate-euler", "--triplet-config", "cfg.json", "--eps", "0.1",
                    "--T", "0.3", "--paths", "3", "--out", "out.csv"]
 OPERATOR_ON_CONFIG = ["diagnose-operator", "--config", "cfg.json", "--out", "out.csv"]

@@ -152,6 +152,20 @@ class TestLevyTriplet:
             LevyTriplet([0.0, 0.0], [[1.0]])
 
 
+def test_constant_field_moves_atoms_with_the_point():
+    # atom points are jump vectors: at a they sit at a + point; radial
+    # densities are centred at a already and come back unchanged
+    atoms = Atoms([((0.5, -1.0), 2.0), (DELTA, 0.3)])
+    stable = StableLike(c=1.0, alpha=1.5, dim=2)
+    a = np.array([1.0, 2.0])
+    nu = ConstantTripletField(LevyTriplet([0.0, 0.0], np.zeros((2, 2)), atoms))(a).jumps
+    np.testing.assert_array_equal(nu.points, [[1.5, 1.0]])
+    assert nu.delta_mass == 0.3 and nu.mass_at(a) == 0.0
+    assert nu.tail_mass(1.0, a) == atoms.tail_mass(1.0)
+    assert ConstantTripletField(LevyTriplet([0.0, 0.0], np.zeros((2, 2)), stable))(a).jumps \
+        is stable
+
+
 class TestPathRecord:
     def test_absorption_invariant(self):
         rec = PathRecord(times=[0.0, 1.0, 2.0], states=[0.0, 1.0, 5.0], xi=1.5)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,19 +13,22 @@ from levylab.core import (
     LevyTriplet,
     SchemeConfig,
     StableLike,
+    UserDensity,
 )
 from levylab.diagnostics import ks_distance, ks_critical_value
 from levylab.errors import SchemeStepError, ValidationError
 from levylab.euler import (
-    CovariantField,
+    DRIFT_COMPENSATE,
+    GAUSSIAN_SURROGATE,
     IncrementPlan,
+    StableTripletField,
     default_truncation,
     effective_drift,
     euler_chain_simulate,
     gaussian_factor,
     levy_increment_sample,
-    stable_euler_field,
 )
+from levylab.stable import StableField
 
 
 class TestIncrementPlan:
@@ -72,8 +77,9 @@ class TestIncrementSampling:
         assert dead.mean() > 0.99  # rate 50 * dt 0.5 = 25 expected hits
 
     def test_overflow_guard(self):
+        # 2 tau^-1.5 / 1.5, about 4.2e7 expected jumps per path over dt = 1
         trip = LevyTriplet([0.0], [[0.0]], StableLike(c=1.0, alpha=1.5, dim=1))
-        plan = IncrementPlan(tau=1e-3, max_expected_jumps=10.0)
+        plan = IncrementPlan(tau=1e-5)
         with pytest.raises(SchemeStepError):
             levy_increment_sample(trip, Chi2(), 1.0, plan, lrng.stream(4), size=10)
 
@@ -116,7 +122,7 @@ class TestChain:
     def test_compound_poisson_count_law(self):
         # pure jump measure, fixed jump vector: X_t / h is Poisson distributed
         frozen = LevyTriplet([0.0], [[0.0]], Atoms([((2.0,), 0.5)]))
-        field = CovariantField(frozen)
+        field = ConstantTripletField(frozen)
         plan = IncrementPlan(tau=0.5)
         cfg = SchemeConfig(paths=50_000, seed=13, grid=np.array([0.0, 2.0]))
         batch = euler_chain_simulate(field, Chi2(), 0.0, 0.25, 2.0, plan, cfg)
@@ -137,8 +143,8 @@ class TestChain:
         delta1 = np.array([0.3])
         from levylab.operators import chi_drift_adjustment
         adj = chi_drift_adjustment(nu, Chi1(), Chi2())
-        f1 = CovariantField(LevyTriplet(delta1, [[0.2]], nu))
-        f2 = CovariantField(LevyTriplet(delta1 + adj, [[0.2]], nu))
+        f1 = ConstantTripletField(LevyTriplet(delta1, [[0.2]], nu))
+        f2 = ConstantTripletField(LevyTriplet(delta1 + adj, [[0.2]], nu))
         plan = IncrementPlan(tau=0.1)
         cfg1 = SchemeConfig(paths=20_000, seed=14, grid=np.array([0.0, 1.0]))
         cfg2 = SchemeConfig(paths=20_000, seed=15, grid=np.array([0.0, 1.0]))
@@ -149,7 +155,7 @@ class TestChain:
 
     def test_truncation_refinement(self):
         # dropping tau by 10x moves the fixed-time marginal by less than 0.005
-        field = stable_euler_field(1.0, 0.8, 1)
+        field = StableTripletField(StableField.constant(1.0, 0.8))
         T = 0.25
         marginals = {}
         for i, tau in enumerate([1e-3, 1e-4]):
@@ -177,7 +183,7 @@ class TestChain:
         assert np.isfinite(m).all()
 
     def test_deterministic_replay(self):
-        field = stable_euler_field(1.0, 1.3, 1)
+        field = StableTripletField(StableField.constant(1.0, 1.3))
         cfg = SchemeConfig(paths=128, seed=18, grid=np.array([0.0, 0.1]))
         b1 = euler_chain_simulate(field, Chi2(), 0.0, 0.02, 0.1,
                                   IncrementPlan(tau=1e-2), cfg)
@@ -186,12 +192,39 @@ class TestChain:
         assert np.array_equal(b1.states, b2.states, equal_nan=True)
 
 
+@pytest.mark.parametrize("mode, quads", [(DRIFT_COMPENSATE, 4), (GAUSSIAN_SURROGATE, 6)])
+def test_frozen_user_density_is_integrated_once_per_run(monkeypatch, mode, quads):
+    # The compensator window and tail mass of a user density (and, for the
+    # surrogate, its truncated second moment) take two quadratures each, one
+    # per side. They are constants of the run, so the step count must not
+    # change how many are made.
+    from levylab import operators
+
+    stable = StableLike(c=1.0, alpha=0.9, dim=1)
+    user = UserDensity(density=stable.density, dim=1,
+                       tail_sampler=lambda rng, size, r: stable.sample_tail(rng, size, r))
+    field = ConstantTripletField(LevyTriplet([0.2], [[0.0]], user))
+    calls = []
+    quad = operators._si.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(1)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "_si", SimpleNamespace(quad=counting_quad))
+    counts = []
+    for horizon in (0.1, 1.0):
+        calls.clear()
+        cfg = SchemeConfig(paths=20, seed=1, grid=np.array([0.0, horizon]))
+        euler_chain_simulate(field, Chi2(), 0.0, 0.05, horizon,
+                             IncrementPlan(tau=0.01, small_jump_mode=mode), cfg)
+        counts.append(len(calls))
+    assert counts == [quads, quads]
+
+
 def test_gaussian_surrogate_small_jump_variance():
     # a measure living entirely below tau: the surrogate must reproduce the
     # truncated second moment per unit time, with no compound-Poisson part
-    from levylab.core import UserDensity
-    from levylab.euler import GAUSSIAN_SURROGATE
-
     inner = StableLike(c=1.0, alpha=1.5, dim=1, min_radius=1e-4)
 
     def density(h):
@@ -227,8 +260,6 @@ def test_two_dimensional_gaussian_covariance():
 
 def test_user_density_tail_sampler_path():
     # a user density with its own tail sampler feeds the compound-Poisson part
-    from levylab.core import UserDensity
-
     stable = StableLike(c=1.0, alpha=0.7, dim=1)
     user = UserDensity(
         density=stable.density, dim=1,
@@ -250,11 +281,10 @@ def test_single_step_generator_consistency():
     # (1/eps) E[f(a + increment) - f(a)] approximates the operator at the
     # frozen triplet, with the state-dependent stable field
     from levylab.operators import apply_operator, bump
-    from levylab.stable import StableField
 
     fld = StableField(c=lambda x: np.full(x.shape[0], 1.0),
                       alpha=lambda x: 1.1 + 0.2 * np.tanh(x[:, 0]), dim=1)
-    field = stable_euler_field(fld)
+    field = StableTripletField(fld)
     a = np.array([0.4])
     eps = 1e-3
     plan = IncrementPlan(tau=1e-4)

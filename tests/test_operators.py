@@ -247,9 +247,10 @@ class TestConvergenceGaps:
 
     def test_scheme_field_gaps_shrink(self):
         # the normalized single-step law against its limit, shrinking in n
-        from levylab.stable import StableField, scheme_triplet_field, stable_triplet_field
+        from levylab.euler import StableTripletField
+        from levylab.stable import StableField, scheme_triplet_field
         fld = StableField.constant(1.0, 1.2, 1)
-        limit = stable_triplet_field(fld)
+        limit = StableTripletField(fld)
         reports = convergence_gaps(
             [scheme_triplet_field(fld, n) for n in (10, 1000)], limit, Chi2(),
             [-1.0], [1.0], grid_points=3, labels=["10", "1000"])

@@ -5,6 +5,7 @@ from levylab import rng as lrng
 from levylab.core import Chi2, SchemeConfig
 from levylab.diagnostics import ks_distance
 from levylab.errors import DegenerateStateError, ValidationError
+from levylab.euler import StableTripletField
 from levylab.operators import apply_operator, default_test_functions
 from levylab.stable import (
     StableField,
@@ -14,7 +15,6 @@ from levylab.stable import (
     stable_jump_sample,
     stable_tail_probability,
     stable_threshold,
-    stable_triplet_field,
 )
 
 
@@ -121,7 +121,7 @@ class TestChain:
 def test_discrete_generator_consistency():
     # one-step mean growth of a test function against the operator value
     fld = StableField.constant(1.0, 1.2, 1)
-    limit = stable_triplet_field(fld)
+    limit = StableTripletField(fld)
     n = 2000.0
     gen = lrng.stream(73, namespace=lrng.SCRATCH)
     a = np.array([0.4])
