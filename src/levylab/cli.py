@@ -358,10 +358,14 @@ def _stable_field_from_json(cfg: dict) -> StableField:
 
 def _cmd_simulate_euler(args, seed: int) -> list[str]:
     with _json_config(args.triplet_config) as cfg_json:
-        if cfg_json.get("kind") == "stable-field":
+        kind = cfg_json.get("kind")
+        if kind == "stable-field":
             field = StableTripletField(_stable_field_from_json(cfg_json))
-        else:
+        elif kind is None:
             field = ConstantTripletField(triplet_from_config(cfg_json))
+        else:
+            raise ValidationError(f"unknown triplet config kind {kind!r}; simulate-euler "
+                                  "reads a triplet or a 'stable-field'")
     chi = compensation_by_name(args.chi)
     plan = IncrementPlan(tau=float(args.tau), small_jump_mode=args.small_jump_mode)
     cfg = _scheme_config(args, seed, float(args.T))

@@ -318,6 +318,10 @@ class CompensationFunction:
         """Whether h -> chi(a, a+h) is odd in h (true for both defaults)."""
         return False
 
+    def is_shift_invariant(self) -> bool:
+        """Whether chi(a, b) depends on b - a only (true for both defaults)."""
+        return False
+
     def pairwise(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         """chi evaluated row-by-row on pairs (b_i, c_i)."""
         out = np.empty_like(np.atleast_2d(c), dtype=float)
@@ -354,6 +358,9 @@ class Chi1(CompensationFunction):
     def is_odd(self):
         return True
 
+    def is_shift_invariant(self):
+        return True
+
     def pairwise(self, b, c):
         h = np.atleast_2d(c) - np.atleast_2d(b)
         return h / (1.0 + np.sum(h * h, axis=1))[:, None]
@@ -385,6 +392,9 @@ class Chi2(CompensationFunction):
         return (1.0,)
 
     def is_odd(self):
+        return True
+
+    def is_shift_invariant(self):
         return True
 
     def pairwise(self, b, c):
@@ -757,16 +767,31 @@ def run_chain(init, step, n_steps: int, capture: np.ndarray, dt: float, grid: np
 # ---------------------------------------------------------------------------
 
 
+_MEASURE_KEYS = {None: {"kind"}, "none": {"kind"}, "stable": {"kind", "c", "alpha", "min_radius"},
+                 "atoms": {"kind", "atoms", "delta_mass"}}
+
+
+def _reject_unknown_keys(cfg: dict, known: set, where: str) -> None:
+    unknown = sorted(set(cfg.keys()) - known)
+    if unknown:
+        raise ValidationError(f"unknown key {unknown[0]!r} in {where}; "
+                              f"known keys are {', '.join(sorted(known))}")
+
+
 def jump_measure_from_config(cfg: dict | None, dim: int) -> Optional[JumpMeasure]:
     """Build a jump measure from its JSON description.
 
     Supported kinds: ``none``, ``stable`` (fields c, alpha, optional
     min_radius) and ``atoms`` (list of {point, mass}, optional delta_mass;
-    a point may be the string "DELTA").
+    a point may be the string "DELTA").  A key the kind does not use, here
+    or in an atom entry, is a ValidationError.
     """
     if cfg is None:
         return None
     kind = cfg.get("kind")
+    if kind not in _MEASURE_KEYS:
+        raise ValidationError(f"unknown jump measure kind {kind!r}")
+    _reject_unknown_keys(cfg, _MEASURE_KEYS[kind], "jump measure 'nu'")
     if kind in (None, "none"):
         return None
     if kind == "stable":
@@ -774,22 +799,25 @@ def jump_measure_from_config(cfg: dict | None, dim: int) -> Optional[JumpMeasure
             c=float(cfg["c"]), alpha=float(cfg["alpha"]), dim=dim,
             min_radius=float(cfg.get("min_radius", 0.0)),
         )
-    if kind == "atoms":
-        atoms = []
-        for entry in cfg.get("atoms", []):
-            point = entry["point"]
-            if isinstance(point, str):
-                if point.upper() != "DELTA":
-                    raise ValidationError(f"unknown atom location {point!r}")
-                atoms.append((DELTA, float(entry["mass"])))
-            else:
-                atoms.append((np.asarray(point, dtype=float), float(entry["mass"])))
-        return Atoms(atoms, dim=dim, delta_mass=float(cfg.get("delta_mass", 0.0)))
-    raise ValidationError(f"unknown jump measure kind {kind!r}")
+    atoms = []
+    for k, entry in enumerate(cfg.get("atoms", [])):
+        _reject_unknown_keys(entry, {"point", "mass"}, f"atom entry {k}")
+        point = entry["point"]
+        if isinstance(point, str):
+            if point.upper() != "DELTA":
+                raise ValidationError(f"unknown atom location {point!r}")
+            atoms.append((DELTA, float(entry["mass"])))
+        else:
+            atoms.append((np.asarray(point, dtype=float), float(entry["mass"])))
+    return Atoms(atoms, dim=dim, delta_mass=float(cfg.get("delta_mass", 0.0)))
 
 
 def triplet_from_config(cfg: dict) -> LevyTriplet:
-    """Build a constant triplet from {"drift": [...], "gamma": [[...]], "nu": {...}}."""
+    """Build a constant triplet from {"drift": [...], "gamma": [[...]], "nu": {...}}.
+
+    Any other key is a ValidationError.
+    """
+    _reject_unknown_keys(cfg, {"drift", "gamma", "nu"}, "triplet")
     drift = np.asarray(cfg.get("drift", [0.0]), dtype=float)
     dim = drift.shape[0]
     gamma = np.asarray(cfg.get("gamma", np.zeros((dim, dim))), dtype=float)

@@ -22,8 +22,10 @@ class QuadratureError(LevylabError):
 
     Raised when QUADPACK flags a failure (subdivision limit, roundoff,
     divergence) and its error estimate exceeds ten times the requested
-    tolerance.  ``estimate`` is the best value reached, ``error`` QUADPACK's
-    error estimate for it, and ``tolerance`` the tolerance it was held to
+    tolerance, or when a row of the batched Gauss-Legendre rule has not
+    converged at its panel cap.  ``estimate`` is the best value reached,
+    ``error`` QUADPACK's error estimate for it (None from the batched rule),
+    and ``tolerance`` the tolerance it was held to
     (``tol_abs + tol_rel * |estimate|``).
     """
 

@@ -454,6 +454,37 @@ def test_malformed_json_config_is_a_validation_error(workdir, capsys, case):
     assert not os.path.exists("out.csv")
 
 
+# Keys no reader uses, at each level of a triplet config, and a stable field
+# spelt as diagnose-operator spells it: each used to run as a different model.
+ATOMS_NU = {"kind": "atoms", "atoms": [{"point": [0.4], "mass": 1.5}]}
+UNKNOWN_KEY_CONFIGS = {
+    "stable-kind": (EULER_ON_CONFIG,
+                    {"kind": "stable", "c_expr": "1", "alpha_expr": "1.5", "dim": 1}, "'stable'"),
+    "triplet": (EULER_ON_CONFIG, {"drift": [0.1], "gama": [[1.0]]}, "'gama' in triplet"),
+    "nu": (EULER_ON_CONFIG, {"nu": {"kind": "stable", "c": 1.0, "alpha": 1.5, "min_radus": 0.1}},
+           "'min_radus' in jump measure"),
+    "nu-without-kind": (EULER_ON_CONFIG, {"nu": {"c": 1.0, "alpha": 1.5}}, "'alpha' in jump"),
+    "atom-entry": (EULER_ON_CONFIG,
+                   {"nu": {**ATOMS_NU, "atoms": [{"point": [0.4], "mas": 1.5}]}},
+                   "'mas' in atom entry 0"),
+    "operator-triplet": (OPERATOR_ON_CONFIG,
+                         {**OPERATOR_CONFIG, "fields": [{"kind": "constant", "triplet": {
+                             "drift": [0.0], "nu": {**ATOMS_NU, "delta": 0.1}}}]},
+                         "'delta' in jump measure"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_KEY_CONFIGS))
+def test_unknown_config_key_is_a_validation_error(workdir, capsys, case):
+    argv, cfg, named = UNKNOWN_KEY_CONFIGS[case]
+    with open("cfg.json", "w") as fh:
+        json.dump(cfg, fh)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and named in err
+    assert not os.path.exists("out.csv")
+
+
 # Flag and environment text that does not convert to a number; bad.csv has a
 # non-numeric cell.
 MALFORMED_TEXT = {

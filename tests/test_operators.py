@@ -4,28 +4,34 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from levylab import operators
 from levylab.core import (
     Atoms,
     Chi1,
     Chi2,
     ConstantTripletField,
+    CustomChi,
     LevyTriplet,
     StableLike,
     TripletField,
     UserDensity,
 )
-from levylab.errors import ValidationError
+from levylab.errors import QuadratureError, ValidationError
 from levylab.operators import (
     TestFunction,
     apply_operator,
     bump,
     chi_drift_adjustment,
     chi_quadratic_matrix,
+    chi_quadratic_matrix_many,
     convergence_gaps,
     default_test_functions,
     jump_integral,
+    jump_integral_many,
     measure_integral,
+    measure_integral_many,
     pmp_spot_check,
     vanishing_test_functions,
 )
@@ -421,3 +427,141 @@ def test_vanishing_test_functions_avoid_box():
     for f in fns:
         assert f.support_distance([0.9]) >= 0.5
         assert f.support_distance([-0.9]) >= 0.5
+
+
+# Tight references for the batched Gauss-Legendre integrals: QUADPACK at
+# 1e-13 on the same sphere rule.  Below r1 the sphere sum of a jump integral
+# is taken as r^2 times the integral form of its Taylor remainder, and QAWS
+# integrates it against the weight r^(1-alpha), so no cancellation noise and
+# no endpoint singularity is left to the quadrature.  Checked against 40-digit
+# mpmath quadrature to 1e-13 relative in 1-d and 4e-9 relative in 2-d.
+_REF_T, _REF_W = np.polynomial.legendre.leggauss(20)
+_REF_T = 0.5 * (_REF_T + 1.0)
+_REF_W = 0.5 * _REF_W * (1.0 - _REF_T)
+_REF_TOL = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
+
+
+def _jump_reference(c, alpha, f, a):
+    rule = operators._sphere_rule(f.dim)
+    fa = f.value_at(a)
+    radii = f.support_radii(a[None, :])[0]
+    reach = radii[1]
+    r1 = min(0.02, 0.5 * min([b for b in radii if b > 0] + [1.0]))
+
+    def remainder(r):
+        pts = a + r * _REF_T[:, None, None] * rule.nodes
+        h = f.hess(pts.reshape(-1, f.dim)).reshape(_REF_T.size, -1, f.dim, f.dim)
+        form = np.einsum("ki,tkij,kj->tk", rule.nodes, h, rule.nodes)
+        return c * float(_REF_W @ form @ rule.weights)
+
+    def direct(r):
+        return c * r ** (-1 - alpha) * float(rule.weights @ (f(a + r * rule.nodes) - fa))
+
+    core = quad(remainder, 0.0, r1, weight="alg", wvar=(1.0 - alpha, 0.0), **_REF_TOL)[0]
+    cuts = sorted({r1, reach, *[b for b in radii if r1 < b < reach]})
+    body = sum(quad(direct, lo, hi, **_REF_TOL)[0] for lo, hi in zip(cuts[:-1], cuts[1:]))
+    return core + body - fa * rule.surface * c * reach ** -alpha / alpha
+
+
+def _measure_reference(c, alpha, f, a, margin):
+    rule = operators._sphere_rule(f.dim)
+    radii = f.support_radii(a[None, :])[0]
+    cuts = sorted({b for b in radii if b >= max(margin, radii[0])})
+
+    def integrand(r):
+        return c * r ** (-1 - alpha) * float(rule.weights @ f.fn(a + r * rule.nodes))
+
+    return sum(quad(integrand, lo, hi, **_REF_TOL)[0] for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+def _chi_square_reference(c, alpha, chi, dim):
+    """Closed forms of int chi_1^2 c |h|^(-d-alpha) dh in one and two dimensions."""
+    half_sphere = {1: 1.0, 2: np.pi / 2}[dim]  # int theta_1^2 over the sphere, halved
+    if chi.name == "chi2":
+        return 2 * half_sphere * c / (2 - alpha)
+    return half_sphere * c * (np.pi * alpha / 2) / np.sin(np.pi * alpha / 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.05, 1.95), c=st.floats(0.1, 3.0), dim=st.sampled_from([1, 2]),
+       chi=st.sampled_from([Chi1(), Chi2()]), center=st.floats(-0.5, 0.5),
+       radius=st.floats(0.1, 2.0), which=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 16), tight=st.booleans())
+def test_batched_integrals_match_tight_reference(alpha, c, dim, chi, center, radius, which,
+                                                 seed, tight):
+    tol_abs, tol_rel = (1e-9, 1e-7) if tight else (1e-8, 1e-6)
+    nu = StableLike(c=c, alpha=alpha, dim=dim)
+    gen = np.random.default_rng(seed)
+    pts = gen.uniform(-0.5, 0.5, size=(3, dim))
+
+    def close(got, ref):
+        return abs(got - ref) <= tol_abs + tol_rel * abs(ref)
+
+    f = bump(np.full(dim, center), radius)
+    got = jump_integral_many([nu] * 3, chi, f, pts, tol_abs, tol_rel)
+    for a, value in zip(pts, got):
+        assert close(value, _jump_reference(c, alpha, f, a))
+
+    box = np.ones(dim)
+    g = vanishing_test_functions(-box, box, dim, margin=0.5)[which]
+    grid = gen.uniform(-1.0, 1.0, size=(3, dim))
+    got = measure_integral_many([nu] * 3, g, grid, 0.25, tol_abs, tol_rel)
+    for a, value in zip(grid, got):
+        assert close(value, _measure_reference(c, alpha, g, a, 0.25))
+
+    got = chi_quadratic_matrix_many([nu] * 3, chi, pts, tol_abs, tol_rel)
+    ref = _chi_square_reference(c, alpha, chi, dim)
+    # each entry is held to tol_abs / d^2; the r_cut tail adds tol_abs / 4
+    assert np.all(np.abs(got - ref * np.eye(dim)) <= tol_abs + tol_rel * ref)
+
+
+def _mixed_rows(dim):
+    """Base points with per-row measures: stable rows of varying c, alpha and
+    minimum radius (some repeated), an atom row and an empty row."""
+    gen = np.random.default_rng(20 + dim)
+    pts = gen.uniform(-0.5, 0.5, size=(9, dim))
+    nus = [StableLike(c=1.0 + k % 3, alpha=0.3 + 0.2 * k, dim=dim,
+                      min_radius=0.05 * (k % 2)) for k in range(7)]
+    nus[3] = nus[1]
+    far = np.zeros(dim)
+    far[0] = 3.0
+    return pts, nus + [Atoms([(far, 0.7)], dim=dim), None]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("chunk", [1, operators._MAX_BATCH_EVALS])
+def test_batched_rows_are_bit_identical_to_one_row_calls(monkeypatch, dim, chunk):
+    monkeypatch.setattr(operators, "_MAX_BATCH_EVALS", chunk)
+    pts, nus = _mixed_rows(dim)
+    f = bump(np.full(dim, 0.2), 0.9)
+    box = np.ones(dim)
+    g = vanishing_test_functions(-box, box, dim, margin=0.5)[0]
+    got = jump_integral_many(nus, Chi2(), f, pts)
+    assert got.tolist() == [jump_integral(nu, Chi2(), f, a) for nu, a in zip(nus, pts)]
+    got = measure_integral_many(nus, g, pts, 0.25)
+    assert got.tolist() == [measure_integral(nu, g, a, 0.25) for nu, a in zip(nus, pts)]
+    chis = [Chi1()] if dim == 2 else [Chi1(), CustomChi(lambda a, b: np.tanh(b - a), bound=1.0)]
+    for chi in chis:
+        got = chi_quadratic_matrix_many(nus[:-1], chi, pts[:-1])
+        for row, nu, a in zip(got, nus, pts):
+            assert row.tolist() == chi_quadratic_matrix(nu, chi, a).tolist()
+
+
+def test_measure_integral_meets_tolerance_at_small_alpha():
+    # QUADPACK returned this integral 3.2 tolerances off without flagging it.
+    # Oracle: 60-digit mpmath quadrature of f(x) |x - a|^(-1.1) over the support.
+    f = vanishing_test_functions([-1.0], [1.0])[2]
+    assert f.name == "outer1(r=0.5)"
+    oracle = 0.19985639011940333942
+    value = measure_integral(StableLike(c=1.0, alpha=0.1), f, [-0.746031746031746], 0.25,
+                             tol_abs=1e-8, tol_rel=1e-6)
+    assert abs(value - oracle) <= 1e-8 + 1e-6 * abs(oracle)
+
+
+def test_unconverged_row_names_point_measure_and_test_function(monkeypatch):
+    # a cap below the second level leaves every row unconverged
+    monkeypatch.setattr(operators, "_MAX_ROW_EVALS", 8 * 16 * 2 - 1)
+    f = vanishing_test_functions([-1.0], [1.0])[0]
+    with pytest.raises(QuadratureError, match=r"outer0\(r=1.0\) against StableLike\(c=1.0, "
+                                              r"alpha=1.2.*at base point \[0.5\]"):
+        measure_integral_many([StableLike(c=1.0, alpha=1.2)], f, [[0.5]], 0.25)
