@@ -887,6 +887,8 @@ def convergence_gaps(fields: Sequence[TripletField], limit: TripletField,
     names the offending pair.
     """
     dim = limit.dim
+    if grid_points < 1:
+        raise ValidationError(f"grid_points must be at least 1, got {grid_points}")
     grid = _box_grid(low, high, grid_points)
     if testfns is None:
         testfns = vanishing_test_functions(low, high, dim, margin=jump_margin * 2)
@@ -901,10 +903,10 @@ def convergence_gaps(fields: Sequence[TripletField], limit: TripletField,
     reports = []
     for idx, fld in enumerate(fields):
         cur = _gap_components(fld, chi, grid, testfns, jump_margin, tol_abs, tol_rel)
-        drift_gap = max(0.0, float(np.max(np.abs(cur[0] - ref[0]))))
-        jump_gaps = {f.name: max(0.0, float(np.max(np.abs(cur[1][f.name] - ref[1][f.name]))))
+        drift_gap = float(np.max(np.abs(cur[0] - ref[0])))
+        jump_gaps = {f.name: float(np.max(np.abs(cur[1][f.name] - ref[1][f.name])))
                      for f in testfns}
-        carre_gap = np.maximum(0.0, np.max(np.abs(cur[2] - ref[2]), axis=0))
+        carre_gap = np.max(np.abs(cur[2] - ref[2]), axis=0)
         label = labels[idx] if labels is not None else f"n={idx}"
         reports.append(ConvergenceReport(label, drift_gap, jump_gaps, carre_gap))
     return reports

@@ -263,6 +263,11 @@ class TestConvergenceGaps:
         assert reports[0].max_gap > reports[1].max_gap
         assert reports[1].max_gap < 5e-2
 
+    def test_empty_grid_is_a_validation_error(self):
+        field = ConstantTripletField(LevyTriplet([0.0], [[1.0]], None))
+        with pytest.raises(ValidationError, match="grid_points"):
+            convergence_gaps([field], field, Chi2(), [-1.0], [1.0], grid_points=0)
+
     def test_offending_testfn_reported(self):
         field = ConstantTripletField(LevyTriplet([0.0], [[1.0]], None))
         inside = bump([0.0], 0.5)  # overlaps the grid
