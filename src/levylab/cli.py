@@ -28,6 +28,7 @@ from .core import (
     ConstantTripletField,
     PathBatch,
     SchemeConfig,
+    _reject_unknown_keys,
     compensation_by_name,
     triplet_from_config,
 )
@@ -36,7 +37,6 @@ from .embedding import doob_bound_check
 from .environment import BernoulliPoisson, IIDScaled, rwre_simulate
 from .errors import (
     DegenerateStateError,
-    ExpressionError,
     LevylabError,
     PotentialOverflowError,
     QuadratureError,
@@ -61,8 +61,8 @@ USAGE_EXIT = 64
 VALIDATION_EXIT = 1
 NUMERIC_EXIT = 2
 
-_VALIDATION_ERRORS = (ValidationError, ExpressionError, RangeError,
-                      FileNotFoundError, json.JSONDecodeError)
+_VALIDATION_ERRORS = (ValidationError, RangeError, OSError, UnicodeError,
+                      json.JSONDecodeError)
 _NUMERIC_ERRORS = (QuadratureError, SchemeStepError, DegenerateStateError,
                    PotentialOverflowError, FloatingPointError)
 
@@ -197,9 +197,11 @@ def _manifest(subcommand: str, seed: int, args_dict: dict, outputs: list[str],
 
 
 def _scheme_config(args, seed: int, horizon: float) -> SchemeConfig:
-    grid = None
-    if getattr(args, "grid_points", None):
-        grid = np.linspace(0.0, horizon, int(args.grid_points))
+    if args.grid_points < 1:
+        raise ValidationError(f"--grid-points must be at least 1, got {args.grid_points}")
+    # A horizon that is not positive and finite is refused by SchemeConfig.clock.
+    with np.errstate(invalid="ignore"):
+        grid = np.linspace(0.0, horizon, args.grid_points)
     return SchemeConfig(
         paths=int(args.paths), seed=seed, grid=grid,
         escape_radius=float(getattr(args, "escape_radius", 1e6)),
@@ -290,10 +292,9 @@ def _parse_start(text: str, dim: int) -> np.ndarray:
     return np.asarray(parts)
 
 
-def _load_potential(args, widen: int = 0):
+def _load_potential(args, n_steps: int, widen: int):
     spec = args.potential
     eps = float(args.eps)
-    n_steps = int(np.ceil(float(args.T) / (eps * eps)))
     if spec == "zero":
         start_site = int(round(float(args.start) / eps))
         pad = n_steps + 8
@@ -351,6 +352,7 @@ def _json_config(path: str):
 
 
 def _stable_field_from_json(cfg: dict) -> StableField:
+    _reject_unknown_keys(cfg, {"kind", "dim", "c_expr", "alpha_expr"}, "stable field")
     dim = int(cfg.get("dim", 1))
     return StableField(c=compile_expression(cfg["c_expr"], dim),
                        alpha=compile_expression(cfg["alpha_expr"], dim), dim=dim)
@@ -376,19 +378,22 @@ def _cmd_simulate_euler(args, seed: int) -> list[str]:
 
 
 def _cmd_simulate_potential(args, seed: int) -> list[str]:
-    if float(args.eps) <= 0:
+    eps = float(args.eps)
+    if not eps > 0:
         raise ValidationError("--eps must be positive")
     if not np.isfinite(args.start):
         raise ValidationError("start points must be finite")
     cfg = _scheme_config(args, seed, float(args.T))
+    dt = eps * eps
+    n_steps = cfg.clock(float(args.T), lambda t: t / dt)[1]
     # An expression's window is only a working range, so instead of absorbing
     # a path at its edge the run restarts on a doubled window; steps never
     # exceed 1024 eps, so this ends.
     for widen in count():
-        potential = _load_potential(args, widen)
+        potential = _load_potential(args, n_steps, widen)
         try:
             batch = potential_chain_simulate(
-                potential, float(args.start), float(args.eps), float(args.T), cfg,
+                potential, float(args.start), eps, float(args.T), cfg,
                 absorb_at_edge=not isinstance(potential, CallablePotential))
             break
         except WindowEdgeError:
@@ -441,6 +446,7 @@ def _cmd_simulate_rwre(args, seed: int) -> list[str]:
 def _field_from_json(cfg: dict):
     kind = cfg.get("kind", "constant")
     if kind == "constant":
+        _reject_unknown_keys(cfg, {"kind", "triplet"}, "constant field")
         return ConstantTripletField(triplet_from_config(cfg["triplet"]))
     if kind == "stable":
         return StableTripletField(_stable_field_from_json(cfg))
@@ -449,6 +455,9 @@ def _field_from_json(cfg: dict):
 
 def _cmd_diagnose_operator(args, seed: int) -> list[str]:
     with _json_config(args.config) as cfg:
+        _reject_unknown_keys(cfg, {"limit", "fields", "chi", "box", "margin", "grid_points",
+                                   "jump_margin", "labels"}, "operator config")
+        _reject_unknown_keys(cfg["box"], {"low", "high"}, "box")
         limit = _field_from_json(cfg["limit"])
         fields = [_field_from_json(f) for f in cfg["fields"]]
         chi = compensation_by_name(cfg.get("chi", "chi2"))

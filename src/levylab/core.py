@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy import integrate as _si
 from scipy.special import gammaln
 
 from . import rng as _rng
@@ -232,14 +233,39 @@ class StableLike(JumpMeasure):
         return _rng.along(_rng.sphere_draw(rng, size, self.dim), radii)
 
 
+def quadpack(fn, lo: float, hi: float, tol_abs: float, tol_rel: float) -> float:
+    """Integral of the scalar ``fn`` over [lo, hi] (``hi`` may be ``np.inf``).
+
+    QUADPACK's adaptive Gauss-Kronrod rule with extrapolation (QAGS, or QAGI
+    on a half-line), called through scipy; the package's one-dimensional
+    integrals of user callables all go through here.  When QUADPACK flags a
+    failure (subdivision limit, roundoff, divergence) and its error estimate
+    exceeds ten times the requested tolerance, QuadratureError is raised.
+    The failure is read from ``full_output`` rather than from a warning, so
+    concurrent calls from worker threads do not share warning state.
+    """
+    if hi <= lo:
+        return 0.0
+    value, abserr, _info, *failure = _si.quad(fn, lo, hi, epsabs=tol_abs, epsrel=tol_rel,
+                                              limit=400, full_output=1)
+    tolerance = tol_abs + tol_rel * abs(value)
+    if failure and abserr > 10 * tolerance:
+        reason = str(failure[0]).split("\n")[0]
+        raise QuadratureError(
+            f"adaptive quadrature over [{lo}, {hi}] did not converge: {reason}",
+            estimate=value, error=abserr, tolerance=tolerance,
+        )
+    return float(value)
+
+
 @dataclass(frozen=True)
 class UserDensity(JumpMeasure):
     """User-supplied jump density on R^dim minus the origin.
 
     ``density`` maps an (m, dim) array of jump vectors to densities.  The
     tail sampler is mandatory for simulation; tail-mass and second-moment
-    callables are used when given, otherwise one-dimensional quadrature is
-    attempted.
+    callables are used when given, otherwise :meth:`integral` is used, in
+    dimension 1 only.
     """
 
     density: Callable[[np.ndarray], np.ndarray]
@@ -248,29 +274,41 @@ class UserDensity(JumpMeasure):
     tail_mass_fn: Optional[Callable[[float], float]] = None
     second_moment_fn: Optional[Callable[[float], float]] = None
 
-    def _integral(self, g, lo: float, hi: float, what: str) -> float:
-        """integral of g(h) rho(h) over lo < |h| < hi, for dim=1 only."""
-        if self.dim != 1:
-            raise ConfigurationError(
-                f"{what} for a user density needs dim=1 or an explicit callable"
-            )
-        from .operators import _density_integral
+    def integral(self, g: Callable[[float], float], cuts: Sequence[float],
+                 tol_abs: float, tol_rel: float) -> float:
+        """integral of g(h) rho(h) over cuts[0] < |h| < cuts[-1], in dimension 1.
 
-        return _density_integral(self, g, [lo, hi], 1e-11, 1e-9)
+        ``cuts`` increase and may end at ``np.inf``; each side is integrated
+        by `quadpack` piece by piece between consecutive cuts, the tolerance
+        split evenly over the pieces.
+        """
+        if self.dim != 1:
+            raise ValidationError("user densities are integrated in dimension 1 only")
+        pieces = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
+        tol = tol_abs / (2 * max(len(pieces), 1))
+        total = 0.0
+        for sgn in (1.0, -1.0):
+            def integrand(r, sgn=sgn):
+                h = sgn * r
+                return g(h) * float(self.density(np.array([[h]]))[0])
+
+            for lo, hi in pieces:
+                total += quadpack(integrand, lo, hi, tol, tol_rel)
+        return total
 
     def tail_mass(self, r: float, a=None) -> float:
         if r <= 0:
             raise ValidationError("radius must be positive")
         if self.tail_mass_fn is not None:
             return float(self.tail_mass_fn(r))
-        return self._integral(lambda h: 1.0, r, np.inf, "tail mass")
+        return self.integral(lambda h: 1.0, [r, np.inf], 1e-11, 1e-9)
 
     def truncated_second_moment(self, r: float, a=None) -> float:
         if r <= 0:
             raise ValidationError("radius must be positive")
         if self.second_moment_fn is not None:
             return float(self.second_moment_fn(r))
-        return self._integral(lambda h: h * h, 0.0, r, "second moment")
+        return self.integral(lambda h: h * h, [0.0, r], 1e-11, 1e-9)
 
     def sample_tail(self, rng: np.random.Generator, size: int, r: float) -> np.ndarray:
         if self.tail_sampler is None:
@@ -361,9 +399,7 @@ class Chi1(CompensationFunction):
     def is_shift_invariant(self):
         return True
 
-    def pairwise(self, b, c):
-        h = np.atleast_2d(c) - np.atleast_2d(b)
-        return h / (1.0 + np.sum(h * h, axis=1))[:, None]
+    pairwise = __call__
 
     def abs_bound_beyond(self, r):
         # |h| / (1 + |h|^2) peaks at 1/2 and decays like 1/|h| afterwards.
@@ -397,10 +433,7 @@ class Chi2(CompensationFunction):
     def is_shift_invariant(self):
         return True
 
-    def pairwise(self, b, c):
-        h = np.atleast_2d(c) - np.atleast_2d(b)
-        inside = np.linalg.norm(h, axis=1) < 1.0
-        return h * inside[:, None]
+    pairwise = __call__
 
     def abs_bound_beyond(self, r):
         return 1.0 if r < 1.0 else 0.0
@@ -661,7 +694,7 @@ class SchemeConfig:
     def __post_init__(self):
         if self.paths < 1:
             raise ValidationError("paths must be >= 1")
-        if self.escape_radius <= 0:
+        if not self.escape_radius > 0:
             raise ValidationError("escape radius must be positive")
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
@@ -677,6 +710,26 @@ class SchemeConfig:
                 raise ValidationError("grid extends beyond the horizon")
             return g
         return np.linspace(0.0, horizon, 101)
+
+    def clock(self, horizon: float, steps: Callable[[np.ndarray], np.ndarray]):
+        """The output grid, ``n_steps = ceil(steps(horizon))`` and, per grid
+        time ``t``, the step ``min(floor(steps(t) + 1e-12), n_steps)`` it shows.
+
+        ``steps`` maps times to fractional step counts: ``t * n`` for the
+        stable chain, ``t / dt`` for the others.  The horizon must be
+        positive and finite, and the step count at most 2^53, beyond which
+        float step counts are not exact.
+        """
+        if not 0 < horizon < math.inf:
+            raise ValidationError(f"the horizon must be positive and finite, got {horizon}")
+        grid = self.output_grid(horizon)
+        with np.errstate(over="ignore", divide="ignore"):
+            total = steps(np.float64(horizon))
+            if not total <= 2.0 ** 53:
+                raise ValidationError(f"the run needs {total} steps, more than 2^53")
+            n_steps = int(np.ceil(total))
+            capture = np.minimum(np.floor(steps(grid) + 1e-12).astype(int), n_steps)
+        return grid, n_steps, capture
 
     def with_(self, **kw) -> "SchemeConfig":
         return replace(self, **kw)

@@ -151,8 +151,9 @@ def doob_bound_check(eps: float, horizon: float, threshold: float, trials: int,
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    if eps <= 0 or horizon <= 0 or threshold <= 0:
-        raise ValidationError("eps, horizon and threshold must be positive")
+    if not (eps > 0 and 0 < horizon < np.inf and threshold > 0):
+        raise ValidationError("eps and threshold must be positive, the horizon positive "
+                              "and finite")
     n_knots = int(np.ceil(horizon / eps))
     gen = _rng.stream(seed, namespace=_rng.CLOCKS)
     hits = 0

@@ -70,7 +70,9 @@ class BernoulliPoisson(EnvironmentSpec):
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not math.isfinite(self.q):
+            raise ValidationError("the increment q must be finite")
+        if not self.lam > 0:
             raise ValidationError("the rate must be positive")
 
     def sample(self, rng, eps, k_lo, k_hi):
@@ -137,11 +139,12 @@ def rwre_simulate(env: EnvironmentSpec, eps: float, start_site: int, horizon: fl
     run's ``path_seed``, spread over ``config.threads`` threads without
     changing the output.
     """
-    if horizon <= 0:
-        raise ValidationError("the horizon must be positive")
+    if not eps > 0:
+        raise ValidationError("the step parameter must be positive")
     if environments < 1:
         raise ValidationError("need at least one environment")
-    n_steps = int(np.ceil(horizon / (eps * eps)))
+    dt = eps * eps
+    grid, n_steps, capture = config.clock(horizon, lambda t: t / dt)
     radius = n_steps + 1
     if 2 * radius + 1 > MAX_WINDOW_SITES:
         raise ConfigurationError(
@@ -150,9 +153,6 @@ def rwre_simulate(env: EnvironmentSpec, eps: float, start_site: int, horizon: fl
         )
     k_lo = start_site - radius
     k_hi = start_site + radius
-    grid = config.output_grid(horizon)
-    dt = eps * eps
-    capture = np.minimum(np.floor(grid / dt + 1e-12).astype(int), n_steps)
 
     runs = []
     for e_idx in range(environments):

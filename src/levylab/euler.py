@@ -35,7 +35,7 @@ from .core import (
     sphere_surface_area,
 )
 from .errors import SchemeStepError, ValidationError
-from .operators import _density_integral, _require_1d, chi_drift_adjustment
+from .operators import chi_drift_adjustment
 from .stable import StableField
 
 DRIFT_COMPENSATE = "drift-compensate"
@@ -58,9 +58,9 @@ class IncrementPlan:
     small_jump_mode: str = DRIFT_COMPENSATE
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValidationError("the truncation radius must be positive")
-        if self.tau >= 1.0:
+        if not self.tau < 1.0:
             raise ValidationError(
                 "the truncation radius must stay below the unit compensation cutoff"
             )
@@ -114,8 +114,7 @@ def _compensator_window(nu, lo: float, hi: float) -> np.ndarray:
     if isinstance(nu, StableLike):
         return np.zeros(d)  # radial symmetry
     if isinstance(nu, UserDensity):
-        _require_1d(nu)
-        return np.array([_density_integral(nu, lambda h: h, [lo, hi], 1e-10, 1e-8)])
+        return np.array([nu.integral(lambda h: h, [lo, hi], 1e-10, 1e-8)])
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
 
 
@@ -169,7 +168,7 @@ def _frozen_sampler(triplet: LevyTriplet, chi: CompensationFunction, dt: float,
     here, once; ``sample(gen, size)`` then draws ``size`` increments and a
     mask of the samples that jumped straight to the cemetery.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValidationError("the step duration must be positive")
     d = triplet.dim
     nu = triplet.jumps
@@ -289,13 +288,9 @@ def euler_chain_simulate(field: TripletField, chi: CompensationFunction, start,
     path is absorbed at the cemetery by a cemetery jump or beyond the
     escape radius.
     """
-    if horizon <= 0:
-        raise ValidationError("the horizon must be positive")
-    if eps <= 0:
+    if not eps > 0:
         raise ValidationError("the step size must be positive")
-    grid = config.output_grid(horizon)
-    n_steps = int(np.ceil(horizon / eps))
-    capture = np.minimum(np.floor(grid / eps + 1e-12).astype(int), n_steps)
+    grid, n_steps, capture = config.clock(horizon, lambda t: t / eps)
 
     if isinstance(field, ConstantTripletField):
         sample = _frozen_sampler(field.triplet, chi, eps, plan)

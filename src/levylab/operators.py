@@ -14,14 +14,14 @@ shell by shell with the singular shell transformed into a bounded integrand.
 Radial integrals against a `StableLike` measure go through
 `_gauss_legendre_many`, one composite Gauss-Legendre rule over per-row
 limits that integrates a whole batch of base points in numpy, each row
-stopping on its own and independently of the other rows.  Every other
-one-dimensional integral in the package goes through `_quad` (QUADPACK via
-scipy).  A user density is integrated on each half-line from 0 to infinity,
-split at the Taylor radius, the test function's support reach and the kinks
-of chi.  Below the Taylor radius the compensated
-integrand ``f(a+h) - f(a) - chi(a, a+h) f'(a)`` is evaluated as the integral
-form of the Taylor remainder plus ``(h - chi(a, a+h)) f'(a)`` in closed
-form, so no small difference of large numbers is ever formed.
+stopping on its own and independently of the other rows.  A user density
+is integrated by `UserDensity.integral` (QUADPACK via scipy, in
+`levylab.core`) on each half-line from 0 to infinity, split at the Taylor
+radius, the test function's support reach and the kinks of chi.  Below the
+Taylor radius the compensated integrand ``f(a+h) - f(a) - chi(a, a+h) f'(a)``
+is evaluated as the integral form of the Taylor remainder plus
+``(h - chi(a, a+h)) f'(a)`` in closed form, so no small difference of large
+numbers is ever formed.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate as _si
 from scipy import optimize as _so
 
 from . import rng as _rng
@@ -237,30 +236,6 @@ def vanishing_test_functions(low, high, dim: int = 1, margin: float = 0.5,
 # ---------------------------------------------------------------------------
 
 
-def _quad(fn, lo: float, hi: float, tol_abs: float, tol_rel: float) -> float:
-    """Integral of the scalar ``fn`` over [lo, hi] (``hi`` may be ``np.inf``).
-
-    QUADPACK's adaptive Gauss-Kronrod rule with extrapolation (QAGS, or QAGI
-    on a half-line), called through scipy.  When QUADPACK flags a failure
-    (subdivision limit, roundoff, divergence) and its error estimate exceeds
-    ten times the requested tolerance, QuadratureError is raised.  The
-    failure is read from ``full_output`` rather than from a warning, so
-    concurrent calls from worker threads do not share warning state.
-    """
-    if hi <= lo:
-        return 0.0
-    value, abserr, _info, *failure = _si.quad(fn, lo, hi, epsabs=tol_abs, epsrel=tol_rel,
-                                              limit=400, full_output=1)
-    tolerance = tol_abs + tol_rel * abs(value)
-    if failure and abserr > 10 * tolerance:
-        reason = str(failure[0]).split("\n")[0]
-        raise QuadratureError(
-            f"adaptive quadrature over [{lo}, {hi}] did not converge: {reason}",
-            estimate=value, error=abserr, tolerance=tolerance,
-        )
-    return float(value)
-
-
 class _SphereRule:
     """Fixed quadrature nodes and weights on the unit sphere.
 
@@ -445,32 +420,6 @@ _TAYLOR_T = 0.5 * (_GL_X + 1.0)
 _TAYLOR_W = 0.5 * _GL_W * (1.0 - _TAYLOR_T)
 
 
-def _require_1d(nu) -> None:
-    if nu.dim != 1:
-        raise ValidationError("user densities are integrated in dimension 1 only")
-
-
-def _density_integral(nu: UserDensity, g: Callable[[float], float], cuts: Sequence[float],
-                      tol_abs: float, tol_rel: float) -> float:
-    """integral of g(h) rho(h) over cuts[0] < |h| < cuts[-1] for a 1-d density.
-
-    ``cuts`` increase and may end at ``np.inf``; each side is integrated by
-    `_quad` piece by piece between consecutive cuts, the tolerance split
-    evenly over the pieces.
-    """
-    pieces = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
-    tol = tol_abs / (2 * max(len(pieces), 1))
-    total = 0.0
-    for sgn in (1.0, -1.0):
-        def integrand(r, sgn=sgn):
-            h = sgn * r
-            return g(h) * float(nu.density(np.array([[h]]))[0])
-
-        for lo, hi in pieces:
-            total += _quad(integrand, lo, hi, tol, tol_rel)
-    return total
-
-
 def _cuts(lo: float, *radii: float) -> list[float]:
     """``lo``, the radii above it in increasing order, then infinity."""
     return [lo] + sorted({r for r in radii if r > lo}) + [np.inf]
@@ -585,7 +534,6 @@ def _jump_integral_row(nu, chi, f, a, tol_abs, tol_rel) -> float:
 
 
 def _user_jump_integral(nu: UserDensity, chi, f, a, fa, grad, tol_abs, tol_rel) -> float:
-    _require_1d(nu)
     g = float(grad[0])
 
     def core(h):
@@ -598,10 +546,9 @@ def _user_jump_integral(nu: UserDensity, chi, f, a, fa, grad, tol_abs, tol_rel) 
         b = (a + h)[None, :]
         return float(f(b)[0]) - fa - float(chi(a, b)[0, 0]) * g
 
-    return (_density_integral(nu, core, [0.0, _TAYLOR_RADIUS], tol_abs / 2.0, tol_rel)
-            + _density_integral(nu, direct,
-                                _cuts(_TAYLOR_RADIUS, f.support_reach(a), *chi.radial_kinks()),
-                                tol_abs / 2.0, tol_rel))
+    return (nu.integral(core, [0.0, _TAYLOR_RADIUS], tol_abs / 2.0, tol_rel)
+            + nu.integral(direct, _cuts(_TAYLOR_RADIUS, f.support_reach(a), *chi.radial_kinks()),
+                          tol_abs / 2.0, tol_rel))
 
 
 def measure_integral_many(nus: Sequence, f: TestFunction, points, margin: float,
@@ -667,11 +614,9 @@ def _measure_integral_row(nu, f, a, margin, tol_abs, tol_rel) -> float:
             total += float(np.sum(nu.masses * f(nu.points)))
         return total
     if isinstance(nu, UserDensity):
-        _require_1d(nu)
         # f - const vanishes beyond the support reach.
-        body = _density_integral(nu, lambda h: f.value_at(a + h) - const,
-                                 [margin, max(margin, f.support_reach(a))],
-                                 tol_abs / 2.0, tol_rel)
+        body = nu.integral(lambda h: f.value_at(a + h) - const,
+                           [margin, max(margin, f.support_reach(a))], tol_abs / 2.0, tol_rel)
         return body + const * nu.tail_mass(margin)
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
 
@@ -769,14 +714,12 @@ def _chi_quadratic_row(nu, chi, a, tol_abs, tol_rel) -> np.ndarray:
             out = np.einsum("k,ki,kj->ij", nu.masses, vals, vals)
         return out
     if isinstance(nu, UserDensity):
-        _require_1d(nu)
-
         def chi_sq(h):
             return float(chi(a, (a + h)[None, :])[0, 0]) ** 2
 
         # the Taylor radius gives the singular end at 0 a short piece of its own
-        total = _density_integral(nu, chi_sq, _cuts(0.0, _TAYLOR_RADIUS, *chi.radial_kinks()),
-                                  tol_abs, tol_rel)
+        total = nu.integral(chi_sq, _cuts(0.0, _TAYLOR_RADIUS, *chi.radial_kinks()),
+                            tol_abs, tol_rel)
         return np.array([[total]])
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
 
@@ -808,15 +751,13 @@ def chi_drift_adjustment(nu, chi_from: CompensationFunction, chi_to: Compensatio
         raise ValidationError("drift adjustment for non-odd chi needs Atoms or UserDensity")
 
     if isinstance(nu, UserDensity):
-        _require_1d(nu)
-
         def chi_gap(h):
             # chi_to - chi_from = dev_from - dev_to, cubically small at h = 0
             hh = np.array([[h]])
             return float(chi_from.deviation(a, hh)[0, 0] - chi_to.deviation(a, hh)[0, 0])
 
         kinks = chi_from.radial_kinks() + chi_to.radial_kinks()
-        total = _density_integral(nu, chi_gap, _cuts(0.0, *kinks), tol_abs, tol_rel)
+        total = nu.integral(chi_gap, _cuts(0.0, *kinks), tol_abs, tol_rel)
         return np.array([total])
 
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")

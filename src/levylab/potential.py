@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .core import PathBatch, SchemeConfig, as_point, run_chain
+from .core import PathBatch, SchemeConfig, as_point, quadpack, run_chain
 from .errors import (
     PotentialOverflowError,
     RangeError,
@@ -498,7 +498,7 @@ def psi_solve_many(V: Potential, a: np.ndarray, eps: float, side: str) -> np.nda
     """
     if side not in ("up", "down"):
         raise ValidationError("side must be 'up' or 'down'")
-    if eps <= 0:
+    if not eps > 0:
         raise ValidationError("the step parameter must be positive")
     a = np.asarray(a, dtype=float)
     sgn = 1.0 if side == "up" else -1.0
@@ -625,9 +625,7 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
     ``absorb_at_edge`` is false: then such a path raises WindowEdgeError,
     for windows that only cut a larger potential down to size.
     """
-    if horizon <= 0:
-        raise ValidationError("the horizon must be positive")
-    if eps <= 0:
+    if not eps > 0:
         raise ValidationError("the step parameter must be positive")
     if not callable(start):
         s = float(as_point(start, 1)[0])
@@ -637,9 +635,7 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
                 f"start point {s} lies outside the potential domain [{lo_d}, {hi_d}]"
             )
     dt = eps * eps
-    grid = config.output_grid(horizon)
-    n_steps = int(np.ceil(horizon / dt))
-    capture = np.minimum(np.floor(grid / dt + 1e-12).astype(int), n_steps)
+    grid, n_steps, capture = config.clock(horizon, lambda t: t / dt)
 
     V.cells()  # build the cell table before any worker touches it
     lattice = _lattice_tables(V, eps, start, n_steps) if absorb_at_edge else None
@@ -822,8 +818,6 @@ def potential_distance(V: Potential, Vn: Potential, window: float,
     """int_{-M}^{M} max(|e^V - e^{Vn}|, |e^{-V} - e^{-Vn}|) da."""
     if window <= 0:
         raise ValidationError("the window must be positive")
-    from .operators import _quad
-
     lo, hi = -window, window
     V.check_window(lo, hi)
     Vn.check_window(lo, hi)
@@ -837,6 +831,6 @@ def potential_distance(V: Potential, Vn: Potential, window: float,
                                 np.abs(np.exp(-va) - np.exp(-vb)))[0])
 
     tol = tol_abs / max(len(cuts) - 1, 1)
-    total = sum(_quad(integrand, float(a), float(b), tol, tol_rel)
+    total = sum(quadpack(integrand, float(a), float(b), tol, tol_rel)
                 for a, b in zip(cuts[:-1], cuts[1:]))
     return PotentialDistance(window=window, value=total)

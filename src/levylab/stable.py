@@ -111,14 +111,9 @@ def stable_chain_simulate(field: StableField, start, n: float, horizon: float,
     States with zero scale hold their position for the step; paths beyond
     the escape radius are absorbed at the cemetery.
     """
-    if horizon <= 0:
-        raise ValidationError("the horizon must be positive")
-    if n < 1:
+    if not n >= 1:
         raise ValidationError("the scale n must be at least 1")
-    grid = config.output_grid(horizon)
-    n_steps = int(np.ceil(n * horizon))
-    # Step index at which each grid time is captured (right-continuous floor).
-    capture = np.minimum(np.floor(grid * n + 1e-12).astype(int), n_steps)
+    grid, n_steps, capture = config.clock(horizon, lambda t: t * n)
 
     def step(x, gen, limit):
         c, alpha = field.evaluate(x)

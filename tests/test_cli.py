@@ -471,6 +471,22 @@ UNKNOWN_KEY_CONFIGS = {
                          {**OPERATOR_CONFIG, "fields": [{"kind": "constant", "triplet": {
                              "drift": [0.0], "nu": {**ATOMS_NU, "delta": 0.1}}}]},
                          "'delta' in jump measure"),
+    "stable-field": (EULER_ON_CONFIG, {"kind": "stable-field", "dim": 1, "c_expr": "1",
+                                       "alpha_expr": "1.5", "min_radius": 0.1},
+                     "'min_radius' in stable field"),
+    "operator-document": (OPERATOR_ON_CONFIG, {**OPERATOR_CONFIG, "grid_point": 2},
+                          "'grid_point' in operator config"),
+    "operator-box": (OPERATOR_ON_CONFIG,
+                     {**OPERATOR_CONFIG, "box": {"low": [-1.0], "high": [1.0], "mid": [0.0]}},
+                     "'mid' in box"),
+    "operator-stable-field": (OPERATOR_ON_CONFIG,
+                              {**OPERATOR_CONFIG, "fields": [{**OPERATOR_CONFIG["limit"],
+                                                              "min_radius": 0.1}]},
+                              "'min_radius' in stable field"),
+    "operator-constant-field": (OPERATOR_ON_CONFIG,
+                                {**OPERATOR_CONFIG, "fields": [{"kind": "constant", "triplet": {
+                                    "drift": [0.0]}, "drift": [0.1]}]},
+                                "'drift' in constant field"),
 }
 
 
@@ -511,6 +527,53 @@ def test_malformed_number_text_is_a_validation_error(workdir, capsys, monkeypatc
     assert err.startswith("validation error:")
     assert "Traceback" not in err
     assert not os.path.exists("out.csv")
+
+
+# Numbers that convert but are out of range (NaN, infinite, too small or too
+# large for the step count), paths that are directories and a config that is
+# not UTF-8; each used to end in a traceback or in a wrong run with exit 0.
+STABLE_ARGV = ["simulate-stable", "--n", "10", "--T", "0.3", "--paths", "3", "--out", "out.csv"]
+RWRE_ARGV = ["simulate-rwre", "--T", "0.1", "--paths", "3", "--out", "out.csv"]
+EULER_STABLE_ARGV = ["simulate-euler", "--triplet-config", "stable.json", "--eps", "0.05",
+                     "--T", "0.2", "--paths", "3", "--out", "out.csv"]
+ZERO_POTENTIAL_ARGV = ["simulate-potential", "--potential", "zero", "--T", "0.1",
+                       "--paths", "3", "--out", "out.csv"]
+OUT_OF_RANGE_INPUT = {
+    "stable-T-nan": STABLE_ARGV + ["--T", "nan"],
+    "stable-n-nan": STABLE_ARGV + ["--n", "nan"],
+    "stable-n-huge": STABLE_ARGV + ["--n", "1e300"],
+    "stable-escape-nan": STABLE_ARGV + ["--escape-radius", "nan"],
+    "stable-grid-zero": STABLE_ARGV + ["--grid-points", "0"],
+    "stable-grid-negative": STABLE_ARGV + ["--grid-points", "-1"],
+    "euler-eps-tiny": EULER_STABLE_ARGV + ["--eps", "1e-300"],
+    "euler-eps-nan": EULER_STABLE_ARGV + ["--eps", "nan"],
+    "euler-tau-nan": EULER_STABLE_ARGV + ["--tau", "nan"],
+    "euler-config-directory": EULER_STABLE_ARGV + ["--triplet-config", "adir"],
+    "euler-config-not-utf8": EULER_STABLE_ARGV + ["--triplet-config", "latin1.json"],
+    "potential-eps-tiny": ZERO_POTENTIAL_ARGV + ["--eps", "1e-200"],
+    "potential-eps-nan": ZERO_POTENTIAL_ARGV + ["--eps", "nan"],
+    "potential-T-inf": ZERO_POTENTIAL_ARGV + ["--eps", "0.1", "--T", "inf"],
+    "rwre-eps-tiny": RWRE_ARGV + ["--env", "iid:1", "--eps", "1e-200"],
+    "rwre-eps-negative": RWRE_ARGV + ["--env", "iid:1", "--eps", "-0.1"],
+    "rwre-q-nan": RWRE_ARGV + ["--env", "bernoulli:nan:1", "--eps", "0.1"],
+    "rwre-rate-nan": RWRE_ARGV + ["--env", "bernoulli:1:nan", "--eps", "0.1"],
+    "clock-t-nan": ["diagnose-clock", "--eps", "0.1", "--t", "nan", "--threshold", "0.5",
+                    "--out", "out.csv"],
+    "operator-config-directory": ["diagnose-operator", "--config", "adir", "--out", "out.csv"],
+    "paths-directory": ["diagnose-paths", "adir", "--out", "out.csv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_INPUT))
+def test_out_of_range_input_is_a_validation_error(workdir, capsys, case):
+    os.mkdir("adir")
+    with open("stable.json", "w") as fh:
+        json.dump({"kind": "stable-field", "dim": 1, "c_expr": "1", "alpha_expr": "1.5"}, fh)
+    with open("latin1.json", "wb") as fh:
+        fh.write(b'{"drift": [0.1], "gamma": [["\xe9"]]}')
+    assert run(OUT_OF_RANGE_INPUT[case]) == 1
+    assert capsys.readouterr().err.startswith("validation error:")
+    assert not [f for f in os.listdir() if f.startswith("out")]
 
 
 SEED_ARGV = ["simulate-potential", "--potential", "zero", "--eps", "0.1", "--T", "0.1",

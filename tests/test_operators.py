@@ -570,3 +570,22 @@ def test_unconverged_row_names_point_measure_and_test_function(monkeypatch):
     with pytest.raises(QuadratureError, match=r"outer0\(r=1.0\) against StableLike\(c=1.0, "
                                               r"alpha=1.2.*at base point \[0.5\]"):
         measure_integral_many([StableLike(c=1.0, alpha=1.2)], f, [[0.5]], 0.25)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.2, 1.8])
+def test_chi2_quadratic_matrix_in_three_dimensions(alpha):
+    # int_{|h|<1} h h^T c|h|^{-3-alpha} dh = c 4 pi / (3 (2 - alpha)) I
+    c = 0.7
+    m = chi_quadratic_matrix(StableLike(c=c, alpha=alpha, dim=3), Chi2(), np.zeros(3))
+    np.testing.assert_allclose(m, c * 4.0 * np.pi / (3.0 * (2.0 - alpha)) * np.eye(3),
+                               rtol=1e-8, atol=1e-8 * c / (2.0 - alpha))
+
+
+def test_user_density_without_callables_is_one_dimensional():
+    stable = StableLike(c=1.0, alpha=1.5, dim=2)
+    user = UserDensity(density=stable.density, dim=2)
+    f = bump([3.0, 0.0], 0.5)
+    with pytest.raises(ValidationError, match="dimension 1 only"):
+        user.tail_mass(1.0)
+    with pytest.raises(ValidationError, match="dimension 1 only"):
+        jump_integral(user, Chi2(), f, [0.0, 0.0])

@@ -110,6 +110,20 @@ class TestChain:
         batch_states_dead = batch.states[exploded, -1, :]
         assert np.all(np.isnan(batch_states_dead))
 
+    @pytest.mark.parametrize("n", [3, 49])
+    def test_step_count_is_ceil_of_n_times_horizon(self, n):
+        # n * T is exact here, while at n = 49 T / (1 / n) rounds up to
+        # 49.00000000000001, which would take a 50th step.
+        steps = []
+
+        def scale(x):
+            steps.append(1)
+            return 1.0
+
+        fld = StableField(c=scale, alpha=lambda x: 1.5, dim=1)
+        stable_chain_simulate(fld, 0.0, n, 1.0, SchemeConfig(paths=4, seed=2))
+        assert len(steps) == n
+
     def test_state_dependent_field(self):
         fld = StableField(c=lambda x: 1.0 + 0.5 * np.tanh(x[:, 0]),
                           alpha=lambda x: 1.2 + 0.3 * np.sin(x[:, 0]), dim=1)
