@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, environment
 from .core import (
     ConstantTripletField,
     PathBatch,
@@ -36,8 +36,8 @@ from .diagnostics import explosion_stats, ks_distance, wasserstein1
 from .embedding import doob_bound_check
 from .environment import BernoulliPoisson, IIDScaled, rwre_simulate
 from .errors import (
+    ConfigurationError,
     DegenerateStateError,
-    LevylabError,
     PotentialOverflowError,
     QuadratureError,
     RangeError,
@@ -61,8 +61,8 @@ USAGE_EXIT = 64
 VALIDATION_EXIT = 1
 NUMERIC_EXIT = 2
 
-_VALIDATION_ERRORS = (ValidationError, RangeError, OSError, UnicodeError,
-                      json.JSONDecodeError)
+_VALIDATION_ERRORS = (ValidationError, ConfigurationError, RangeError, OSError,
+                      UnicodeError, json.JSONDecodeError)
 _NUMERIC_ERRORS = (QuadratureError, SchemeStepError, DegenerateStateError,
                    PotentialOverflowError, FloatingPointError)
 
@@ -144,7 +144,7 @@ def read_paths_csv(path: str) -> PathBatch:
 
     Rows are grouped by ``path_id`` (file order kept within a path).  Every
     path must have the same ``t`` column; ``xi`` is the first grid time whose
-    ``alive`` flag is not 1, and ``truncated`` is not stored.
+    ``alive`` flag is not 1.
     """
     with open(path) as handle:
         header = handle.readline().strip().split(",")
@@ -298,6 +298,10 @@ def _load_potential(args, n_steps: int, widen: int):
     if spec == "zero":
         start_site = int(round(float(args.start) / eps))
         pad = n_steps + 8
+        if 2 * pad + 1 > environment.MAX_WINDOW_SITES:
+            raise ValidationError(
+                f"the zero potential window needs {2 * pad + 1} sites, more than the cap of "
+                f"{environment.MAX_WINDOW_SITES}; increase --eps or shorten --T")
         return zero_potential(eps, start_site - pad, start_site + pad)
     if os.path.exists(spec):
         data = _convert(lambda path: np.loadtxt(path, delimiter=",", ndmin=2), spec,
@@ -534,9 +538,6 @@ def run(argv: Sequence[str]) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
-    except LevylabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return VALIDATION_EXIT
     manifest = _manifest(args.subcommand, seed, {
         k: v for k, v in vars(args).items() if k not in ("subcommand",)
     }, outputs, started)

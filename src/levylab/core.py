@@ -130,8 +130,6 @@ class Atoms(JumpMeasure):
 
     def _dists(self, a) -> np.ndarray:
         a = as_point(a, self.dim) if a is not None else np.zeros(self.dim)
-        if len(self.masses) == 0:
-            return np.zeros(0)
         return np.linalg.norm(self.points - a, axis=1)
 
     def tail_mass(self, r: float, a=None) -> float:
@@ -480,26 +478,29 @@ class LevyTriplet:
 
     The diffusion matrix must be symmetric (relative tolerance 1e-12) and
     positive semi-definite up to an eigenvalue floor of ``-1e-10 ||gamma||``.
+    ``jumps=None`` stands for the zero measure, stored as ``Atoms(dim=d)``,
+    so ``jumps`` is never None.
     """
 
     drift: np.ndarray
     gamma: np.ndarray
-    jumps: Optional[JumpMeasure] = None
+    jumps: JumpMeasure
     _checked: bool = field(default=True, repr=False, compare=False)
 
     def __init__(self, drift, gamma, jumps: Optional[JumpMeasure] = None, *, _checked=True):
         drift = np.atleast_1d(np.asarray(drift, dtype=float))
         gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
+        d = drift.shape[0]
+        jumps = Atoms(dim=d) if jumps is None else jumps
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "_checked", _checked)
-        d = drift.shape[0]
         if gamma.shape != (d, d):
             raise ValidationError(
                 f"gamma must be {d}x{d} to match the drift, got {gamma.shape}"
             )
-        if jumps is not None and jumps.dim != d:
+        if jumps.dim != d:
             raise ValidationError("jump measure dimension does not match the drift")
         if _checked:
             self._validate()
@@ -561,8 +562,6 @@ class ConstantTripletField(TripletField):
         nu = triplet.jumps
 
         def fn(a: np.ndarray) -> LevyTriplet:
-            if nu is None:
-                return triplet
             return LevyTriplet(triplet.drift, triplet.gamma, nu.shifted(a), _checked=False)
 
         super().__init__(fn, triplet.dim)
@@ -617,7 +616,7 @@ class PathRecord:
 class PathBatch:
     """Paths sharing one output time grid, stored as a dense array."""
 
-    def __init__(self, times, states, xi=None, truncated=None):
+    def __init__(self, times, states, xi=None):
         self.times = np.asarray(times, dtype=float)
         states = np.asarray(states, dtype=float)
         if states.ndim == 2:
@@ -625,9 +624,6 @@ class PathBatch:
         self.states = states
         n = states.shape[0]
         self.xi = np.full(n, math.inf) if xi is None else np.asarray(xi, dtype=float)
-        self.truncated = (
-            np.zeros(n, dtype=bool) if truncated is None else np.asarray(truncated, dtype=bool)
-        )
         if self.states.shape[1] != self.times.shape[0]:
             raise ValidationError("state array does not match the time grid")
 
@@ -639,8 +635,7 @@ class PathBatch:
         return self.states.shape[2]
 
     def __getitem__(self, i: int) -> PathRecord:
-        return PathRecord(self.times, self.states[i], xi=self.xi[i],
-                          truncated=bool(self.truncated[i]))
+        return PathRecord(self.times, self.states[i], xi=self.xi[i])
 
     def alive_at_index(self, j: int) -> np.ndarray:
         return self.times[j] < self.xi
@@ -964,8 +959,6 @@ def validate_hypotheses(field: TripletField, chi: CompensationFunction,
             violations.append(f"triplet invalid at {a.tolist()}: {exc}")
             continue
         nu = trip.jumps
-        if nu is None:
-            continue
         # Atom locations are absolute, so the forbidden point mass sits at a
         # itself; density variants never charge single points.
         if nu.mass_at(a) > 0:
@@ -1023,6 +1016,8 @@ def _chi_continuity_ok(chi, nu, a) -> Optional[bool]:
     """Whether nu puts zero mass on the discontinuity set of chi at (a, .)."""
     if isinstance(chi, Chi1):
         return True
+    if isinstance(nu, Atoms) and len(nu.masses) == 0:
+        return True  # no atom in R^d, so no discontinuity of any chi is charged
     if isinstance(chi, Chi2):
         kink = 1.0
         if isinstance(nu, Atoms):

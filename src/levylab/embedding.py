@@ -19,6 +19,9 @@ from . import rng as _rng
 from .core import PathRecord
 from .errors import RangeError, ValidationError
 
+# Elements per chunk of exponential draws; a trial needing more knots is refused.
+MAX_CHUNK_ELEMENTS = 20_000_000
+
 
 def _chain_states(chain) -> np.ndarray:
     states = np.asarray(chain, dtype=float)
@@ -154,10 +157,14 @@ def doob_bound_check(eps: float, horizon: float, threshold: float, trials: int,
     if not (eps > 0 and 0 < horizon < np.inf and threshold > 0):
         raise ValidationError("eps and threshold must be positive, the horizon positive "
                               "and finite")
-    n_knots = int(np.ceil(horizon / eps))
+    knots = np.ceil(horizon / eps)
+    if not knots <= MAX_CHUNK_ELEMENTS:
+        raise ValidationError(f"the clock check needs {knots:.0f} knots per trial, more than "
+                              f"the cap of {MAX_CHUNK_ELEMENTS}; increase eps or shorten t")
+    n_knots = int(knots)
     gen = _rng.stream(seed, namespace=_rng.CLOCKS)
     hits = 0
-    chunk = max(1, min(trials, int(2e7) // max(n_knots, 1)))
+    chunk = max(1, min(trials, MAX_CHUNK_ELEMENTS // max(n_knots, 1)))
     done = 0
     while done < trials:
         m = min(chunk, trials - done)

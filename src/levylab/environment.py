@@ -28,6 +28,7 @@ from .potential import (
     psi_solve_many,
 )
 
+# Largest walk or zero-potential window, in sites; a larger one is refused.
 MAX_WINDOW_SITES = 20_000_000
 
 
@@ -183,7 +184,6 @@ class CrossValidationReport:
     ks_stat: float
     ks_p_value: float
     wasserstein: float
-    lattice_start: bool
     sites_checked: int
 
 
@@ -229,5 +229,5 @@ def quenched_cross_validate(run: QuenchedRun, t: float, paths: int,
     return CrossValidationReport(
         kernel_max_dev=kernel_dev, psi_max_dev=psi_dev,
         ks_stat=stat, ks_p_value=p_value, wasserstein=w1,
-        lattice_start=True, sites_checked=sites.size,
+        sites_checked=sites.size,
     )

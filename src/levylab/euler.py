@@ -103,16 +103,12 @@ def gaussian_factor(gamma: np.ndarray) -> np.ndarray:
 
 def _compensator_window(nu, lo: float, hi: float) -> np.ndarray:
     """integral of h over lo < |h| < hi against nu (a vector), per variant."""
-    d = nu.dim
     if isinstance(nu, Atoms):
-        out = np.zeros(d)
-        if len(nu.masses):
-            r = np.linalg.norm(nu.points, axis=1)
-            keep = (r > lo) & (r < hi)
-            out = np.einsum("k,ki->i", nu.masses[keep], nu.points[keep])
-        return out
+        r = np.linalg.norm(nu.points, axis=1)
+        keep = (r > lo) & (r < hi)
+        return np.einsum("k,ki->i", nu.masses[keep], nu.points[keep])
     if isinstance(nu, StableLike):
-        return np.zeros(d)  # radial symmetry
+        return np.zeros(nu.dim)  # radial symmetry
     if isinstance(nu, UserDensity):
         return np.array([nu.integral(lambda h: h, [lo, hi], 1e-10, 1e-8)])
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
@@ -130,8 +126,6 @@ def effective_drift(triplet: LevyTriplet, chi: CompensationFunction,
     """
     nu = triplet.jumps
     delta = triplet.drift.copy()
-    if nu is None:
-        return delta
     if isinstance(chi, Chi1):
         delta = delta + chi_drift_adjustment(nu, Chi1(), Chi2())
     elif not isinstance(chi, Chi2):
@@ -144,18 +138,13 @@ def effective_drift(triplet: LevyTriplet, chi: CompensationFunction,
 def _sample_tail_jumps(nu, rng: np.random.Generator, size: int, tau: float):
     """Draw ``size`` jump vectors from the normalized tail; flags cemetery jumps."""
     if isinstance(nu, Atoms):
-        r = np.linalg.norm(nu.points, axis=1) if len(nu.masses) else np.zeros(0)
-        keep = r > tau
+        # Called only at a positive tail rate, which sums exactly these weights.
+        keep = np.linalg.norm(nu.points, axis=1) > tau
         weights = np.concatenate([nu.masses[keep], [nu.delta_mass]])
-        total = weights.sum()
-        if total <= 0:
-            return np.zeros((size, nu.dim)), np.zeros(size, dtype=bool)
-        idx = rng.choice(len(weights), size=size, p=weights / total)
+        idx = rng.choice(len(weights), size=size, p=weights / weights.sum())
         to_delta = idx == len(weights) - 1
         jumps = np.zeros((size, nu.dim))
-        finite = ~to_delta
-        if np.any(finite):
-            jumps[finite] = nu.points[keep][idx[finite]]
+        jumps[~to_delta] = nu.points[keep][idx[~to_delta]]
         return jumps, to_delta
     return nu.sample_tail(rng, size, tau), np.zeros(size, dtype=bool)
 
@@ -176,10 +165,10 @@ def _frozen_sampler(triplet: LevyTriplet, chi: CompensationFunction, dt: float,
     factor = gaussian_factor(triplet.gamma)
     diffuse = bool(np.any(factor))
     sqrt_dt = np.sqrt(dt)
-    rate = nu.tail_mass(plan.tau) * dt if nu is not None else 0.0
+    rate = nu.tail_mass(plan.tau) * dt
     _guard_jump_count(rate)
     surrogate_sd = None
-    if nu is not None and plan.small_jump_mode == GAUSSIAN_SURROGATE:
+    if plan.small_jump_mode == GAUSSIAN_SURROGATE:
         var = nu.truncated_second_moment(plan.tau) / d
         if var > 0.0:
             surrogate_sd = np.sqrt(var * dt)
@@ -217,9 +206,8 @@ def levy_increment_sample(triplet: LevyTriplet, chi: CompensationFunction, dt: f
     """
     if at is not None:
         at = as_point(at, triplet.dim)
-        if triplet.jumps is not None:
-            triplet = LevyTriplet(triplet.drift, triplet.gamma, triplet.jumps.shifted(-at),
-                                  _checked=False)
+        triplet = LevyTriplet(triplet.drift, triplet.gamma, triplet.jumps.shifted(-at),
+                              _checked=False)
     return _frozen_sampler(triplet, chi, dt, plan)(rng, size)
 
 

@@ -443,6 +443,12 @@ def _sphere_points(rule: _SphereRule, pts: np.ndarray, r: np.ndarray):
     return b, np.broadcast_to(pts[:, None, None, :], b.shape)
 
 
+def _measures(nus: Sequence, dim: int) -> list:
+    """``nus`` with each None, which the operator functions accept for a
+    triplet without jumps, replaced by the zero measure on R^dim."""
+    return [Atoms(dim=dim) if nu is None else nu for nu in nus]
+
+
 def _other_rows(nus, pts, row_fn, out) -> list[int]:
     """Fill ``out`` with ``row_fn(nu, a)`` at every row whose measure is not
     StableLike; return the StableLike rows."""
@@ -466,6 +472,7 @@ def jump_integral_many(nus: Sequence, chi: CompensationFunction, f: TestFunction
     StableLike rows are integrated together by `_gauss_legendre_many`;
     a row's value does not depend on the other rows.
     """
+    nus = _measures(nus, f.dim)
     pts = _base_points(points, len(nus), f.dim)
     out = np.zeros(len(nus))
     stable = _other_rows(nus, pts, lambda nu, a: _jump_integral_row(nu, chi, f, a, tol_abs,
@@ -515,19 +522,14 @@ def jump_integral(nu, chi: CompensationFunction, f: TestFunction, a,
 
 
 def _jump_integral_row(nu, chi, f, a, tol_abs, tol_rel) -> float:
-    if nu is None:
-        return 0.0
     fa = f.value_at(a)
     grad = f.grad_at(a)
     if isinstance(nu, Atoms):
         if nu.mass_at(a) > 0.0:
             raise ValidationError("jump measure must not charge the base point")
         total = nu.delta_mass * (f.const_at_delta - fa)
-        if len(nu.masses):
-            vals = f(nu.points)
-            comp = chi(a, nu.points) @ grad
-            total += float(np.sum(nu.masses * (vals - fa - comp)))
-        return total
+        comp = chi(a, nu.points) @ grad
+        return total + float(np.sum(nu.masses * (f(nu.points) - fa - comp)))
     if isinstance(nu, UserDensity):
         return _user_jump_integral(nu, chi, f, a, fa, grad, tol_abs, tol_rel)
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
@@ -562,6 +564,7 @@ def measure_integral_many(nus: Sequence, f: TestFunction, points, margin: float,
     together by `_gauss_legendre_many`; a row's value does not depend on
     the other rows.
     """
+    nus = _measures(nus, f.dim)
     pts = _base_points(points, len(nus), f.dim)
     if not margin > 0.0:
         raise ValidationError(f"margin must be positive, got {margin}")
@@ -605,14 +608,9 @@ def measure_integral(nu, f: TestFunction, a, margin: float,
 
 
 def _measure_integral_row(nu, f, a, margin, tol_abs, tol_rel) -> float:
-    if nu is None:
-        return 0.0
     const = f.const_at_delta
     if isinstance(nu, Atoms):
-        total = nu.delta_mass * const
-        if len(nu.masses):
-            total += float(np.sum(nu.masses * f(nu.points)))
-        return total
+        return nu.delta_mass * const + float(np.sum(nu.masses * f(nu.points)))
     if isinstance(nu, UserDensity):
         # f - const vanishes beyond the support reach.
         body = nu.integral(lambda h: f.value_at(a + h) - const,
@@ -626,16 +624,15 @@ def chi_quadratic_matrix_many(nus: Sequence, chi: CompensationFunction, points,
                               tol_rel: float = DEFAULT_TOL_REL) -> np.ndarray:
     """integral of chi_i chi_j (a, b) nus[k](db) at each row a of ``points``, as (m, d, d).
 
-    Every measure must be present and share one dimension.  All StableLike
-    rows and matrix entries are integrated together by
-    `_gauss_legendre_many`; a row's value does not depend on the other rows.
+    Every measure must share one dimension.  All StableLike rows and matrix
+    entries are integrated together by `_gauss_legendre_many`; a row's value
+    does not depend on the other rows.
     """
-    if any(nu is None for nu in nus):
-        raise ValidationError("chi_quadratic_matrix needs a jump measure")
-    dims = {nu.dim for nu in nus}
+    dims = {nu.dim for nu in nus if nu is not None}
     if len(dims) > 1:
         raise ValidationError(f"jump measures of different dimensions {sorted(dims)}")
-    dim = dims.pop() if dims else np.shape(points)[-1]
+    dim = dims.pop() if dims else (np.shape(points)[-1] if np.ndim(points) == 2 else 1)
+    nus = _measures(nus, dim)
     pts = _base_points(points, len(nus), dim)
     out = np.zeros((len(nus), dim, dim))
     stable = _other_rows(nus, pts, lambda nu, a: _chi_quadratic_row(nu, chi, a, tol_abs,
@@ -699,20 +696,13 @@ def chi_quadratic_matrix(nu, chi: CompensationFunction, a,
                          tol_abs: float = DEFAULT_TOL_ABS,
                          tol_rel: float = DEFAULT_TOL_REL) -> np.ndarray:
     """`chi_quadratic_matrix_many` at the one point ``a``, as a (d, d) matrix."""
-    if nu is None:
-        raise ValidationError("chi_quadratic_matrix needs a jump measure")
-    return chi_quadratic_matrix_many([nu], chi, as_point(a, nu.dim)[None, :],
-                                     tol_abs, tol_rel)[0]
+    return chi_quadratic_matrix_many([nu], chi, as_point(a)[None, :], tol_abs, tol_rel)[0]
 
 
 def _chi_quadratic_row(nu, chi, a, tol_abs, tol_rel) -> np.ndarray:
-    dim = nu.dim
     if isinstance(nu, Atoms):
-        out = np.zeros((dim, dim))
-        if len(nu.masses):
-            vals = chi(a, nu.points)
-            out = np.einsum("k,ki,kj->ij", nu.masses, vals, vals)
-        return out
+        vals = chi(a, nu.points)
+        return np.einsum("k,ki,kj->ij", nu.masses, vals, vals)
     if isinstance(nu, UserDensity):
         def chi_sq(h):
             return float(chi(a, (a + h)[None, :])[0, 0]) ** 2
@@ -733,13 +723,14 @@ def chi_drift_adjustment(nu, chi_from: CompensationFunction, chi_to: Compensatio
     this vector is added to the drift.  The integrand is cubically small at
     the base point, so plain validity of the triplet suffices.
     """
-    if nu is None:
-        return np.zeros(1)
+    nu, = _measures([nu], 1 if a is None else as_point(a).size)
     dim = nu.dim
     a = np.zeros(dim) if a is None else as_point(a, dim)
 
     if isinstance(nu, Atoms):
-        out = np.zeros(dim)
+        # The empty sum is -0.0, the zero that leaves every drift it is added
+        # to unchanged, -0.0 included.
+        out = np.full(dim, -0.0)
         if len(nu.masses):
             dv = chi_to(a, nu.points) - chi_from(a, nu.points)
             out = np.einsum("k,ki->i", nu.masses, dv)
@@ -861,11 +852,8 @@ def _gap_components(fld: TripletField, chi, grid, testfns, margin, tol_abs, tol_
     drift = np.array([t.drift for t in trips])
     jumps = {f.name: measure_integral_many(nus, f, grid, margin, tol_abs, tol_rel)
              for f in testfns}
-    carre = np.array([t.gamma for t in trips])
-    charged = [i for i, nu in enumerate(nus) if nu is not None]
-    if charged:
-        carre[charged] = carre[charged] + chi_quadratic_matrix_many(
-            [nus[i] for i in charged], chi, grid[charged], tol_abs, tol_rel)
+    carre = np.array([t.gamma for t in trips]) + chi_quadratic_matrix_many(
+        nus, chi, grid, tol_abs, tol_rel)
     return drift, jumps, carre
 
 

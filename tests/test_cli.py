@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from levylab import cli
+from levylab import cli, embedding, environment
 from levylab.cli import build_parser, paths_to_csv, read_paths_csv, run
 from levylab.core import PathBatch
+from levylab.errors import LevylabError
 
 
 @pytest.fixture
@@ -99,6 +100,43 @@ def test_numeric_exit_code(workdir, capsys):
                 "--eps", "1000000", "--tau", "0.0001", "--T", "2000000",
                 "--paths", "2", "--out", "x.csv"])
     assert code == 2
+
+
+def test_every_package_error_has_one_exit_code():
+    subclasses, todo = [], [LevylabError]
+    while todo:
+        found = todo.pop().__subclasses__()
+        subclasses += found
+        todo += found
+    assert len(subclasses) >= 9
+    for cls in subclasses:
+        caught = [issubclass(cls, cli._VALIDATION_ERRORS), issubclass(cls, cli._NUMERIC_ERRORS)]
+        assert caught.count(True) == 1, cls.__name__
+
+
+OVERSIZED_RUNS = {
+    # 2 * 10^8 + 3 walk sites, refused by the walk's own cap
+    "rwre-window": (None, ["simulate-rwre", "--env", "iid:1", "--eps", "1e-4", "--T", "1000",
+                           "--paths", "1", "--out", "out.csv"]),
+    # 2 * (100 + 8) + 1 = 217 sites against a cap of 100
+    "zero-potential-window": ((environment, "MAX_WINDOW_SITES", 100),
+                              ["simulate-potential", "--potential", "zero", "--eps", "0.1",
+                               "--T", "1", "--paths", "1", "--out", "out.csv"]),
+    # 100 clock knots against a chunk of 50 elements
+    "clock-knots": ((embedding, "MAX_CHUNK_ELEMENTS", 50),
+                    ["diagnose-clock", "--eps", "0.01", "--t", "1", "--threshold", "0.5",
+                     "--trials", "1", "--out", "out.json"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_RUNS))
+def test_oversized_run_is_refused_before_allocating(workdir, capsys, monkeypatch, case):
+    cap, argv = OVERSIZED_RUNS[case]
+    if cap is not None:
+        monkeypatch.setattr(*cap)
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("validation error:")
+    assert not [f for f in os.listdir() if f.startswith("out")]
 
 
 def test_usage_exit_code(workdir, capsys):

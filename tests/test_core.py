@@ -229,6 +229,18 @@ class TestValidateHypotheses:
         assert not rep.all_ok
         assert rep.second_order_constant > 1e3  # the growing ratio is visible
 
+    def test_smooth_custom_chi_without_jumps_keeps_the_modulus(self):
+        # the zero measure charges no discontinuity of any chi
+        def smooth(a, b):
+            h = np.atleast_2d(b) - np.asarray(a)
+            return h / (1.0 + np.sum(h * h, axis=1, keepdims=True))
+
+        chi = CustomChi(smooth, bound=0.5, name="smooth")
+        field = ConstantTripletField(LevyTriplet([0.0], [[1.0]], None))
+        rep = validate_hypotheses(field, chi, [-1.0], [1.0], samples=500, seed=7)
+        assert rep.modulus_ok is True
+        assert rep.all_ok and not rep.violations
+
     def test_base_point_atom_flagged(self):
         def fn(a):
             return LevyTriplet(np.zeros(1), np.zeros((1, 1)),
@@ -237,6 +249,16 @@ class TestValidateHypotheses:
         field = TripletField(fn, dim=1)
         rep = validate_hypotheses(field, Chi1(), [-1.0], [1.0], samples=200, seed=1)
         assert not rep.triplet_ok
+
+
+def test_a_triplet_without_jumps_holds_the_zero_measure():
+    for trip in (LevyTriplet([0.0, 1.0], np.eye(2)), LevyTriplet([0.0, 1.0], np.eye(2), None),
+                 triplet_from_config({"drift": [0.0, 1.0], "nu": {"kind": "none"}})):
+        nu = trip.jumps
+        assert isinstance(nu, Atoms) and nu.dim == 2
+        assert nu.total_mass() == 0.0
+        assert nu.tail_mass(1e-3) == 0.0 and nu.truncated_second_moment(1.0) == 0.0
+    assert ConstantTripletField(trip)([0.5, 0.5]).jumps.total_mass() == 0.0
 
 
 class TestConfigParsing:

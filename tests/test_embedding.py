@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from levylab import embedding
 from levylab import rng as lrng
 from levylab.embedding import (
     doob_bound_check,
@@ -126,3 +127,13 @@ class TestDoobBound:
     def test_validation(self):
         with pytest.raises(ValidationError):
             doob_bound_check(0.01, 1.0, 0.5, trials=0)
+
+    def test_knots_beyond_the_chunk_cap_are_refused(self, monkeypatch):
+        # one trial of ceil(t / eps) knots must fit in a chunk; the run is
+        # refused before any draw
+        monkeypatch.setattr(embedding, "MAX_CHUNK_ELEMENTS", 50)
+        with pytest.raises(ValidationError, match="101 knots per trial"):
+            doob_bound_check(0.01, 1.01, 0.5, trials=1)
+        assert doob_bound_check(0.02, 1.0, 0.5, trials=3).trials == 3
+        with pytest.raises(ValidationError, match="knots per trial"):
+            doob_bound_check(1e-320, 1.0, 0.5, trials=1)

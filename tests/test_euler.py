@@ -93,6 +93,14 @@ class TestIncrementSampling:
         drift2 = effective_drift(trip, Chi2(), IncrementPlan(tau=0.6))
         assert drift2[0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("chi", [Chi1(), Chi2()])
+    def test_zero_measure_keeps_the_drift_bits(self, chi):
+        # adding the zero measure's chi1 adjustment must not turn -0.0 into 0.0
+        trip = LevyTriplet([-0.0, 0.5], np.zeros((2, 2)))
+        drift = effective_drift(trip, chi, IncrementPlan())
+        assert np.signbit(drift).tolist() == [True, False]
+        assert drift.tolist() == [0.0, 0.5]
+
     def test_chi1_conversion(self):
         nu = Atoms([((0.5,), 2.0)])
         trip = LevyTriplet([1.0], [[0.0]], nu)

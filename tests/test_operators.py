@@ -224,6 +224,22 @@ class TestChiQuadraticMatrix:
         m = chi_quadratic_matrix(nu, Chi2(), [0.0])
         assert m[0, 0] == pytest.approx(2.0 * 0.25)  # the far atom is not compensated
 
+    def test_no_jumps_is_the_zero_measure(self):
+        np.testing.assert_array_equal(chi_quadratic_matrix(None, Chi1(), [0.2, 0.1]),
+                                      np.zeros((2, 2)))
+        got = chi_quadratic_matrix_many([None, Atoms(dim=1)], Chi2(), [[0.0], [1.0]])
+        np.testing.assert_array_equal(got, np.zeros((2, 1, 1)))
+        got = chi_quadratic_matrix_many([None, None], Chi2(), [0.0, 1.0])
+        np.testing.assert_array_equal(got, np.zeros((2, 1, 1)))
+
+
+@pytest.mark.parametrize("a, dim", [(None, 1), ([0.3], 1), ([0.0, 0.0], 2)])
+def test_drift_adjustment_of_the_zero_measure(a, dim):
+    adj = chi_drift_adjustment(None, Chi1(), Chi2(), a=a)
+    assert adj.shape == (dim,)
+    assert adj.tolist() == [0.0] * dim
+    np.testing.assert_array_equal(adj, chi_drift_adjustment(Atoms(dim=dim), Chi1(), Chi2(), a=a))
+
 
 class TestConvergenceGaps:
     def test_identical_fields_have_zero_gaps(self):

@@ -469,6 +469,20 @@ class TestChain:
         with pytest.raises(SchemeStepError, match="left the potential window"):
             potential_chain_simulate(V, -0.5, 0.1, 0.05, SchemeConfig(paths=4, seed=1))
 
+    @pytest.mark.parametrize("eps, start", [
+        (0.05, 0.0),                                   # mesh 0.1 against step 0.05
+        (0.1, lambda rng, m: np.zeros((m, 1))),        # a start sampler
+        (0.1, 0.05),                                   # a start between two sites
+    ], ids=["mesh-mismatch", "callable-start", "unaligned-start"])
+    def test_lattice_reduction_falls_back_to_the_solver(self, monkeypatch, eps, start):
+        V = zero_potential(0.1, -40, 40)
+        assert pot._lattice_tables(V, eps, start, 4) is None
+        monkeypatch.setattr(pot, "lattice_kernel",
+                            lambda *a, **k: pytest.fail("lattice table used"))
+        cfg = SchemeConfig(paths=8, seed=2, grid=np.array([0.0, 4 * eps * eps]))
+        batch = potential_chain_simulate(V, start, eps, 4 * eps * eps, cfg)
+        assert np.all(np.isfinite(batch.states)) and not np.isfinite(batch.xi).any()
+
 
 class TestTransport:
     def test_line(self):
