@@ -32,9 +32,7 @@ from .core import (
     UserDensity,
     jump_measure_from_config,
     sphere_surface_area,
-    tail_mass,
     triplet_from_config,
-    truncated_second_moment,
     validate_hypotheses,
 )
 from .diagnostics import explosion_stats, ks_distance, martingale_residual, wasserstein1

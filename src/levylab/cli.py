@@ -60,6 +60,9 @@ from .stable import StableField, stable_chain_simulate
 USAGE_EXIT = 64
 VALIDATION_EXIT = 1
 NUMERIC_EXIT = 2
+# Largest paths x grid points x dimension a simulate run may write; a larger
+# one is refused before its grid is built.
+MAX_OUTPUT_ELEMENTS = 1 << 27
 
 _VALIDATION_ERRORS = (ValidationError, ConfigurationError, RangeError, OSError,
                       UnicodeError, json.JSONDecodeError)
@@ -196,9 +199,15 @@ def _manifest(subcommand: str, seed: int, args_dict: dict, outputs: list[str],
     }
 
 
-def _scheme_config(args, seed: int, horizon: float) -> SchemeConfig:
+def _scheme_config(args, seed: int, horizon: float, dim: int) -> SchemeConfig:
     if args.grid_points < 1:
         raise ValidationError(f"--grid-points must be at least 1, got {args.grid_points}")
+    size = int(args.paths) * int(args.grid_points) * int(dim)
+    if size > MAX_OUTPUT_ELEMENTS:
+        raise ValidationError(
+            f"{args.paths} paths x {args.grid_points} grid points x {dim} coordinates is "
+            f"{size} values, above the cap of {MAX_OUTPUT_ELEMENTS}; lower --paths, "
+            "--grid-points or the dimension")
     # A horizon that is not positive and finite is refused by SchemeConfig.clock.
     with np.errstate(invalid="ignore"):
         grid = np.linspace(0.0, horizon, args.grid_points)
@@ -336,7 +345,7 @@ def _cmd_simulate_stable(args, seed: int) -> list[str]:
     c_fn = compile_expression(args.c_expr, dim)
     a_fn = compile_expression(args.alpha_expr, dim)
     field = StableField(c=c_fn, alpha=a_fn, dim=dim)
-    cfg = _scheme_config(args, seed, float(args.T))
+    cfg = _scheme_config(args, seed, float(args.T), dim)
     batch = stable_chain_simulate(field, _parse_start(args.start, dim),
                                   float(args.n), float(args.T), cfg)
     atomic_write_text(args.out, paths_to_csv(batch))
@@ -374,7 +383,7 @@ def _cmd_simulate_euler(args, seed: int) -> list[str]:
                                   "reads a triplet or a 'stable-field'")
     chi = compensation_by_name(args.chi)
     plan = IncrementPlan(tau=float(args.tau), small_jump_mode=args.small_jump_mode)
-    cfg = _scheme_config(args, seed, float(args.T))
+    cfg = _scheme_config(args, seed, float(args.T), field.dim)
     batch = euler_chain_simulate(field, chi, _parse_start(args.start, field.dim),
                                  float(args.eps), float(args.T), plan, cfg)
     atomic_write_text(args.out, paths_to_csv(batch))
@@ -387,7 +396,7 @@ def _cmd_simulate_potential(args, seed: int) -> list[str]:
         raise ValidationError("--eps must be positive")
     if not np.isfinite(args.start):
         raise ValidationError("start points must be finite")
-    cfg = _scheme_config(args, seed, float(args.T))
+    cfg = _scheme_config(args, seed, float(args.T), 1)
     dt = eps * eps
     n_steps = cfg.clock(float(args.T), lambda t: t / dt)[1]
     # An expression's window is only a working range, so instead of absorbing
@@ -408,7 +417,7 @@ def _cmd_simulate_potential(args, seed: int) -> list[str]:
 
 def _cmd_simulate_rwre(args, seed: int) -> list[str]:
     env = _parse_env(args.env)
-    cfg = _scheme_config(args, seed, float(args.T))
+    cfg = _scheme_config(args, seed, float(args.T), 1)
     runs = rwre_simulate(env, float(args.eps), int(args.start_site), float(args.T),
                          int(args.envs), cfg)
     stem, ext = os.path.splitext(args.out)

@@ -11,7 +11,7 @@ import copy
 import math
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -315,18 +315,6 @@ class UserDensity(JumpMeasure):
         return out.reshape(size, self.dim)
 
 
-# Module-level wrappers matching the operation names used across the package.
-
-def tail_mass(nu: JumpMeasure, r: float, a=None) -> float:
-    """Mass of the jump measure beyond radius ``r`` from the base point."""
-    return nu.tail_mass(r, a)
-
-
-def truncated_second_moment(nu: JumpMeasure, r: float, a=None) -> float:
-    """Second moment of jumps with ``0 < |b-a| <= r``."""
-    return nu.truncated_second_moment(r, a)
-
-
 # ---------------------------------------------------------------------------
 # Compensation functions
 # ---------------------------------------------------------------------------
@@ -383,7 +371,6 @@ class Chi1(CompensationFunction):
     """Smooth compensation (b-a) / (1 + |b-a|^2); valid for every jump measure."""
 
     name = "chi1"
-    bound = 0.5
 
     def __call__(self, a, b):
         a = np.asarray(a, dtype=float)
@@ -413,7 +400,6 @@ class Chi2(CompensationFunction):
     """Hard cutoff (b-a) 1_{|b-a| < 1}; needs no jump mass exactly on the unit sphere."""
 
     name = "chi2"
-    bound = 1.0
 
     def __call__(self, a, b):
         a = np.asarray(a, dtype=float)
@@ -442,19 +428,18 @@ class Chi2(CompensationFunction):
 
 
 class CustomChi(CompensationFunction):
-    def __init__(self, fn, bound: float, name: str = "custom", kinks=()):
+    """chi given by a callable ``fn(a, b)`` smooth in ``b``; a chi with kinks
+    subclasses `CompensationFunction` and overrides ``radial_kinks``."""
+
+    def __init__(self, fn, bound: float, name: str = "custom"):
         self._fn = fn
         self.bound = float(bound)
         self.name = name
-        self._kinks = tuple(kinks)
 
     def __call__(self, a, b):
         a = np.asarray(a, dtype=float)
         b = np.atleast_2d(np.asarray(b, dtype=float))
         return np.atleast_2d(np.asarray(self._fn(a, b), dtype=float))
-
-    def radial_kinks(self):
-        return self._kinks
 
 
 def compensation_by_name(name: str) -> CompensationFunction:
@@ -485,7 +470,6 @@ class LevyTriplet:
     drift: np.ndarray
     gamma: np.ndarray
     jumps: JumpMeasure
-    _checked: bool = field(default=True, repr=False, compare=False)
 
     def __init__(self, drift, gamma, jumps: Optional[JumpMeasure] = None, *, _checked=True):
         drift = np.atleast_1d(np.asarray(drift, dtype=float))
@@ -495,7 +479,6 @@ class LevyTriplet:
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "jumps", jumps)
-        object.__setattr__(self, "_checked", _checked)
         if gamma.shape != (d, d):
             raise ValidationError(
                 f"gamma must be {d}x{d} to match the drift, got {gamma.shape}"

@@ -19,6 +19,9 @@ from .core import PathBatch, as_point
 from .errors import ValidationError
 from .operators import TestFunction
 
+# Equal time buckets of the explosion histogram.
+EXPLOSION_BUCKETS = 10
+
 
 def _clean(sample) -> np.ndarray:
     arr = np.asarray(sample, dtype=float).ravel()
@@ -168,12 +171,13 @@ class ExplosionReport:
         }
 
 
-def explosion_stats(batch: PathBatch, buckets: int = 10) -> ExplosionReport:
-    """Fraction of paths absorbed per time bucket over the batch horizon."""
+def explosion_stats(batch: PathBatch) -> ExplosionReport:
+    """Fraction of paths absorbed in each of ``EXPLOSION_BUCKETS`` equal time
+    buckets over the batch horizon."""
     xi = batch.xi
     horizon = float(batch.times[-1])
     exploded = xi <= horizon
-    edges = np.linspace(0.0, horizon, buckets + 1)
+    edges = np.linspace(0.0, horizon, EXPLOSION_BUCKETS + 1)
     counts, _ = np.histogram(xi[exploded], bins=edges)
     # Absorbed rows must carry no finite state at or after their explosion time.
     dead_mask = batch.times[None, :] >= xi[:, None]

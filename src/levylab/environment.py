@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .potential import (
 
 # Largest walk or zero-potential window, in sites; a larger one is refused.
 MAX_WINDOW_SITES = 20_000_000
+# Sites on either side of the start where quenched_cross_validate compares kernels.
+SITE_PROBE = 200
 
 
 class EnvironmentSpec:
@@ -187,13 +189,12 @@ class CrossValidationReport:
     sites_checked: int
 
 
-def quenched_cross_validate(run: QuenchedRun, t: float, paths: int,
-                            seed: Optional[int] = None,
-                            site_probe: int = 200) -> CrossValidationReport:
+def quenched_cross_validate(run: QuenchedRun, t: float, paths: int) -> CrossValidationReport:
     """Run the potential scheme in the run's own potential and compare laws.
 
-    On lattice starts the two transition kernels coincide exactly, so the
-    kernel deviation is a solver-consistency check and the marginal
+    The kernels are compared on ``SITE_PROBE`` sites on either side of the
+    start.  On lattice starts the two transition kernels coincide exactly,
+    so the kernel deviation is a solver-consistency check and the marginal
     comparison carries pure Monte Carlo noise.
     """
     eps = run.eps
@@ -205,8 +206,8 @@ def quenched_cross_validate(run: QuenchedRun, t: float, paths: int,
 
     # Kernel check on sites around the start.
     k_lo, k_hi = run.window
-    probe_lo = max(k_lo + 1, run.start_site - site_probe)
-    probe_hi = min(k_hi - 1, run.start_site + site_probe)
+    probe_lo = max(k_lo + 1, run.start_site - SITE_PROBE)
+    probe_hi = min(k_hi - 1, run.start_site + SITE_PROBE)
     sites = np.arange(probe_lo, probe_hi + 1)
     pos = sites * eps
     psiu = psi_solve_many(run.potential, pos, eps, "up")
@@ -216,8 +217,7 @@ def quenched_cross_validate(run: QuenchedRun, t: float, paths: int,
     p_walk = 1.0 / (np.exp(run.q[sites - run.k_min]) + 1.0)
     kernel_dev = float(np.max(np.abs(p_scheme - p_walk)))
 
-    cfg = SchemeConfig(paths=paths, seed=run.path_seed + 7 if seed is None else seed,
-                       grid=times)
+    cfg = SchemeConfig(paths=paths, seed=run.path_seed + 7, grid=times)
     scheme = potential_chain_simulate(run.potential, run.start_site * eps, eps,
                                       float(times[-1]), cfg)
     a, _ = run.walks.marginal(t)

@@ -59,10 +59,8 @@ DEFAULT_TOL_REL = 1e-7
 class TestFunction:
     """A smooth function with compact support and supplied derivatives.
 
-    ``fn``, ``grad`` and ``hess`` accept an (m, d) array of points;
-    ``const_at_delta`` is the value carried at the cemetery (and at
-    infinity), so functions that are constant far away are the constant
-    plus a compactly supported part.
+    ``fn``, ``grad`` and ``hess`` accept an (m, d) array of points.  The
+    function vanishes outside its support box and at the cemetery.
     """
 
     __test__ = False  # not a pytest collection target
@@ -74,15 +72,13 @@ class TestFunction:
     support_low: np.ndarray
     support_high: np.ndarray
     hess_bound: float
-    const_at_delta: float = 0.0
 
     @property
     def dim(self) -> int:
         return self.support_low.shape[0]
 
     def __call__(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.fn(points) + self.const_at_delta
+        return self.fn(np.atleast_2d(np.asarray(points, dtype=float)))
 
     def value_at(self, a) -> float:
         return float(self(as_point(a, self.dim)[None, :])[0])
@@ -152,11 +148,11 @@ class TestFunction:
                     )
 
 
-def bump(center, radius: float, height: float = 1.0, name: str | None = None) -> TestFunction:
+def bump(center, radius: float, name: str | None = None) -> TestFunction:
     """Smooth radial bump supported on the closed ball of given radius.
 
-    Profile exp(1 - 1/(1 - u)) in u = |x-c|^2/r^2, scaled to ``height`` at
-    the center; infinitely differentiable with closed-form derivatives.
+    Profile exp(1 - 1/(1 - u)) in u = |x-c|^2/r^2, equal to 1 at the
+    center; infinitely differentiable with closed-form derivatives.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
     d = center.shape[0]
@@ -178,10 +174,10 @@ def bump(center, radius: float, height: float = 1.0, name: str | None = None) ->
         one = 1.0 - ui
         gp[inside] = -g[inside] / one ** 2
         gpp[inside] = g[inside] * (2.0 * ui - 1.0) / one ** 4
-        return diff, u, g * height, gp * height, gpp * height
+        return diff, u, g, gp, gpp
 
     def fn(points):
-        return _profile(points)[3] * height
+        return _profile(points)[3]
 
     def grad(points):
         diff, u, g, gp, gpp = _parts(points)
@@ -193,9 +189,9 @@ def bump(center, radius: float, height: float = 1.0, name: str | None = None) ->
         eye = np.eye(d)
         return (gpp * 4.0 / r2 ** 2)[:, None, None] * outer + (gp * 2.0 / r2)[:, None, None] * eye
 
-    # sup |f''| for the unit profile is below 9; scale by height / r^2 and
-    # pad for the cross terms in higher dimension.
-    bound = 9.0 * abs(height) / r2 * max(1, d)
+    # sup |f''| for the unit profile is below 9; scale by 1 / r^2 and pad
+    # for the cross terms in higher dimension.
+    bound = 9.0 / r2 * max(1, d)
     return TestFunction(
         name=name or f"bump(r={radius})",
         fn=fn, grad=grad, hess=hess,
@@ -204,11 +200,10 @@ def bump(center, radius: float, height: float = 1.0, name: str | None = None) ->
     )
 
 
-def default_test_functions(dim: int = 1, center=None,
+def default_test_functions(dim: int = 1,
                            scales: Sequence[float] = (2.0, 1.0, 0.5)) -> list[TestFunction]:
-    """Radial bumps at dyadic scales around a common center."""
-    c = np.zeros(dim) if center is None else as_point(center, dim)
-    return [bump(c, s, name=f"bump{k}(r={s})") for k, s in enumerate(scales)]
+    """Radial bumps at dyadic scales around the origin."""
+    return [bump(np.zeros(dim), s, name=f"bump{k}(r={s})") for k, s in enumerate(scales)]
 
 
 def vanishing_test_functions(low, high, dim: int = 1, margin: float = 0.5,
@@ -468,9 +463,9 @@ def jump_integral_many(nus: Sequence, chi: CompensationFunction, f: TestFunction
 
     ``nus[i]`` is the jump measure at the base point ``points[i]``.  Atom
     locations are absolute; radial measures are centred at the base point.
-    The cemetery contributes ``f(DELTA) - f(a)`` times its mass.  All
-    StableLike rows are integrated together by `_gauss_legendre_many`;
-    a row's value does not depend on the other rows.
+    The cemetery, where ``f`` vanishes, contributes ``-f(a)`` times its
+    mass.  All StableLike rows are integrated together by
+    `_gauss_legendre_many`; a row's value does not depend on the other rows.
     """
     nus = _measures(nus, f.dim)
     pts = _base_points(points, len(nus), f.dim)
@@ -494,9 +489,9 @@ def jump_integral_many(nus: Sequence, chi: CompensationFunction, f: TestFunction
     # The integrand is cut where f may stop being smooth and at the kinks of
     # chi, and ends at the support reach.
     breaks = [[k for k in chi.radial_kinks() if k < row[1]] + list(row) for row in radii]
-    # Beyond the support reach f is its constant and the odd chi term
-    # cancels on the symmetric rule, leaving f(DELTA) - f(a) per unit mass.
-    tail = -(fa - f.const_at_delta) * rule.surface
+    # Beyond the support reach f vanishes and the odd chi term cancels on
+    # the symmetric rule, leaving -f(a) per unit mass.
+    tail = -fa * rule.surface
 
     def sphere_term(p, r):
         b, base = _sphere_points(rule, pts_s[p], r)
@@ -527,9 +522,8 @@ def _jump_integral_row(nu, chi, f, a, tol_abs, tol_rel) -> float:
     if isinstance(nu, Atoms):
         if nu.mass_at(a) > 0.0:
             raise ValidationError("jump measure must not charge the base point")
-        total = nu.delta_mass * (f.const_at_delta - fa)
         comp = chi(a, nu.points) @ grad
-        return total + float(np.sum(nu.masses * (f(nu.points) - fa - comp)))
+        return -nu.delta_mass * fa + float(np.sum(nu.masses * (f(nu.points) - fa - comp)))
     if isinstance(nu, UserDensity):
         return _user_jump_integral(nu, chi, f, a, fa, grad, tol_abs, tol_rel)
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
@@ -559,10 +553,8 @@ def measure_integral_many(nus: Sequence, f: TestFunction, points, margin: float,
     """integral of f(b) nus[i](db) at each row of ``points``, f vanishing near each.
 
     ``margin`` must be positive and separate every base point from the
-    support of the compact part of ``f``; the constant-at-infinity part
-    integrates against the tail mass.  All StableLike rows are integrated
-    together by `_gauss_legendre_many`; a row's value does not depend on
-    the other rows.
+    support of ``f``.  All StableLike rows are integrated together by
+    `_gauss_legendre_many`; a row's value does not depend on the other rows.
     """
     nus = _measures(nus, f.dim)
     pts = _base_points(points, len(nus), f.dim)
@@ -589,14 +581,12 @@ def measure_integral_many(nus: Sequence, f: TestFunction, points, margin: float,
         vals = f.fn(b.reshape(-1, f.dim)).reshape(b.shape[:-1])
         return (vals * rule.weights).sum(axis=-1)
 
-    # f's compact part vanishes below the support distance and beyond the reach.
-    body = _stable_radial_many(
+    # f vanishes below the support distance and beyond the reach.
+    out[stable] = _stable_radial_many(
         nus_s, lo, f.support_radii(pts_s), zero, zero, np.full(len(stable), tol_abs), tol_rel,
         sphere_term, rule.nodes.shape[0],
         lambda i: f"measure integral of {f.name} against {nus_s[i]!r} "
                   f"at base point {pts_s[i].tolist()}")
-    const = f.const_at_delta
-    out[stable] = body + [const * nu.tail_mass(max(nu.min_radius, margin)) for nu in nus_s]
     return out
 
 
@@ -608,14 +598,12 @@ def measure_integral(nu, f: TestFunction, a, margin: float,
 
 
 def _measure_integral_row(nu, f, a, margin, tol_abs, tol_rel) -> float:
-    const = f.const_at_delta
     if isinstance(nu, Atoms):
-        return nu.delta_mass * const + float(np.sum(nu.masses * f(nu.points)))
+        return float(np.sum(nu.masses * f(nu.points)))
     if isinstance(nu, UserDensity):
-        # f - const vanishes beyond the support reach.
-        body = nu.integral(lambda h: f.value_at(a + h) - const,
+        # f vanishes beyond the support reach.
+        return nu.integral(lambda h: f.value_at(a + h),
                            [margin, max(margin, f.support_reach(a))], tol_abs / 2.0, tol_rel)
-        return body + const * nu.tail_mass(margin)
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
 
 
@@ -797,9 +785,16 @@ def _box_grid(low, high, points_per_axis: int, cap: int = 100_000) -> np.ndarray
     low = np.atleast_1d(np.asarray(low, dtype=float))
     high = np.atleast_1d(np.asarray(high, dtype=float))
     d = low.shape[0]
-    n = points_per_axis
-    while n ** d > cap and n > 2:
-        n -= 1
+    n = int(points_per_axis)
+    if n > 2 and n ** d > cap:
+        # The largest n with n**d <= cap, from a float root corrected by one,
+        # but at least 2.
+        n = round(cap ** (1.0 / d))
+        if n ** d > cap:
+            n -= 1
+        elif (n + 1) ** d <= cap:
+            n += 1
+        n = max(n, 2)
     axes = [np.linspace(low[i], high[i], n) for i in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
@@ -857,6 +852,12 @@ def _gap_components(fld: TripletField, chi, grid, testfns, margin, tol_abs, tol_
     return drift, jumps, carre
 
 
+# Optimizer starts per test function, and the largest operator value
+# `pmp_spot_check` accepts at a nonnegative maximum.
+PMP_STARTS = 32
+PMP_TOL = 1e-6
+
+
 @dataclass
 class PMPEntry:
     testfn: str
@@ -883,9 +884,9 @@ class PMPReport:
 
 
 def pmp_spot_check(fld: TripletField, chi: CompensationFunction,
-                   testfns: Sequence[TestFunction], tol: float = 1e-6,
-                   starts: int = 32, seed: int = 0) -> PMPReport:
-    """Locate each test function's maximum and check operator nonpositivity there."""
+                   testfns: Sequence[TestFunction], seed: int = 0) -> PMPReport:
+    """Locate each test function's maximum from ``PMP_STARTS`` starts and
+    check that the operator there is at most ``PMP_TOL``."""
     if not testfns:
         raise ValidationError("pmp_spot_check needs at least one test function")
     gen = _rng.stream(seed, namespace=_rng.SCRATCH)
@@ -893,7 +894,7 @@ def pmp_spot_check(fld: TripletField, chi: CompensationFunction,
     for f in testfns:
         best_x, best_v = None, -math.inf
         lows, highs = f.support_low, f.support_high
-        x0s = gen.uniform(lows, highs, size=(starts, f.dim))
+        x0s = gen.uniform(lows, highs, size=(PMP_STARTS, f.dim))
         x0s[0] = 0.5 * (lows + highs)
         for x0 in x0s:
             res = _so.minimize(
@@ -910,5 +911,5 @@ def pmp_spot_check(fld: TripletField, chi: CompensationFunction,
             report.entries.append(PMPEntry(f.name, best_x, best_v, 0.0, True))
             continue
         g = apply_operator(fld(best_x), chi, f, best_x)
-        report.entries.append(PMPEntry(f.name, best_x, best_v, g, g <= tol))
+        report.entries.append(PMPEntry(f.name, best_x, best_v, g, g <= PMP_TOL))
     return report

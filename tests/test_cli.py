@@ -126,6 +126,13 @@ OVERSIZED_RUNS = {
     "clock-knots": ((embedding, "MAX_CHUNK_ELEMENTS", 50),
                     ["diagnose-clock", "--eps", "0.01", "--t", "1", "--threshold", "0.5",
                      "--trials", "1", "--out", "out.json"]),
+    # paths x grid points x dimension above MAX_OUTPUT_ELEMENTS
+    "output-paths": (None, ["simulate-stable", "--n", "10", "--T", "1", "--paths",
+                            "100000000000", "--grid-points", "2", "--out", "out.csv"]),
+    "output-grid-points": (None, ["simulate-stable", "--n", "10", "--T", "1",
+                                  "--grid-points", "1000000000000", "--out", "out.csv"]),
+    "output-dim": (None, ["simulate-stable", "--n", "10", "--T", "1", "--dim", "1000000000",
+                          "--out", "out.csv"]),
 }
 
 
@@ -137,6 +144,24 @@ def test_oversized_run_is_refused_before_allocating(workdir, capsys, monkeypatch
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("validation error:")
     assert not [f for f in os.listdir() if f.startswith("out")]
+
+
+@pytest.mark.parametrize("argv, dim", [
+    (["simulate-stable", "--n", "10", "--T", "1", "--dim", "2"], 2),
+    (["simulate-euler", "--triplet-config", "t.json", "--eps", "0.05", "--T", "0.2"], 2),
+    (["simulate-potential", "--potential", "zero", "--eps", "0.1", "--T", "0.2"], 1),
+    (["simulate-rwre", "--env", "iid:1", "--eps", "0.25", "--T", "0.2"], 1),
+], ids=["stable", "euler", "potential", "rwre"])
+def test_output_cap_counts_paths_grid_points_and_dimension(workdir, capsys, monkeypatch,
+                                                           argv, dim):
+    # The cap holds 5 paths x 3 grid points x dim: one more grid point is refused.
+    Path("t.json").write_text(json.dumps({"drift": [0.0, 0.0],
+                                          "gamma": [[1.0, 0.0], [0.0, 1.0]]}))
+    monkeypatch.setattr(cli, "MAX_OUTPUT_ELEMENTS", 5 * 3 * dim)
+    assert run([*argv, "--paths", "5", "--grid-points", "4", "--out", "out.csv"]) == 1
+    assert capsys.readouterr().err.startswith("validation error:")
+    assert not [f for f in os.listdir() if f.startswith("out")]
+    run_ok([*argv, "--paths", "5", "--grid-points", "3", "--out", "out.csv"], capsys)
 
 
 def test_usage_exit_code(workdir, capsys):

@@ -20,9 +20,7 @@ from levylab.core import (
     UserDensity,
     jump_measure_from_config,
     sphere_surface_area,
-    tail_mass,
     triplet_from_config,
-    truncated_second_moment,
     validate_hypotheses,
 )
 from levylab.errors import ValidationError
@@ -39,22 +37,22 @@ def test_sphere_surface_values():
 class TestTailMass:
     def test_stable_closed_form(self):
         nu = StableLike(c=1.0, alpha=1.0, dim=1)
-        assert tail_mass(nu, 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert nu.tail_mass(1.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_atom_beyond_radius(self):
-        assert tail_mass(Atoms([((3.0,), 0.5)]), 1.0, a=0.0) == 0.5
+        assert Atoms([((3.0,), 0.5)]).tail_mass(1.0, a=0.0) == 0.5
 
     def test_atom_inside_radius(self):
-        assert tail_mass(Atoms([((0.5,), 2.0)]), 1.0, a=0.0) == 0.0
+        assert Atoms([((0.5,), 2.0)]).tail_mass(1.0, a=0.0) == 0.0
 
     def test_delta_atom_always_in_tail(self):
         nu = Atoms([(DELTA, 0.25)], dim=1)
-        assert tail_mass(nu, 1000.0, a=0.0) == 0.25
+        assert nu.tail_mass(1000.0, a=0.0) == 0.25
 
     def test_nonincreasing_in_radius(self):
         nu = StableLike(c=0.7, alpha=1.3, dim=1)
         radii = np.linspace(0.1, 5.0, 40)
-        vals = [tail_mass(nu, r) for r in radii]
+        vals = [nu.tail_mass(r) for r in radii]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_quadrature_agrees_with_closed_form(self):
@@ -69,15 +67,15 @@ class TestTailMass:
 class TestTruncatedSecondMoment:
     def test_stable_closed_form(self):
         nu = StableLike(c=1.0, alpha=1.0, dim=1)
-        assert truncated_second_moment(nu, 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert nu.truncated_second_moment(1.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_atoms(self):
-        assert truncated_second_moment(Atoms([((0.5,), 4.0)]), 1.0, a=0.0) == 1.0
+        assert Atoms([((0.5,), 4.0)]).truncated_second_moment(1.0, a=0.0) == 1.0
 
     def test_vanishes_with_radius(self):
         nu = StableLike(c=1.0, alpha=1.5, dim=1)
         radii = [1.0, 0.1, 0.01, 1e-6]
-        vals = [truncated_second_moment(nu, r) for r in radii]
+        vals = [nu.truncated_second_moment(r) for r in radii]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-2
 

@@ -1,3 +1,4 @@
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -264,6 +265,41 @@ def test_two_dimensional_gaussian_covariance():
     m, _ = batch.marginal(1.0)
     cov = np.cov(m.T)
     np.testing.assert_allclose(cov, gamma, atol=0.05)
+
+
+def test_singular_diffusion_takes_the_eigen_factor():
+    # Cholesky refuses a singular positive semi-definite matrix, so the factor
+    # comes from the eigendecomposition; both coordinates move together.
+    gamma = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(gamma)
+    factor = gaussian_factor(gamma)
+    np.testing.assert_allclose(factor @ factor.T, gamma, atol=1e-12)
+    field = ConstantTripletField(LevyTriplet([0.0, 0.0], gamma, None))
+    cfg = SchemeConfig(paths=40_000, seed=29, grid=np.array([0.0, 1.0]))
+    batch = euler_chain_simulate(field, Chi2(), [0.0, 0.0], 0.25, 1.0,
+                                 IncrementPlan(tau=0.5), cfg)
+    m, _ = batch.marginal(1.0)
+    np.testing.assert_allclose(np.cov(m.T), gamma, atol=0.05)
+    np.testing.assert_allclose(m[:, 0], m[:, 1], atol=1e-12)
+
+
+# A stable field with c = 1e-12 draws no jump in any block, so the sampler
+# starts from float zeros (np.bincount of no owner would give int64 zeros).
+# sha256 of states + xi recorded with the sampler's no-jump branch.
+@pytest.mark.parametrize("mode, expected", [
+    (DRIFT_COMPENSATE, "f0880fc46d68f9da88edbb7715e68eae1388efd94dd6aa542a2f0178e107dc60"),
+    (GAUSSIAN_SURROGATE, "89da85150afa197323a2f4a11c9241921b059da6d8981b9a3406346a4ad34ee8"),
+], ids=[DRIFT_COMPENSATE, GAUSSIAN_SURROGATE])
+def test_stable_field_block_without_jumps(mode, expected):
+    field = StableTripletField(StableField.constant(1e-12, 1.5, 2))
+    plan = IncrementPlan(tau=1e-2, small_jump_mode=mode)
+    inc, _ = field.sample_increments(np.zeros((4, 2)), Chi2(), 0.05, plan, lrng.stream(5))
+    assert inc.shape == (4, 2) and inc.dtype == np.float64
+    cfg = SchemeConfig(paths=10, seed=5, grid=np.linspace(0.0, 0.2, 3), block_size=4)
+    batch = euler_chain_simulate(field, Chi2(), [0.0, 0.1], 0.05, 0.2, plan, cfg)
+    digest = hashlib.sha256(batch.states.tobytes() + batch.xi.tobytes()).hexdigest()
+    assert digest == expected
 
 
 def test_user_density_tail_sampler_path():

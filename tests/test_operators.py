@@ -292,6 +292,25 @@ class TestConvergenceGaps:
                              testfns=[inside], grid_points=3)
 
 
+@pytest.mark.parametrize("cap", [100_000, 1, 8, 26, 27, 28, 4096])
+def test_box_grid_size_matches_the_stepwise_search(cap):
+    for d in (1, 2, 3, 4):
+        for points_per_axis in range(1, 401):
+            # Reference: lower n one unit at a time while n**d > cap, keeping n >= 2.
+            n = points_per_axis
+            while n ** d > cap and n > 2:
+                n -= 1
+            grid = operators._box_grid(np.zeros(d), np.ones(d), points_per_axis, cap)
+            assert grid.shape == (n ** d, d)
+
+
+def test_box_grid_with_a_huge_count_returns_at_once():
+    started = time.perf_counter()
+    assert operators._box_grid([0.0], [1.0], 10 ** 15).shape == (100_000, 1)
+    assert operators._box_grid([0.0] * 3, [1.0] * 3, 10 ** 15).shape == (46 ** 3, 3)
+    assert time.perf_counter() - started < 1.0
+
+
 class TestPMP:
     def test_brownian_passes(self):
         field = ConstantTripletField(LevyTriplet([0.0], [[1.0]], None))
