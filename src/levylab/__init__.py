@@ -42,7 +42,6 @@ from .environment import (
     CustomEnvironment,
     IIDScaled,
     QuenchedRun,
-    potential_from_q,
     quenched_cross_validate,
     rwre_simulate,
 )

@@ -333,7 +333,7 @@ def _load_potential(args, n_steps: int, widen: int):
 def _parse_env(text: str):
     parts = text.split(":")
     if parts[0] == "iid" and len(parts) == 2:
-        return IIDScaled.normal(_convert(float, parts[1], "--env"))
+        return IIDScaled(_convert(float, parts[1], "--env"))
     if parts[0] == "bernoulli" and len(parts) == 3:
         return BernoulliPoisson(q=_convert(float, parts[1], "--env"),
                                 lam=_convert(float, parts[2], "--env"))

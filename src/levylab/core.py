@@ -11,7 +11,7 @@ import copy
 import math
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -617,9 +617,6 @@ class PathBatch:
     def dim(self) -> int:
         return self.states.shape[2]
 
-    def __getitem__(self, i: int) -> PathRecord:
-        return PathRecord(self.times, self.states[i], xi=self.xi[i])
-
     def alive_at_index(self, j: int) -> np.ndarray:
         return self.times[j] < self.xi
 
@@ -708,9 +705,6 @@ class SchemeConfig:
             n_steps = int(np.ceil(total))
             capture = np.minimum(np.floor(steps(grid) + 1e-12).astype(int), n_steps)
         return grid, n_steps, capture
-
-    def with_(self, **kw) -> "SchemeConfig":
-        return replace(self, **kw)
 
 
 def run_chain(init, step, n_steps: int, capture: np.ndarray, dt: float, grid: np.ndarray,

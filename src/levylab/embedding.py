@@ -34,7 +34,7 @@ def _chain_states(chain) -> np.ndarray:
 
 def floor_embed(chain, eps: float, grid) -> PathRecord:
     """x(t) = chain[floor(t / eps)]; right-continuous, constant on steps."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValidationError("eps must be positive")
     states = _chain_states(chain)
     grid = np.asarray(grid, dtype=float)
@@ -52,7 +52,7 @@ def poissonize(chain, eps: float, rng: np.random.Generator, grid) -> PathRecord:
     When the horizon needs more arrivals than the chain has states, the
     record is truncated at the last representable grid time and flagged.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValidationError("eps must be positive")
     states = _chain_states(chain)
     grid = np.asarray(grid, dtype=float)
@@ -72,6 +72,8 @@ def poissonize(chain, eps: float, rng: np.random.Generator, grid) -> PathRecord:
 
 def poissonize_with(chain, eps: float, holding: np.ndarray, grid) -> PathRecord:
     """Poissonization with externally supplied unit-exponential holding times."""
+    if not eps > 0:
+        raise ValidationError("eps must be positive")
     states = _chain_states(chain)
     grid = np.asarray(grid, dtype=float)
     arrivals = np.cumsum(np.asarray(holding, dtype=float))
@@ -88,7 +90,7 @@ def gamma_clock(holding: np.ndarray, eps: float, t) -> np.ndarray | float:
     the holding times; in between it interpolates with the next holding
     time.  Strictly increasing, zero at zero.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValidationError("eps must be positive")
     holding = np.asarray(holding, dtype=float)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -109,6 +111,8 @@ def gamma_clock(holding: np.ndarray, eps: float, t) -> np.ndarray | float:
 def gamma_clock_inverse(holding: np.ndarray, eps: float, s) -> np.ndarray | float:
     """Inverse of the clock by binary search over its knots (it is piecewise
     affine and strictly increasing)."""
+    if not eps > 0:
+        raise ValidationError("eps must be positive")
     holding = np.asarray(holding, dtype=float)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     partial = eps * np.concatenate([[0.0], np.cumsum(holding)])

@@ -43,26 +43,17 @@ class EnvironmentSpec:
 
 @dataclass(frozen=True)
 class IIDScaled(EnvironmentSpec):
-    """Independent increments ``sqrt(eps) * q_k`` with centred base draws.
+    """Independent Gaussian increments ``sqrt(eps) * sigma * Z_k``; any other
+    increment law is a :class:`CustomEnvironment`."""
 
-    ``base`` draws from the unscaled distribution, which must have mean zero
-    and the declared variance.
-    """
-
-    base: Callable[[np.random.Generator, int], np.ndarray]
-    sigma2: float = 1.0
-
-    @staticmethod
-    def normal(sigma: float = 1.0) -> "IIDScaled":
-        s = float(sigma)
-        return IIDScaled(base=lambda rng, n: s * rng.standard_normal(n), sigma2=s * s)
+    sigma: float
 
     def __post_init__(self):
-        if not (self.sigma2 > 0 and math.isfinite(self.sigma2)):
-            raise ValidationError("the base distribution needs a finite positive variance")
+        if not 0 < self.sigma * self.sigma < math.inf:
+            raise ValidationError(f"sigma^2 must be finite and positive, got sigma = {self.sigma}")
 
     def sample(self, rng, eps, k_lo, k_hi):
-        return math.sqrt(eps) * np.asarray(self.base(rng, k_hi - k_lo + 1), dtype=float)
+        return math.sqrt(eps) * (self.sigma * rng.standard_normal(k_hi - k_lo + 1))
 
 
 @dataclass(frozen=True)
@@ -99,16 +90,6 @@ class CustomEnvironment(EnvironmentSpec):
         if out.shape != (k_hi - k_lo + 1,):
             raise ValidationError("custom environment sampler returned a wrong shape")
         return out
-
-
-def potential_from_q(q, eps: float, k_min: int = 0) -> PiecewiseConstantPotential:
-    """The piecewise-constant potential generated by increments over a window.
-
-    ``q[i]`` is the increment at lattice index ``k_min + i``; the potential
-    is zero on ``[0, eps)`` and accumulates increments outward.  Evaluation
-    outside the covered window raises a range error.
-    """
-    return PiecewiseConstantPotential(eps, q, k_min)
 
 
 @dataclass
@@ -161,7 +142,7 @@ def rwre_simulate(env: EnvironmentSpec, eps: float, start_site: int, horizon: fl
     for e_idx in range(environments):
         env_gen = _rng.stream(config.seed, e_idx, _rng.ENVIRONMENTS)
         q = env.sample(env_gen, eps, k_lo, k_hi)
-        potential = potential_from_q(q, eps, k_min=k_lo)
+        potential = PiecewiseConstantPotential(eps, q, k_lo)
         path_seed = config.seed + 1_000_003 * (e_idx + 1)
         # Right probability at site k is 1/(e^{q_k} + 1); leaving the q-window
         # absorbs the walk at the cemetery.

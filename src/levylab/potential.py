@@ -36,6 +36,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .core import PathBatch, SchemeConfig, as_point, quadpack, run_chain
 from .errors import (
+    ConfigurationError,
     PotentialOverflowError,
     RangeError,
     SchemeStepError,
@@ -54,6 +55,8 @@ MAX_WALK_CELLS = 1 << 14
 WALK_END_ULPS = 64
 CHEB_DEGREE = 24
 CHEB_TAIL_TOL = 1e-14  # trailing coefficients of a resolved cell, relative to the largest
+DISTANCE_TOL_ABS = 1e-10  # quadrature tolerances of potential_distance
+DISTANCE_TOL_REL = 1e-8
 
 # Chebyshev points of the second kind on [-1, 1], ascending and symmetric;
 # values there -> Chebyshev coefficients; values -> values of the integral
@@ -163,7 +166,7 @@ class Potential:
 
     def check_window(self, lo: float, hi: float) -> None:
         lo_d, hi_d = self.domain
-        if lo < lo_d - 1e-12 or hi > hi_d + 1e-12:
+        if not (lo_d - 1e-12 <= lo and hi <= hi_d + 1e-12):
             raise RangeError(
                 f"query window [{lo}, {hi}] leaves the potential domain [{lo_d}, {hi_d}]"
             )
@@ -391,7 +394,8 @@ def _walk(cd: _CellData, a: np.ndarray, h: np.ndarray):
         while active.size:
             guard += 1
             if guard > MAX_WALK_CELLS:
-                raise RangeError("cell walk exceeded its budget; query spans too many cells")
+                raise ConfigurationError(f"a cell walk spans more than {MAX_WALK_CELLS} cells; "
+                                         "use a coarser potential or a smaller eps")
             room = cd.bounds[cell + 1] - pos if sgn > 0 else pos - cd.bounds[cell]
             length = np.minimum(np.maximum(room, 0.0), remaining)
             ep_piece, em_piece, self_piece = cd.piece(cell, pos, length, sgn)
@@ -813,8 +817,7 @@ class PotentialDistance:
     value: float
 
 
-def potential_distance(V: Potential, Vn: Potential, window: float,
-                       tol_abs: float = 1e-10, tol_rel: float = 1e-8) -> PotentialDistance:
+def potential_distance(V: Potential, Vn: Potential, window: float) -> PotentialDistance:
     """int_{-M}^{M} max(|e^V - e^{Vn}|, |e^{-V} - e^{-Vn}|) da."""
     if window <= 0:
         raise ValidationError("the window must be positive")
@@ -830,7 +833,7 @@ def potential_distance(V: Potential, Vn: Potential, window: float,
         return float(np.maximum(np.abs(np.exp(va) - np.exp(vb)),
                                 np.abs(np.exp(-va) - np.exp(-vb)))[0])
 
-    tol = tol_abs / max(len(cuts) - 1, 1)
-    total = sum(quadpack(integrand, float(a), float(b), tol, tol_rel)
+    tol = DISTANCE_TOL_ABS / max(len(cuts) - 1, 1)
+    total = sum(quadpack(integrand, float(a), float(b), tol, DISTANCE_TOL_REL)
                 for a, b in zip(cuts[:-1], cuts[1:]))
     return PotentialDistance(window=window, value=total)

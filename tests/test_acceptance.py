@@ -33,7 +33,6 @@ from levylab.embedding import (
 from levylab.environment import (
     BernoulliPoisson,
     IIDScaled,
-    potential_from_q,
     quenched_cross_validate,
     rwre_simulate,
 )
@@ -222,14 +221,14 @@ def test_criterion_07_rwre_cross_validation():
 
 def test_criterion_08_donsker_potential_scaling():
     t0 = time.time()
-    env = IIDScaled.normal(1.0)
+    env = IIDScaled(1.0)
     eps = 0.01
     k_hi = int(4.0 / eps) + 2
     vals = np.empty((1000, 2))
     for e in range(1000):
         gen = lrng.stream(1, e, lrng.ENVIRONMENTS)
         q = env.sample(gen, eps, 0, k_hi)
-        w = potential_from_q(q, eps, k_min=0)
+        w = PiecewiseConstantPotential(eps, q, 0)
         vals[e] = w.value(np.array([1.0, 4.0]))
     v1 = float(np.var(vals[:, 0], ddof=1))
     v4 = float(np.var(vals[:, 1], ddof=1))

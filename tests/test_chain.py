@@ -2,6 +2,7 @@
 and the non-finite state guard, across every engine path."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,22 +129,22 @@ _KNOTS = np.linspace(-3.0, 3.0, 13)
 # Each engine path at a few steps; the escape radius is set low enough to bite.
 ENGINES = {
     "stable": lambda cfg: stable_chain_simulate(
-        TANH_STABLE, uniform_start, 20, 0.5, cfg.with_(escape_radius=3.0)),
+        TANH_STABLE, uniform_start, 20, 0.5, replace(cfg, escape_radius=3.0)),
     "euler-frozen": lambda cfg: euler_chain_simulate(
         ConstantTripletField(LevyTriplet([0.1], [[1.0]], StableLike(1.0, 1.5, 1))),
-        Chi1(), 0.0, 0.1, 0.5, IncrementPlan(tau=1e-2), cfg.with_(escape_radius=1.5)),
+        Chi1(), 0.0, 0.1, 0.5, IncrementPlan(tau=1e-2), replace(cfg, escape_radius=1.5)),
     "euler-frozen-atoms": lambda cfg: euler_chain_simulate(
-        ATOMS_FIELD, Chi1(), [0.2, 0.0], 0.1, 0.5, ATOMS_PLAN, cfg.with_(escape_radius=2.0)),
+        ATOMS_FIELD, Chi1(), [0.2, 0.0], 0.1, 0.5, ATOMS_PLAN, replace(cfg, escape_radius=2.0)),
     "euler-stable-fast": lambda cfg: euler_chain_simulate(
         StableTripletField(StableField.constant(1.0, 1.3)), Chi2(), 0.0, 0.05, 0.2,
-        IncrementPlan(tau=1e-2), cfg.with_(escape_radius=0.5)),
+        IncrementPlan(tau=1e-2), replace(cfg, escape_radius=0.5)),
     "euler-generic": lambda cfg: euler_chain_simulate(
         GENERIC_FIELD, Chi2(), uniform_start, 0.1, 0.5, IncrementPlan(tau=1e-2),
-        cfg.with_(escape_radius=2.0)),
+        replace(cfg, escape_radius=2.0)),
     "potential-lattice": lambda cfg: potential_chain_simulate(
-        zero_potential(0.2, -20, 20), 0.0, 0.2, 0.4, cfg.with_(escape_radius=0.5)),
+        zero_potential(0.2, -20, 20), 0.0, 0.2, 0.4, replace(cfg, escape_radius=0.5)),
     "potential-solver": lambda cfg: potential_chain_simulate(
-        GridPotential(_KNOTS, 0.5 * _KNOTS), 0.0, 0.25, 0.25, cfg.with_(escape_radius=0.6)),
+        GridPotential(_KNOTS, 0.5 * _KNOTS), 0.0, 0.25, 0.25, replace(cfg, escape_radius=0.6)),
     "rwre": _rwre,
 }
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from levylab import cli, embedding, environment
+from levylab import cli, embedding, environment, potential
 from levylab.cli import build_parser, paths_to_csv, read_paths_csv, run
 from levylab.core import PathBatch
 from levylab.errors import LevylabError
@@ -274,6 +274,20 @@ def test_expression_potential_oscillating_beyond_its_budget(workdir, capsys):
     assert code == 2
     assert "oscillation" in capsys.readouterr().err
     assert not os.path.exists("wide.csv")
+
+
+def test_potential_finer_than_the_cell_walk_budget(workdir, capsys, monkeypatch):
+    # steps of about 0.2 cross about 20 grid cells of width 0.01, far from the edges
+    monkeypatch.setattr(potential, "MAX_WALK_CELLS", 8)
+    knots = np.linspace(-2.0, 2.0, 401)
+    np.savetxt("fine.csv", np.stack([knots, knots / 10], axis=1), delimiter=",")
+    code = run(["simulate-potential", "--potential", "fine.csv", "--eps", "0.2",
+                "--T", "0.08", "--paths", "5", "--seed", "1", "--out", "fine_out.csv"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("validation error: a cell walk spans more than 8 cells")
+    assert "left the potential window" not in err
+    assert not os.path.exists("fine_out.csv")
 
 
 def test_expression_window_grows_past_steep_steps(workdir, capsys):
@@ -620,6 +634,9 @@ OUT_OF_RANGE_INPUT = {
     "rwre-eps-negative": RWRE_ARGV + ["--env", "iid:1", "--eps", "-0.1"],
     "rwre-q-nan": RWRE_ARGV + ["--env", "bernoulli:nan:1", "--eps", "0.1"],
     "rwre-rate-nan": RWRE_ARGV + ["--env", "bernoulli:1:nan", "--eps", "0.1"],
+    "rwre-sigma-zero": RWRE_ARGV + ["--env", "iid:0", "--eps", "0.1"],
+    "rwre-sigma-nan": RWRE_ARGV + ["--env", "iid:nan", "--eps", "0.1"],
+    "rwre-sigma-huge": RWRE_ARGV + ["--env", "iid:1e200", "--eps", "0.1"],
     "clock-t-nan": ["diagnose-clock", "--eps", "0.1", "--t", "nan", "--threshold", "0.5",
                     "--out", "out.csv"],
     "operator-config-directory": ["diagnose-operator", "--config", "adir", "--out", "out.csv"],

@@ -294,3 +294,23 @@ def test_scheme_config_validation():
     np.testing.assert_array_equal(cfg.output_grid(1.0), [0.0, 0.5, 1.0])
     with pytest.raises(ValidationError):
         cfg.output_grid(0.4)
+
+
+def test_stable_moments_below_the_truncation_and_without_it():
+    assert StableLike(c=1.0, alpha=1.5, min_radius=0.5).truncated_second_moment(0.3) == 0.0
+    assert StableLike(c=1.0, alpha=1.5).total_mass() == math.inf
+
+
+def test_smooth_custom_chi_on_a_stable_field_leaves_the_modulus_open():
+    # no continuity rule covers a custom chi against a density, so the
+    # modulus is undecided (None) and does not fail the report
+    def smooth(a, b):
+        h = np.atleast_2d(b) - np.asarray(a)
+        return h / (1.0 + np.sum(h * h, axis=1, keepdims=True))
+
+    field = ConstantTripletField(
+        LevyTriplet([0.0], [[0.0]], StableLike(c=1.0, alpha=0.8, dim=1)))
+    rep = validate_hypotheses(field, CustomChi(smooth, bound=0.5), [-1.0], [1.0],
+                              samples=500, seed=7)
+    assert rep.modulus_ok is None
+    assert rep.all_ok

@@ -204,3 +204,12 @@ class TestExplosionStats:
         rep = explosion_stats(batch)
         assert rep.fraction == 1.0
         assert rep.absorption_ok
+
+
+def test_martingale_residual_skips_times_before_the_batch_grid():
+    batch = PathBatch(np.linspace(0.5, 1.0, 6),
+                      np.cumsum(lrng.stream(43).standard_normal((40, 6, 1)) * 0.3, axis=1))
+    f = bump([0.0], 2.0)
+    rep = martingale_residual(batch, f, lambda p: 0.5 * f.hess(p)[:, 0, 0], [-50.0], [50.0],
+                              grid=[0.1, 0.75])
+    assert [row.time for row in rep.rows] == [0.75]

@@ -137,3 +137,20 @@ class TestDoobBound:
         assert doob_bound_check(0.02, 1.0, 0.5, trials=3).trials == 3
         with pytest.raises(ValidationError, match="knots per trial"):
             doob_bound_check(1e-320, 1.0, 0.5, trials=1)
+
+
+EMBEDDINGS = {
+    "floor_embed": lambda eps: floor_embed(np.arange(10.0), eps, [0.0, 0.5]),
+    "poissonize": lambda eps: poissonize(np.arange(10.0), eps, lrng.stream(1), [0.0, 0.5]),
+    "poissonize_with": lambda eps: poissonize_with(np.arange(10.0), eps, np.ones(10),
+                                                   [0.0, 0.5]),
+    "gamma_clock": lambda eps: gamma_clock(np.ones(10), eps, 0.5),
+    "gamma_clock_inverse": lambda eps: gamma_clock_inverse(np.ones(10), eps, 0.5),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("name", sorted(EMBEDDINGS))
+def test_step_that_is_not_positive_is_a_validation_error(name, eps):
+    with pytest.raises(ValidationError, match="eps must be positive"):
+        EMBEDDINGS[name](eps)

@@ -8,26 +8,26 @@ from levylab.environment import (
     BernoulliPoisson,
     CustomEnvironment,
     IIDScaled,
-    potential_from_q,
     quenched_cross_validate,
     rwre_simulate,
 )
 from levylab.errors import ConfigurationError, RangeError, ValidationError
+from levylab.potential import PiecewiseConstantPotential, potential_chain_simulate
 
 
 class TestPotentialFromQ:
     def test_positive_branch(self):
-        W = potential_from_q(np.array([0.0, 2.0]), 1.0, k_min=0)
+        W = PiecewiseConstantPotential(1.0, np.array([0.0, 2.0]), 0)
         assert W.value(np.array([1.5]))[0] == 2.0
         assert W.value(np.array([0.5]))[0] == 0.0
 
     def test_negative_branch(self):
-        W = potential_from_q(np.array([3.0, 0.0]), 1.0, k_min=0)
+        W = PiecewiseConstantPotential(1.0, np.array([3.0, 0.0]), 0)
         assert W.value(np.array([-0.5]))[0] == -3.0
 
     def test_accumulates_both_sides(self):
         q = np.array([0.5, -1.0, 2.0, 0.25, -0.5])  # indices -2..2
-        W = potential_from_q(q, 1.0, k_min=-2)
+        W = PiecewiseConstantPotential(1.0, q, -2)
         # V on [1,2) = q_1 = 0.25 ; V on [2,3) would need q_3 (outside)
         assert W.value(np.array([1.5]))[0] == pytest.approx(0.25)
         # V on [-1,0) = -(q_0) = -2.0 ; V on [-2,-1) = -(q_0+q_{-1}) = -1.0
@@ -35,19 +35,19 @@ class TestPotentialFromQ:
         assert W.value(np.array([-1.5]))[0] == pytest.approx(-1.0)
 
     def test_all_zero(self):
-        W = potential_from_q(np.zeros(11), 0.5, k_min=-5)
+        W = PiecewiseConstantPotential(0.5, np.zeros(11), -5)
         xs = np.linspace(-2.0, 2.5, 19)
         np.testing.assert_array_equal(W.value(xs), 0.0)
 
     def test_out_of_window(self):
-        W = potential_from_q(np.array([0.0, 1.0]), 1.0, k_min=0)
+        W = PiecewiseConstantPotential(1.0, np.array([0.0, 1.0]), 0)
         with pytest.raises(RangeError):
             W.value(np.array([10.0]))
 
 
 class TestEnvironmentSpecs:
     def test_iid_scaling(self):
-        env = IIDScaled.normal(2.0)
+        env = IIDScaled(2.0)
         gen = lrng.stream(1, namespace=lrng.ENVIRONMENTS)
         q = env.sample(gen, 0.04, 0, 9999)
         assert np.std(q) == pytest.approx(np.sqrt(0.04) * 2.0, rel=0.05)
@@ -114,13 +114,13 @@ class TestRWRE:
 
     def test_environments_differ_within_batch(self):
         cfg = SchemeConfig(paths=10, seed=24, grid=np.array([0.0, 0.25]))
-        runs = rwre_simulate(IIDScaled.normal(1.0), 0.05, 0, 0.25, 2, cfg)
+        runs = rwre_simulate(IIDScaled(1.0), 0.05, 0, 0.25, 2, cfg)
         assert not np.array_equal(runs[0].q, runs[1].q)
 
     def test_window_cap(self):
         cfg = SchemeConfig(paths=1, seed=0, grid=np.array([0.0, 1.0]))
         with pytest.raises(ConfigurationError):
-            rwre_simulate(IIDScaled.normal(1.0), 1e-5, 0, 1.0, 1, cfg)
+            rwre_simulate(IIDScaled(1.0), 1e-5, 0, 1.0, 1, cfg)
 
 
 class TestQuenchedCrossValidation:
@@ -148,13 +148,25 @@ class TestQuenchedCrossValidation:
 def test_donsker_variance_and_quenched_annealed_split():
     # variance of the rescaled potential approximates |a|, and quenched
     # per-environment means differ from the pooled (annealed) statistics
-    env = IIDScaled.normal(1.0)
+    env = IIDScaled(1.0)
     eps = 0.02
     values = []
     for e in range(400):
         gen = lrng.stream(27, e, lrng.ENVIRONMENTS)
         q = env.sample(gen, eps, 0, int(2.0 / eps) + 2)
-        W = potential_from_q(q, eps, k_min=0)
+        W = PiecewiseConstantPotential(eps, q, 0)
         values.append(W.value(np.array([2.0]))[0])
     var = np.var(values, ddof=1)
     assert var == pytest.approx(2.0, rel=0.25)
+
+
+def test_cross_validation_compares_only_the_first_paths_walks():
+    cfg = SchemeConfig(paths=300, seed=25, grid=np.array([0.0, 1.0]))
+    run, = rwre_simulate(BernoulliPoisson(q=1.0, lam=1.0), 0.05, 0, 1.0, 1, cfg)
+    rep = quenched_cross_validate(run, 1.0, 100)
+    walks, _ = run.walks.marginal(1.0)
+    scheme = potential_chain_simulate(
+        run.potential, 0.0, 0.05, 1.0,
+        SchemeConfig(paths=100, seed=run.path_seed + 7, grid=run.walks.times))
+    stat, _ = ks_distance(walks[:100, 0], scheme.marginal(1.0)[0][:, 0])
+    assert rep.ks_stat == stat

@@ -624,3 +624,21 @@ def test_user_density_without_callables_is_one_dimensional():
         user.tail_mass(1.0)
     with pytest.raises(ValidationError, match="dimension 1 only"):
         jump_integral(user, Chi2(), f, [0.0, 0.0])
+
+
+def test_measure_integral_of_the_zero_stable_measure():
+    f = vanishing_test_functions([-1.0], [1.0])[0]
+    got = measure_integral_many([StableLike(c=0.0, alpha=1.5)], f, [[0.0]], 0.25)
+    np.testing.assert_array_equal(got, [0.0])
+
+
+def test_pmp_imposes_nothing_at_a_negative_maximum():
+    b = bump([0.0], 1.0)
+    below = TestFunction(name="below", fn=lambda p: b.fn(p) - 2.0, grad=b.grad, hess=b.hess,
+                         support_low=b.support_low, support_high=b.support_high,
+                         hess_bound=b.hess_bound)
+    # this diffusion would violate the principle at a nonnegative maximum
+    field = ConstantTripletField(LevyTriplet.unchecked([0.0], [[-1.0]]))
+    entry, = pmp_spot_check(field, Chi2(), [below], seed=4).entries
+    assert entry.f_max < 0
+    assert entry.ok and entry.operator_value == 0.0

@@ -9,6 +9,7 @@ from levylab import rng as lrng
 from levylab.core import SchemeConfig
 from levylab.diagnostics import ks_distance
 from levylab.errors import (
+    ConfigurationError,
     PotentialOverflowError,
     RangeError,
     SchemeStepError,
@@ -538,3 +539,27 @@ class TestPotentialDistance:
             dists.append(potential_distance(V, W, 1.5).value)
         assert dists[0] > dists[1] > dists[2]
         assert dists[2] < 0.2
+
+
+_V_NAN = GridPotential([-1.0, 1.0], [0.2, 0.4])
+_W_NAN = GridPotential([-1.0, 1.0], [0.0, 0.4])
+
+
+@pytest.mark.parametrize("query", [
+    lambda: phi_eval(_V_NAN, np.nan, 0.5),
+    lambda: phi_eval(_V_NAN, 0.0, np.nan),
+    lambda: exp_integral(_V_NAN, np.nan, 0.5),
+    lambda: potential_distance(_V_NAN, _W_NAN, np.nan),
+], ids=["phi-point", "phi-step", "exp-integral", "distance-window"])
+def test_nan_window_query_is_a_range_error(query):
+    with pytest.raises(RangeError):
+        query()
+
+
+def test_cell_walk_beyond_its_budget_is_a_configuration_error(monkeypatch):
+    # steps of about 0.2 cross about 20 cells of width 0.01
+    monkeypatch.setattr(pot, "MAX_WALK_CELLS", 8)
+    knots = np.linspace(-2.0, 2.0, 401)
+    V = GridPotential(knots, knots / 10)
+    with pytest.raises(ConfigurationError, match="more than 8 cells"):
+        potential_chain_simulate(V, 0.0, 0.2, 0.08, SchemeConfig(paths=5, seed=1))

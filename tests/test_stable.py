@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from levylab import rng as lrng
-from levylab.core import Chi2, SchemeConfig
+from levylab.core import Atoms, Chi2, SchemeConfig
 from levylab.diagnostics import ks_distance
 from levylab.errors import DegenerateStateError, ValidationError
 from levylab.euler import StableTripletField
@@ -159,3 +159,9 @@ def test_scheme_triplet_field_matches_truncation():
     assert trunc.jumps.min_radius == pytest.approx(stable_threshold(fld, 0.0, n))
     # total mass of the normalized step law times n
     assert trunc.jumps.total_mass() == pytest.approx(n, rel=1e-12)
+
+
+def test_scheme_triplet_field_without_jumps_where_the_scale_vanishes():
+    fld = StableField.constant(0.0, 1.2, 1)
+    trip = scheme_triplet_field(fld, 100.0)(np.array([0.0]))
+    assert isinstance(trip.jumps, Atoms) and trip.jumps.masses.size == 0
