@@ -622,6 +622,8 @@ class PathBatch:
 
     def marginal(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """States of paths still alive at time ``t`` (floor-index on the grid)."""
+        if not math.isfinite(t):
+            raise ValidationError(f"the marginal time must be finite, got {t}")
         j = int(np.searchsorted(self.times, t + 1e-12, side="right") - 1)
         if j < 0:
             raise ValidationError(f"time {t} precedes the output grid")

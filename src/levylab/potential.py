@@ -14,9 +14,10 @@ that touches only the cells it spans, anchored at the query point, so no
 precision is lost to large cumulative offsets.  Lattice and grid cells are
 integrated in closed form; a callable potential is split into cells where
 a degree-24 Chebyshev interpolant resolves ``e^{+-V}`` (chebfun-style), and
-the walk integrates each piece at its Chebyshev points.  All exponentials
-are rescaled by the window extrema, so only genuinely overflowing windows
-fail, and such a window fails on every query.  Since one walk gives phi and
+the walk integrates each piece at its Chebyshev points.  Each walk rescales
+its exponentials by V at its own start, so only a span whose own
+oscillation overflows double precision fails, wherever the rest of the
+window goes.  Since one walk gives phi and
 its slope together, psi is found by a few Newton walks, certified to be
 bisection's value to the bit.  The chain runs on the shared
 block driver :func:`levylab.core.run_chain` with time step ``eps^2``: either
@@ -49,7 +50,6 @@ BRACKET_CAP_FACTOR = 2 ** 10
 NEWTON_MAX_ITER = 8
 NEWTON_STOP = 1e-2 * PSI_REL_TOL  # Newton ends when every next step is below this times eps
 CERTIFY_ROUNDS = 2
-MAX_TABLE_SHIFT = 600.0  # beyond this the rescaled integrals would denormalize
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 MAX_WALK_CELLS = 1 << 14
 WALK_END_ULPS = 64
@@ -82,14 +82,6 @@ def _phi2(z):
                         (np.expm1(z) - z) / (z * z))
 
 
-def _check_shift(splus: float, sminus: float, where: str = "") -> None:
-    if splus + sminus > MAX_TABLE_SHIFT:
-        raise PotentialOverflowError(
-            f"window oscillation of the potential{where} exceeds the double-precision "
-            "budget for rescaled exponentials"
-        )
-
-
 def _sample(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """``fn`` at the points ``x`` (any shape); a non-finite value is a ValidationError."""
     v = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
@@ -103,22 +95,13 @@ def _sample(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray
 
 @dataclass
 class _CellData:
-    """Cell table: breakpoints, window shifts, and either each closed-form cell's
-    left value and slope or, for smooth Chebyshev cells, the potential ``fn``."""
+    """Cell table: breakpoints, and either each closed-form cell's left value
+    and slope or, for smooth Chebyshev cells, the potential ``fn``."""
 
     bounds: np.ndarray   # (n+1,)
-    splus: float
-    sminus: float
     left_value: Optional[np.ndarray] = None  # (n,)
     slope: Optional[np.ndarray] = None    # (n,)
     fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        _check_shift(self.splus, self.sminus)
-
-    @property
-    def shift(self) -> float:
-        return self.splus + self.sminus
 
     @property
     def n_cells(self) -> int:
@@ -128,24 +111,28 @@ class _CellData:
         """Cell a walk from ``x`` starts in: ``side`` "right" walks up, "left" down."""
         return np.clip(np.searchsorted(self.bounds, x, side=side) - 1, 0, self.n_cells - 1)
 
-    def piece(self, cell: np.ndarray, pos: np.ndarray, length: np.ndarray, sgn: float):
-        """Rescaled integrals over the piece from ``pos`` to ``pos + sgn * length``
-        inside ``cell``: the masses int e^{V-s+} and int e^{-V-s-}, and the
-        self term int e^{V(b)-s+} int_pos^b e^{-V(c)-s-} dc db."""
+    def value(self, cell: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """V at the points ``x``, each read in its ``cell``."""
+        if self.fn is not None:
+            return _sample(self.fn, x)
+        return self.left_value[cell] + self.slope[cell] * (x - self.bounds[cell])
+
+    def piece(self, cell: np.ndarray, pos: np.ndarray, length: np.ndarray, sgn: float,
+              ref: np.ndarray):
+        """Integrals over the piece from ``pos`` to ``pos + sgn * length`` inside
+        ``cell``, rescaled by ``ref``: the masses int e^{V-ref} and
+        int e^{ref-V}, and the self term int e^{V(b)} int_pos^b e^{-V(c)} dc db."""
         if self.fn is not None:
             half = 0.5 * length
             v = _sample(self.fn, pos[:, None] + (sgn * half)[:, None] * (_CHEB_X + 1.0))
-            ep = np.exp(v - self.splus)
-            em = np.exp(-v - self.sminus)
+            ep = np.exp(v - ref[:, None])
+            em = np.exp(ref[:, None] - v)
             return (half * (ep @ _CHEB_W), half * (em @ _CHEB_W),
                     half * half * ((ep * (em @ _CHEB_CUM.T)) @ _CHEB_W))
-        m = self.slope[cell]
-        v_edge = self.left_value[cell] + m * (pos - self.bounds[cell])
-        ep_f = np.exp(v_edge - self.splus)
-        em_f = np.exp(-v_edge - self.sminus)
-        z = sgn * m * length
-        return (ep_f * length * _phi1(z), em_f * length * _phi1(-z),
-                math.exp(-self.shift) * length * length * _phi2(z))
+        v_edge = self.value(cell, pos)
+        z = sgn * self.slope[cell] * length
+        return (np.exp(v_edge - ref) * length * _phi1(z),
+                np.exp(ref - v_edge) * length * _phi1(-z), length * length * _phi2(z))
 
 
 class Potential:
@@ -188,11 +175,13 @@ class PiecewiseConstantPotential(Potential):
     offset: float = 0.0
 
     def __init__(self, mesh: float, q, k_min: int, offset: float = 0.0):
-        if mesh <= 0:
-            raise ValidationError("the mesh must be positive")
+        if not 0 < mesh < math.inf:
+            raise ValidationError(f"the mesh must be positive and finite, got {mesh}")
         q = np.asarray(q, dtype=float)
         if q.ndim != 1 or q.size == 0:
             raise ValidationError("q must be a nonempty 1-d array")
+        if not (np.all(np.isfinite(q)) and math.isfinite(offset)):
+            raise ValidationError("the increments q and the offset must be finite")
         k_min = int(k_min)
         k_max = k_min + q.size - 1
         if k_min > 1 or k_max < 0:
@@ -247,10 +236,8 @@ class PiecewiseConstantPotential(Potential):
             vals = self.cell_values()
             n = vals.size
             bounds = (np.arange(n + 1) + self.cell_lo) * self.mesh
-            self._cache["celldata"] = _CellData(
-                bounds=bounds, left_value=vals, slope=np.zeros(n),
-                splus=float(np.max(vals)), sminus=float(np.max(-vals)),
-            )
+            self._cache["celldata"] = _CellData(bounds=bounds, left_value=vals,
+                                                slope=np.zeros(n))
         return self._cache["celldata"]
 
 
@@ -271,6 +258,8 @@ class GridPotential(Potential):
         values = np.asarray(values, dtype=float)
         if knots.ndim != 1 or knots.size < 2 or knots.shape != values.shape:
             raise ValidationError("need at least two aligned knots and values")
+        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
+            raise ValidationError("knots and values must be finite")
         if np.any(np.diff(knots) <= 0):
             raise ValidationError("knots must be strictly increasing")
         object.__setattr__(self, "knots", knots)
@@ -287,11 +276,9 @@ class GridPotential(Potential):
     def cells(self) -> _CellData:
         if "celldata" not in self._cache:
             w = np.diff(self.knots)
-            self._cache["celldata"] = _CellData(
-                bounds=self.knots, left_value=self.values[:-1],
-                slope=np.diff(self.values) / w,
-                splus=float(np.max(self.values)), sminus=float(np.max(-self.values)),
-            )
+            self._cache["celldata"] = _CellData(bounds=self.knots,
+                                                left_value=self.values[:-1],
+                                                slope=np.diff(self.values) / w)
         return self._cache["celldata"]
 
 
@@ -303,9 +290,10 @@ class CallablePotential(Potential):
     are within 1e-14 of the largest, plus what moving the samples by an ulp
     changes in V (the rounding noise near a cusp such as ``sqrt|x - c|``);
     cells narrower than ``WALK_END_ULPS`` ulps of their position are kept.
-    A non-finite or empty domain or a non-finite sample is a ValidationError,
-    over ``MAX_WALK_CELLS`` cells a RangeError, and an oscillation beyond
-    ``MAX_TABLE_SHIFT`` a PotentialOverflowError.
+    A non-finite or empty domain or a non-finite sample is a ValidationError
+    and over ``MAX_WALK_CELLS`` cells a RangeError.  However far the potential
+    climbs over its domain, only a walk whose own span oscillates beyond
+    double precision raises PotentialOverflowError.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], domain: tuple[float, float]):
@@ -330,13 +318,10 @@ def _chebyshev_cells(fn: Callable[[np.ndarray], np.ndarray], lo: float,
     """Split [lo, hi] until ``e^{+-V}`` is resolved on every cell (see CallablePotential)."""
     left, right = np.array([lo]), np.array([hi])
     accepted = []
-    splus = sminus = -math.inf
     while left.size:
         x = 0.5 * (left + right)[:, None] + 0.5 * (right - left)[:, None] * _CHEB_X
         x[:, 0], x[:, -1] = left, right
         v = _sample(fn, x)
-        splus, sminus = max(splus, float(np.max(v))), max(sminus, float(np.max(-v)))
-        _check_shift(splus, sminus, f" on [{lo}, {hi}]")
         dv = v - v[:, CHEB_DEGREE // 2, None]
         resolved = np.ones(left.size, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -354,7 +339,7 @@ def _chebyshev_cells(fn: Callable[[np.ndarray], np.ndarray], lo: float,
         if sum(a.size for a in accepted) + left.size > MAX_WALK_CELLS:
             raise RangeError(f"the potential needs over {MAX_WALK_CELLS} cells on [{lo}, {hi}]")
     bounds = np.append(np.sort(np.concatenate(accepted)), hi)
-    return _CellData(bounds=bounds, splus=splus, sminus=sminus, fn=fn)
+    return _CellData(bounds=bounds, fn=fn)
 
 
 def constant_potential(level: float = 0.0, lo: float = -100.0, hi: float = 100.0,
@@ -374,22 +359,26 @@ def zero_potential(mesh: float, k_min: int, k_max: int) -> PiecewiseConstantPote
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _walk(cd: _CellData, a: np.ndarray, h: np.ndarray):
-    """Rescaled integrals over [a, a+h], walked cell by cell from ``a``.
+    """Integrals over [a, a+h], walked cell by cell from ``a``.
 
-    Returns ``(phi_half, ep, em)``: phi/2 as int e^{V(b)-s+} int e^{-V(c)-s-}
-    over the walked span, and the unsigned masses int e^{V-s+} and
-    int e^{-V-s-} of that span.  Anchoring at ``a`` keeps all terms
-    local-sized.
+    Returns ``(phi_half, ep, em, ref)``: phi/2, which no rescaling touches,
+    the unsigned masses int e^{V-ref} and int e^{ref-V} of the walked span,
+    and the reference ``ref = V(a)`` they are rescaled by.  So every term
+    sees only the span's own oscillation; a span whose oscillation
+    overflows double precision raises PotentialOverflowError.
     """
     res, ep, em = np.zeros((3, a.size))
+    start = cd.locate(a, "right")
+    ref = cd.value(start, a)
     for sgn, mask0 in ((1.0, h > 0), (-1.0, h < 0)):
         if not np.any(mask0):
             continue
         active = np.nonzero(mask0)[0]
         pos = a[active].copy()
         remaining = np.abs(h[active])
-        cell = cd.locate(pos, "right" if sgn > 0 else "left")
+        cell = start[active] if sgn > 0 else cd.locate(pos, "left")
         guard = 0
         while active.size:
             guard += 1
@@ -398,7 +387,7 @@ def _walk(cd: _CellData, a: np.ndarray, h: np.ndarray):
                                          "use a coarser potential or a smaller eps")
             room = cd.bounds[cell + 1] - pos if sgn > 0 else pos - cd.bounds[cell]
             length = np.minimum(np.maximum(room, 0.0), remaining)
-            ep_piece, em_piece, self_piece = cd.piece(cell, pos, length, sgn)
+            ep_piece, em_piece, self_piece = cd.piece(cell, pos, length, sgn, ref[active])
             res[active] += ep_piece * em[active] + self_piece
             ep[active] += ep_piece
             em[active] += em_piece
@@ -414,7 +403,12 @@ def _walk(cd: _CellData, a: np.ndarray, h: np.ndarray):
                 done |= outside
             if np.any(done):
                 active, pos, remaining, cell = (z[~done] for z in (active, pos, remaining, cell))
-    return res, ep, em
+    bad = ~(np.isfinite(res) & np.isfinite(ep) & np.isfinite(em))
+    if np.any(bad):
+        raise PotentialOverflowError(
+            f"the potential oscillates beyond double precision on the span from "
+            f"{float(a[bad][0])} to {float(a[bad][0] + h[bad][0])}")
+    return res, ep, em, ref
 
 
 def _walk_slack(start: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -439,9 +433,8 @@ def exp_integral(V: Potential, a1: float, a2: float, sign: str = "+") -> float:
     if sign not in ("+", "-"):
         raise ValidationError("sign must be '+' or '-'")
     V.check_window(a1, a2)
-    cd = V.cells()
-    _, ep, em = _walk(cd, np.array([a1]), np.array([a2 - a1]))
-    raw, shift = (float(ep[0]), cd.splus) if sign == "+" else (float(em[0]), cd.sminus)
+    _, ep, em, ref = _walk(V.cells(), np.array([a1]), np.array([a2 - a1]))
+    raw, shift = (float(ep[0]), float(ref[0])) if sign == "+" else (float(em[0]), -float(ref[0]))
     if raw <= 0.0:
         return 0.0
     log_val = shift + math.log(raw)
@@ -462,16 +455,9 @@ def phi_eval(V: Potential, a, h):
     a_arr, h_arr = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(h))
     shape = a_arr.shape
     a_arr, h_arr = (np.array(z, dtype=float).ravel() for z in (a_arr, h_arr))
-    cd = V.cells()
     V.check_window(float(np.min(np.minimum(a_arr, a_arr + h_arr))),
                    float(np.max(np.maximum(a_arr, a_arr + h_arr))))
-    res = _walk(cd, a_arr, h_arr)[0]
-    out = np.zeros_like(res)
-    pos = res > 0.0
-    log_vals = cd.shift + np.log(res[pos]) + math.log(2.0)
-    if np.any(log_vals > LOG_FLOAT_MAX):
-        raise PotentialOverflowError("phi overflows double precision")
-    out[pos] = np.exp(log_vals)
+    out = 2.0 * _walk(V.cells(), a_arr, h_arr)[0]
     return float(out[0]) if scalar else out.reshape(shape)
 
 
@@ -548,7 +534,7 @@ def _psi_newton(V: Potential, a: np.ndarray, sgn: float, eps: float,
     """Newton's method on ``g(h) = sqrt(phi(a, sgn h)) - eps`` from ``h = eps``,
     one walk per iterate, each iterate clamped to ``[h/2, hi0]``.
 
-    In the walk's rescaled terms ``phi'/phi = e^{V(end)-s+} em / phi_half``,
+    In the walk's rescaled terms ``phi'/phi = e^{V(end)-ref} em / phi_half``,
     so the step ``g/g' = 2 (1 - eps/sqrt(phi)) phi/phi'`` never overflows; a
     step that is not a number leaves ``h/2``.  The iteration stops once every
     next step, predicted from the last two by quadratic convergence, is at
@@ -559,10 +545,10 @@ def _psi_newton(V: Potential, a: np.ndarray, sgn: float, eps: float,
     h = np.full_like(hi0, eps)
     last = np.zeros_like(hi0)
     for _ in range(NEWTON_MAX_ITER):
-        res, _, em = _walk(cd, a, sgn * h)
+        res, _, em, ref = _walk(cd, a, sgn * h)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = np.exp(0.5 * (cd.shift + np.log(2.0 * res)) - math.log(eps))
-            slope = np.exp(V._value(a + sgn * h) - cd.splus) * em / res
+            ratio = np.sqrt(2.0 * res) / eps
+            slope = np.exp(V._value(a + sgn * h) - ref) * em / res
             step = 2.0 * (1.0 - 1.0 / ratio) / slope
         new = np.fmin(np.fmax(h - step, 0.5 * h), hi0)
         step = np.abs(new - h)
@@ -598,11 +584,11 @@ def p_eval_many(V: Potential, a: np.ndarray, psi_up: np.ndarray,
     psi_down = np.asarray(psi_down, dtype=float)
     if np.any(psi_up <= 0) or np.any(psi_down <= 0):
         raise ValidationError("step sizes must be positive")
-    cd = V.cells()
-    lo, hi = a - psi_down, a + psi_up
-    V.check_window(float(np.min(lo)), float(np.max(hi)))
-    num = _walk(cd, lo, a - lo)[1]
-    den = num + _walk(cd, a, hi - a)[1]
+    V.check_window(float(np.min(a - psi_down)), float(np.max(a + psi_up)))
+    # Both masses are walked from ``a``, so they share its reference V(a).
+    mass = _walk(V.cells(), np.concatenate([a, a]), np.concatenate([-psi_down, psi_up]))[1]
+    num = mass[: a.size]
+    den = num + mass[a.size:]
     if np.any(den <= 0):
         raise ValidationError("degenerate step window: zero exponential mass")
     p = num / den

@@ -268,12 +268,23 @@ def test_expression_potential_not_finite_in_its_window(workdir, capsys):
 
 
 def test_expression_potential_oscillating_beyond_its_budget(workdir, capsys):
-    # n_steps = 240 gives the window [-24.8, 24.8], where x^2 oscillates by 615 > 600.
+    # n_steps = 40000 gives the window [-4000.8, 4000.8]: resolving x^2 there
+    # takes more cells than the cap, which is refused before any path runs.
     code = run(["simulate-potential", "--potential", "x1*x1", "--eps", "0.05",
-                "--T", "0.6", "--paths", "4", "--out", "wide.csv"])
-    assert code == 2
-    assert "oscillation" in capsys.readouterr().err
+                "--T", "100", "--paths", "4", "--out", "wide.csv"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("validation error: the potential needs over")
     assert not os.path.exists("wide.csv")
+
+
+def test_expression_potential_oscillating_widely_over_its_window(workdir, capsys):
+    # n_steps = 240 gives the window [-24.8, 24.8], where x^2 oscillates by 615;
+    # each step sees only its own span, so the run goes through.
+    run_ok(["simulate-potential", "--potential", "x1*x1", "--eps", "0.05",
+            "--T", "0.6", "--paths", "4", "--seed", "1", "--grid-points", "3",
+            "--out", "wide.csv"], capsys)
+    batch = read_paths_csv("wide.csv")
+    assert np.all(np.isinf(batch.xi)) and np.all(np.isfinite(batch.states))
 
 
 def test_potential_finer_than_the_cell_walk_budget(workdir, capsys, monkeypatch):
@@ -303,12 +314,57 @@ def test_expression_window_grows_past_steep_steps(workdir, capsys):
 
 def test_steep_linear_expression_is_not_absorbed_silently(workdir, capsys):
     # Steps of about 0.26 outrun the window [-1.2, 1.2]; the doubled window
-    # oscillates by 960 > 600, so the run fails instead of absorbing paths.
-    code = run(["simulate-potential", "--potential=-200*x1", "--eps", "0.05",
+    # oscillates by 960, but one step's span only by about 52, so every path
+    # lives and drifts near 100 * T = 1.
+    run_ok(["simulate-potential", "--potential=-200*x1", "--eps", "0.05",
+            "--T", "0.01", "--paths", "8", "--seed", "2", "--out", "lin.csv"], capsys)
+    batch = read_paths_csv("lin.csv")
+    assert np.all(np.isinf(batch.xi)) and np.all(np.isfinite(batch.states))
+    assert abs(np.mean(batch.states[:, -1, 0]) - 1.0) < 0.2
+
+
+@pytest.mark.filterwarnings("error")
+def test_steep_linear_expression_overflowing_one_span(workdir, capsys):
+    # At slope 2000 the bracket span [0, 0.4] of the very first step
+    # oscillates by 800: one message line, no warning, no file.
+    code = run(["simulate-potential", "--potential=-2000*x1", "--eps", "0.05",
                 "--T", "0.01", "--paths", "8", "--seed", "2", "--out", "lin.csv"])
+    err = capsys.readouterr().err.splitlines()
     assert code == 2
-    assert "oscillation of the potential on [-2.4" in capsys.readouterr().err
+    assert len(err) == 1 and err[0].startswith("numeric failure: the potential oscillates")
     assert not os.path.exists("lin.csv")
+
+
+def test_lattice_file_climbing_far_beyond_one_span(workdir, capsys):
+    # The potential climbs by 40 per site right of the origin, to 1200 at the
+    # window edge; the paths only ever see the first wall.
+    k = np.arange(-30, 31)
+    np.savetxt("climb.csv", np.column_stack([k, np.where(k >= 1, 40.0, 0.0)]),
+               delimiter=",", fmt="%g")
+    run_ok(["simulate-potential", "--potential", "climb.csv", "--mesh", "0.1",
+            "--eps", "0.1", "--T", "0.2", "--paths", "50", "--seed", "1",
+            "--out", "climb_out.csv"], capsys)
+    batch = read_paths_csv("climb_out.csv")
+    assert np.all(np.isinf(batch.xi)) and np.all(np.isfinite(batch.states))
+
+
+@pytest.mark.parametrize("data, flags", [
+    ([[-2, -0.2], [-1, -0.1], [0, np.nan], [1, 0.1], [2, 0.2]], ["--eps", "0.2"]),
+    ([[-2, -0.2], [-1, -0.1], [0, np.inf], [1, 0.1], [2, 0.2]], ["--eps", "0.2"]),
+    ([[-2, -0.2], [-1, -0.1], [np.nan, 0], [1, 0.1], [2, 0.2]], ["--eps", "0.2"]),
+    ([[-np.inf, -0.2], [-1, -0.1], [0, 0], [1, 0.1], [2, 0.2]], ["--eps", "0.2"]),
+    ([[k, 0] for k in range(-20, 21)], ["--mesh", "inf", "--eps", "0.125"]),
+    ([[k, 0] for k in range(-20, 21)], ["--mesh", "nan", "--eps", "0.2"]),
+], ids=["nan-value", "inf-value", "nan-knot", "inf-knot", "inf-mesh", "nan-mesh"])
+@pytest.mark.filterwarnings("error")
+def test_non_finite_potential_data_are_refused(workdir, capsys, data, flags):
+    np.savetxt("bad.csv", np.array(data, dtype=float), delimiter=",")
+    code = run(["simulate-potential", "--potential", "bad.csv", *flags, "--T", "0.2",
+                "--paths", "4", "--out", "bad_out.csv"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("validation error:")
+    assert not os.path.exists("bad_out.csv")
 
 
 def test_euler_stable_field_config(workdir, capsys):
@@ -726,6 +782,17 @@ HOSTILE_CSV = {
     "grid_mismatch": "path_id,t,x1,alive\n0,0.0,1.0,1\n0,1.0,2.0,1\n"
                      "1,0.0,1.0,1\n1,0.5,2.0,1\n",
 }
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_diagnose_paths_at_a_non_finite_time(workdir, capsys, t):
+    # Such a time used to be read as the last grid time, and written into
+    # the report as NaN or Infinity, which strict JSON has no words for.
+    write_text("ok.csv", "path_id,t,x1,alive\n0,0.0,1.0,1\n0,1.0,2.0,1\n")
+    code = run(["diagnose-paths", "ok.csv", "--t", t, "--out", "d.json"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("validation error: the marginal time")
+    assert not os.path.exists("d.json")
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_CSV))

@@ -181,6 +181,13 @@ class TestPathRecord:
         assert list(alive) == [False, True]
         assert np.isnan(batch.states[0, 1, 0])
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_batch_marginal_at_a_non_finite_time(self, t):
+        # searchsorted would read NaN and +inf as the last grid time
+        batch = PathBatch(times=[0.0, 1.0], states=np.zeros((1, 2, 1)), xi=np.array([np.inf]))
+        with pytest.raises(ValidationError, match="must be finite"):
+            batch.marginal(t)
+
 
 class TestValidateHypotheses:
     def test_chi1_passes_for_stable(self):

@@ -170,3 +170,10 @@ def test_cross_validation_compares_only_the_first_paths_walks():
         SchemeConfig(paths=100, seed=run.path_seed + 7, grid=run.walks.times))
     stat, _ = ks_distance(walks[:100, 0], scheme.marginal(1.0)[0][:, 0])
     assert rep.ks_stat == stat
+
+
+def test_cross_validation_at_a_nan_time_is_refused():
+    cfg = SchemeConfig(paths=50, seed=25, grid=np.array([0.0, 0.5]))
+    run, = rwre_simulate(BernoulliPoisson(q=1.0, lam=1.0), 0.05, 0, 0.5, 1, cfg)
+    with pytest.raises(ValidationError, match="must be finite"):
+        quenched_cross_validate(run, float("nan"), 50)

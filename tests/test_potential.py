@@ -114,20 +114,24 @@ class TestExpIntegral:
         assert phi_eval(V, 0.0, 0.25) == pytest.approx(0.0625, rel=1e-12)
 
     def test_window_overflow_raises(self):
+        # The queried span [-1, 1] itself oscillates by 800, beyond double precision.
+        V = GridPotential([-1.0, 1.0], [-400.0, 400.0])
         with pytest.raises(PotentialOverflowError):
-            V = GridPotential([-1.0, 1.0], [-400.0, 400.0])
-            phi_eval(V, 0.0, 0.5)
+            phi_eval(V, -1.0, 2.0)
 
     @pytest.mark.parametrize("V", [GridPotential([-1.0, 1.0], [-400.0, 400.0]),
-                                   PiecewiseConstantPotential(1.0, [700.0, 0.0], 0)],
+                                   PiecewiseConstantPotential(1.0, [800.0, 0.0], 0)],
                              ids=["grid", "lattice"])
     def test_window_overflow_raises_on_every_call(self, V):
-        # The cell table used to be cached before the overflow check raised,
-        # so every query after the first silently went on.
-        queries = (lambda: phi_eval(V, 0.0, 0.5), lambda: exp_integral(V, -0.5, 0.5), V.cells)
+        # Only a span whose own oscillation overflows is refused, on every call;
+        # the cell table builds, and a short span of the same potential is finite.
+        V.cells()
+        queries = (lambda: phi_eval(V, -1.0, 2.0), lambda: exp_integral(V, -1.0, 1.0))
         for query in queries * 2:
             with pytest.raises(PotentialOverflowError):
                 query()
+        assert 0.0 < phi_eval(V, 0.0, 0.5) < np.inf
+        assert 0.0 < exp_integral(V, 0.0, 0.5) < np.inf
 
 
 class TestPhi:
@@ -344,16 +348,20 @@ class TestChebyshevCells:
         assert phi_eval(V, 0.2, 0.2) > 0.0
 
     def test_window_overflow_raises_on_every_call(self):
+        # As for closed-form cells: the span [-1, 1] oscillates by 800, [0, 0.5] by 200.
         V = CallablePotential(lambda x: 400.0 * x, domain=(-1.0, 1.0))
-        queries = (lambda: phi_eval(V, 0.0, 0.5), lambda: exp_integral(V, -0.5, 0.5), V.cells)
+        V.cells()
+        queries = (lambda: phi_eval(V, -1.0, 2.0), lambda: exp_integral(V, -1.0, 1.0))
         for query in queries * 2:
             with pytest.raises(PotentialOverflowError):
                 query()
+        assert 0.0 < phi_eval(V, 0.0, 0.5) < np.inf
+        assert 0.0 < exp_integral(V, 0.0, 0.5) < np.inf
 
 
     def test_distance_and_transport_ignore_the_cells_of_a_wide_callable(self):
-        # x^2 oscillates by 625 over its domain, beyond the cell-table budget,
-        # yet neither function integrates e^{+-V} by the walk.
+        # Neither function integrates e^{+-V} by the walk, so neither builds
+        # the cells of x^2 over its wide domain.
         V = CallablePotential(lambda x: x * x, domain=(-25.0, 25.0))
         W = CallablePotential(lambda x: x * x + np.log(2.0), domain=(-25.0, 25.0))
         # int_{-1}^{1} max(e^{x^2}, e^{-x^2} / 2) dx = sqrt(pi) erfi(1)
