@@ -405,9 +405,8 @@ def _cmd_simulate_potential(args, seed: int) -> list[str]:
     for widen in count():
         potential = _load_potential(args, n_steps, widen)
         try:
-            batch = potential_chain_simulate(
-                potential, float(args.start), eps, float(args.T), cfg,
-                absorb_at_edge=not isinstance(potential, CallablePotential))
+            batch = potential_chain_simulate(potential, float(args.start), eps,
+                                             float(args.T), cfg)
             break
         except WindowEdgeError:
             continue

@@ -499,7 +499,7 @@ class LevyTriplet:
                 raise ValidationError(
                     f"gamma is not symmetric (max asymmetry {asym:.3e} vs scale {scale:.3e})"
                 )
-            eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
+            eigs = np.linalg.eigvalsh(0.5 * g + 0.5 * g.T)
             if float(eigs.min()) < -GAMMA_EIGEN_FLOOR * scale:
                 raise ValidationError(
                     f"gamma is not positive semi-definite (min eigenvalue {eigs.min():.3e})"
@@ -557,18 +557,16 @@ class ConstantTripletField(TripletField):
 
 @dataclass(frozen=True)
 class PathRecord:
-    """A cadlag sample path on R^d plus cemetery, absorbed after explosion.
-
-    ``states`` rows with ``times >= xi`` are dead; accessors return DELTA
-    for them and their stored float values are never consumed.
+    """One cadlag sample path on R^d: ``states`` row ``i`` is the state at
+    ``times[i]``.  ``truncated`` flags a record cut short at the last grid
+    time its chain could represent.  Absorbed paths live in a PathBatch.
     """
 
     times: np.ndarray
     states: np.ndarray
-    xi: float = math.inf
     truncated: bool = False
 
-    def __init__(self, times, states, xi=math.inf, truncated=False):
+    def __init__(self, times, states, truncated=False):
         times = np.asarray(times, dtype=float)
         states = np.asarray(states, dtype=float)
         if states.ndim == 1:
@@ -579,21 +577,7 @@ class PathRecord:
             raise ValidationError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "xi", float(xi))
         object.__setattr__(self, "truncated", bool(truncated))
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def alive(self) -> np.ndarray:
-        return self.times < self.xi
-
-    def state_at(self, i: int):
-        if self.times[i] >= self.xi:
-            return DELTA
-        return self.states[i]
 
 
 class PathBatch:
@@ -617,9 +601,6 @@ class PathBatch:
     def dim(self) -> int:
         return self.states.shape[2]
 
-    def alive_at_index(self, j: int) -> np.ndarray:
-        return self.times[j] < self.xi
-
     def marginal(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """States of paths still alive at time ``t`` (floor-index on the grid)."""
         if not math.isfinite(t):
@@ -627,7 +608,7 @@ class PathBatch:
         j = int(np.searchsorted(self.times, t + 1e-12, side="right") - 1)
         if j < 0:
             raise ValidationError(f"time {t} precedes the output grid")
-        alive = self.alive_at_index(j)
+        alive = self.times[j] < self.xi
         return self.states[alive, j, :], alive
 
     def blank_dead(self) -> None:
@@ -744,6 +725,9 @@ def run_chain(init, step, n_steps: int, capture: np.ndarray, dt: float, grid: np
         j = bisect_left(capture, k)
         return min(k * dt, float(grid[j])) if j < grid.size else k * dt
 
+    # A state that overflows becomes inf: the escape test absorbs it, and a
+    # live non-finite state still raises.  One errstate per block, not per step.
+    @np.errstate(over="ignore")
     def run_block(block):
         lo, hi, idx = block
         gen = _rng.stream(seed, idx, _rng.PATHS)

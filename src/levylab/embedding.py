@@ -46,20 +46,24 @@ def floor_embed(chain, eps: float, grid) -> PathRecord:
     return PathRecord(grid, states[idx])
 
 
+def _arrival_counts(eps: float, holding, grid):
+    """The grid and its arrival counts N(t / eps) for the given holding times."""
+    if not eps > 0:
+        raise ValidationError("eps must be positive")
+    grid = np.asarray(grid, dtype=float)
+    arrivals = np.cumsum(np.asarray(holding, dtype=float))
+    return grid, np.searchsorted(arrivals, grid / eps, side="right")
+
+
 def poissonize(chain, eps: float, rng: np.random.Generator, grid) -> PathRecord:
     """x(t) = chain[N(t / eps)] for a unit-rate Poisson counter N.
 
     When the horizon needs more arrivals than the chain has states, the
     record is truncated at the last representable grid time and flagged.
     """
-    if not eps > 0:
-        raise ValidationError("eps must be positive")
     states = _chain_states(chain)
-    grid = np.asarray(grid, dtype=float)
     n_states = states.shape[0]
-    holding = _rng.exponential(rng, n_states)
-    arrivals = np.cumsum(holding)
-    counts = np.searchsorted(arrivals, grid / eps, side="right")
+    grid, counts = _arrival_counts(eps, _rng.exponential(rng, n_states), grid)
     ok = counts <= n_states - 1
     truncated = not bool(np.all(ok))
     if truncated:
@@ -72,12 +76,8 @@ def poissonize(chain, eps: float, rng: np.random.Generator, grid) -> PathRecord:
 
 def poissonize_with(chain, eps: float, holding: np.ndarray, grid) -> PathRecord:
     """Poissonization with externally supplied unit-exponential holding times."""
-    if not eps > 0:
-        raise ValidationError("eps must be positive")
     states = _chain_states(chain)
-    grid = np.asarray(grid, dtype=float)
-    arrivals = np.cumsum(np.asarray(holding, dtype=float))
-    counts = np.searchsorted(arrivals, grid / eps, side="right")
+    grid, counts = _arrival_counts(eps, holding, grid)
     if np.any(counts > states.shape[0] - 1):
         raise RangeError("not enough chain states for the requested horizon")
     return PathRecord(grid, states[counts])

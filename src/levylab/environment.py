@@ -144,10 +144,12 @@ def rwre_simulate(env: EnvironmentSpec, eps: float, start_site: int, horizon: fl
         q = env.sample(env_gen, eps, k_lo, k_hi)
         potential = PiecewiseConstantPotential(eps, q, k_lo)
         path_seed = config.seed + 1_000_003 * (e_idx + 1)
-        # Right probability at site k is 1/(e^{q_k} + 1); leaving the q-window
-        # absorbs the walk at the cemetery.
-        step = lattice_kernel(1.0 / (np.exp(q) + 1.0), k_lo, (k_lo, k_lo + q.size - 1),
-                              eps, math.inf)
+        # Right probability at site k is 1/(e^{q_k} + 1), whose limit for an
+        # overflowing e^{q_k} is 0; leaving the q-window absorbs the walk at
+        # the cemetery.
+        with np.errstate(over="ignore"):
+            p_right = 1.0 / (np.exp(q) + 1.0)
+        step = lattice_kernel(p_right, k_lo, (k_lo, k_lo + q.size - 1), eps, math.inf)
         walks = run_chain(float(start_site), step, n_steps, capture, dt, grid, 1, config,
                           seed=path_seed, emit=lambda sites: sites * eps)
         runs.append(QuenchedRun(
@@ -179,11 +181,10 @@ def quenched_cross_validate(run: QuenchedRun, t: float, paths: int) -> CrossVali
     comparison carries pure Monte Carlo noise.
     """
     eps = run.eps
-    if t <= 0:
-        raise ValidationError("the comparison time must be positive")
     times = run.walks.times
-    if t > times[-1] + 1e-12:
-        raise ValidationError("comparison time beyond the walk horizon")
+    if not 0 < t <= times[-1] + 1e-12:
+        raise ValidationError(f"the comparison time must be finite, positive and within "
+                              f"the walk horizon {float(times[-1])}, got {t}")
 
     # Kernel check on sites around the start.
     k_lo, k_hi = run.window

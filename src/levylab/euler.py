@@ -77,17 +77,6 @@ def _guard_jump_count(expected) -> None:
         )
 
 
-def default_truncation(eps: float, jumps=None) -> float:
-    """Default truncation radius: 1e-3 of the step's typical jump scale.
-
-    For a stable-like measure the typical single-step scale is
-    ``eps ** (1/alpha)``; other measures fall back to an absolute 1e-3.
-    """
-    if isinstance(jumps, StableLike):
-        return min(1e-3 * eps ** (1.0 / jumps.alpha), 0.5)
-    return 1e-3
-
-
 def gaussian_factor(gamma: np.ndarray) -> np.ndarray:
     """A square root of the diffusion matrix, tolerant of tiny negative modes."""
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))

@@ -26,9 +26,10 @@ numbers is ever formed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import optimize as _so
@@ -235,50 +236,42 @@ def vanishing_test_functions(low, high, dim: int = 1, margin: float = 0.5) -> li
 # ---------------------------------------------------------------------------
 
 
-class _SphereRule:
+class _SphereRule(NamedTuple):
+    nodes: np.ndarray
+    weights: np.ndarray
+    surface: float
+
+
+@functools.cache
+def _sphere_rule(dim: int) -> _SphereRule:
     """Fixed quadrature nodes and weights on the unit sphere.
 
     Antipodally symmetric in every dimension, so odd integrands cancel
     exactly; weights sum to the sphere surface area.
     """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        if dim == 1:
-            self.nodes = np.array([[1.0], [-1.0]])
-            self.weights = np.array([1.0, 1.0])
-        elif dim == 2:
-            k = 128
-            ang = 2.0 * np.pi * (np.arange(k) + 0.5) / k
-            self.nodes = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            self.weights = np.full(k, 2.0 * np.pi / k)
-        elif dim == 3:
-            n_mu, n_phi = 24, 48
-            mu, w_mu = np.polynomial.legendre.leggauss(n_mu)
-            phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-            s = np.sqrt(1.0 - mu ** 2)
-            nodes, weights = [], []
-            for i in range(n_mu):
-                for p in phi:
-                    nodes.append([s[i] * np.cos(p), s[i] * np.sin(p), mu[i]])
-                    weights.append(w_mu[i] * 2.0 * np.pi / n_phi)
-            self.nodes = np.asarray(nodes)
-            self.weights = np.asarray(weights)
-        else:
-            raise ValidationError(
-                "radial quadrature supports dimensions 1 to 3; higher dimensions "
-                "need a user-supplied integration rule"
-            )
-        self.surface = sphere_surface_area(dim)
-
-
-_SPHERE_RULES: dict[int, _SphereRule] = {}
-
-
-def _sphere_rule(dim: int) -> _SphereRule:
-    if dim not in _SPHERE_RULES:
-        _SPHERE_RULES[dim] = _SphereRule(dim)
-    return _SPHERE_RULES[dim]
+    if dim == 1:
+        nodes = np.array([[1.0], [-1.0]])
+        weights = np.array([1.0, 1.0])
+    elif dim == 2:
+        k = 128
+        ang = 2.0 * np.pi * (np.arange(k) + 0.5) / k
+        nodes = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        weights = np.full(k, 2.0 * np.pi / k)
+    elif dim == 3:
+        n_mu, n_phi = 24, 48
+        mu, w_mu = np.polynomial.legendre.leggauss(n_mu)
+        phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+        s = np.sqrt(1.0 - mu ** 2)
+        nodes = np.asarray([[s[i] * np.cos(p), s[i] * np.sin(p), mu[i]]
+                            for i in range(n_mu) for p in phi])
+        weights = np.asarray([w_mu[i] * 2.0 * np.pi / n_phi
+                              for i in range(n_mu) for _ in phi])
+    else:
+        raise ValidationError(
+            "radial quadrature supports dimensions 1 to 3; higher dimensions "
+            "need a user-supplied integration rule"
+        )
+    return _SphereRule(nodes, weights, sphere_surface_area(dim))
 
 
 # 16-point Gauss-Legendre panel on [0, 1].

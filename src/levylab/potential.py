@@ -603,17 +603,17 @@ def p_eval_many(V: Potential, a: np.ndarray, psi_up: np.ndarray,
 
 
 def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
-                             config: SchemeConfig, *,
-                             absorb_at_edge: bool = True) -> PathBatch:
+                             config: SchemeConfig) -> PathBatch:
     """Run the two-point scheme and emit the embedding t -> X_{floor(t/eps^2)}.
 
     Lattice-aligned piecewise-constant potentials with lattice starts reduce
     exactly to a nearest-neighbour walk; the reduction is verified per site
     against the solver before being used.  Paths beyond the escape radius
-    are absorbed at the cemetery, and so are paths that come within
-    ``8 eps`` of the edge of the potential's window, unless
-    ``absorb_at_edge`` is false: then such a path raises WindowEdgeError,
-    for windows that only cut a larger potential down to size.
+    are absorbed at the cemetery.  A lattice or grid potential's window is
+    its data, so paths that come within ``8 eps`` of its edge are absorbed
+    too.  A CallablePotential's window only cuts a larger potential down to
+    size, so such a path, or a step solve that leaves the window, raises
+    WindowEdgeError instead.
     """
     if not eps > 0:
         raise ValidationError("the step parameter must be positive")
@@ -628,7 +628,7 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
     grid, n_steps, capture = config.clock(horizon, lambda t: t / dt)
 
     V.cells()  # build the cell table before any worker touches it
-    lattice = _lattice_tables(V, eps, start, n_steps) if absorb_at_edge else None
+    lattice = _lattice_tables(V, eps, start, n_steps)
     if lattice is not None:
         site0, site_lo, p_table = lattice
         step = lattice_kernel(p_table, site_lo, (site_lo + 1, site_lo + p_table.size - 2),
@@ -638,6 +638,7 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
 
     lo_d, hi_d = V.domain
     margin = 8.0 * eps
+    windowed = isinstance(V, CallablePotential)
 
     def step(x, gen, limit):
         a = x[:, 0]
@@ -646,14 +647,14 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
             psid = psi_solve_many(V, a, eps, "down")
             p = p_eval_many(V, a, psiu, psid)
         except RangeError as exc:
-            raise (SchemeStepError if absorb_at_edge else WindowEdgeError)(
+            raise (WindowEdgeError if windowed else SchemeStepError)(
                 f"step solve left the potential window near positions "
                 f"[{float(np.min(a))}, {float(np.max(a))}]: {exc}"
             ) from exc
         u = gen.random(a.size)
         a = np.where(u < p, a + psiu, a - psid)
         gone = (np.abs(a) > config.escape_radius) | (a < lo_d + margin) | (a > hi_d - margin)
-        if not absorb_at_edge and np.any(gone & (np.abs(a) <= config.escape_radius)):
+        if windowed and np.any(gone & (np.abs(a) <= config.escape_radius)):
             raise WindowEdgeError(f"a path came within {margin} of the edge of the "
                                   f"potential window [{lo_d}, {hi_d}]")
         return a[:, None], gone, 1

@@ -488,6 +488,30 @@ def test_absorbed_rows_are_never_marked_alive(workdir, capsys):
     assert np.all(np.isnan(rows[~alive, 2]))
 
 
+OVERFLOWING_RUNS = {
+    "stable-alpha": ["simulate-stable", "--n", "10", "--T", "0.2", "--alpha-expr", "1e-300"],
+    "stable-start": ["simulate-stable", "--n", "10", "--T", "0.2", "--start", "1e308"],
+    "rwre-env": ["simulate-rwre", "--env", "bernoulli:1e300:1", "--eps", "0.05", "--T", "0.2"],
+    "euler-triplet": ["simulate-euler", "--triplet-config", "huge.json", "--eps", "0.05",
+                      "--T", "0.2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_RUNS))
+def test_overflow_is_an_escape_not_a_warning(workdir, capsys, case):
+    # Each of these overflowed to inf with a RuntimeWarning; an overflowing
+    # state escapes, and no alive row holds a non-finite state.
+    with open("huge.json", "w") as fh:
+        json.dump({"drift": [1e308], "gamma": [[1e308]]}, fh)
+    manifest = run_ok(OVERFLOWING_RUNS[case] + ["--paths", "5", "--seed", "3",
+                                                "--out", "over.csv"], capsys)
+    for name in manifest["outputs"]:
+        if name.endswith(".csv"):
+            batch = read_paths_csv(name)
+            alive = batch.times[None, :] < batch.xi[:, None]
+            assert np.all(np.isfinite(batch.states[alive]))
+
+
 @pytest.mark.parametrize("start, code", [("-2.5", 1), ("2.2", 1), ("-2.0", 2), ("2.0", 2)])
 def test_lattice_start_outside_the_verified_sites(workdir, capsys, start, code):
     # The window holds sites -21..20 but only -19..19 have a verified

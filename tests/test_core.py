@@ -13,7 +13,6 @@ from levylab.core import (
     CustomChi,
     LevyTriplet,
     PathBatch,
-    PathRecord,
     SchemeConfig,
     StableLike,
     TripletField,
@@ -165,12 +164,6 @@ def test_constant_field_moves_atoms_with_the_point():
 
 
 class TestPathRecord:
-    def test_absorption_invariant(self):
-        rec = PathRecord(times=[0.0, 1.0, 2.0], states=[0.0, 1.0, 5.0], xi=1.5)
-        assert rec.state_at(0) is not DELTA
-        assert rec.state_at(2) is DELTA
-        np.testing.assert_array_equal(rec.alive, [True, True, False])
-
     def test_batch_marginal_and_blanking(self):
         batch = PathBatch(times=[0.0, 1.0], states=np.array([[[0.0], [1.0]],
                                                              [[0.0], [2.0]]]),
@@ -254,6 +247,42 @@ class TestValidateHypotheses:
         field = TripletField(fn, dim=1)
         rep = validate_hypotheses(field, Chi1(), [-1.0], [1.0], samples=200, seed=1)
         assert not rep.triplet_ok
+
+    def test_chi_far_from_the_identity_fails_second_order(self):
+        chi = CustomChi(lambda a, b: b - a + 1e7, bound=1e9, name="offset")
+        field = ConstantTripletField(LevyTriplet([0.0], [[1.0]]))
+        rep = validate_hypotheses(field, chi, [-1.0], [1.0], samples=200, seed=1)
+        assert not rep.second_order_ok and not rep.all_ok
+        assert rep.second_order_constant > 1e6
+        assert any(v.startswith("second-order ratio reached") for v in rep.violations)
+
+    def test_field_invalid_at_some_points(self):
+        def fn(a):
+            if a[0] > 0:
+                raise ValidationError("no triplet on the right half")
+            return LevyTriplet([0.0], [[1.0]])
+
+        rep = validate_hypotheses(TripletField(fn, dim=1), Chi1(), [-1.0], [1.0],
+                                  samples=200, seed=1)
+        assert not rep.triplet_ok and not rep.all_ok
+        assert any(v.startswith("triplet invalid at") and "no triplet on the right half" in v
+                   for v in rep.violations)
+
+    def test_two_dimensional_density_without_callables(self):
+        nu = UserDensity(lambda h: np.linalg.norm(h, axis=1) ** -3.5, dim=2)
+        field = ConstantTripletField(LevyTriplet([0.0, 0.0], np.eye(2), nu))
+        rep = validate_hypotheses(field, Chi1(), [-1.0, -1.0], [1.0, 1.0], samples=200, seed=1)
+        assert not rep.triplet_ok and not rep.all_ok
+        assert any(v.startswith("compensated mass check failed at")
+                   and "dimension 1 only" in v for v in rep.violations)
+
+    def test_infinite_tail_mass(self):
+        nu = UserDensity(lambda h: np.abs(h[:, 0]) ** -1.5, dim=1,
+                         tail_mass_fn=lambda r: math.inf, second_moment_fn=lambda r: 1.0)
+        field = ConstantTripletField(LevyTriplet([0.0], [[1.0]], nu))
+        rep = validate_hypotheses(field, Chi1(), [-1.0], [1.0], samples=200, seed=1)
+        assert not rep.triplet_ok and not rep.all_ok
+        assert any(v.startswith("compensated mass infinite at") for v in rep.violations)
 
 
 def test_a_triplet_without_jumps_holds_the_zero_measure():

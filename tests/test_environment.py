@@ -177,3 +177,19 @@ def test_cross_validation_at_a_nan_time_is_refused():
     run, = rwre_simulate(BernoulliPoisson(q=1.0, lam=1.0), 0.05, 0, 0.5, 1, cfg)
     with pytest.raises(ValidationError, match="must be finite"):
         quenched_cross_validate(run, float("nan"), 50)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_cross_validation_time_is_checked_before_any_work(t, monkeypatch):
+    import levylab.environment as environment
+
+    cfg = SchemeConfig(paths=50, seed=25, grid=np.array([0.0, 0.5]))
+    run, = rwre_simulate(BernoulliPoisson(q=1.0, lam=1.0), 0.05, 0, 0.5, 1, cfg)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the potential scheme ran")
+
+    monkeypatch.setattr(environment, "potential_chain_simulate", fail)
+    monkeypatch.setattr(environment, "psi_solve_many", fail)
+    with pytest.raises(ValidationError, match="comparison time"):
+        quenched_cross_validate(run, t, 50)

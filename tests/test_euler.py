@@ -23,7 +23,6 @@ from levylab.euler import (
     GAUSSIAN_SURROGATE,
     IncrementPlan,
     StableTripletField,
-    default_truncation,
     effective_drift,
     euler_chain_simulate,
     gaussian_factor,
@@ -40,11 +39,6 @@ class TestIncrementPlan:
             IncrementPlan(tau=1.0)
         with pytest.raises(ValidationError):
             IncrementPlan(tau=0.1, small_jump_mode="nope")
-
-    def test_default_truncation_scales_with_step(self):
-        nu = StableLike(c=1.0, alpha=1.5, dim=1)
-        assert default_truncation(0.01, nu) == pytest.approx(1e-3 * 0.01 ** (1 / 1.5))
-        assert default_truncation(0.01, None) == 1e-3
 
 
 class TestIncrementSampling:
