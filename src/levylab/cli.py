@@ -434,7 +434,7 @@ def _cmd_simulate_rwre(args, seed: int) -> list[str]:
         pooled.append(marg)
         summary["files"].append({
             "file": name,
-            "window": list(run.window),
+            "window": [run.potential.k_min, run.potential.k_max],
             "exploded_fraction": stats.fraction,
             "environment_seed": run.environment_seed,
             "marginal_mean": float(np.mean(marg)) if marg.size else None,
@@ -503,7 +503,7 @@ def _cmd_diagnose_paths(args, seed: int) -> list[str]:
         marginals = [b.marginal(t)[0][:, 0] for b in batches]
         payload["marginal_time"] = t
         payload["marginal_summary"] = [
-            {"file": f, "count": int(m.size), "mean": float(np.mean(m)),
+            {"file": f, "count": int(m.size), "mean": float(np.mean(m)) if m.size else None,
              "std": float(np.std(m, ddof=1)) if m.size > 1 else None}
             for f, m in zip(args.files, marginals)
         ]

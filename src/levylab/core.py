@@ -581,10 +581,13 @@ class PathRecord:
 
 
 class PathBatch:
-    """Paths sharing one output time grid, stored as a dense array."""
+    """Paths sharing one output time grid (finite, strictly increasing),
+    stored as a dense array."""
 
     def __init__(self, times, states, xi=None):
         self.times = np.asarray(times, dtype=float)
+        if not (np.all(np.isfinite(self.times)) and np.all(np.diff(self.times) > 0)):
+            raise ValidationError("the times must be finite and strictly increasing")
         states = np.asarray(states, dtype=float)
         if states.ndim == 2:
             states = states[:, :, None]
@@ -697,7 +700,9 @@ def run_chain(init, step, n_steps: int, capture: np.ndarray, dt: float, grid: np
 
     Each block of ``config.block_size`` paths owns the Philox stream
     ``(seed, block)`` (``seed`` defaults to ``config.seed``), starts from
-    ``resolve_start(init, ...)`` and takes ``n_steps`` steps.  A kernel call
+    ``resolve_start(init, ...)`` and takes ``n_steps`` steps; a start with
+    ``norm(emit(x)) > config.escape_radius``, the kernels' own escape test,
+    is absorbed at ``xi = 0``.  A kernel call
     ``step(x, gen, limit)`` maps the (m, dim) states of the live paths, the
     block's generator and ``limit``, the number of steps left before the
     next grid capture or ``n_steps``, to ``(x_new, gone, taken)``: the
@@ -732,8 +737,10 @@ def run_chain(init, step, n_steps: int, capture: np.ndarray, dt: float, grid: np
         lo, hi, idx = block
         gen = _rng.stream(seed, idx, _rng.PATHS)
         x = resolve_start(init, dim, hi - lo, gen)
-        live = np.arange(hi - lo)
         block_out, block_xi = out[lo:hi], xi[lo:hi]
+        beyond = np.linalg.norm(emit(x), axis=1) > config.escape_radius
+        block_xi[beyond] = 0.0
+        live = np.nonzero(~beyond)[0]
         j = k = 0
         while k < n_steps and live.size:
             j_end = bisect_right(capture, k, j)

@@ -94,20 +94,13 @@ class CustomEnvironment(EnvironmentSpec):
 
 @dataclass
 class QuenchedRun:
-    """One environment draw together with the walks it generated."""
+    """One environment draw, as its potential, together with the walks it generated."""
 
-    eps: float
-    k_min: int
-    q: np.ndarray
     potential: PiecewiseConstantPotential
     walks: PathBatch
     start_site: int
     environment_seed: int
     path_seed: int
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return (self.k_min, self.k_min + self.q.size - 1)
 
 
 def rwre_simulate(env: EnvironmentSpec, eps: float, start_site: int, horizon: float,
@@ -116,6 +109,7 @@ def rwre_simulate(env: EnvironmentSpec, eps: float, start_site: int, horizon: fl
 
     The window is sized so walks cannot leave it (a nearest-neighbour walk
     moves at most one site per step), holding the exit probability at zero;
+    a walk beyond ``config.escape_radius`` is absorbed, as in every scheme;
     a memory cap converts oversize windows into a configuration error.
     Environments are drawn sequentially from the master seed.  The walks of
     one environment run on :func:`levylab.core.run_chain` with the potential
@@ -145,17 +139,17 @@ def rwre_simulate(env: EnvironmentSpec, eps: float, start_site: int, horizon: fl
         potential = PiecewiseConstantPotential(eps, q, k_lo)
         path_seed = config.seed + 1_000_003 * (e_idx + 1)
         # Right probability at site k is 1/(e^{q_k} + 1), whose limit for an
-        # overflowing e^{q_k} is 0; leaving the q-window absorbs the walk at
-        # the cemetery.
+        # overflowing e^{q_k} is 0; leaving the q-window or the escape radius
+        # absorbs the walk at the cemetery.
         with np.errstate(over="ignore"):
             p_right = 1.0 / (np.exp(q) + 1.0)
-        step = lattice_kernel(p_right, k_lo, (k_lo, k_lo + q.size - 1), eps, math.inf)
+        step = lattice_kernel(p_right, k_lo, (k_lo, potential.k_max), eps,
+                              config.escape_radius)
         walks = run_chain(float(start_site), step, n_steps, capture, dt, grid, 1, config,
                           seed=path_seed, emit=lambda sites: sites * eps)
         runs.append(QuenchedRun(
-            eps=eps, k_min=k_lo, q=q, potential=potential, walks=walks,
-            start_site=start_site, environment_seed=e_idx, path_seed=path_seed,
-        ))
+            potential=potential, walks=walks, start_site=start_site,
+            environment_seed=e_idx, path_seed=path_seed))
     return runs
 
 
@@ -180,27 +174,27 @@ def quenched_cross_validate(run: QuenchedRun, t: float, paths: int) -> CrossVali
     so the kernel deviation is a solver-consistency check and the marginal
     comparison carries pure Monte Carlo noise.
     """
-    eps = run.eps
+    V = run.potential
+    eps = V.mesh
     times = run.walks.times
     if not 0 < t <= times[-1] + 1e-12:
         raise ValidationError(f"the comparison time must be finite, positive and within "
                               f"the walk horizon {float(times[-1])}, got {t}")
 
     # Kernel check on sites around the start.
-    k_lo, k_hi = run.window
-    probe_lo = max(k_lo + 1, run.start_site - SITE_PROBE)
-    probe_hi = min(k_hi - 1, run.start_site + SITE_PROBE)
+    probe_lo = max(V.k_min + 1, run.start_site - SITE_PROBE)
+    probe_hi = min(V.k_max - 1, run.start_site + SITE_PROBE)
     sites = np.arange(probe_lo, probe_hi + 1)
     pos = sites * eps
-    psiu = psi_solve_many(run.potential, pos, eps, "up")
-    psid = psi_solve_many(run.potential, pos, eps, "down")
+    psiu = psi_solve_many(V, pos, eps, "up")
+    psid = psi_solve_many(V, pos, eps, "down")
     psi_dev = float(max(np.max(np.abs(psiu - eps)), np.max(np.abs(psid - eps))))
-    p_scheme = p_eval_many(run.potential, pos, psiu, psid)
-    p_walk = 1.0 / (np.exp(run.q[sites - run.k_min]) + 1.0)
+    p_scheme = p_eval_many(V, pos, psiu, psid)
+    p_walk = 1.0 / (np.exp(V.q[sites - V.k_min]) + 1.0)
     kernel_dev = float(np.max(np.abs(p_scheme - p_walk)))
 
     cfg = SchemeConfig(paths=paths, seed=run.path_seed + 7, grid=times)
-    scheme = potential_chain_simulate(run.potential, run.start_site * eps, eps,
+    scheme = potential_chain_simulate(V, run.start_site * eps, eps,
                                       float(times[-1]), cfg)
     a, _ = run.walks.marginal(t)
     b, _ = scheme.marginal(t)

@@ -136,9 +136,14 @@ class _CellData:
 
 
 class Potential:
-    """Base class: a measurable scalar potential with locally integrable e^{|V|}."""
+    """Base class: a measurable scalar potential with locally integrable e^{|V|}.
+
+    A potential is its cell table: ``cells()`` builds it by ``_build_cells``
+    on first use and keeps it.
+    """
 
     domain: tuple[float, float]
+    _cells: Optional[_CellData] = None
 
     def value(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -149,6 +154,11 @@ class Potential:
         raise NotImplementedError
 
     def cells(self) -> _CellData:
+        if self._cells is None:
+            self._cells = self._build_cells()
+        return self._cells
+
+    def _build_cells(self) -> _CellData:
         raise NotImplementedError
 
     def check_window(self, lo: float, hi: float) -> None:
@@ -159,20 +169,14 @@ class Potential:
             )
 
 
-@dataclass(frozen=True)
 class PiecewiseConstantPotential(Potential):
     """Right-continuous lattice potential built from per-site increments.
 
-    ``q[k]`` is the jump of the potential at lattice point ``k * mesh``: the
-    value on ``[k mesh, (k+1) mesh)`` for k >= 1 is the prefix sum of
-    increments 1..k, zero on ``[0, mesh)``, and minus the backward sum for
-    negative cells.
+    ``q[i]`` is the jump of the potential at lattice point ``(k_min + i) *
+    mesh``.  The potential is ``offset`` on ``[0, mesh)`` and is summed
+    outward from there over the cells ``k_min - 1 .. k_max``; increments
+    outside the window count as zero, so the window may lie anywhere.
     """
-
-    mesh: float
-    q: np.ndarray
-    k_min: int
-    offset: float = 0.0
 
     def __init__(self, mesh: float, q, k_min: int, offset: float = 0.0):
         if not 0 < mesh < math.inf:
@@ -182,66 +186,24 @@ class PiecewiseConstantPotential(Potential):
             raise ValidationError("q must be a nonempty 1-d array")
         if not (np.all(np.isfinite(q)) and math.isfinite(offset)):
             raise ValidationError("the increments q and the offset must be finite")
-        k_min = int(k_min)
-        k_max = k_min + q.size - 1
-        if k_min > 1 or k_max < 0:
-            raise ValidationError(
-                "the increment window must reach the origin (k_min <= 1 and k_max >= 0)"
-            )
-        object.__setattr__(self, "mesh", float(mesh))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k_min", k_min)
-        object.__setattr__(self, "offset", float(offset))
-        object.__setattr__(self, "_cache", {})
-
-    @property
-    def k_max(self) -> int:
-        return self.k_min + self.q.size - 1
-
-    @property
-    def cell_lo(self) -> int:
-        return self.k_min - 1 if self.k_min <= 0 else 0
-
-    @property
-    def cell_hi(self) -> int:
-        return self.k_max if self.k_max >= 1 else 0
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (self.cell_lo * self.mesh, (self.cell_hi + 1) * self.mesh)
-
-    def cell_values(self) -> np.ndarray:
-        """Potential value per cell, cells ``cell_lo .. cell_hi``."""
-        if "cells" not in self._cache:
-            lo, hi = self.cell_lo, self.cell_hi
-            vals = np.zeros(hi - lo + 1)
-            if hi >= 1:
-                vals[1 - lo:] = np.cumsum(self.q[1 - self.k_min: hi + 1 - self.k_min])
-            if lo <= -1:
-                # cells -1, -2, ..., lo carry -(q_0), -(q_0 + q_{-1}), ...
-                seg = self.q[(lo + 1) - self.k_min: 1 - self.k_min][::-1]
-                back = -np.cumsum(seg)
-                vals[: -lo] = back[::-1]
-            vals += self.offset
-            self._cache["cells"] = vals
-        return self._cache["cells"]
+        self.mesh, self.q, self.k_min, self.offset = float(mesh), q, int(k_min), float(offset)
+        self.k_max = self.k_min + q.size - 1
+        self.domain = ((self.k_min - 1) * self.mesh, (self.k_max + 1) * self.mesh)
 
     def _value(self, x: np.ndarray) -> np.ndarray:
         j = np.floor(x / self.mesh + 1e-12).astype(int)
-        j = np.clip(j, self.cell_lo, self.cell_hi)
-        return self.cell_values()[j - self.cell_lo]
+        return self.cells().left_value[np.clip(j - self.k_min + 1, 0, self.q.size)]
 
-    def cells(self) -> _CellData:
-        if "celldata" not in self._cache:
-            vals = self.cell_values()
-            n = vals.size
-            bounds = (np.arange(n + 1) + self.cell_lo) * self.mesh
-            self._cache["celldata"] = _CellData(bounds=bounds, left_value=vals,
-                                                slope=np.zeros(n))
-        return self._cache["celldata"]
+    def _build_cells(self) -> _CellData:
+        # Sum outward from the cell of [0, mesh), or the window end nearest it.
+        q = self.q
+        a0 = min(max(1 - self.k_min, 0), q.size)
+        vals = self.offset + np.concatenate([-np.cumsum(q[:a0][::-1])[::-1], [0.0],
+                                             np.cumsum(q[a0:])])
+        bounds = (np.arange(vals.size + 1) + self.k_min - 1) * self.mesh
+        return _CellData(bounds=bounds, left_value=vals, slope=np.zeros(vals.size))
 
 
-@dataclass(frozen=True)
 class GridPotential(Potential):
     """Piecewise-linear interpolation of (knot, value) samples.
 
@@ -249,9 +211,6 @@ class GridPotential(Potential):
     integrable e^{|V|}); sampling onto a grid is a deliberate representation
     restriction.
     """
-
-    knots: np.ndarray
-    values: np.ndarray
 
     def __init__(self, knots, values):
         knots = np.asarray(knots, dtype=float)
@@ -262,24 +221,15 @@ class GridPotential(Potential):
             raise ValidationError("knots and values must be finite")
         if np.any(np.diff(knots) <= 0):
             raise ValidationError("knots must be strictly increasing")
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_cache", {})
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (float(self.knots[0]), float(self.knots[-1]))
+        self.knots, self.values = knots, values
+        self.domain = (float(knots[0]), float(knots[-1]))
 
     def _value(self, x: np.ndarray) -> np.ndarray:
         return np.interp(x, self.knots, self.values)
 
-    def cells(self) -> _CellData:
-        if "celldata" not in self._cache:
-            w = np.diff(self.knots)
-            self._cache["celldata"] = _CellData(bounds=self.knots,
-                                                left_value=self.values[:-1],
-                                                slope=np.diff(self.values) / w)
-        return self._cache["celldata"]
+    def _build_cells(self) -> _CellData:
+        return _CellData(bounds=self.knots, left_value=self.values[:-1],
+                         slope=np.diff(self.values) / np.diff(self.knots))
 
 
 class CallablePotential(Potential):
@@ -302,15 +252,12 @@ class CallablePotential(Potential):
             raise ValidationError(f"a callable potential needs a finite domain, got [{lo}, {hi}]")
         self.fn = fn
         self.domain = (lo, hi)
-        self._cells: Optional[_CellData] = None
 
     def _value(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(x), dtype=float)
 
-    def cells(self) -> _CellData:
-        if self._cells is None:
-            self._cells = _chebyshev_cells(self.fn, *self.domain)
-        return self._cells
+    def _build_cells(self) -> _CellData:
+        return _chebyshev_cells(self.fn, *self.domain)
 
 
 def _chebyshev_cells(fn: Callable[[np.ndarray], np.ndarray], lo: float,
@@ -724,8 +671,8 @@ def _lattice_tables(V: Potential, eps: float, start, n_steps: int):
     reach_hi = int(site0) + n_steps + 1
     # Keep sites whose initial psi bracket (two cells each way) stays inside
     # the window; at aligned sites the bracket never expands further.
-    site_lo = max(reach_lo, V.cell_lo + 2)
-    site_hi = min(reach_hi, V.cell_hi - 1)
+    site_lo = max(reach_lo, V.k_min + 1)
+    site_hi = min(reach_hi, V.k_max - 1)
     if not site_lo <= site0 <= site_hi:
         return None  # the start site itself is not verified
     sites = np.arange(site_lo, site_hi + 1)

@@ -183,6 +183,35 @@ def test_absorbed_rows_may_hold_non_finite_states():
     assert np.all(batch.xi == 1.0)
 
 
+def test_euler_2d_start_beyond_the_escape_radius():
+    # Each coordinate lies within the radius 1e6; the norm of the first start
+    # lies beyond it, so its paths are absorbed at time 0.
+    field = ConstantTripletField(LevyTriplet([0.1, 0.0], np.eye(2)))
+    cfg = SchemeConfig(paths=5, seed=3, grid=np.linspace(0.0, 0.2, 3))
+    beyond = euler_chain_simulate(field, Chi2(), [8e5, 8e5], 0.05, 0.2, IncrementPlan(), cfg)
+    assert np.all(beyond.xi == 0.0)
+    assert np.all(np.isnan(beyond.states))
+    within = euler_chain_simulate(field, Chi2(), [7e5, 7e5], 0.05, 0.2, IncrementPlan(), cfg)
+    assert np.all(within.xi == np.inf)
+    assert np.all(np.isfinite(within.states))
+
+
+def test_only_the_starts_beyond_the_radius_are_absorbed():
+    # A sampled start puts every other path beyond the radius; the others
+    # walk on from their own starts.
+    def start(gen, m):
+        return np.where(np.arange(m) % 2 == 0, 0.0, 5.0)[:, None]
+
+    def step(x, gen, limit):
+        return x + 0.1, np.zeros(x.shape[0], dtype=bool), 1
+
+    cfg = SchemeConfig(paths=6, seed=1, grid=np.array([0.0, 0.2]), escape_radius=2.0)
+    batch = run_chain(start, step, 2, np.array([0, 2]), 0.1, cfg.grid, 1, cfg)
+    assert batch.xi.tolist() == [np.inf, 0.0] * 3
+    np.testing.assert_allclose(batch.states[::2, :, 0], [[0.0, 0.2]] * 3)
+    assert np.all(np.isnan(batch.states[1::2]))
+
+
 @pytest.mark.parametrize("start", [np.nan, np.inf])
 def test_non_finite_start_is_rejected(start):
     gen = np.random.default_rng(0)

@@ -524,6 +524,68 @@ def test_lattice_start_outside_the_verified_sites(workdir, capsys, start, code):
     assert not os.path.exists("out.csv")
 
 
+# Each run starts far from the origin and takes 40 steps of 0.05.
+FAR_STARTS = {
+    "rwre": (["simulate-rwre", "--env", "iid:1", "--eps", "0.05", "--T", "0.1",
+              "--start-site", "1000"], 50.0),
+    "zero-potential": (["simulate-potential", "--potential", "zero", "--eps", "0.05",
+                        "--T", "0.1", "--start", "1000"], 1000.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAR_STARTS))
+def test_lattice_run_far_from_the_origin(workdir, capsys, case):
+    # Both used to be refused: "the increment window must reach the origin".
+    argv, start = FAR_STARTS[case]
+    manifest = run_ok(argv + ["--paths", "50", "--seed", "3", "--out", "far.csv"], capsys)
+    csvs = [name for name in manifest["outputs"] if name.endswith(".csv")]
+    assert csvs
+    for name in csvs:
+        batch = read_paths_csv(name)
+        assert np.all(batch.xi == np.inf)
+        assert np.all(np.abs(batch.states[:, :, 0] - start) <= 2.0 + 1e-9)
+
+
+def test_lattice_file_window_right_of_the_origin(workdir, capsys):
+    # A --mesh lattice file listing k = 5..40 walks on sites 6..39.
+    ks = np.arange(5, 41)
+    np.savetxt("lat.csv", np.stack([ks, 0.3 * np.sin(ks)], axis=1), delimiter=",")
+    run_ok(["simulate-potential", "--potential", "lat.csv", "--mesh", "0.05", "--eps", "0.05",
+            "--T", "0.05", "--start", "1.0", "--paths", "40", "--seed", "2",
+            "--grid-points", "5", "--out", "l.csv"], capsys)
+    batch = read_paths_csv("l.csv")
+    alive = batch.times[None, :] < batch.xi[:, None]
+    assert np.all(np.isfinite(batch.states[alive]))
+    assert np.all(np.abs(batch.states[alive] - 1.0) <= 20 * 0.05 * (1 + 1e-12))
+
+
+def test_start_beyond_the_escape_radius_is_absorbed_at_time_zero(workdir, capsys):
+    # The start 5e6 lies beyond the default radius 1e6; its t = 0 row was
+    # written alive.
+    run_ok(["simulate-stable", "--n", "10", "--T", "0.5", "--start", "5e6", "--paths", "3",
+            "--grid-points", "6", "--out", "far.csv"], capsys)
+    rows = np.loadtxt("far.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (18, 4)
+    assert np.all(rows[:, 3] == 0) and np.all(np.isnan(rows[:, 2]))
+    assert np.all(read_paths_csv("far.csv").xi == 0.0)
+
+
+def _strict_json(name):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    with open(name) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("error")
+def test_empty_marginal_is_reported_as_null(workdir, capsys):
+    write_text("dead.csv", "path_id,t,x1,alive\n0,0.0,1.0,1\n0,1.0,nan,0\n"
+                           "1,0.0,2.0,1\n1,1.0,nan,0\n")
+    run_ok(["diagnose-paths", "dead.csv", "--t", "1.0", "--out", "d.json"], capsys)
+    summary, = _strict_json("d.json")["marginal_summary"]
+    assert summary == {"file": "dead.csv", "count": 0, "mean": None, "std": None}
+
+
 def write_nan_triplet(name):
     with open(name, "w") as fh:
         fh.write('{"drift": [NaN], "gamma": [[1.0]]}')
@@ -805,6 +867,11 @@ HOSTILE_CSV = {
     "short_row": "path_id,t,x1,alive\n0,0.0,1.0,1\n0,1.0,2.0\n",
     "grid_mismatch": "path_id,t,x1,alive\n0,0.0,1.0,1\n0,1.0,2.0,1\n"
                      "1,0.0,1.0,1\n1,0.5,2.0,1\n",
+    # a t column that is not finite and strictly increasing
+    "unsorted_times": "path_id,t,x1,alive\n0,0.5,1.0,1\n0,0.0,2.0,1\n0,1.0,3.0,1\n",
+    "duplicate_times": "path_id,t,x1,alive\n0,0.0,1.0,1\n0,0.5,2.0,1\n0,0.5,3.0,1\n",
+    "nan_time": "path_id,t,x1,alive\n0,0.0,1.0,1\n0,nan,2.0,1\n0,1.0,3.0,1\n",
+    "inf_time": "path_id,t,x1,alive\n0,0.0,1.0,1\n0,inf,2.0,1\n",
 }
 
 

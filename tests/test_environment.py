@@ -45,6 +45,42 @@ class TestPotentialFromQ:
             W.value(np.array([10.0]))
 
 
+def outward_cells(q, k_min, offset):
+    """Cell values k_min - 1 .. k_max as plain-Python partial sums outward from
+    cell 0 (``offset``), with increments outside the window counted as zero."""
+    inc = {k_min + i: float(v) for i, v in enumerate(q)}
+    cells = []
+    for k in range(k_min - 1, k_min + len(q)):
+        acc = 0.0
+        if k > 0:
+            for j in range(1, k + 1):
+                acc += inc.get(j, 0.0)
+        else:
+            for j in range(0, k, -1):
+                acc += inc.get(j, 0.0)
+            acc = -acc
+        cells.append(offset + acc)
+    return np.array(cells)
+
+
+@pytest.mark.parametrize("k_min, size", [(-30, 20), (-31, 31), (-8, 9), (-12, 25), (0, 9),
+                                         (1, 9), (2, 9), (5, 36), (1000, 40)],
+                         ids=["left", "left-to-minus-1", "left-to-0", "across", "from-0",
+                              "from-1", "from-2", "right", "far-right"])
+def test_lattice_cells_sum_outward_from_the_origin(k_min, size):
+    rng = np.random.default_rng([size, k_min + 100])
+    q = rng.standard_normal(size)
+    offset = float(rng.standard_normal())
+    W = PiecewiseConstantPotential(0.1, q, k_min, offset)
+    cells = W.cells()
+    expected = outward_cells(q, k_min, offset)
+    assert cells.left_value.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(cells.bounds, (np.arange(size + 2) + k_min - 1) * 0.1)
+    assert W.domain == ((k_min - 1) * 0.1, (k_min + size) * 0.1)
+    # value() reads the same table at each cell's midpoint
+    assert W.value((np.arange(size + 1) + k_min - 0.5) * 0.1).tobytes() == expected.tobytes()
+
+
 class TestEnvironmentSpecs:
     def test_iid_scaling(self):
         env = IIDScaled(2.0)
@@ -109,13 +145,13 @@ class TestRWRE:
         r1 = rwre_simulate(env, 0.1, 0, 0.5, 2, cfg)
         r2 = rwre_simulate(env, 0.1, 0, 0.5, 2, cfg)
         for a, b in zip(r1, r2):
-            np.testing.assert_array_equal(a.q, b.q)
+            np.testing.assert_array_equal(a.potential.q, b.potential.q)
             assert np.array_equal(a.walks.states, b.walks.states, equal_nan=True)
 
     def test_environments_differ_within_batch(self):
         cfg = SchemeConfig(paths=10, seed=24, grid=np.array([0.0, 0.25]))
         runs = rwre_simulate(IIDScaled(1.0), 0.05, 0, 0.25, 2, cfg)
-        assert not np.array_equal(runs[0].q, runs[1].q)
+        assert not np.array_equal(runs[0].potential.q, runs[1].potential.q)
 
     def test_window_cap(self):
         cfg = SchemeConfig(paths=1, seed=0, grid=np.array([0.0, 1.0]))
@@ -143,6 +179,31 @@ class TestQuenchedCrossValidation:
         ref = lrng.stream(98, namespace=lrng.SCRATCH).standard_normal(4000)
         stat, _ = ks_distance(m[:, 0], ref)
         assert stat < ks_critical_value(4000, 4000, 0.01)
+
+
+def test_cross_validation_far_from_the_origin():
+    # The walk window 959..1041 does not reach the origin; the scheme sees
+    # only differences of the potential, so the kernels still coincide.
+    cfg = SchemeConfig(paths=400, seed=25, grid=np.array([0.0, 0.1]))
+    run, = rwre_simulate(IIDScaled(1.0), 0.05, 1000, 0.1, 1, cfg)
+    assert (run.potential.k_min, run.potential.k_max) == (959, 1041)
+    rep = quenched_cross_validate(run, 0.1, 400)
+    assert rep.sites_checked == 81
+    assert rep.kernel_max_dev < 1e-12
+    assert rep.psi_max_dev < 1e-12
+    assert rep.ks_p_value > 0.01
+
+
+def test_rwre_honours_the_escape_radius():
+    cfg = SchemeConfig(paths=200, seed=3, grid=np.linspace(0.0, 0.5, 11), escape_radius=0.25)
+    run, = rwre_simulate(IIDScaled(1.0), 0.1, 0, 0.5, 1, cfg)
+    walks = run.walks
+    alive = walks.times[None, :] < walks.xi[:, None]
+    assert np.isfinite(walks.xi).any()
+    assert np.max(np.abs(walks.states[alive])) <= 0.25
+    far, = rwre_simulate(IIDScaled(1.0), 0.1, 3, 0.5, 1, cfg)
+    assert np.all(far.walks.xi == 0.0)
+    assert np.all(np.isnan(far.walks.states))
 
 
 def test_donsker_variance_and_quenched_annealed_split():

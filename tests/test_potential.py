@@ -272,7 +272,7 @@ class TestPsi:
         q = scale * np.random.default_rng(q_seed).standard_normal(size)
         k_min = 1 - int(origin * size)
         V = PiecewiseConstantPotential(mesh, q, k_min)
-        site0 = V.cell_lo + 2 + int(start * (V.cell_hi - V.cell_lo - 3))
+        site0 = V.k_min - 1 + 2 + int(start * (V.k_max - (V.k_min - 1) - 3))
         tables = pot._lattice_tables(V, mesh, site0 * mesh, n_steps)
         assert tables is not None
         assert tables[0] == site0
