@@ -178,7 +178,10 @@ def read_paths_csv(path: str) -> PathBatch:
         raise ValidationError(f"paths in {path} do not share the first path's time grid")
     dead = rows[:, :, -1] != 1.0
     xi = np.where(dead.any(axis=1), times[dead.argmax(axis=1)], np.inf)
-    return PathBatch(times, rows[:, :, 2:-1].copy(), xi=xi)
+    try:
+        return PathBatch(times, rows[:, :, 2:-1].copy(), xi=xi)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _manifest(subcommand: str, seed: int, args_dict: dict, outputs: list[str],
@@ -468,7 +471,7 @@ def _field_from_json(cfg: dict):
 def _cmd_diagnose_operator(args, seed: int) -> list[str]:
     with _json_config(args.config) as cfg:
         _reject_unknown_keys(cfg, {"limit", "fields", "chi", "box", "margin", "grid_points",
-                                   "jump_margin", "labels"}, "operator config")
+                                   "labels"}, "operator config")
         _reject_unknown_keys(cfg["box"], {"low", "high"}, "box")
         limit = _field_from_json(cfg["limit"])
         fields = [_field_from_json(f) for f in cfg["fields"]]
@@ -477,9 +480,10 @@ def _cmd_diagnose_operator(args, seed: int) -> list[str]:
         high = np.asarray(cfg["box"]["high"], dtype=float)
         testfns = vanishing_test_functions(low, high, limit.dim,
                                            margin=float(cfg.get("margin", 0.5)))
-        options = dict(grid_points=int(cfg.get("grid_points", 16)),
-                       jump_margin=float(cfg.get("jump_margin", 0.25)),
-                       labels=cfg.get("labels"))
+        grid_points = cfg.get("grid_points", 16)
+        if type(grid_points) is not int:
+            raise ValidationError(f"grid_points must be an integer, got {grid_points!r}")
+        options = dict(grid_points=grid_points, labels=cfg.get("labels"))
     reports = convergence_gaps(fields, limit, chi, low, high, testfns=testfns, **options)
     payload = {"chi": chi.name, "reports": [r.to_dict() for r in reports]}
     atomic_write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -796,22 +796,22 @@ def _reject_unknown_keys(cfg: dict, known: set, where: str) -> None:
                               f"known keys are {', '.join(sorted(known))}")
 
 
-def jump_measure_from_config(cfg: dict | None, dim: int) -> Optional[JumpMeasure]:
+def jump_measure_from_config(cfg: dict | None, dim: int) -> JumpMeasure:
     """Build a jump measure from its JSON description.
 
     Supported kinds: ``none``, ``stable`` (fields c, alpha, optional
     min_radius) and ``atoms`` (list of {point, mass}, optional delta_mass;
-    a point may be the string "DELTA").  A key the kind does not use, here
-    or in an atom entry, is a ValidationError.
+    a point may be the string "DELTA").  ``none``, a missing kind and a
+    missing description are the zero measure ``Atoms(dim=dim)``.  A key the
+    kind does not use, here or in an atom entry, is a ValidationError.
     """
-    if cfg is None:
-        return None
+    cfg = {} if cfg is None else cfg
     kind = cfg.get("kind")
     if kind not in _MEASURE_KEYS:
         raise ValidationError(f"unknown jump measure kind {kind!r}")
     _reject_unknown_keys(cfg, _MEASURE_KEYS[kind], "jump measure 'nu'")
     if kind in (None, "none"):
-        return None
+        return Atoms(dim=dim)
     if kind == "stable":
         return StableLike(
             c=float(cfg["c"]), alpha=float(cfg["alpha"]), dim=dim,

@@ -95,14 +95,6 @@ class TestFunction:
     def hess_at(self, a) -> np.ndarray:
         return np.asarray(self.hess(as_point(a, self.dim)[None, :]))[0]
 
-    def support_distance(self, a) -> float:
-        """Distance from ``a`` to the support box (0 inside)."""
-        return float(self.support_distances(as_point(a, self.dim)[None, :])[0][0])
-
-    def support_reach(self, a) -> float:
-        """Largest distance from ``a`` to a corner of the support box."""
-        return float(self.support_distances(as_point(a, self.dim)[None, :])[1][0])
-
     def support_distances(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row of the (m, d) ``points``: the distance to the support box
         (0 inside) and the largest distance to a corner of it."""
@@ -161,6 +153,9 @@ def bump(center, radius: float, name: str | None = None) -> TestFunction:
     center; infinitely differentiable with closed-form derivatives.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
+    if not (np.all(np.isfinite(center)) and 0.0 < float(radius) < math.inf):
+        raise ValidationError(f"a bump needs a finite center and a positive finite radius, "
+                              f"got center {center.tolist()} and radius {radius}")
     d = center.shape[0]
     r2 = float(radius) ** 2
 
@@ -218,8 +213,9 @@ def vanishing_test_functions(low, high, dim: int = 1, margin: float = 0.5) -> li
     Each bump's support keeps at least ``margin`` distance from the box, so
     the functions vanish on a neighborhood of every evaluation point inside.
     """
-    low = as_point(low, dim)
-    high = as_point(high, dim)
+    low, high = _box(low, high, dim)
+    if not margin > 0.0:
+        raise ValidationError(f"margin must be positive, got {margin}")
     fns = []
     for k, s in enumerate(VANISHING_SCALES):
         offset = np.zeros(dim)
@@ -229,6 +225,15 @@ def vanishing_test_functions(low, high, dim: int = 1, margin: float = 0.5) -> li
         mirr[0] = low[0] - margin - s
         fns.append(bump(mirr, s, name=f"outer{k}-(r={s})"))
     return fns
+
+
+def _box(low, high, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``low`` and ``high`` as points of R^dim, refused unless finite with low < high."""
+    low, high = as_point(low, dim), as_point(high, dim)
+    if not (np.all(np.isfinite(low)) and np.all(np.isfinite(high)) and np.all(low < high)):
+        raise ValidationError(f"the box must be finite with low < high, got low {low.tolist()} "
+                              f"and high {high.tolist()}")
+    return low, high
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +423,17 @@ def _cuts(lo: float, *radii: float) -> list[float]:
 
 
 def _base_points(points, m: int, dim: int) -> np.ndarray:
-    """``points`` as an (m, dim) array; a 1-d point may be given as a scalar."""
+    """``points`` as an (m, dim) array of finite points; a 1-d point may be
+    given as a scalar."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1 and dim == 1:
         pts = pts[:, None]
     if pts.shape != (m, dim):
         raise ValidationError(
             f"expected {m} base points of dimension {dim}, got an array of shape {pts.shape}")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ValidationError(f"base point {pts[bad[0]].tolist()} is not finite")
     return pts
 
 
@@ -433,12 +442,6 @@ def _sphere_points(rule: _SphereRule, pts: np.ndarray, r: np.ndarray):
     broadcast to the same shape."""
     b = pts[:, None, None, :] + r[:, :, None, None] * rule.nodes
     return b, np.broadcast_to(pts[:, None, None, :], b.shape)
-
-
-def _measures(nus: Sequence, dim: int) -> list:
-    """``nus`` with each None, which the operator functions accept for a
-    triplet without jumps, replaced by the zero measure on R^dim."""
-    return [Atoms(dim=dim) if nu is None else nu for nu in nus]
 
 
 def _other_rows(nus, pts, row_fn, out) -> list[int]:
@@ -453,9 +456,9 @@ def _other_rows(nus, pts, row_fn, out) -> list[int]:
     return stable
 
 
-def jump_integral_many(nus: Sequence, chi: CompensationFunction, f: TestFunction, points,
-                       tol_abs: float = DEFAULT_TOL_ABS,
-                       tol_rel: float = DEFAULT_TOL_REL) -> np.ndarray:
+def jump_integral(nus: Sequence, chi: CompensationFunction, f: TestFunction, points,
+                  tol_abs: float = DEFAULT_TOL_ABS,
+                  tol_rel: float = DEFAULT_TOL_REL) -> np.ndarray:
     """The compensated jump part of the operator at each row of ``points``.
 
     ``nus[i]`` is the jump measure at the base point ``points[i]``.  Atom
@@ -464,7 +467,6 @@ def jump_integral_many(nus: Sequence, chi: CompensationFunction, f: TestFunction
     mass.  All StableLike rows are integrated together by
     `_gauss_legendre_many`; a row's value does not depend on the other rows.
     """
-    nus = _measures(nus, f.dim)
     pts = _base_points(points, len(nus), f.dim)
     out = np.zeros(len(nus))
     stable = _other_rows(nus, pts, lambda nu, a: _jump_integral_row(nu, chi, f, a, tol_abs,
@@ -506,13 +508,6 @@ def jump_integral_many(nus: Sequence, chi: CompensationFunction, f: TestFunction
     return out
 
 
-def jump_integral(nu, chi: CompensationFunction, f: TestFunction, a,
-                  tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL) -> float:
-    """`jump_integral_many` at the one point ``a``."""
-    return float(jump_integral_many([nu], chi, f, as_point(a, f.dim)[None, :],
-                                    tol_abs, tol_rel)[0])
-
-
 def _jump_integral_row(nu, chi, f, a, tol_abs, tol_rel) -> float:
     fa = f.value_at(a)
     grad = f.grad_at(a)
@@ -539,38 +534,35 @@ def _user_jump_integral(nu: UserDensity, chi, f, a, fa, grad, tol_abs, tol_rel) 
         b = (a + h)[None, :]
         return float(f(b)[0]) - fa - float(chi(a, b)[0, 0]) * g
 
+    reach = float(f.support_distances(a[None, :])[1][0])
     return (nu.integral(core, [0.0, _TAYLOR_RADIUS], tol_abs / 2.0, tol_rel)
-            + nu.integral(direct, _cuts(_TAYLOR_RADIUS, f.support_reach(a), *chi.radial_kinks()),
+            + nu.integral(direct, _cuts(_TAYLOR_RADIUS, reach, *chi.radial_kinks()),
                           tol_abs / 2.0, tol_rel))
 
 
-def measure_integral_many(nus: Sequence, f: TestFunction, points, margin: float,
-                          tol_abs: float = DEFAULT_TOL_ABS,
-                          tol_rel: float = DEFAULT_TOL_REL) -> np.ndarray:
+def measure_integral(nus: Sequence, f: TestFunction, points, tol_abs: float = DEFAULT_TOL_ABS,
+                     tol_rel: float = DEFAULT_TOL_REL) -> np.ndarray:
     """integral of f(b) nus[i](db) at each row of ``points``, f vanishing near each.
 
-    ``margin`` must be positive and separate every base point from the
-    support of ``f``.  All StableLike rows are integrated together by
-    `_gauss_legendre_many`; a row's value does not depend on the other rows.
+    Every base point must lie outside the closed support of ``f``.  All
+    StableLike rows are integrated together by `_gauss_legendre_many`; a
+    row's value does not depend on the other rows.
     """
-    nus = _measures(nus, f.dim)
     pts = _base_points(points, len(nus), f.dim)
-    if not margin > 0.0:
-        raise ValidationError(f"margin must be positive, got {margin}")
     dist = f.support_distances(pts)[0]
-    close = np.flatnonzero(dist < margin)
+    close = np.flatnonzero(~(dist > 0.0))
     if close.size:
         raise ValidationError(
             f"test function {f.name} does not vanish near the point {pts[close[0]].tolist()}"
         )
     out = np.zeros(len(nus))
-    stable = _other_rows(nus, pts, lambda nu, a: _measure_integral_row(nu, f, a, margin,
-                                                                        tol_abs, tol_rel), out)
+    stable = _other_rows(nus, pts, lambda nu, a: _measure_integral_row(nu, f, a, tol_abs,
+                                                                        tol_rel), out)
     if not stable:
         return out
     rule = _sphere_rule(f.dim)
     nus_s, pts_s = [nus[i] for i in stable], pts[stable]
-    lo = np.maximum([max(nu.min_radius, margin) for nu in nus_s], dist[stable])
+    lo = np.maximum([nu.min_radius for nu in nus_s], dist[stable])
     zero = np.zeros(len(stable))
 
     def sphere_term(p, r):
@@ -587,37 +579,29 @@ def measure_integral_many(nus: Sequence, f: TestFunction, points, margin: float,
     return out
 
 
-def measure_integral(nu, f: TestFunction, a, margin: float,
-                     tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL) -> float:
-    """`measure_integral_many` at the one point ``a``."""
-    return float(measure_integral_many([nu], f, as_point(a, f.dim)[None, :], margin,
-                                       tol_abs, tol_rel)[0])
-
-
-def _measure_integral_row(nu, f, a, margin, tol_abs, tol_rel) -> float:
+def _measure_integral_row(nu, f, a, tol_abs, tol_rel) -> float:
     if isinstance(nu, Atoms):
         return float(np.sum(nu.masses * f(nu.points)))
     if isinstance(nu, UserDensity):
-        # f vanishes beyond the support reach.
-        return nu.integral(lambda h: f.value_at(a + h),
-                           [margin, max(margin, f.support_reach(a))], tol_abs / 2.0, tol_rel)
+        # f vanishes below the support distance and beyond the reach.
+        dist, reach = (float(v[0]) for v in f.support_distances(a[None, :]))
+        return nu.integral(lambda h: f.value_at(a + h), [dist, reach], tol_abs / 2.0, tol_rel)
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
 
 
-def chi_quadratic_matrix_many(nus: Sequence, chi: CompensationFunction, points,
-                              tol_abs: float = DEFAULT_TOL_ABS,
-                              tol_rel: float = DEFAULT_TOL_REL) -> np.ndarray:
+def chi_quadratic_matrix(nus: Sequence, chi: CompensationFunction, points,
+                         tol_abs: float = DEFAULT_TOL_ABS,
+                         tol_rel: float = DEFAULT_TOL_REL) -> np.ndarray:
     """integral of chi_i chi_j (a, b) nus[k](db) at each row a of ``points``, as (m, d, d).
 
     Every measure must share one dimension.  All StableLike rows and matrix
     entries are integrated together by `_gauss_legendre_many`; a row's value
     does not depend on the other rows.
     """
-    dims = {nu.dim for nu in nus if nu is not None}
-    if len(dims) > 1:
-        raise ValidationError(f"jump measures of different dimensions {sorted(dims)}")
-    dim = dims.pop() if dims else (np.shape(points)[-1] if np.ndim(points) == 2 else 1)
-    nus = _measures(nus, dim)
+    dims = {nu.dim for nu in nus}
+    if len(dims) != 1:
+        raise ValidationError(f"expected jump measures of one dimension, got {sorted(dims)}")
+    dim, = dims
     pts = _base_points(points, len(nus), dim)
     out = np.zeros((len(nus), dim, dim))
     stable = _other_rows(nus, pts, lambda nu, a: _chi_quadratic_row(nu, chi, a, tol_abs,
@@ -677,13 +661,6 @@ def _chi_square_cut(chi, nu: StableLike, kinks, tol_abs: float, cuts: dict) -> f
     return cuts[nu]
 
 
-def chi_quadratic_matrix(nu, chi: CompensationFunction, a,
-                         tol_abs: float = DEFAULT_TOL_ABS,
-                         tol_rel: float = DEFAULT_TOL_REL) -> np.ndarray:
-    """`chi_quadratic_matrix_many` at the one point ``a``, as a (d, d) matrix."""
-    return chi_quadratic_matrix_many([nu], chi, as_point(a)[None, :], tol_abs, tol_rel)[0]
-
-
 def _chi_quadratic_row(nu, chi, a, tol_abs, tol_rel) -> np.ndarray:
     if isinstance(nu, Atoms):
         vals = chi(a, nu.points)
@@ -708,7 +685,6 @@ def chi_drift_adjustment(nu, chi_from: CompensationFunction, chi_to: Compensatio
     this vector is added to the drift.  The integrand is cubically small at
     the base point, so plain validity of the triplet suffices.
     """
-    nu, = _measures([nu], 1 if a is None else as_point(a).size)
     dim = nu.dim
     a = np.zeros(dim) if a is None else as_point(a, dim)
 
@@ -751,7 +727,7 @@ def apply_operator(triplet: LevyTriplet, chi: CompensationFunction, f: TestFunct
     grad = f.grad_at(a)
     hess = f.hess_at(a)
     local = 0.5 * float(np.sum(triplet.gamma * hess)) + float(np.dot(triplet.drift, grad))
-    return local + jump_integral(triplet.jumps, chi, f, a, tol_abs, tol_rel)
+    return local + float(jump_integral([triplet.jumps], chi, f, a[None, :], tol_abs, tol_rel)[0])
 
 
 @dataclass
@@ -798,45 +774,47 @@ def _box_grid(low, high, points_per_axis: int, cap: int = 100_000) -> np.ndarray
 def convergence_gaps(fields: Sequence[TripletField], limit: TripletField,
                      chi: CompensationFunction, low, high,
                      testfns: Sequence[TestFunction] | None = None,
-                     grid_points: int = 64, jump_margin: float = 0.25,
-                     labels: Sequence[str] | None = None,
+                     grid_points: int = 64, labels: Sequence[str] | None = None,
                      tol_abs: float = 1e-8, tol_rel: float = 1e-6) -> list[ConvergenceReport]:
     """Per-field sup gaps of the three triplet convergence conditions.
 
     The supremum over the compact box is approximated by a deterministic
-    grid; each test function used in the jump gap must vanish within
-    ``jump_margin`` of every grid point, otherwise `measure_integral_many`
-    raises a precondition error naming the offending pair.
+    grid; each test function used in the jump gap must vanish at every grid
+    point, otherwise `measure_integral` raises a precondition error naming
+    the offending pair.  ``labels`` holds one string per field.
     """
-    dim = limit.dim
+    low, high = _box(low, high, limit.dim)
     if grid_points < 1:
         raise ValidationError(f"grid_points must be at least 1, got {grid_points}")
+    if labels is None:
+        labels = [f"n={idx}" for idx in range(len(fields))]
+    elif not (isinstance(labels, (list, tuple)) and len(labels) == len(fields)
+              and all(isinstance(s, str) for s in labels)):
+        raise ValidationError(f"labels must be a list of {len(fields)} strings, one per field")
     grid = _box_grid(low, high, grid_points)
     if testfns is None:
-        testfns = vanishing_test_functions(low, high, dim, margin=jump_margin * 2)
+        testfns = vanishing_test_functions(low, high, limit.dim)
 
-    ref = _gap_components(limit, chi, grid, testfns, jump_margin, tol_abs, tol_rel)
+    ref = _gap_components(limit, chi, grid, testfns, tol_abs, tol_rel)
     reports = []
-    for idx, fld in enumerate(fields):
-        cur = _gap_components(fld, chi, grid, testfns, jump_margin, tol_abs, tol_rel)
+    for label, fld in zip(labels, fields):
+        cur = _gap_components(fld, chi, grid, testfns, tol_abs, tol_rel)
         drift_gap = float(np.max(np.abs(cur[0] - ref[0])))
         jump_gaps = {f.name: float(np.max(np.abs(cur[1][f.name] - ref[1][f.name])))
                      for f in testfns}
         carre_gap = np.max(np.abs(cur[2] - ref[2]), axis=0)
-        label = labels[idx] if labels is not None else f"n={idx}"
         reports.append(ConvergenceReport(label, drift_gap, jump_gaps, carre_gap))
     return reports
 
 
-def _gap_components(fld: TripletField, chi, grid, testfns, margin, tol_abs, tol_rel):
+def _gap_components(fld: TripletField, chi, grid, testfns, tol_abs, tol_rel):
     """Drift (m, d), measure integral per test function (m,) and carre du
     champ (m, d, d) of ``fld`` over the grid, one batched call per term."""
     trips = [fld(a) for a in grid]
     nus = [t.jumps for t in trips]
     drift = np.array([t.drift for t in trips])
-    jumps = {f.name: measure_integral_many(nus, f, grid, margin, tol_abs, tol_rel)
-             for f in testfns}
-    carre = np.array([t.gamma for t in trips]) + chi_quadratic_matrix_many(
+    jumps = {f.name: measure_integral(nus, f, grid, tol_abs, tol_rel) for f in testfns}
+    carre = np.array([t.gamma for t in trips]) + chi_quadratic_matrix(
         nus, chi, grid, tol_abs, tol_rel)
     return drift, jumps, carre
 

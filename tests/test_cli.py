@@ -720,6 +720,34 @@ def test_unknown_config_key_is_a_validation_error(workdir, capsys, case):
     assert not os.path.exists("out.csv")
 
 
+# Operator configs that used to run with silent gap values (NaN margin or
+# box), end in a traceback (short labels), label fields by characters, run a
+# fractional grid size, or misreport a reversed box as a test function that
+# does not vanish.  jump_margin, a key that never changed a value, is unknown.
+HOSTILE_OPERATOR_CONFIGS = {
+    "nan-margin": ({"margin": math.nan}, "margin must be positive"),
+    "nan-low": ({"box": {"low": [math.nan], "high": [1.0]}}, "the box must be finite"),
+    "reversed-box": ({"box": {"low": [1.0], "high": [-1.0]}}, "with low < high"),
+    "short-labels": ({"fields": [OPERATOR_CONFIG["fields"][0]] * 2, "labels": ["a"]},
+                     "labels must be a list of 2 strings"),
+    "string-labels": ({"fields": [OPERATOR_CONFIG["fields"][0]] * 2, "labels": "ab"},
+                      "labels must be a list of 2 strings"),
+    "fractional-grid": ({"grid_points": 2.7}, "grid_points must be an integer"),
+    "jump-margin": ({"jump_margin": 0.25}, "'jump_margin' in operator config"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_OPERATOR_CONFIGS))
+def test_hostile_operator_config_is_a_validation_error(workdir, capsys, case):
+    change, named = HOSTILE_OPERATOR_CONFIGS[case]
+    with open("cfg.json", "w") as fh:
+        json.dump({**OPERATOR_CONFIG, **change}, fh)
+    assert run(OPERATOR_ON_CONFIG) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and named in err
+    assert not os.path.exists("out.csv")
+
+
 # Flag and environment text that does not convert to a number; bad.csv has a
 # non-numeric cell.
 MALFORMED_TEXT = {
@@ -892,6 +920,16 @@ def test_hostile_path_csv_is_a_validation_error(workdir, capsys, case):
     code, err = diagnose_exit("bad.csv", capsys)
     assert code == 1
     assert err.startswith("validation error:")
+    assert not os.path.exists("d.json")
+
+
+def test_refused_time_column_names_its_file(workdir, capsys):
+    write_text("good.csv", "path_id,t,x1,alive\n0,0.0,1.0,1\n0,1.0,2.0,1\n")
+    write_text("bad.csv", HOSTILE_CSV["unsorted_times"])
+    code = run(["diagnose-paths", "good.csv", "bad.csv", "--out", "d.json"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "validation error: bad.csv: the times must be finite and strictly increasing")
     assert not os.path.exists("d.json")
 
 

@@ -314,7 +314,9 @@ class TestConfigParsing:
         assert nu.total_mass() == 3.5
 
     def test_none_measure(self):
-        assert jump_measure_from_config({"kind": "none"}, dim=1) is None
+        for cfg in ({"kind": "none"}, {}, None):
+            nu = jump_measure_from_config(cfg, dim=1)
+            assert isinstance(nu, Atoms) and nu.dim == 1 and nu.total_mass() == 0.0
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):

@@ -25,13 +25,10 @@ from levylab.operators import (
     bump,
     chi_drift_adjustment,
     chi_quadratic_matrix,
-    chi_quadratic_matrix_many,
     convergence_gaps,
     default_test_functions,
     jump_integral,
-    jump_integral_many,
     measure_integral,
-    measure_integral_many,
     pmp_spot_check,
     vanishing_test_functions,
 )
@@ -59,6 +56,18 @@ class TestTestFunction:
         assert f.value_at([1.0]) == pytest.approx(1.0)
         assert f.value_at([1.6]) == 0.0
         assert np.all(f.grad(np.array([[1.7]])) == 0.0)
+
+    @pytest.mark.parametrize("center, radius", [([np.nan], 1.0), ([0.0, np.inf], 1.0),
+                                                ([0.0], 0.0), ([0.0], -1.0), ([0.0], np.nan),
+                                                ([0.0], np.inf)])
+    def test_bump_refuses_a_non_finite_center_or_radius(self, center, radius):
+        with pytest.raises(ValidationError, match="finite center and a positive finite radius"):
+            bump(center, radius)
+
+    @pytest.mark.parametrize("margin", [0.0, -0.5, np.nan])
+    def test_vanishing_margin_must_be_positive(self, margin):
+        with pytest.raises(ValidationError, match="margin must be positive"):
+            vanishing_test_functions([-1.0], [1.0], margin=margin)
 
     def test_derivative_validation_catches_errors(self):
         f = bump([0.0], 1.0)
@@ -188,13 +197,13 @@ class TestMeasureIntegral:
     def test_atom_sum(self):
         f = bump([2.0], 0.5)
         nu = Atoms([((2.0,), 1.5), ((5.0,), 7.0)])
-        assert measure_integral(nu, f, [0.0], margin=0.5) == pytest.approx(1.5)
+        assert measure_integral([nu], f, [[0.0]])[0] == pytest.approx(1.5)
 
     def test_vanishing_precondition(self):
         f = bump([0.5], 0.5)
         nu = Atoms([((2.0,), 1.0)])
         with pytest.raises(ValidationError, match="does not vanish"):
-            measure_integral(nu, f, [0.3], margin=0.25)
+            measure_integral([nu], f, [[0.3]])
 
     def test_stable_tail_integral(self):
         # f == 1 on its plateau is impossible for bumps; use the closed form
@@ -202,43 +211,59 @@ class TestMeasureIntegral:
         from scipy.integrate import quad
         f = bump([3.0], 0.8)
         nu = StableLike(c=1.0, alpha=1.2, dim=1)
-        val = measure_integral(nu, f, [0.0], margin=0.5)
+        val = measure_integral([nu], f, [[0.0]])[0]
         oracle, _ = quad(lambda h: f.value_at([h]) * abs(h) ** -2.2, 2.2, 3.8, limit=400)
         assert val == pytest.approx(oracle, rel=1e-6)
+
+    def test_base_point_on_the_closed_support_is_refused(self):
+        f = bump([0.5], 0.5)
+        with pytest.raises(ValidationError, match="does not vanish near the point \\[1.0\\]"):
+            measure_integral([Atoms([((2.0,), 1.0)])] * 2, f, [[-0.5], [1.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("nu", [StableLike(c=1.0, alpha=1.2), Atoms([((3.0,), 1.0)])],
+                         ids=["stable", "atoms"])
+def test_integrals_refuse_non_finite_base_points(nu, bad):
+    f = bump([0.0], 1.0)
+    g = vanishing_test_functions([-1.0], [1.0])[0]
+    points = [[0.0], [bad]]
+    for integral in (lambda: jump_integral([nu] * 2, Chi2(), f, points),
+                     lambda: measure_integral([nu] * 2, g, points),
+                     lambda: chi_quadratic_matrix([nu] * 2, Chi2(), points)):
+        with pytest.raises(ValidationError, match="is not finite"):
+            integral()
 
 
 class TestChiQuadraticMatrix:
     def test_chi2_equals_truncated_second_moment(self):
         nu = StableLike(c=1.0, alpha=1.0, dim=1)
-        m = chi_quadratic_matrix(nu, Chi2(), [0.0])
+        m = chi_quadratic_matrix([nu], Chi2(), [[0.0]])[0]
         assert m[0, 0] == pytest.approx(nu.truncated_second_moment(1.0), rel=1e-9)
 
     def test_chi1_stable_closed_form(self):
         # integral of h^2/(1+h^2)^2 * |h|^{-2} dh over R equals pi/2
         nu = StableLike(c=1.0, alpha=1.0, dim=1)
-        m = chi_quadratic_matrix(nu, Chi1(), [0.0])
+        m = chi_quadratic_matrix([nu], Chi1(), [[0.0]])[0]
         assert m[0, 0] == pytest.approx(np.pi / 2, rel=1e-8)
 
     def test_atoms(self):
         nu = Atoms([((0.5,), 2.0), ((3.0,), 5.0)])
-        m = chi_quadratic_matrix(nu, Chi2(), [0.0])
+        m = chi_quadratic_matrix([nu], Chi2(), [[0.0]])[0]
         assert m[0, 0] == pytest.approx(2.0 * 0.25)  # the far atom is not compensated
 
     def test_no_jumps_is_the_zero_measure(self):
-        np.testing.assert_array_equal(chi_quadratic_matrix(None, Chi1(), [0.2, 0.1]),
-                                      np.zeros((2, 2)))
-        got = chi_quadratic_matrix_many([None, Atoms(dim=1)], Chi2(), [[0.0], [1.0]])
-        np.testing.assert_array_equal(got, np.zeros((2, 1, 1)))
-        got = chi_quadratic_matrix_many([None, None], Chi2(), [0.0, 1.0])
+        np.testing.assert_array_equal(chi_quadratic_matrix([Atoms(dim=2)], Chi1(), [[0.2, 0.1]]),
+                                      np.zeros((1, 2, 2)))
+        got = chi_quadratic_matrix([Atoms(dim=1)] * 2, Chi2(), [0.0, 1.0])
         np.testing.assert_array_equal(got, np.zeros((2, 1, 1)))
 
 
 @pytest.mark.parametrize("a, dim", [(None, 1), ([0.3], 1), ([0.0, 0.0], 2)])
 def test_drift_adjustment_of_the_zero_measure(a, dim):
-    adj = chi_drift_adjustment(None, Chi1(), Chi2(), a=a)
+    adj = chi_drift_adjustment(Atoms(dim=dim), Chi1(), Chi2(), a=a)
     assert adj.shape == (dim,)
     assert adj.tolist() == [0.0] * dim
-    np.testing.assert_array_equal(adj, chi_drift_adjustment(Atoms(dim=dim), Chi1(), Chi2(), a=a))
 
 
 class TestConvergenceGaps:
@@ -283,6 +308,37 @@ class TestConvergenceGaps:
         field = ConstantTripletField(LevyTriplet([0.0], [[1.0]], None))
         with pytest.raises(ValidationError, match="grid_points"):
             convergence_gaps([field], field, Chi2(), [-1.0], [1.0], grid_points=0)
+
+    def test_calls_the_module_integrals_once_per_term(self, monkeypatch):
+        # the benchmark counts calls by wrapping these two module attributes
+        calls = {"measure_integral": 0, "chi_quadratic_matrix": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(operators, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(operators, name, counted)
+        limit = ConstantTripletField(LevyTriplet([0.0], [[0.0]], StableLike(c=1.0, alpha=1.2)))
+        fields = [ConstantTripletField(LevyTriplet([0.0], [[0.0]], Atoms([((3.0,), 1.0)])))] * 2
+        testfns = vanishing_test_functions([-1.0], [1.0])
+        convergence_gaps(fields, limit, Chi2(), [-1.0], [1.0], testfns=testfns, grid_points=3)
+        assert calls == {"measure_integral": len(testfns) * (len(fields) + 1),
+                         "chi_quadratic_matrix": len(fields) + 1}
+
+    @pytest.mark.parametrize("low, high", [([np.nan], [1.0]), ([-1.0], [np.inf]),
+                                           ([1.0], [-1.0]), ([0.0], [0.0])])
+    def test_box_must_be_finite_with_low_below_high(self, low, high):
+        field = ConstantTripletField(LevyTriplet([0.0], [[1.0]], None))
+        with pytest.raises(ValidationError, match="the box must be finite with low < high"):
+            convergence_gaps([field], field, Chi2(), low, high, grid_points=3)
+        with pytest.raises(ValidationError, match="the box must be finite with low < high"):
+            vanishing_test_functions(low, high)
+
+    @pytest.mark.parametrize("labels", [["a"], "ab", ["a", 2], 5])
+    def test_labels_are_one_string_per_field(self, labels):
+        field = ConstantTripletField(LevyTriplet([0.0], [[1.0]], None))
+        with pytest.raises(ValidationError, match="labels must be a list of 2 strings"):
+            convergence_gaps([field] * 2, field, Chi2(), [-1.0], [1.0], grid_points=3,
+                             labels=labels)
 
     def test_offending_testfn_reported(self):
         field = ConstantTripletField(LevyTriplet([0.0], [[1.0]], None))
@@ -352,16 +408,15 @@ def stable_as_user_density(stable):
 def test_user_density_measure_integral_matches_stable(center, radius, a):
     stable = StableLike(c=0.9, alpha=1.1, dim=1)
     f = bump([center], radius)
-    vs = measure_integral(stable, f, [a], margin=0.5)
-    vu = measure_integral(stable_as_user_density(stable), f, [a], margin=0.5)
+    vs, vu = measure_integral([stable, stable_as_user_density(stable)], f, [[a], [a]])
     assert vu == pytest.approx(vs, rel=1e-6, abs=1e-9)
 
 
 @pytest.mark.parametrize("chi", [Chi1(), Chi2()], ids=["chi1", "chi2"])
 def test_user_density_chi_quadratic_matrix_matches_stable(chi):
     stable = StableLike(c=0.9, alpha=1.1, dim=1)
-    ms = chi_quadratic_matrix(stable, chi, [0.2])
-    mu = chi_quadratic_matrix(stable_as_user_density(stable), chi, [0.2])
+    ms = chi_quadratic_matrix([stable], chi, [[0.2]])[0]
+    mu = chi_quadratic_matrix([stable_as_user_density(stable)], chi, [[0.2]])[0]
     assert mu.shape == (1, 1)
     assert mu[0, 0] == pytest.approx(ms[0, 0], rel=1e-6)
 
@@ -431,8 +486,8 @@ def test_user_density_jump_integral_matches_oracle(chi, a, center, radius, tol_a
     # Taylor-remainder core keeps the integral within tolerance
     nu = _asymmetric_power_density()
     start = time.perf_counter()
-    value = jump_integral(nu, chi(), bump([center], radius), [a],
-                          tol_abs=tol_abs, tol_rel=1e-6)
+    value = jump_integral([nu], chi(), bump([center], radius), [[a]],
+                          tol_abs=tol_abs, tol_rel=1e-6)[0]
     assert time.perf_counter() - start < 1.0
     assert abs(value - oracle) <= tol_abs + 1e-6 * abs(oracle)
 
@@ -445,11 +500,11 @@ def test_user_density_matches_stable_branch(alpha, a, center, radius, chi):
     user = stable_as_user_density(stable)
     tol_abs, tol_rel = 1e-7, 1e-6
     f = bump([center], radius)
-    ref = jump_integral(stable, chi, f, [a], tol_abs, tol_rel)
-    got = jump_integral(user, chi, f, [a], tol_abs, tol_rel)
+    ref = jump_integral([stable], chi, f, [[a]], tol_abs, tol_rel)[0]
+    got = jump_integral([user], chi, f, [[a]], tol_abs, tol_rel)[0]
     assert abs(got - ref) <= tol_abs + tol_rel * abs(ref)
-    ref = chi_quadratic_matrix(stable, chi, [a], tol_abs, tol_rel)[0, 0]
-    got = chi_quadratic_matrix(user, chi, [a], tol_abs, tol_rel)[0, 0]
+    ref = chi_quadratic_matrix([stable], chi, [[a]], tol_abs, tol_rel)[0, 0, 0]
+    got = chi_quadratic_matrix([user], chi, [[a]], tol_abs, tol_rel)[0, 0, 0]
     assert abs(got - ref) <= tol_abs + tol_rel * abs(ref)
 
 
@@ -457,7 +512,7 @@ def test_user_density_matches_stable_branch(alpha, a, center, radius, chi):
 def test_stable_chi1_quadratic_matrix_closed_form(alpha):
     # int (h / (1 + h^2))^2 c |h|^{-1-alpha} dh = c (pi alpha / 2) / sin(pi alpha / 2)
     c = 0.9
-    val = chi_quadratic_matrix(StableLike(c=c, alpha=alpha, dim=1), Chi1(), [0.2])[0, 0]
+    val = chi_quadratic_matrix([StableLike(c=c, alpha=alpha, dim=1)], Chi1(), [[0.2]])[0, 0, 0]
     exact = c * (np.pi * alpha / 2) / np.sin(np.pi * alpha / 2)
     assert val == pytest.approx(exact, rel=1e-7)
 
@@ -465,8 +520,7 @@ def test_stable_chi1_quadratic_matrix_closed_form(alpha):
 def test_vanishing_test_functions_avoid_box():
     fns = vanishing_test_functions([-1.0], [1.0], 1, margin=0.5)
     for f in fns:
-        assert f.support_distance([0.9]) >= 0.5
-        assert f.support_distance([-0.9]) >= 0.5
+        assert np.all(f.support_distances(np.array([[0.9], [-0.9]]))[0] >= 0.5)
 
 
 # Tight references for the batched Gauss-Legendre integrals: QUADPACK at
@@ -538,18 +592,18 @@ def test_batched_integrals_match_tight_reference(alpha, c, dim, chi, center, rad
         return abs(got - ref) <= tol_abs + tol_rel * abs(ref)
 
     f = bump(np.full(dim, center), radius)
-    got = jump_integral_many([nu] * 3, chi, f, pts, tol_abs, tol_rel)
+    got = jump_integral([nu] * 3, chi, f, pts, tol_abs, tol_rel)
     for a, value in zip(pts, got):
         assert close(value, _jump_reference(c, alpha, f, a))
 
     box = np.ones(dim)
     g = vanishing_test_functions(-box, box, dim, margin=0.5)[which]
     grid = gen.uniform(-1.0, 1.0, size=(3, dim))
-    got = measure_integral_many([nu] * 3, g, grid, 0.25, tol_abs, tol_rel)
+    got = measure_integral([nu] * 3, g, grid, tol_abs, tol_rel)
     for a, value in zip(grid, got):
         assert close(value, _measure_reference(c, alpha, g, a, 0.25))
 
-    got = chi_quadratic_matrix_many([nu] * 3, chi, pts, tol_abs, tol_rel)
+    got = chi_quadratic_matrix([nu] * 3, chi, pts, tol_abs, tol_rel)
     ref = _chi_square_reference(c, alpha, chi, dim)
     # each entry is held to tol_abs / d^2; the r_cut tail adds tol_abs / 4
     assert np.all(np.abs(got - ref * np.eye(dim)) <= tol_abs + tol_rel * ref)
@@ -565,7 +619,7 @@ def _mixed_rows(dim):
     nus[3] = nus[1]
     far = np.zeros(dim)
     far[0] = 3.0
-    return pts, nus + [Atoms([(far, 0.7)], dim=dim), None]
+    return pts, nus + [Atoms([(far, 0.7)], dim=dim), Atoms(dim=dim)]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -576,15 +630,15 @@ def test_batched_rows_are_bit_identical_to_one_row_calls(monkeypatch, dim, chunk
     f = bump(np.full(dim, 0.2), 0.9)
     box = np.ones(dim)
     g = vanishing_test_functions(-box, box, dim, margin=0.5)[0]
-    got = jump_integral_many(nus, Chi2(), f, pts)
-    assert got.tolist() == [jump_integral(nu, Chi2(), f, a) for nu, a in zip(nus, pts)]
-    got = measure_integral_many(nus, g, pts, 0.25)
-    assert got.tolist() == [measure_integral(nu, g, a, 0.25) for nu, a in zip(nus, pts)]
+    got = jump_integral(nus, Chi2(), f, pts)
+    assert got.tolist() == [jump_integral([nu], Chi2(), f, [a])[0] for nu, a in zip(nus, pts)]
+    got = measure_integral(nus, g, pts)
+    assert got.tolist() == [measure_integral([nu], g, [a])[0] for nu, a in zip(nus, pts)]
     chis = [Chi1()] if dim == 2 else [Chi1(), CustomChi(lambda a, b: np.tanh(b - a), bound=1.0)]
     for chi in chis:
-        got = chi_quadratic_matrix_many(nus[:-1], chi, pts[:-1])
+        got = chi_quadratic_matrix(nus, chi, pts)
         for row, nu, a in zip(got, nus, pts):
-            assert row.tolist() == chi_quadratic_matrix(nu, chi, a).tolist()
+            assert row.tolist() == chi_quadratic_matrix([nu], chi, [a])[0].tolist()
 
 
 def test_measure_integral_meets_tolerance_at_small_alpha():
@@ -593,8 +647,8 @@ def test_measure_integral_meets_tolerance_at_small_alpha():
     f = vanishing_test_functions([-1.0], [1.0])[2]
     assert f.name == "outer1(r=0.5)"
     oracle = 0.19985639011940333942
-    value = measure_integral(StableLike(c=1.0, alpha=0.1), f, [-0.746031746031746], 0.25,
-                             tol_abs=1e-8, tol_rel=1e-6)
+    value = measure_integral([StableLike(c=1.0, alpha=0.1)], f, [[-0.746031746031746]],
+                             tol_abs=1e-8, tol_rel=1e-6)[0]
     assert abs(value - oracle) <= 1e-8 + 1e-6 * abs(oracle)
 
 
@@ -604,14 +658,14 @@ def test_unconverged_row_names_point_measure_and_test_function(monkeypatch):
     f = vanishing_test_functions([-1.0], [1.0])[0]
     with pytest.raises(QuadratureError, match=r"outer0\(r=1.0\) against StableLike\(c=1.0, "
                                               r"alpha=1.2.*at base point \[0.5\]"):
-        measure_integral_many([StableLike(c=1.0, alpha=1.2)], f, [[0.5]], 0.25)
+        measure_integral([StableLike(c=1.0, alpha=1.2)], f, [[0.5]])
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.2, 1.8])
 def test_chi2_quadratic_matrix_in_three_dimensions(alpha):
     # int_{|h|<1} h h^T c|h|^{-3-alpha} dh = c 4 pi / (3 (2 - alpha)) I
     c = 0.7
-    m = chi_quadratic_matrix(StableLike(c=c, alpha=alpha, dim=3), Chi2(), np.zeros(3))
+    m = chi_quadratic_matrix([StableLike(c=c, alpha=alpha, dim=3)], Chi2(), np.zeros((1, 3)))[0]
     np.testing.assert_allclose(m, c * 4.0 * np.pi / (3.0 * (2.0 - alpha)) * np.eye(3),
                                rtol=1e-8, atol=1e-8 * c / (2.0 - alpha))
 
@@ -623,12 +677,12 @@ def test_user_density_without_callables_is_one_dimensional():
     with pytest.raises(ValidationError, match="dimension 1 only"):
         user.tail_mass(1.0)
     with pytest.raises(ValidationError, match="dimension 1 only"):
-        jump_integral(user, Chi2(), f, [0.0, 0.0])
+        jump_integral([user], Chi2(), f, [[0.0, 0.0]])
 
 
 def test_measure_integral_of_the_zero_stable_measure():
     f = vanishing_test_functions([-1.0], [1.0])[0]
-    got = measure_integral_many([StableLike(c=0.0, alpha=1.5)], f, [[0.0]], 0.25)
+    got = measure_integral([StableLike(c=0.0, alpha=1.5)], f, [[0.0]])
     np.testing.assert_array_equal(got, [0.0])
 
 
