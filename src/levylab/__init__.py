@@ -25,7 +25,6 @@ from .core import (
     CustomChi,
     LevyTriplet,
     PathBatch,
-    PathRecord,
     SchemeConfig,
     StableLike,
     TripletField,
@@ -45,7 +44,7 @@ from .environment import (
     quenched_cross_validate,
     rwre_simulate,
 )
-from .euler import IncrementPlan, StableTripletField, euler_chain_simulate, levy_increment_sample
+from .euler import IncrementPlan, euler_chain_simulate, levy_increment_sample
 from .operators import (
     ConvergenceReport,
     TestFunction,
@@ -63,18 +62,11 @@ from .potential import (
     PiecewiseConstantPotential,
     Potential,
     exp_integral,
-    p_eval,
     phi_eval,
     potential_chain_simulate,
     potential_distance,
-    psi_solve,
     transport_test_function,
 )
-from .stable import (
-    StableField,
-    stable_chain_simulate,
-    stable_jump_sample,
-    stable_threshold,
-)
+from .stable import StableField, stable_chain_simulate, stable_threshold
 
 __version__ = "0.1.0"

@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
     WindowEdgeError,
 )
-from .euler import IncrementPlan, StableTripletField, euler_chain_simulate
+from .euler import IncrementPlan, euler_chain_simulate
 from .expr import compile_expression
 from .operators import convergence_gaps, vanishing_test_functions
 from .potential import (
@@ -378,7 +378,7 @@ def _cmd_simulate_euler(args, seed: int) -> list[str]:
     with _json_config(args.triplet_config) as cfg_json:
         kind = cfg_json.get("kind")
         if kind == "stable-field":
-            field = StableTripletField(_stable_field_from_json(cfg_json))
+            field = _stable_field_from_json(cfg_json)
         elif kind is None:
             field = ConstantTripletField(triplet_from_config(cfg_json))
         else:
@@ -464,7 +464,7 @@ def _field_from_json(cfg: dict):
         _reject_unknown_keys(cfg, {"kind", "triplet"}, "constant field")
         return ConstantTripletField(triplet_from_config(cfg["triplet"]))
     if kind == "stable":
-        return StableTripletField(_stable_field_from_json(cfg))
+        return _stable_field_from_json(cfg)
     raise ValidationError(f"unknown field kind {kind!r}")
 
 

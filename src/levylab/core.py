@@ -555,31 +555,6 @@ class ConstantTripletField(TripletField):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathRecord:
-    """One cadlag sample path on R^d: ``states`` row ``i`` is the state at
-    ``times[i]``.  ``truncated`` flags a record cut short at the last grid
-    time its chain could represent.  Absorbed paths live in a PathBatch.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    truncated: bool = False
-
-    def __init__(self, times, states, truncated=False):
-        times = np.asarray(times, dtype=float)
-        states = np.asarray(states, dtype=float)
-        if states.ndim == 1:
-            states = states[:, None]
-        if times.ndim != 1 or states.shape[0] != times.shape[0]:
-            raise ValidationError("times and states must align")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValidationError("times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "truncated", bool(truncated))
-
-
 class PathBatch:
     """Paths sharing one output time grid (finite, strictly increasing),
     stored as a dense array."""

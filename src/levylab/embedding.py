@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .core import PathRecord
+from .core import PathBatch
 from .errors import RangeError, ValidationError
 
 # Elements per chunk of exponential draws; a trial needing more knots is refused.
@@ -32,8 +32,9 @@ def _chain_states(chain) -> np.ndarray:
     return states
 
 
-def floor_embed(chain, eps: float, grid) -> PathRecord:
-    """x(t) = chain[floor(t / eps)]; right-continuous, constant on steps."""
+def floor_embed(chain, eps: float, grid) -> PathBatch:
+    """x(t) = chain[floor(t / eps)] as a one-path batch; right-continuous,
+    constant on steps."""
     if not eps > 0:
         raise ValidationError("eps must be positive")
     states = _chain_states(chain)
@@ -43,7 +44,7 @@ def floor_embed(chain, eps: float, grid) -> PathRecord:
         raise RangeError(
             f"grid reaches step {int(idx.max())} but the chain has {states.shape[0]} states"
         )
-    return PathRecord(grid, states[idx])
+    return PathBatch(grid, states[idx][None])
 
 
 def _arrival_counts(eps: float, holding, grid):
@@ -55,32 +56,32 @@ def _arrival_counts(eps: float, holding, grid):
     return grid, np.searchsorted(arrivals, grid / eps, side="right")
 
 
-def poissonize(chain, eps: float, rng: np.random.Generator, grid) -> PathRecord:
-    """x(t) = chain[N(t / eps)] for a unit-rate Poisson counter N.
+def poissonize(chain, eps: float, rng: np.random.Generator, grid) -> PathBatch:
+    """x(t) = chain[N(t / eps)] for a unit-rate Poisson counter N, as a
+    one-path batch.
 
     When the horizon needs more arrivals than the chain has states, the
-    record is truncated at the last representable grid time and flagged.
+    batch is truncated: its times end at the last grid time the chain
+    can represent.
     """
     states = _chain_states(chain)
     n_states = states.shape[0]
     grid, counts = _arrival_counts(eps, _rng.exponential(rng, n_states), grid)
     ok = counts <= n_states - 1
-    truncated = not bool(np.all(ok))
-    if truncated:
-        grid = grid[ok]
-        counts = counts[ok]
+    if not np.all(ok):
+        grid, counts = grid[ok], counts[ok]
         if grid.size == 0:
             raise RangeError("the chain was exhausted before the first grid time")
-    return PathRecord(grid, states[counts], truncated=truncated)
+    return PathBatch(grid, states[counts][None])
 
 
-def poissonize_with(chain, eps: float, holding: np.ndarray, grid) -> PathRecord:
+def poissonize_with(chain, eps: float, holding: np.ndarray, grid) -> PathBatch:
     """Poissonization with externally supplied unit-exponential holding times."""
     states = _chain_states(chain)
     grid, counts = _arrival_counts(eps, holding, grid)
     if np.any(counts > states.shape[0] - 1):
         raise RangeError("not enough chain states for the requested horizon")
-    return PathRecord(grid, states[counts])
+    return PathBatch(grid, states[counts][None])
 
 
 def gamma_clock(holding: np.ndarray, eps: float, t) -> np.ndarray | float:

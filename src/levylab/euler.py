@@ -200,56 +200,41 @@ def levy_increment_sample(triplet: LevyTriplet, chi: CompensationFunction, dt: f
     return _frozen_sampler(triplet, chi, dt, plan)(rng, size)
 
 
-class StableTripletField(TripletField):
-    """Stable-like triplet field with a vectorized increment sampler.
+def _stable_increments(field: StableField, x: np.ndarray, chi: CompensationFunction,
+                       dt: float, plan: IncrementPlan, gen: np.random.Generator):
+    """Increments over ``dt`` of the stable field frozen at each row of ``x``.
 
-    Drift and diffusion vanish; the jump measure at ``a`` is the radial
-    density with state-dependent scale and index, letting whole path blocks
-    be stepped in one shot.
+    Drift and diffusion vanish and the jump measure is radial, so a whole
+    block of states is stepped in one shot.
     """
-
-    def __init__(self, stable: StableField):
-        self.stable = stable
-
-        def fn(a: np.ndarray) -> LevyTriplet:
-            c, alpha = stable.evaluate(a[None, :])
-            dd = stable.dim
-            nu = StableLike(c=float(c[0]), alpha=float(alpha[0]), dim=dd) \
-                if c[0] > 0 else None
-            return LevyTriplet(np.zeros(dd), np.zeros((dd, dd)), nu)
-
-        super().__init__(fn, stable.dim)
-
-    def sample_increments(self, x: np.ndarray, chi: CompensationFunction, dt: float,
-                          plan: IncrementPlan, gen: np.random.Generator):
-        if not isinstance(chi, (Chi1, Chi2)):
-            raise ValidationError(
-                "increment sampling supports the built-in compensation conventions only"
-            )
-        m, d = x.shape
-        c, alpha = self.stable.evaluate(x)
-        surf = sphere_surface_area(d)
-        lam = c * surf * plan.tau ** (-alpha) / alpha
-        _guard_jump_count(lam * dt)
-        counts = gen.poisson(lam * dt)
-        total = int(counts.sum())
-        if total:
-            owner = np.repeat(np.arange(m), counts)
-            radii = _rng.uniform_open_closed(gen, total)
-            np.power(radii, (-1.0 / alpha)[owner], out=radii)
-            radii *= plan.tau
-            jumps = _rng.along(_rng.sphere_draw(gen, total, d), radii)
-            # Summed in owner order from zero, as np.add.at would.
-            inc = np.stack([np.bincount(owner, weights=col, minlength=m) for col in jumps.T],
-                           axis=1)
-        else:
-            inc = np.zeros((m, d))
-        if plan.small_jump_mode == GAUSSIAN_SURROGATE:
-            var = c * surf * plan.tau ** (2.0 - alpha) / (2.0 - alpha) / d
-            inc += np.sqrt(var * dt)[:, None] * gen.standard_normal((m, d))
-        # Radial symmetry kills both the compensator window and the
-        # convention adjustment, so no drift term appears.
-        return inc, np.zeros(m, dtype=bool)
+    if not isinstance(chi, (Chi1, Chi2)):
+        raise ValidationError(
+            "increment sampling supports the built-in compensation conventions only"
+        )
+    m, d = x.shape
+    c, alpha = field.evaluate(x)
+    surf = sphere_surface_area(d)
+    lam = c * surf * plan.tau ** (-alpha) / alpha
+    _guard_jump_count(lam * dt)
+    counts = gen.poisson(lam * dt)
+    total = int(counts.sum())
+    if total:
+        owner = np.repeat(np.arange(m), counts)
+        radii = _rng.uniform_open_closed(gen, total)
+        np.power(radii, (-1.0 / alpha)[owner], out=radii)
+        radii *= plan.tau
+        jumps = _rng.along(_rng.sphere_draw(gen, total, d), radii)
+        # Summed in owner order from zero, as np.add.at would.
+        inc = np.stack([np.bincount(owner, weights=col, minlength=m) for col in jumps.T],
+                       axis=1)
+    else:
+        inc = np.zeros((m, d))
+    if plan.small_jump_mode == GAUSSIAN_SURROGATE:
+        var = c * surf * plan.tau ** (2.0 - alpha) / (2.0 - alpha) / d
+        inc += np.sqrt(var * dt)[:, None] * gen.standard_normal((m, d))
+    # Radial symmetry kills both the compensator window and the
+    # convention adjustment, so no drift term appears.
+    return inc, np.zeros(m, dtype=bool)
 
 
 def euler_chain_simulate(field: TripletField, chi: CompensationFunction, start,
@@ -259,7 +244,7 @@ def euler_chain_simulate(field: TripletField, chi: CompensationFunction, start,
 
     The engine follows the field's class.  A :class:`ConstantTripletField`
     runs ``frozen``: one sampler, built once per run, steps whole path
-    blocks.  A :class:`StableTripletField` runs ``stable-fast``, vectorized
+    blocks.  A :class:`StableField` runs ``stable-fast``, vectorized
     over the block's states.  Any other field runs ``per-path``, one
     increment sampler per path and step, and is correspondingly slower.  A
     path is absorbed at the cemetery by a cemetery jump or beyond the
@@ -274,9 +259,9 @@ def euler_chain_simulate(field: TripletField, chi: CompensationFunction, start,
 
         def increments(x, gen):
             return sample(gen, x.shape[0])
-    elif isinstance(field, StableTripletField):
+    elif isinstance(field, StableField):
         def increments(x, gen):
-            return field.sample_increments(x, chi, eps, plan, gen)
+            return _stable_increments(field, x, chi, eps, plan, gen)
     else:
         def increments(x, gen):
             draws = [levy_increment_sample(field(a), chi, eps, plan, gen, size=1, at=a)

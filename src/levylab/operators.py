@@ -101,7 +101,7 @@ class TestFunction:
         gap = (np.maximum(self.support_low - points, 0.0)
                + np.maximum(points - self.support_high, 0.0))
         far = np.maximum(np.abs(self.support_low - points), np.abs(self.support_high - points))
-        return np.sqrt((gap * gap).sum(axis=1)), np.sqrt((far * far).sum(axis=1))
+        return np.hypot.reduce(gap, axis=1), np.hypot.reduce(far, axis=1)
 
     def support_radii(self, points: np.ndarray) -> np.ndarray:
         """(m, k) radii at which ``self`` may stop being smooth along rays from

@@ -408,19 +408,15 @@ def phi_eval(V: Potential, a, h):
     return float(out[0]) if scalar else out.reshape(shape)
 
 
-def psi_solve(V: Potential, a: float, eps: float, side: str = "up") -> float:
-    """The unique positive step with phi(a, +-psi) equal to the squared step.
-
-    Bisection's value to ``PSI_REL_TOL * eps``: the bracket starts at twice
-    the step and doubles until the target is covered, with a doubling cap
-    flagging pathological potentials, then halves.  :func:`psi_solve_many`
-    reaches that value by certified Newton.
-    """
-    return float(psi_solve_many(V, np.array([a]), eps, side)[0])
-
-
 def psi_solve_many(V: Potential, a: np.ndarray, eps: float, side: str) -> np.ndarray:
-    """Vectorized :func:`psi_solve`: bisection's value, found by Newton.
+    """For each point of ``a``, the unique positive step psi with
+    phi(a, +psi) (``side="up"``) or phi(a, -psi) (``"down"``) equal to eps^2.
+
+    Each value is bisection's to ``PSI_REL_TOL * eps``: the bracket starts
+    at twice the step and doubles until the target is covered, with a
+    doubling cap flagging pathological potentials, then halves.  Every row
+    is its own bisection, so a row's psi does not depend on the rows that
+    share its call.  The solver reaches that value by certified Newton.
 
     Newton's method on ``sqrt(phi) - eps`` finds the root in a few walks,
     since each walk gives phi and its slope ``2 e^{V(end)} int e^{-V}``.
@@ -507,25 +503,25 @@ def _psi_newton(V: Potential, a: np.ndarray, sgn: float, eps: float,
 
 
 def _bisect(hi: np.ndarray, tol: float, below: Callable[[np.ndarray], np.ndarray]):
-    """Halve every bracket ``(0, hi]`` until all are at most ``tol`` wide,
-    keeping the upper half where ``below(mid)`` is false; returns (lo, hi)."""
+    """Halve each bracket ``(0, hi]`` until it is at most ``tol`` wide,
+    keeping the upper half where ``below(mid)`` is false; returns (lo, hi).
+    A row stops at its own width, whatever the other rows' widths are."""
     lo = np.zeros_like(hi)
-    while float(np.max(hi - lo)) > tol:
+    while True:
+        wide = hi - lo > tol
+        if not np.any(wide):
+            return lo, hi
         mid = 0.5 * (lo + hi)
         less = below(mid)
-        lo = np.where(less, mid, lo)
-        hi = np.where(less, hi, mid)
-    return lo, hi
-
-
-def p_eval(V: Potential, a: float, psi_up: float, psi_down: float) -> float:
-    """Up-move probability: e^V mass left of ``a`` over the whole step window."""
-    return float(p_eval_many(V, np.array([a]),
-                             np.array([psi_up]), np.array([psi_down]))[0])
+        lo = np.where(wide & less, mid, lo)
+        hi = np.where(wide & ~less, mid, hi)
 
 
 def p_eval_many(V: Potential, a: np.ndarray, psi_up: np.ndarray,
                 psi_down: np.ndarray) -> np.ndarray:
+    """Up-move probability at each point of ``a``: the e^V mass of
+    ``[a - psi_down, a]`` over that of the whole step window
+    ``[a - psi_down, a + psi_up]``."""
     a = np.asarray(a, dtype=float)
     psi_up = np.asarray(psi_up, dtype=float)
     psi_down = np.asarray(psi_down, dtype=float)
@@ -743,15 +739,7 @@ def transport_test_function(V: Potential, f0: float, s0: float,
     return f
 
 
-@dataclass(frozen=True)
-class PotentialDistance:
-    """Window distance between two potentials through their exponentials."""
-
-    window: float
-    value: float
-
-
-def potential_distance(V: Potential, Vn: Potential, window: float) -> PotentialDistance:
+def potential_distance(V: Potential, Vn: Potential, window: float) -> float:
     """int_{-M}^{M} max(|e^V - e^{Vn}|, |e^{-V} - e^{-Vn}|) da."""
     if window <= 0:
         raise ValidationError("the window must be positive")
@@ -768,6 +756,5 @@ def potential_distance(V: Potential, Vn: Potential, window: float) -> PotentialD
                                 np.abs(np.exp(-va) - np.exp(-vb)))[0])
 
     tol = DISTANCE_TOL_ABS / max(len(cuts) - 1, 1)
-    total = sum(quadpack(integrand, float(a), float(b), tol, DISTANCE_TOL_REL)
-                for a, b in zip(cuts[:-1], cuts[1:]))
-    return PotentialDistance(window=window, value=total)
+    return sum(quadpack(integrand, float(a), float(b), tol, DISTANCE_TOL_REL)
+               for a, b in zip(cuts[:-1], cuts[1:]))

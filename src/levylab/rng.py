@@ -30,20 +30,12 @@ def stream(seed: int, index: int = 0, namespace: int = PATHS) -> np.random.Gener
 
 
 def path_blocks(n_paths: int, block_size: int) -> list[tuple[int, int, int]]:
-    """Split ``range(n_paths)`` into (start, stop, block_index) triples."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
-    blocks = []
-    start = 0
-    index = 0
-    while start < n_paths:
-        stop = min(start + block_size, n_paths)
-        blocks.append((start, stop, index))
-        start = stop
-        index += 1
-    return blocks
+    """Split ``range(n_paths)`` into (start, stop, block_index) triples.
+
+    Both counts are positive, as :class:`levylab.core.SchemeConfig` checks.
+    """
+    return [(start, min(start + block_size, n_paths), index)
+            for index, start in enumerate(range(0, n_paths, block_size))]
 
 
 def exponential(rng: np.random.Generator, size) -> np.ndarray:

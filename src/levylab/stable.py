@@ -31,11 +31,13 @@ from .errors import DegenerateStateError, ValidationError
 
 
 @dataclass(frozen=True)
-class StableField:
+class StableField(TripletField):
     """State-dependent scale ``c >= 0`` and index ``alpha in (0, 2)``.
 
     Both callables take an (m, d) array of points and return (m,) arrays;
-    scalars are accepted and broadcast.
+    scalars are accepted and broadcast.  As a triplet field, drift and
+    diffusion vanish and the jump measure at ``a`` is the radial density
+    ``StableLike(c(a), alpha(a))``, or the zero measure where ``c(a) = 0``.
     """
 
     c: Callable[[np.ndarray], np.ndarray]
@@ -58,6 +60,12 @@ class StableField:
             raise ValidationError("the stability index must stay inside (0, 2)")
         m = points.shape[0]
         return np.broadcast_to(c, (m,)), np.broadcast_to(a, (m,))
+
+    def __call__(self, a) -> LevyTriplet:
+        c, alpha = self.evaluate(as_point(a, self.dim)[None, :])
+        d = self.dim
+        nu = StableLike(c=float(c[0]), alpha=float(alpha[0]), dim=d) if c[0] > 0 else None
+        return LevyTriplet(np.zeros(d), np.zeros((d, d)), nu)
 
 
 def stable_threshold(field: StableField, a, n: float) -> float:
@@ -88,18 +96,6 @@ def stable_tail_probability(c: float, alpha: float, dim: int, n: float, r) -> np
     s = sphere_surface_area(dim)
     r = np.asarray(r, dtype=float)
     return np.minimum(1.0, c * s / (n * alpha * r ** alpha))
-
-
-def stable_jump_sample(field: StableField, a, n: float, rng: np.random.Generator):
-    """One draw of the next state from ``a``; exact sampling of the step law."""
-    a = as_point(a, field.dim)
-    c, alpha = field.evaluate(a[None, :])
-    if c[0] == 0.0:
-        raise DegenerateStateError(f"no jump mass at state {a.tolist()} (c = 0)")
-    q = _rng.unit_sphere(rng, 1, field.dim)[0]
-    u = _rng.uniform_open_closed(rng, 1)[0]
-    mag = stable_jump_magnitude(c[0], alpha[0], field.dim, n, u)
-    return a + q * mag
 
 
 def stable_chain_simulate(field: StableField, start, n: float, horizon: float,

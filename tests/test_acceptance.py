@@ -36,15 +36,14 @@ from levylab.environment import (
     quenched_cross_validate,
     rwre_simulate,
 )
-from levylab.euler import IncrementPlan, StableTripletField, euler_chain_simulate
+from levylab.euler import IncrementPlan, euler_chain_simulate
 from levylab.operators import apply_operator, bump, chi_drift_adjustment, default_test_functions
 from levylab.potential import (
     PiecewiseConstantPotential,
     constant_potential,
-    p_eval,
+    p_eval_many,
     phi_eval,
     potential_chain_simulate,
-    psi_solve,
     psi_solve_many,
     zero_potential,
 )
@@ -88,7 +87,6 @@ def test_criterion_02_discrete_generator_consistency():
     t0 = time.time()
     fld = StableField(c=lambda x: 1.0 + 0.1 * np.cos(x[:, 0]),
                       alpha=lambda x: 1.2 + 0.2 * np.sin(x[:, 0]), dim=1)
-    limit = StableTripletField(fld)
     n = 10_000.0
     draws = 1_000_000
     gen = lrng.stream(1002, namespace=lrng.SCRATCH)
@@ -100,7 +98,7 @@ def test_criterion_02_discrete_generator_consistency():
         mags = stable_jump_magnitude(float(c[0]), float(al[0]), 1, n, u)
         sgn = np.where(gen.random(draws) < 0.5, -1.0, 1.0)
         nxt = (a + sgn * mags)[:, None]
-        trip = limit(pt)
+        trip = fld(pt)
         for f in default_test_functions(1):
             vals = f(nxt) - f.value_at(pt)
             est = n * float(np.mean(vals))
@@ -138,7 +136,7 @@ def test_criterion_03_euler_gaussian_exactness():
 
 def test_criterion_04_euler_eps_consistency():
     t0 = time.time()
-    field = StableTripletField(StableField.constant(1.0, 1.5))
+    field = StableField.constant(1.0, 1.5)
     plan = IncrementPlan(tau=1e-3)
     horizon = 0.04  # a common multiple of both steps, so marginals align
     marginals = {}
@@ -163,11 +161,11 @@ def test_criterion_05_potential_closed_forms():
     worst_p = 0.0
     for k in range(-15, 16):
         a = k * eps
-        pu = psi_solve(V, a, eps, "up")
-        pd = psi_solve(V, a, eps, "down")
+        pu = psi_solve_many(V, [a], eps, "up")[0]
+        pd = psi_solve_many(V, [a], eps, "down")[0]
         worst_psi = max(worst_psi, abs(pu - eps), abs(pd - eps))
         qk = float(V.value(np.array([a]))[0] - V.value(np.array([a - eps]))[0])
-        worst_p = max(worst_p, abs(p_eval(V, a, pu, pd) - 1.0 / (1.0 + np.exp(qk))))
+        worst_p = max(worst_p, abs(p_eval_many(V, [a], [pu], [pd])[0] - 1.0 / (1.0 + np.exp(qk))))
     worst_phi = 0.0
     Vc = constant_potential(1.3, -20, 20)
     for a in (-3.0, 0.0, 5.5):

@@ -30,7 +30,6 @@ from levylab.euler import (
     DRIFT_COMPENSATE,
     GAUSSIAN_SURROGATE,
     IncrementPlan,
-    StableTripletField,
     euler_chain_simulate,
 )
 from levylab.potential import (
@@ -86,11 +85,11 @@ EULER_2D_CONFIG = SchemeConfig(paths=25, seed=7, grid=np.linspace(0.0, 0.2, 3),
 
 
 @pytest.mark.parametrize("field, chi, mode, escaped, expected", [
-    (StableTripletField(StableField.constant(1.0, 1.5, 2)), Chi2(), DRIFT_COMPENSATE, 4,
+    (StableField.constant(1.0, 1.5, 2), Chi2(), DRIFT_COMPENSATE, 4,
      "0cf9b30b2859eb6866c657c67f698caddb79f50f9396b394e11c0ea9db48c12f"),
-    (StableTripletField(TANH_STABLE_2D), Chi1(), DRIFT_COMPENSATE, 6,
+    (TANH_STABLE_2D, Chi1(), DRIFT_COMPENSATE, 6,
      "81f9109a7d480e545d954df31325f22e53d3d3079912ff0b67bd31fe74a23f43"),
-    (StableTripletField(TANH_STABLE_2D), Chi2(), GAUSSIAN_SURROGATE, 4,
+    (TANH_STABLE_2D, Chi2(), GAUSSIAN_SURROGATE, 4,
      "d86b12762617d9df47b3d9a53e53d2729fdee7592c589ef7fd7d8b466a7c48e2"),
 ], ids=["constant-alpha", "state-alpha", "state-alpha-surrogate"])
 def test_euler_stable_field_2d_bytes(field, chi, mode, escaped, expected):
@@ -136,7 +135,7 @@ ENGINES = {
     "euler-frozen-atoms": lambda cfg: euler_chain_simulate(
         ATOMS_FIELD, Chi1(), [0.2, 0.0], 0.1, 0.5, ATOMS_PLAN, replace(cfg, escape_radius=2.0)),
     "euler-stable-fast": lambda cfg: euler_chain_simulate(
-        StableTripletField(StableField.constant(1.0, 1.3)), Chi2(), 0.0, 0.05, 0.2,
+        StableField.constant(1.0, 1.3), Chi2(), 0.0, 0.05, 0.2,
         IncrementPlan(tau=1e-2), replace(cfg, escape_radius=0.5)),
     "euler-generic": lambda cfg: euler_chain_simulate(
         GENERIC_FIELD, Chi2(), uniform_start, 0.1, 0.5, IncrementPlan(tau=1e-2),

@@ -222,6 +222,18 @@ def test_no_temp_files_left(workdir, capsys):
     assert leftovers == []
 
 
+def test_failed_rename_leaves_no_file(workdir, capsys, monkeypatch):
+    # the temp file is removed when the rename onto the output fails
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src} to {dst}")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    assert run(["simulate-potential", "--potential", "zero", "--eps", "0.1", "--T", "0.1",
+                "--paths", "5", "--seed", "1", "--grid-points", "3", "--out", "t.csv"]) == 1
+    assert capsys.readouterr().err.startswith("validation error:")
+    assert os.listdir(".") == []
+
+
 def test_potential_file_inputs(workdir, capsys):
     # grid potential file (knot,value)
     knots = np.linspace(-6, 6, 25)

@@ -22,7 +22,7 @@ from levylab.euler import (
     DRIFT_COMPENSATE,
     GAUSSIAN_SURROGATE,
     IncrementPlan,
-    StableTripletField,
+    _stable_increments,
     effective_drift,
     euler_chain_simulate,
     gaussian_factor,
@@ -158,7 +158,7 @@ class TestChain:
 
     def test_truncation_refinement(self):
         # dropping tau by 10x moves the fixed-time marginal by less than 0.005
-        field = StableTripletField(StableField.constant(1.0, 0.8))
+        field = StableField.constant(1.0, 0.8)
         T = 0.25
         marginals = {}
         for i, tau in enumerate([1e-3, 1e-4]):
@@ -186,7 +186,7 @@ class TestChain:
         assert np.isfinite(m).all()
 
     def test_deterministic_replay(self):
-        field = StableTripletField(StableField.constant(1.0, 1.3))
+        field = StableField.constant(1.0, 1.3)
         cfg = SchemeConfig(paths=128, seed=18, grid=np.array([0.0, 0.1]))
         b1 = euler_chain_simulate(field, Chi2(), 0.0, 0.02, 0.1,
                                   IncrementPlan(tau=1e-2), cfg)
@@ -286,9 +286,9 @@ def test_singular_diffusion_takes_the_eigen_factor():
     (GAUSSIAN_SURROGATE, "89da85150afa197323a2f4a11c9241921b059da6d8981b9a3406346a4ad34ee8"),
 ], ids=[DRIFT_COMPENSATE, GAUSSIAN_SURROGATE])
 def test_stable_field_block_without_jumps(mode, expected):
-    field = StableTripletField(StableField.constant(1e-12, 1.5, 2))
+    field = StableField.constant(1e-12, 1.5, 2)
     plan = IncrementPlan(tau=1e-2, small_jump_mode=mode)
-    inc, _ = field.sample_increments(np.zeros((4, 2)), Chi2(), 0.05, plan, lrng.stream(5))
+    inc, _ = _stable_increments(field, np.zeros((4, 2)), Chi2(), 0.05, plan, lrng.stream(5))
     assert inc.shape == (4, 2) and inc.dtype == np.float64
     cfg = SchemeConfig(paths=10, seed=5, grid=np.linspace(0.0, 0.2, 3), block_size=4)
     batch = euler_chain_simulate(field, Chi2(), [0.0, 0.1], 0.05, 0.2, plan, cfg)
@@ -320,15 +320,14 @@ def test_single_step_generator_consistency():
     # frozen triplet, with the state-dependent stable field
     from levylab.operators import apply_operator, bump
 
-    fld = StableField(c=lambda x: np.full(x.shape[0], 1.0),
-                      alpha=lambda x: 1.1 + 0.2 * np.tanh(x[:, 0]), dim=1)
-    field = StableTripletField(fld)
+    field = StableField(c=lambda x: np.full(x.shape[0], 1.0),
+                        alpha=lambda x: 1.1 + 0.2 * np.tanh(x[:, 0]), dim=1)
     a = np.array([0.4])
     eps = 1e-3
     plan = IncrementPlan(tau=1e-4)
     draws = 400_000
-    inc, _ = field.sample_increments(np.tile(a, (draws, 1)), Chi2(), eps, plan,
-                                     lrng.stream(19))
+    inc, _ = _stable_increments(field, np.tile(a, (draws, 1)), Chi2(), eps, plan,
+                                lrng.stream(19))
     f = bump([0.0], 2.0)
     vals = f(a + inc) - f.value_at(a)
     est = float(np.mean(vals)) / eps

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -294,12 +295,10 @@ class TestConvergenceGaps:
 
     def test_scheme_field_gaps_shrink(self):
         # the normalized single-step law against its limit, shrinking in n
-        from levylab.euler import StableTripletField
         from levylab.stable import StableField, scheme_triplet_field
         fld = StableField.constant(1.0, 1.2, 1)
-        limit = StableTripletField(fld)
         reports = convergence_gaps(
-            [scheme_triplet_field(fld, n) for n in (10, 1000)], limit, Chi2(),
+            [scheme_triplet_field(fld, n) for n in (10, 1000)], fld, Chi2(),
             [-1.0], [1.0], grid_points=3, labels=["10", "1000"])
         assert reports[0].max_gap > reports[1].max_gap
         assert reports[1].max_gap < 5e-2
@@ -521,6 +520,21 @@ def test_vanishing_test_functions_avoid_box():
     fns = vanishing_test_functions([-1.0], [1.0], 1, margin=0.5)
     for f in fns:
         assert np.all(f.support_distances(np.array([[0.9], [-0.9]]))[0] >= 0.5)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bump_far_away_does_not_overflow(dim):
+    # Gaps of 1e300 would overflow if squared; measured without squaring,
+    # the distances and the integral stay finite and raise no warning.
+    f = bump(np.full(dim, 1e300), 1.0)
+    pts = np.zeros((1, dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        near, far = f.support_distances(pts)
+        got = measure_integral([StableLike(c=1.0, alpha=1.2, dim=dim)], f, pts)
+    np.testing.assert_allclose(near, 1e300 * np.sqrt(dim), rtol=1e-12)
+    np.testing.assert_allclose(far, 1e300 * np.sqrt(dim), rtol=1e-12)
+    np.testing.assert_array_equal(got, [0.0])
 
 
 # Tight references for the batched Gauss-Legendre integrals: QUADPACK at

@@ -22,12 +22,10 @@ from levylab.potential import (
     PiecewiseConstantPotential,
     constant_potential,
     exp_integral,
-    p_eval,
     p_eval_many,
     phi_eval,
     potential_chain_simulate,
     potential_distance,
-    psi_solve,
     psi_solve_many,
     transport_test_function,
     zero_potential,
@@ -69,7 +67,7 @@ def check_solver(V, a, eps):
     ladder = np.concatenate([1.0 - 2.0 ** -j, [1.0], 1.0 + 2.0 ** -j])
     psis = []
     for side, sgn in (("up", 1.0), ("down", -1.0)):
-        psi = psi_solve(V, a, eps, side)
+        psi = psi_solve_many(V, [a], eps, side)[0]
         assert psi == bisection_psi(V, [a], eps, side)[0]
         assert abs(phi_eval(V, a, sgn * psi) / eps ** 2 - 1.0) <= 1e-10
         hs = np.sort(psi * ladder)
@@ -77,7 +75,7 @@ def check_solver(V, a, eps):
         vals = phi_eval(V, np.full(int(inside.sum()), a), sgn * hs[inside])
         assert np.all(np.diff(vals) >= 0.0)
         psis.append(psi)
-    assert 0.0 < p_eval(V, a, *psis) < 1.0
+    assert 0.0 < p_eval_many(V, [a], [psis[0]], [psis[1]])[0] < 1.0
 
 
 class TestExpIntegral:
@@ -186,20 +184,20 @@ class TestPhi:
 class TestPsi:
     def test_constant_potential(self):
         V = constant_potential(0.0, -5, 5)
-        assert psi_solve(V, 0.0, 0.1, "up") == pytest.approx(0.1, abs=1e-13)
-        assert psi_solve(V, 0.0, 0.1, "down") == pytest.approx(0.1, abs=1e-13)
+        assert psi_solve_many(V, [0.0], 0.1, "up")[0] == pytest.approx(0.1, abs=1e-13)
+        assert psi_solve_many(V, [0.0], 0.1, "down")[0] == pytest.approx(0.1, abs=1e-13)
 
     def test_lattice_alignment(self):
         q = np.array([0.4, -0.3, 0.8, 0.2, -0.6])
         V = PiecewiseConstantPotential(0.05, q, k_min=-2)
         for k in (-1, 0, 1):
             a = 0.05 * k
-            assert psi_solve(V, a, 0.05, "up") == pytest.approx(0.05, abs=1e-13)
-            assert psi_solve(V, a, 0.05, "down") == pytest.approx(0.05, abs=1e-13)
+            assert psi_solve_many(V, [a], 0.05, "up")[0] == pytest.approx(0.05, abs=1e-13)
+            assert psi_solve_many(V, [a], 0.05, "down")[0] == pytest.approx(0.05, abs=1e-13)
 
     def test_shrinks_with_eps(self):
         V = GridPotential(np.linspace(-2, 2, 9), np.cos(np.linspace(-2, 2, 9)))
-        psis = [psi_solve(V, 0.2, e, "up") for e in (0.2, 0.1, 0.05, 0.025)]
+        psis = [psi_solve_many(V, [0.2], e, "up")[0] for e in (0.2, 0.1, 0.05, 0.025)]
         assert all(a > b for a, b in zip(psis, psis[1:]))
 
     def test_round_trip_identity(self):
@@ -208,9 +206,20 @@ class TestPsi:
         eps = 0.05
         for a in (-0.8, 0.0, 0.33):
             for side, sgn in (("up", 1.0), ("down", -1.0)):
-                psi = psi_solve(V, a, eps, side)
+                psi = psi_solve_many(V, [a], eps, side)[0]
                 assert phi_eval(V, a, sgn * psi) == pytest.approx(
                     eps * eps, abs=1e-10 * eps * eps)
+
+    @pytest.mark.parametrize("side", ["up", "down"])
+    def test_each_row_is_bisected_alone(self, side):
+        # Going up from 2 and 3, the steep downhill doubles the bracket; the
+        # rows at -2 and -1 must still stop halving at their own width.
+        x = np.linspace(-5.0, 5.0, 8001)
+        V = GridPotential(x, np.where(x > 1.0, -150.0 * (x - 1.0), 0.0))
+        a = np.array([-2.0, -1.0, 2.0, 3.0])
+        batched = psi_solve_many(V, a, 0.05, side)
+        alone = [bisection_psi(V, [point], 0.05, side)[0] for point in a]
+        np.testing.assert_array_equal(batched, alone)
 
     def test_unknown_side_is_a_validation_error(self):
         V = constant_potential(0.0, -5, 5)
@@ -221,14 +230,14 @@ class TestPsi:
         # bracket expansion that would leave the window surfaces a range error
         V = GridPotential([-1.0, 1.0], [0.0, -30.0])
         with pytest.raises(RangeError):
-            psi_solve(V, 0.9, 0.5, "up")
+            psi_solve_many(V, [0.9], 0.5, "up")[0]
 
     def test_bracket_expands_beyond_two_eps(self):
         # a steep downhill makes the upward step exceed twice the parameter,
         # which only the lattice-aligned case rules out
         V = GridPotential([-0.25, 2.0], [0.0, -450.0])  # slope -200
         eps = 0.05
-        psi = psi_solve(V, 0.0, eps, "up")
+        psi = psi_solve_many(V, [0.0], eps, "up")[0]
         assert psi > 2 * eps
         assert phi_eval(V, 0.0, psi) == pytest.approx(eps * eps, rel=1e-9)
 
@@ -365,8 +374,8 @@ class TestChebyshevCells:
         V = CallablePotential(lambda x: x * x, domain=(-25.0, 25.0))
         W = CallablePotential(lambda x: x * x + np.log(2.0), domain=(-25.0, 25.0))
         # int_{-1}^{1} max(e^{x^2}, e^{-x^2} / 2) dx = sqrt(pi) erfi(1)
-        assert potential_distance(V, W, 1.0).value == pytest.approx(2.925303491814362,
-                                                                   rel=1e-8)
+        assert potential_distance(V, W, 1.0) == pytest.approx(2.925303491814362,
+                                                             rel=1e-8)
         f = transport_test_function(V, 1.0, 0.0, lambda x: np.zeros_like(x), (-1, 1))
         assert f(0.5) == pytest.approx(1.0, abs=1e-12)
 
@@ -374,7 +383,7 @@ class TestChebyshevCells:
 class TestP:
     def test_symmetric(self):
         V = constant_potential(0.3, -5, 5)
-        assert p_eval(V, 0.0, 0.2, 0.2) == pytest.approx(0.5, abs=1e-14)
+        assert p_eval_many(V, [0.0], [0.2], [0.2])[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_lattice_closed_form(self):
         q = np.array([0.4, -0.3, 0.8, 0.2, -0.6])
@@ -382,12 +391,12 @@ class TestP:
         for k in (-1, 0, 1):
             a = 0.05 * k
             qk = float(V.value(np.array([a]))[0] - V.value(np.array([a - 0.05]))[0])
-            p = p_eval(V, a, 0.05, 0.05)
+            p = p_eval_many(V, [a], [0.05], [0.05])[0]
             assert p == pytest.approx(1.0 / (1.0 + np.exp(qk)), abs=1e-13)
 
     def test_large_increment_pushes_p_to_zero(self):
         V = PiecewiseConstantPotential(1.0, np.array([0.0, 30.0]), k_min=0)
-        p = p_eval(V, 1.0, 1.0, 1.0)
+        p = p_eval_many(V, [1.0], [1.0], [1.0])[0]
         assert p == pytest.approx(1.0 / (1.0 + np.exp(30.0)), rel=1e-10)
         assert p < 1e-12
 
@@ -534,19 +543,19 @@ class TestTransport:
 class TestPotentialDistance:
     def test_identical(self):
         V = GridPotential([-1.0, 1.0], [0.2, 0.4])
-        assert potential_distance(V, V, 1.0).value == 0.0
+        assert potential_distance(V, V, 1.0) == 0.0
 
     def test_constant_shift(self):
         V = constant_potential(0.0, -2, 2)
         W = constant_potential(np.log(2.0), -2, 2)
-        assert potential_distance(V, W, 1.0).value == pytest.approx(2.0, rel=1e-10)
+        assert potential_distance(V, W, 1.0) == pytest.approx(2.0, rel=1e-10)
 
     def test_sup_norm_convergence(self):
         V = GridPotential(np.linspace(-2, 2, 9), np.sin(np.linspace(-2, 2, 9)))
         dists = []
         for delta in (0.5, 0.1, 0.02):
             W = GridPotential(V.knots, V.values + delta)
-            dists.append(potential_distance(V, W, 1.5).value)
+            dists.append(potential_distance(V, W, 1.5))
         assert dists[0] > dists[1] > dists[2]
         assert dists[2] < 0.2
 

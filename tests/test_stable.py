@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from levylab import rng as lrng
-from levylab.core import Atoms, Chi2, SchemeConfig
+from levylab.core import Atoms, Chi2, SchemeConfig, StableLike, TripletField
 from levylab.diagnostics import ks_distance
 from levylab.errors import DegenerateStateError, ValidationError
-from levylab.euler import StableTripletField
 from levylab.operators import apply_operator, default_test_functions
 from levylab.stable import (
     StableField,
     scheme_triplet_field,
     stable_chain_simulate,
     stable_jump_magnitude,
-    stable_jump_sample,
     stable_tail_probability,
     stable_threshold,
 )
@@ -70,9 +68,8 @@ class TestJumpLaw:
 
     def test_isotropy_d2(self):
         fld = StableField.constant(1.0, 1.7, 2)
-        gen = lrng.stream(72, namespace=lrng.SCRATCH)
-        draws = np.array([stable_jump_sample(fld, [0.0, 0.0], 20.0, gen)
-                          for _ in range(4000)])
+        cfg = SchemeConfig(paths=4000, seed=72, grid=np.array([0.0, 0.05]))
+        draws = stable_chain_simulate(fld, [0.0, 0.0], 20.0, 0.05, cfg).states[:, -1, :]
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert np.all(np.abs(mean) <= 4 * se)
@@ -132,10 +129,27 @@ class TestChain:
         assert batch.states.shape == (50, 2, 1)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stable_field_is_a_triplet_field(dim):
+    # zero drift and diffusion; the zero measure where c = 0, else StableLike
+    fld = StableField(c=lambda x: np.maximum(x[:, 0], 0.0),
+                      alpha=lambda x: 1.2 + 0.1 * x[:, 0], dim=dim)
+    assert isinstance(fld, TripletField)
+    for a in (-1.0, 0.0, 0.5, 2.0):
+        point = np.full(dim, a)
+        trip = fld(point)
+        np.testing.assert_array_equal(trip.drift, np.zeros(dim))
+        np.testing.assert_array_equal(trip.gamma, np.zeros((dim, dim)))
+        if a <= 0.0:
+            assert isinstance(trip.jumps, Atoms)
+            assert trip.jumps.dim == dim and trip.jumps.total_mass() == 0.0
+        else:
+            assert trip.jumps == StableLike(c=a, alpha=1.2 + 0.1 * a, dim=dim)
+
+
 def test_discrete_generator_consistency():
     # one-step mean growth of a test function against the operator value
     fld = StableField.constant(1.0, 1.2, 1)
-    limit = StableTripletField(fld)
     n = 2000.0
     gen = lrng.stream(73, namespace=lrng.SCRATCH)
     a = np.array([0.4])
@@ -148,7 +162,7 @@ def test_discrete_generator_consistency():
         vals = f(nxt) - f.value_at(a)
         est = n * float(np.mean(vals))
         se = n * float(np.std(vals, ddof=1)) / np.sqrt(draws)
-        ref = apply_operator(limit(a), Chi2(), f, a)
+        ref = apply_operator(fld(a), Chi2(), f, a)
         assert abs(est - ref) <= 4 * se
 
 
