@@ -222,13 +222,17 @@ class StableLike(JumpMeasure):
         """Draw jumps from the normalized restriction to ``|h| > r``.
 
         The radial law has an inverse CDF in closed form; directions are
-        uniform on the sphere.
+        uniform on the sphere, drawn after all the radii.
         """
+        radii = self.tail_radii(rng, size, r)
+        return _rng.along(_rng.sphere_draw(rng, size, self.dim), radii)
+
+    def tail_radii(self, rng: np.random.Generator, size: int, r: float) -> np.ndarray:
+        """The lengths of ``size`` tail jumps, one uniform word each."""
         r0 = max(r, self.min_radius)
         if r0 <= 0:
             raise ValidationError("tail sampling needs a positive radius")
-        radii = r0 * _rng.uniform_open_closed(rng, size) ** (-1.0 / self.alpha)
-        return _rng.along(_rng.sphere_draw(rng, size, self.dim), radii)
+        return r0 * _rng.uniform_open_closed(rng, size) ** (-1.0 / self.alpha)
 
 
 def quadpack(fn, lo: float, hi: float, tol_abs: float, tol_rel: float) -> float:
@@ -376,7 +380,8 @@ class Chi1(CompensationFunction):
         a = np.asarray(a, dtype=float)
         b = np.atleast_2d(np.asarray(b, dtype=float))
         h = b - a
-        return h / (1.0 + np.sum(h * h, axis=1))[:, None]
+        with np.errstate(over="ignore"):  # past ~1e154, h / inf = 0 for h / |h|^2 < 1e-154
+            return h / (1.0 + np.sum(h * h, axis=1))[:, None]
 
     def is_odd(self):
         return True
@@ -405,7 +410,8 @@ class Chi2(CompensationFunction):
         a = np.asarray(a, dtype=float)
         b = np.atleast_2d(np.asarray(b, dtype=float))
         h = b - a
-        inside = np.linalg.norm(h, axis=1) < 1.0
+        with np.errstate(over="ignore"):  # a norm past ~1e154 is inf, outside either way
+            inside = np.linalg.norm(h, axis=1) < 1.0
         return h * inside[:, None]
 
     def radial_kinks(self):

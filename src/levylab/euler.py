@@ -9,6 +9,13 @@ form a mean-zero compensated sum, so the step stays unbiased) or replaced
 by a Gaussian surrogate matching their second moment.  The chain runs on the
 shared block driver :func:`levylab.core.run_chain` with time step ``eps``;
 cemetery jumps and the escape radius absorb paths.
+
+Stable tail jumps (a :class:`StableField`, or a constant triplet with a
+:class:`StableLike` measure) are drawn and summed a range of paths at a
+time, so a step's memory per thread is bounded by ``_JUMP_CHUNK`` jumps (or
+one path's jumps, if more), whatever the block's jump count; the stream and
+the sums are those of one draw over the block.  ``MAX_EXPECTED_JUMPS``
+bounds a step's time, not its memory.
 """
 
 from __future__ import annotations
@@ -42,8 +49,13 @@ DRIFT_COMPENSATE = "drift-compensate"
 GAUSSIAN_SURROGATE = "gaussian-surrogate"
 
 # A step whose compound-Poisson part expects more jumps per path than this is
-# refused rather than drawn.
+# refused rather than drawn.  It bounds a step's time; its memory is bounded
+# by the range loop of _radial_jumps.
 MAX_EXPECTED_JUMPS = 1e6
+
+# Radial tail jumps are drawn and summed for ranges of whole paths holding at
+# most this many jumps (or one path, when that path alone holds more).
+_JUMP_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -138,6 +150,30 @@ def _sample_tail_jumps(nu, rng: np.random.Generator, size: int, tau: float):
     return nu.sample_tail(rng, size, tau), np.zeros(size, dtype=bool)
 
 
+def _radial_jumps(gen: np.random.Generator, counts: np.ndarray, d: int, radii):
+    """Yield ``(p0, p1, owner, jumps)``: the tail jumps of paths ``p0:p1``.
+
+    ``counts`` holds each path's jump count.  The stream holds all the
+    radii first, one word each, and all the directions after them, so the
+    radii come from a copy of ``gen`` and ``gen`` skips past them.  Ranges
+    of whole paths hold at most ``_JUMP_CHUNK`` jumps; drawn one range after
+    another they give the one-shot sequence.  ``radii(radius_gen, p0, p1, k)``
+    draws the lengths of a range whose paths hold ``k`` jumps; ``owner`` maps
+    each jump to its path, counted from ``p0``.
+    """
+    radius_gen = _rng.skip_ahead(gen, int(counts.sum()))
+    ends = np.cumsum(counts)
+    p0 = 0
+    while p0 < len(counts):
+        first = ends[p0] - counts[p0]
+        p1 = max(p0 + 1, int(np.searchsorted(ends, first + _JUMP_CHUNK, side="right")))
+        k = counts[p0:p1]
+        r = radii(radius_gen, p0, p1, k)
+        owner = np.repeat(np.arange(p1 - p0), k)
+        yield p0, p1, owner, _rng.along(_rng.sphere_draw(gen, len(owner), d), r)
+        p0 = p1
+
+
 def _frozen_sampler(triplet: LevyTriplet, chi: CompensationFunction, dt: float,
                     plan: IncrementPlan):
     """Sampler of increments over ``dt`` of a triplet frozen at the origin.
@@ -162,6 +198,9 @@ def _frozen_sampler(triplet: LevyTriplet, chi: CompensationFunction, dt: float,
         if var > 0.0:
             surrogate_sd = np.sqrt(var * dt)
 
+    def tail_radii(radius_gen, p0, p1, k):
+        return nu.tail_radii(radius_gen, int(k.sum()), plan.tau)
+
     def sample(gen: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         inc = np.tile(drift_dt, (size, 1))
         dead = np.zeros(size, dtype=bool)
@@ -170,7 +209,11 @@ def _frozen_sampler(triplet: LevyTriplet, chi: CompensationFunction, dt: float,
         if rate > 0.0:
             counts = gen.poisson(rate, size=size)
             total = int(counts.sum())
-            if total:
+            if isinstance(nu, StableLike):
+                for p0, p1, owner, jumps in _radial_jumps(gen, counts, d, tail_radii):
+                    np.add.at(inc[p0:p1], owner, jumps)
+            elif total:
+                # A user sampler's word count is opaque, so its tail is drawn in one go.
                 jumps, to_delta = _sample_tail_jumps(nu, gen, total, plan.tau)
                 owner = np.repeat(np.arange(size), counts)
                 if np.any(to_delta):
@@ -217,18 +260,19 @@ def _stable_increments(field: StableField, x: np.ndarray, chi: CompensationFunct
     lam = c * surf * plan.tau ** (-alpha) / alpha
     _guard_jump_count(lam * dt)
     counts = gen.poisson(lam * dt)
-    total = int(counts.sum())
-    if total:
-        owner = np.repeat(np.arange(m), counts)
-        radii = _rng.uniform_open_closed(gen, total)
-        np.power(radii, (-1.0 / alpha)[owner], out=radii)
-        radii *= plan.tau
-        jumps = _rng.along(_rng.sphere_draw(gen, total, d), radii)
+    expo = -1.0 / alpha
+
+    def radii(radius_gen, p0, p1, k):
+        r = _rng.uniform_open_closed(radius_gen, int(k.sum()))
+        np.power(r, np.repeat(expo[p0:p1], k), out=r)
+        r *= plan.tau
+        return r
+
+    inc = np.zeros((m, d))
+    for p0, p1, owner, jumps in _radial_jumps(gen, counts, d, radii):
         # Summed in owner order from zero, as np.add.at would.
-        inc = np.stack([np.bincount(owner, weights=col, minlength=m) for col in jumps.T],
-                       axis=1)
-    else:
-        inc = np.zeros((m, d))
+        for j in range(d):
+            inc[p0:p1, j] = np.bincount(owner, weights=jumps[:, j], minlength=p1 - p0)
     if plan.small_jump_mode == GAUSSIAN_SURROGATE:
         var = c * surf * plan.tau ** (2.0 - alpha) / (2.0 - alpha) / d
         inc += np.sqrt(var * dt)[:, None] * gen.standard_normal((m, d))

@@ -161,7 +161,8 @@ def bump(center, radius: float, name: str | None = None) -> TestFunction:
 
     def _profile(points):
         diff = np.atleast_2d(points) - center
-        u = np.sum(diff * diff, axis=1) / r2
+        with np.errstate(over="ignore"):  # u = inf beyond ~1e154 is outside, as it should be
+            u = np.sum(diff * diff, axis=1) / r2
         inside = u < 1.0
         g = np.zeros_like(u)
         g[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside]))
@@ -175,20 +176,23 @@ def bump(center, radius: float, name: str | None = None) -> TestFunction:
         one = 1.0 - ui
         gp[inside] = -g[inside] / one ** 2
         gpp[inside] = g[inside] * (2.0 * ui - 1.0) / one ** 4
-        return diff, u, g, gp, gpp
+        return diff, inside, gp, gpp
 
     def fn(points):
         return _profile(points)[3]
 
     def grad(points):
-        diff, u, g, gp, gpp = _parts(points)
+        diff, inside, gp, gpp = _parts(points)
         return gp[:, None] * (2.0 / r2) * diff
 
     def hess(points):
-        diff, u, g, gp, gpp = _parts(points)
-        outer = diff[:, :, None] * diff[:, None, :]
-        eye = np.eye(d)
-        return (gpp * 4.0 / r2 ** 2)[:, None, None] * outer + (gp * 2.0 / r2)[:, None, None] * eye
+        # Zero outside the support, where the outer product may overflow.
+        diff, inside, gp, gpp = _parts(points)
+        diff, gp, gpp = diff[inside], gp[inside], gpp[inside]
+        out = np.zeros((len(inside), d, d))
+        out[inside] = ((gpp * 4.0 / r2 ** 2)[:, None, None] * (diff[:, :, None] * diff[:, None, :])
+                       + (gp * 2.0 / r2)[:, None, None] * np.eye(d))
+        return out
 
     # sup |f''| for the unit profile is below 9; scale by 1 / r^2 and pad
     # for the cross terms in higher dimension.

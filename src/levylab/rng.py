@@ -38,6 +38,32 @@ def path_blocks(n_paths: int, block_size: int) -> list[tuple[int, int, int]]:
             for index, start in enumerate(range(0, n_paths, block_size))]
 
 
+def skip_ahead(gen: np.random.Generator, n: int) -> np.random.Generator:
+    """Move the Philox generator ``gen`` past its next ``n`` 64-bit words.
+
+    Returns a copy taken at the current position, so the skipped words can
+    still be drawn from it while ``gen`` goes on after them.  Philox makes
+    its words four at a time: what is left of the buffer is drawn raw,
+    ``advance`` skips the whole blocks (its step counts blocks), and the
+    remainder is drawn raw.  ``advance`` clears the buffered 32-bit half,
+    so that is restored.
+    """
+    bits = gen.bit_generator
+    state = bits.state
+    copy = np.random.Generator(np.random.Philox(0))
+    copy.bit_generator.state = state
+    head = min(n, 4 - state["buffer_pos"])
+    bits.random_raw(head)
+    blocks, tail = divmod(n - head, 4)
+    if blocks:
+        bits.advance(blocks)
+        moved = bits.state
+        moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+        bits.state = moved
+    bits.random_raw(tail)
+    return copy
+
+
 def exponential(rng: np.random.Generator, size) -> np.ndarray:
     """Unit-rate exponentials via inverse CDF.
 

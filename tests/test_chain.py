@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levylab import euler
 from levylab import rng as lrng
 from levylab.core import (
     DELTA,
@@ -84,18 +85,63 @@ EULER_2D_CONFIG = SchemeConfig(paths=25, seed=7, grid=np.linspace(0.0, 0.2, 3),
                                block_size=6, escape_radius=4.0)
 
 
-@pytest.mark.parametrize("field, chi, mode, escaped, expected", [
+EULER_2D_CASES = [
     (StableField.constant(1.0, 1.5, 2), Chi2(), DRIFT_COMPENSATE, 4,
      "0cf9b30b2859eb6866c657c67f698caddb79f50f9396b394e11c0ea9db48c12f"),
     (TANH_STABLE_2D, Chi1(), DRIFT_COMPENSATE, 6,
      "81f9109a7d480e545d954df31325f22e53d3d3079912ff0b67bd31fe74a23f43"),
     (TANH_STABLE_2D, Chi2(), GAUSSIAN_SURROGATE, 4,
      "d86b12762617d9df47b3d9a53e53d2729fdee7592c589ef7fd7d8b466a7c48e2"),
-], ids=["constant-alpha", "state-alpha", "state-alpha-surrogate"])
+]
+EULER_2D_IDS = ["constant-alpha", "state-alpha", "state-alpha-surrogate"]
+
+
+@pytest.mark.parametrize("field, chi, mode, escaped, expected", EULER_2D_CASES,
+                         ids=EULER_2D_IDS)
 def test_euler_stable_field_2d_bytes(field, chi, mode, escaped, expected):
     batch = euler_chain_simulate(field, chi, [0.0, 0.1], 0.05, 0.2,
                                  IncrementPlan(tau=1e-2, small_jump_mode=mode),
                                  EULER_2D_CONFIG)
+    assert np.isfinite(batch.xi).sum() == escaped
+    assert digest(batch) == expected
+
+
+# Tail jumps are drawn and summed a range of paths at a time. Ranges of one
+# path holding more jumps than the chunk (1, 3, 7) and ranges of a few paths
+# cut inside a block (150) give the same bytes.
+@pytest.mark.parametrize("chunk", [1, 3, 7, 150])
+@pytest.mark.parametrize("field, chi, mode, escaped, expected", EULER_2D_CASES,
+                         ids=EULER_2D_IDS)
+def test_euler_stable_field_2d_bytes_in_small_chunks(monkeypatch, chunk, field, chi, mode,
+                                                     escaped, expected):
+    monkeypatch.setattr(euler, "_JUMP_CHUNK", chunk)
+    test_euler_stable_field_2d_bytes(field, chi, mode, escaped, expected)
+
+
+# A constant field with a stable jump measure runs the frozen engine's range
+# loop. sha256 recorded with the one-shot tail draw and np.add.at over the
+# whole block, in 1-d with both small-jump modes and in 2-d under chi1.
+STABLE_1D_FIELD = ConstantTripletField(LevyTriplet([0.1], [[1.0]], StableLike(1.0, 1.5, 1)))
+STABLE_2D_FIELD = ConstantTripletField(
+    LevyTriplet([0.1, 0.0], [[1.0, 0.0], [0.0, 0.5]], StableLike(1.0, 1.2, 2)))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3, 7, 150])
+@pytest.mark.parametrize("field, chi, start, mode, cfg, escaped, expected", [
+    (STABLE_1D_FIELD, Chi2(), 0.0, DRIFT_COMPENSATE, PINNED_CONFIG, 13,
+     "f1cfbb9b176b9f9fd807a035b80b790d9608ff42453adc0f275428bd6b4da59d"),
+    (STABLE_1D_FIELD, Chi2(), 0.0, GAUSSIAN_SURROGATE, PINNED_CONFIG, 10,
+     "1ea3b0bd041e11bd77b8d7a21b676569c9da77bac1f3f92a8f0c43fbe83093c6"),
+    (STABLE_2D_FIELD, Chi1(), [0.0, 0.1], DRIFT_COMPENSATE, EULER_2D_CONFIG, 3,
+     "f6bf6ab427cbb8ebf5fb7ab2481f26f0e183636be6ecc9581037c2512450ed85"),
+], ids=["1d", "1d-surrogate", "2d-chi1"])
+def test_euler_constant_stable_field_bytes(monkeypatch, chunk, field, chi, start, mode, cfg,
+                                           escaped, expected):
+    if chunk is not None:
+        monkeypatch.setattr(euler, "_JUMP_CHUNK", chunk)
+    horizon = float(cfg.grid[-1])
+    batch = euler_chain_simulate(field, chi, start, 0.05, horizon,
+                                 IncrementPlan(tau=1e-2, small_jump_mode=mode), cfg)
     assert np.isfinite(batch.xi).sum() == escaped
     assert digest(batch) == expected
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from levylab import cli, embedding, environment, potential
+from levylab import cli, embedding, environment, euler, potential
 from levylab.cli import build_parser, paths_to_csv, read_paths_csv, run
 from levylab.core import PathBatch
 from levylab.errors import LevylabError
@@ -466,6 +466,13 @@ def test_golden_output_bytes(workdir, capsys, case):
         assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, name
     if argv[0] == "simulate-stable":
         assert ",nan,nan,0\n" in Path("stable2d.csv").read_text()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 150])
+def test_golden_euler_stable_field_in_small_chunks(workdir, capsys, monkeypatch, chunk):
+    # The stable-fast step draws its jumps a range of paths at a time.
+    monkeypatch.setattr(euler, "_JUMP_CHUNK", chunk)
+    test_golden_output_bytes(workdir, capsys, "simulate-euler-stable-field")
 
 
 @pytest.mark.parametrize("mesh", ["0.1", "0.05"])

@@ -1,9 +1,13 @@
 import hashlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from levylab import euler
 from levylab import rng as lrng
 from levylab.core import (
     DELTA,
@@ -294,6 +298,50 @@ def test_stable_field_block_without_jumps(mode, expected):
     batch = euler_chain_simulate(field, Chi2(), [0.0, 0.1], 0.05, 0.2, plan, cfg)
     digest = hashlib.sha256(batch.states.tobytes() + batch.xi.tobytes()).hexdigest()
     assert digest == expected
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(counts=st.lists(st.integers(0, 12), min_size=1, max_size=30),
+       chunk=st.integers(1, 40))
+def test_jump_ranges_tile_the_paths(counts, chunk):
+    # Whole paths, in order, at most ``chunk`` jumps a range unless one path
+    # alone holds more; the ranges' jumps are the one-shot draw, in order.
+    counts = np.array(counts)
+
+    def radii(radius_gen, p0, p1, k):
+        return radius_gen.random(int(k.sum()))
+
+    gen, ref = lrng.stream(8), lrng.stream(8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(euler, "_JUMP_CHUNK", chunk)
+        ranges = list(euler._radial_jumps(gen, counts, 2, radii))
+    assert [p0 for p0, *_ in ranges] == [0] + [p1 for _, p1, *_ in ranges[:-1]]
+    assert ranges[-1][1] == len(counts)
+    for p0, p1, owner, _ in ranges:
+        assert p1 - p0 == 1 or counts[p0:p1].sum() <= chunk
+        assert np.array_equal(owner, np.repeat(np.arange(p1 - p0), counts[p0:p1]))
+    total = int(counts.sum())
+    expected = ref.random(total)[:, None] * lrng.sphere_draw(ref, total, 2)
+    assert np.array_equal(np.concatenate([j for *_, j in ranges]), expected)
+    assert np.array_equal(gen.random(4), ref.random(4))
+
+
+def test_stable_step_memory_does_not_grow_with_the_jump_count():
+    # One stable-fast step of 4096 paths at about 0.5M and 2M jumps: the
+    # jumps are drawn and summed a range at a time, so the peak stays put.
+    field = StableField.constant(1.0, 1.5, 1)
+    plan = IncrementPlan(tau=1e-3)
+    rate = 2.0 * plan.tau ** -1.5 / 1.5
+    x = np.zeros((4096, 1))
+    peaks = []
+    for jumps in (5e5, 2e6):
+        tracemalloc.start()
+        try:
+            _stable_increments(field, x, Chi2(), jumps / len(x) / rate, plan, lrng.stream(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 def test_user_density_tail_sampler_path():

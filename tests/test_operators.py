@@ -537,6 +537,24 @@ def test_bump_far_away_does_not_overflow(dim):
     np.testing.assert_array_equal(got, [0.0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("chi", [Chi1(), Chi2()], ids=["chi1", "chi2"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bump_callables_far_away_are_zero_without_warnings(dim, chi):
+    # The profile squares the offset, and chi the jump, each overflowing
+    # 1e154 or more out; there the bump, its gradient, its Hessian and the
+    # jump integral are exactly zero.
+    f = bump(np.full(dim, 1e300), 1.0)
+    pts = np.array([np.zeros(dim), np.full(dim, 1e300)])
+    np.testing.assert_array_equal(f(pts), [0.0, 1.0])
+    np.testing.assert_array_equal(f.grad(pts), np.zeros((2, dim)))
+    hess = f.hess(pts)
+    np.testing.assert_array_equal(hess[0], np.zeros((dim, dim)))
+    np.testing.assert_array_equal(hess[1], -2.0 * np.eye(dim))
+    got = jump_integral([StableLike(1.0, 1.2, dim)], chi, f, np.zeros((1, dim)))
+    np.testing.assert_array_equal(got, [0.0])
+
+
 # Tight references for the batched Gauss-Legendre integrals: QUADPACK at
 # 1e-13 on the same sphere rule.  Below r1 the sphere sum of a jump integral
 # is taken as r^2 times the integral form of its Taylor remainder, and QAWS
