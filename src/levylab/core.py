@@ -380,7 +380,7 @@ class Chi1(CompensationFunction):
         a = np.asarray(a, dtype=float)
         b = np.atleast_2d(np.asarray(b, dtype=float))
         h = b - a
-        with np.errstate(over="ignore"):  # past ~1e154, h / inf = 0 for h / |h|^2 < 1e-154
+        with np.errstate(over="ignore"):  # past |h| ~ 1e154 this is 0, within 1e-154
             return h / (1.0 + np.sum(h * h, axis=1))[:, None]
 
     def is_odd(self):
