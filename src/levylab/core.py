@@ -222,17 +222,13 @@ class StableLike(JumpMeasure):
         """Draw jumps from the normalized restriction to ``|h| > r``.
 
         The radial law has an inverse CDF in closed form; directions are
-        uniform on the sphere, drawn after all the radii.
+        uniform on the sphere.
         """
-        radii = self.tail_radii(rng, size, r)
-        return _rng.along(_rng.sphere_draw(rng, size, self.dim), radii)
-
-    def tail_radii(self, rng: np.random.Generator, size: int, r: float) -> np.ndarray:
-        """The lengths of ``size`` tail jumps, one uniform word each."""
         r0 = max(r, self.min_radius)
         if r0 <= 0:
             raise ValidationError("tail sampling needs a positive radius")
-        return r0 * _rng.uniform_open_closed(rng, size) ** (-1.0 / self.alpha)
+        radii = r0 * _rng.uniform_open_closed(rng, size) ** (-1.0 / self.alpha)
+        return _rng.along(_rng.sphere_draw(rng, size, self.dim), radii)
 
 
 def quadpack(fn, lo: float, hi: float, tol_abs: float, tol_rel: float) -> float:

@@ -10,12 +10,12 @@ by a Gaussian surrogate matching their second moment.  The chain runs on the
 shared block driver :func:`levylab.core.run_chain` with time step ``eps``;
 cemetery jumps and the escape radius absorb paths.
 
-Stable tail jumps (a :class:`StableField`, or a constant triplet with a
-:class:`StableLike` measure) are drawn and summed a range of paths at a
-time, so a step's memory per thread is bounded by ``_JUMP_CHUNK`` jumps (or
-one path's jumps, if more), whatever the block's jump count; the stream and
-the sums are those of one draw over the block.  ``MAX_EXPECTED_JUMPS``
-bounds a step's time, not its memory.
+A :class:`StableField`'s jumps are drawn and summed a range of paths at a
+time, so its step's memory per thread is bounded by ``_JUMP_CHUNK`` jumps
+(or one path's jumps, if more), whatever the block's jump count; the stream
+and the sums are those of one draw over the block.  ``MAX_EXPECTED_JUMPS``
+bounds a step's time, not its memory.  The frozen engine of a constant
+triplet still draws a block's tail jumps in one go.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ DRIFT_COMPENSATE = "drift-compensate"
 GAUSSIAN_SURROGATE = "gaussian-surrogate"
 
 # A step whose compound-Poisson part expects more jumps per path than this is
-# refused rather than drawn.  It bounds a step's time; its memory is bounded
-# by the range loop of _radial_jumps.
+# refused rather than drawn.  It bounds a step's time; the stable-fast step's
+# memory is bounded by _JUMP_CHUNK.
 MAX_EXPECTED_JUMPS = 1e6
 
-# Radial tail jumps are drawn and summed for ranges of whole paths holding at
-# most this many jumps (or one path, when that path alone holds more).
+# The stable-fast step draws and sums its jumps for ranges of whole paths
+# holding at most this many jumps (or one path, when that path alone holds more).
 _JUMP_CHUNK = 1 << 18
 
 
@@ -150,27 +150,18 @@ def _sample_tail_jumps(nu, rng: np.random.Generator, size: int, tau: float):
     return nu.sample_tail(rng, size, tau), np.zeros(size, dtype=bool)
 
 
-def _radial_jumps(gen: np.random.Generator, counts: np.ndarray, d: int, radii):
-    """Yield ``(p0, p1, owner, jumps)``: the tail jumps of paths ``p0:p1``.
+def _path_ranges(counts: np.ndarray):
+    """Yield ``(p0, p1)``: consecutive ranges of whole paths tiling ``counts``.
 
-    ``counts`` holds each path's jump count.  The stream holds all the
-    radii first, one word each, and all the directions after them, so the
-    radii come from a copy of ``gen`` and ``gen`` skips past them.  Ranges
-    of whole paths hold at most ``_JUMP_CHUNK`` jumps; drawn one range after
-    another they give the one-shot sequence.  ``radii(radius_gen, p0, p1, k)``
-    draws the lengths of a range whose paths hold ``k`` jumps; ``owner`` maps
-    each jump to its path, counted from ``p0``.
+    ``counts`` holds each path's jump count.  A range holds at most
+    ``_JUMP_CHUNK`` jumps, or one path when that path alone holds more.
     """
-    radius_gen = _rng.skip_ahead(gen, int(counts.sum()))
     ends = np.cumsum(counts)
     p0 = 0
     while p0 < len(counts):
         first = ends[p0] - counts[p0]
         p1 = max(p0 + 1, int(np.searchsorted(ends, first + _JUMP_CHUNK, side="right")))
-        k = counts[p0:p1]
-        r = radii(radius_gen, p0, p1, k)
-        owner = np.repeat(np.arange(p1 - p0), k)
-        yield p0, p1, owner, _rng.along(_rng.sphere_draw(gen, len(owner), d), r)
+        yield p0, p1
         p0 = p1
 
 
@@ -198,9 +189,6 @@ def _frozen_sampler(triplet: LevyTriplet, chi: CompensationFunction, dt: float,
         if var > 0.0:
             surrogate_sd = np.sqrt(var * dt)
 
-    def tail_radii(radius_gen, p0, p1, k):
-        return nu.tail_radii(radius_gen, int(k.sum()), plan.tau)
-
     def sample(gen: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         inc = np.tile(drift_dt, (size, 1))
         dead = np.zeros(size, dtype=bool)
@@ -209,11 +197,7 @@ def _frozen_sampler(triplet: LevyTriplet, chi: CompensationFunction, dt: float,
         if rate > 0.0:
             counts = gen.poisson(rate, size=size)
             total = int(counts.sum())
-            if isinstance(nu, StableLike):
-                for p0, p1, owner, jumps in _radial_jumps(gen, counts, d, tail_radii):
-                    np.add.at(inc[p0:p1], owner, jumps)
-            elif total:
-                # A user sampler's word count is opaque, so its tail is drawn in one go.
+            if total:
                 jumps, to_delta = _sample_tail_jumps(nu, gen, total, plan.tau)
                 owner = np.repeat(np.arange(size), counts)
                 if np.any(to_delta):
@@ -260,16 +244,19 @@ def _stable_increments(field: StableField, x: np.ndarray, chi: CompensationFunct
     lam = c * surf * plan.tau ** (-alpha) / alpha
     _guard_jump_count(lam * dt)
     counts = gen.poisson(lam * dt)
+    # The stream holds all the radii first, one word each, and all the
+    # directions after them: the radii come from a copy of gen, which skips
+    # past them.  Drawn a range after another, both give the one-shot draw.
+    radius_gen = _rng.skip_ahead(gen, int(counts.sum()))
     expo = -1.0 / alpha
-
-    def radii(radius_gen, p0, p1, k):
-        r = _rng.uniform_open_closed(radius_gen, int(k.sum()))
-        np.power(r, np.repeat(expo[p0:p1], k), out=r)
-        r *= plan.tau
-        return r
-
     inc = np.zeros((m, d))
-    for p0, p1, owner, jumps in _radial_jumps(gen, counts, d, radii):
+    for p0, p1 in _path_ranges(counts):
+        k = counts[p0:p1]
+        radii = _rng.uniform_open_closed(radius_gen, int(k.sum()))
+        np.power(radii, np.repeat(expo[p0:p1], k), out=radii)
+        radii *= plan.tau
+        jumps = _rng.along(_rng.sphere_draw(gen, len(radii), d), radii)
+        owner = np.repeat(np.arange(p1 - p0), k)
         # Summed in owner order from zero, as np.add.at would.
         for j in range(d):
             inc[p0:p1, j] = np.bincount(owner, weights=jumps[:, j], minlength=p1 - p0)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 _MASK64 = (1 << 64) - 1
 
 # Stream namespaces.  Keeping them disjoint guarantees that e.g. environment
@@ -46,9 +48,11 @@ def skip_ahead(gen: np.random.Generator, n: int) -> np.random.Generator:
     its words four at a time: what is left of the buffer is drawn raw,
     ``advance`` skips the whole blocks (its step counts blocks), and the
     remainder is drawn raw.  ``advance`` clears the buffered 32-bit half,
-    so that is restored.
+    so that is restored.  Other bit generators are refused.
     """
     bits = gen.bit_generator
+    if not isinstance(bits, np.random.Philox):
+        raise ValidationError(f"skip_ahead needs a Philox generator, not {type(bits).__name__}")
     state = bits.state
     copy = np.random.Generator(np.random.Philox(0))
     copy.bit_generator.state = state

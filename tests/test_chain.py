@@ -118,15 +118,15 @@ def test_euler_stable_field_2d_bytes_in_small_chunks(monkeypatch, chunk, field, 
     test_euler_stable_field_2d_bytes(field, chi, mode, escaped, expected)
 
 
-# A constant field with a stable jump measure runs the frozen engine's range
-# loop. sha256 recorded with the one-shot tail draw and np.add.at over the
-# whole block, in 1-d with both small-jump modes and in 2-d under chi1.
+# A constant field with a stable jump measure runs the frozen engine, which
+# draws a block's tail jumps in one go. sha256 recorded with the one-shot tail
+# draw and np.add.at over the whole block, in 1-d with both small-jump modes
+# and in 2-d under chi1.
 STABLE_1D_FIELD = ConstantTripletField(LevyTriplet([0.1], [[1.0]], StableLike(1.0, 1.5, 1)))
 STABLE_2D_FIELD = ConstantTripletField(
     LevyTriplet([0.1, 0.0], [[1.0, 0.0], [0.0, 0.5]], StableLike(1.0, 1.2, 2)))
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 3, 7, 150])
 @pytest.mark.parametrize("field, chi, start, mode, cfg, escaped, expected", [
     (STABLE_1D_FIELD, Chi2(), 0.0, DRIFT_COMPENSATE, PINNED_CONFIG, 13,
      "f1cfbb9b176b9f9fd807a035b80b790d9608ff42453adc0f275428bd6b4da59d"),
@@ -135,10 +135,7 @@ STABLE_2D_FIELD = ConstantTripletField(
     (STABLE_2D_FIELD, Chi1(), [0.0, 0.1], DRIFT_COMPENSATE, EULER_2D_CONFIG, 3,
      "f6bf6ab427cbb8ebf5fb7ab2481f26f0e183636be6ecc9581037c2512450ed85"),
 ], ids=["1d", "1d-surrogate", "2d-chi1"])
-def test_euler_constant_stable_field_bytes(monkeypatch, chunk, field, chi, start, mode, cfg,
-                                           escaped, expected):
-    if chunk is not None:
-        monkeypatch.setattr(euler, "_JUMP_CHUNK", chunk)
+def test_euler_constant_stable_field_bytes(field, chi, start, mode, cfg, escaped, expected):
     horizon = float(cfg.grid[-1])
     batch = euler_chain_simulate(field, chi, start, 0.05, horizon,
                                  IncrementPlan(tau=1e-2, small_jump_mode=mode), cfg)

@@ -303,27 +303,47 @@ def test_stable_field_block_without_jumps(mode, expected):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(counts=st.lists(st.integers(0, 12), min_size=1, max_size=30),
        chunk=st.integers(1, 40))
-def test_jump_ranges_tile_the_paths(counts, chunk):
+def test_path_ranges_tile_the_paths(counts, chunk):
     # Whole paths, in order, at most ``chunk`` jumps a range unless one path
-    # alone holds more; the ranges' jumps are the one-shot draw, in order.
+    # alone holds more.
     counts = np.array(counts)
-
-    def radii(radius_gen, p0, p1, k):
-        return radius_gen.random(int(k.sum()))
-
-    gen, ref = lrng.stream(8), lrng.stream(8)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(euler, "_JUMP_CHUNK", chunk)
-        ranges = list(euler._radial_jumps(gen, counts, 2, radii))
-    assert [p0 for p0, *_ in ranges] == [0] + [p1 for _, p1, *_ in ranges[:-1]]
+        ranges = list(euler._path_ranges(counts))
+    assert [p0 for p0, _ in ranges] == [0] + [p1 for _, p1 in ranges[:-1]]
     assert ranges[-1][1] == len(counts)
-    for p0, p1, owner, _ in ranges:
+    for p0, p1 in ranges:
         assert p1 - p0 == 1 or counts[p0:p1].sum() <= chunk
-        assert np.array_equal(owner, np.repeat(np.arange(p1 - p0), counts[p0:p1]))
-    total = int(counts.sum())
-    expected = ref.random(total)[:, None] * lrng.sphere_draw(ref, total, 2)
-    assert np.array_equal(np.concatenate([j for *_, j in ranges]), expected)
+
+
+STATE_ALPHA_2D = StableField(c=lambda x: 1.0 + 0.5 * np.tanh(x[:, 1]),
+                             alpha=lambda x: 1.3 + 0.4 * np.tanh(x[:, 0]), dim=2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), chunk=st.integers(1, 300),
+       mode=st.sampled_from([DRIFT_COMPENSATE, GAUSSIAN_SURROGATE]))
+def test_stable_step_in_ranges_is_the_one_shot_step(seed, chunk, mode):
+    # A chunk above the block's jump count draws the block in one range.
+    # Smaller ranges give the same increments and leave the block's
+    # generator where the one-shot step leaves it.
+    x = lrng.stream(seed, 1).uniform(-1.0, 1.0, (40, 2))
+    plan = IncrementPlan(tau=0.1, small_jump_mode=mode)
+    gen, ref = lrng.stream(seed), lrng.stream(seed)
+    whole, _ = _stable_increments(STATE_ALPHA_2D, x, Chi1(), 0.05, plan, ref)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(euler, "_JUMP_CHUNK", chunk)
+        ranged, _ = _stable_increments(STATE_ALPHA_2D, x, Chi1(), 0.05, plan, gen)
+    assert np.array_equal(ranged, whole)
     assert np.array_equal(gen.random(4), ref.random(4))
+
+
+def test_frozen_stable_tail_takes_any_generator():
+    # The frozen engine draws a stable tail in one go, without skip_ahead.
+    trip = LevyTriplet([0.0], [[0.0]], StableLike(1.0, 1.5))
+    inc, dead = levy_increment_sample(trip, Chi2(), 0.1, IncrementPlan(tau=0.5),
+                                      np.random.default_rng(0), size=10)
+    assert inc.shape == (10, 1) and np.isfinite(inc).all() and not dead.any()
 
 
 def test_stable_step_memory_does_not_grow_with_the_jump_count():
