@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate as _si
-from scipy.special import gammaln
 
 from . import rng as _rng
 from .errors import ConfigurationError, QuadratureError, SchemeStepError, ValidationError
@@ -43,7 +41,11 @@ def sphere_surface_area(dim: int) -> float:
     """Surface measure of the unit sphere in R^dim.
 
     Computed through log-gamma so large dimensions do not overflow.
+    scipy's ``gammaln`` is imported on first use; ``math.lgamma`` is not
+    bit-identical to it.
     """
+    from scipy.special import gammaln
+
     if dim < 1:
         raise ValidationError("dimension must be >= 1")
     return float(np.exp(np.log(2.0) + 0.5 * dim * np.log(np.pi) - gammaln(0.5 * dim)))
@@ -190,7 +192,8 @@ class StableLike(JumpMeasure):
 
     def density(self, h: np.ndarray) -> np.ndarray:
         h = np.atleast_2d(h)
-        r = np.linalg.norm(h, axis=1)
+        with np.errstate(over="ignore"):  # a norm past ~1e154 is inf, where the density is 0
+            r = np.linalg.norm(h, axis=1)
         out = np.zeros_like(r)
         live = r > max(self.min_radius, 0.0)
         out[live] = self.c * r[live] ** (-self.dim - self.alpha)
@@ -241,11 +244,14 @@ def quadpack(fn, lo: float, hi: float, tol_abs: float, tol_rel: float) -> float:
     exceeds ten times the requested tolerance, QuadratureError is raised.
     The failure is read from ``full_output`` rather than from a warning, so
     concurrent calls from worker threads do not share warning state.
+    scipy is imported here, on first use, so start-up does not pay for it.
     """
+    from scipy import integrate
+
     if hi <= lo:
         return 0.0
-    value, abserr, _info, *failure = _si.quad(fn, lo, hi, epsabs=tol_abs, epsrel=tol_rel,
-                                              limit=400, full_output=1)
+    value, abserr, _info, *failure = integrate.quad(fn, lo, hi, epsabs=tol_abs, epsrel=tol_rel,
+                                                    limit=400, full_output=1)
     tolerance = tol_abs + tol_rel * abs(value)
     if failure and abserr > 10 * tolerance:
         reason = str(failure[0]).split("\n")[0]
@@ -393,8 +399,10 @@ class Chi1(CompensationFunction):
 
     def deviation(self, a, h):
         h = np.atleast_2d(np.asarray(h, dtype=float))
-        r2 = np.sum(h * h, axis=1)[:, None]
-        return h * (r2 / (1.0 + r2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            r2 = np.sum(h * h, axis=1)[:, None]
+            # past |h| ~ 1e154 r2 overflows, and the ratio, 1 there, would read inf/inf
+            return h * np.where(np.isinf(r2), 1.0, r2 / (1.0 + r2))
 
 
 class Chi2(CompensationFunction):
@@ -426,7 +434,9 @@ class Chi2(CompensationFunction):
 
     def deviation(self, a, h):
         h = np.atleast_2d(np.asarray(h, dtype=float))
-        return h * (np.linalg.norm(h, axis=1) >= 1.0)[:, None]
+        with np.errstate(over="ignore"):  # a norm past ~1e154 is inf, outside either way
+            outside = np.linalg.norm(h, axis=1) >= 1.0
+        return h * outside[:, None]
 
 
 class CustomChi(CompensationFunction):

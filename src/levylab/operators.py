@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import optimize as _so
 
 from . import rng as _rng
 from .core import (
@@ -858,6 +857,8 @@ def pmp_spot_check(fld: TripletField, chi: CompensationFunction,
                    testfns: Sequence[TestFunction], seed: int = 0) -> PMPReport:
     """Locate each test function's maximum from ``PMP_STARTS`` starts and
     check that the operator there is at most ``PMP_TOL``."""
+    from scipy import optimize
+
     if not testfns:
         raise ValidationError("pmp_spot_check needs at least one test function")
     gen = _rng.stream(seed, namespace=_rng.SCRATCH)
@@ -868,7 +869,7 @@ def pmp_spot_check(fld: TripletField, chi: CompensationFunction,
         x0s = gen.uniform(lows, highs, size=(PMP_STARTS, f.dim))
         x0s[0] = 0.5 * (lows + highs)
         for x0 in x0s:
-            res = _so.minimize(
+            res = optimize.minimize(
                 lambda x: -f.value_at(x), x0,
                 jac=lambda x: -f.grad_at(x),
                 bounds=list(zip(lows, highs)),

@@ -33,6 +33,22 @@ def test_sphere_surface_values():
     assert 0 < sphere_surface_area(200) < math.inf
 
 
+# sphere_surface_area(d) for d = 1..10 through scipy's gammaln, as float.hex.
+SPHERE_SURFACE_BITS = [
+    "0x1.0000000000000p+1", "0x1.921fb54442d17p+2", "0x1.921fb54442d1bp+3",
+    "0x1.3bd3cc9be45dfp+4", "0x1.a51a6625307d3p+4", "0x1.f019b59389d7ep+4",
+    "0x1.08963eb51650dp+5", "0x1.03c1f081b5ac4p+5", "0x1.dafc3b70d72c7p+4",
+    "0x1.9806b81531598p+4",
+]
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_sphere_surface_bits(dim):
+    # Stable jump sizes scale with this constant, so any other formula
+    # (math.lgamma gives 1.9999999999999993 in 1-d) would move pinned digests.
+    assert sphere_surface_area(dim) == float.fromhex(SPHERE_SURFACE_BITS[dim - 1])
+
+
 class TestTailMass:
     def test_stable_closed_form(self):
         nu = StableLike(c=1.0, alpha=1.0, dim=1)
@@ -130,6 +146,17 @@ class TestCompensationFunctions:
         np.testing.assert_allclose(Chi1().deviation(np.zeros(2), h),
                                    h * (np.array([[25.0], [0.36]]) / np.array([[26.0], [1.36]])),
                                    rtol=1e-15)
+
+    def test_deviation_at_huge_jumps(self):
+        # |h|^2 overflows past |h| ~ 1e154: both deviations are h there, with
+        # no warning (pytest turns warnings into errors); below it Chi1 keeps
+        # its closed form bit for bit.
+        h = np.array([[1e200], [-1e300], [1e150], [0.5]])
+        a = np.zeros(1)
+        r2 = h[2:] * h[2:]
+        expected = np.vstack([h[:2], h[2:] * (r2 / (1.0 + r2))])
+        np.testing.assert_array_equal(Chi1().deviation(a, h), expected)
+        np.testing.assert_array_equal(Chi2().deviation(a, h), [[1e200], [-1e300], [1e150], [0.0]])
 
 class TestLevyTriplet:
     def test_gamma_symmetry_enforced(self):
@@ -337,6 +364,14 @@ def test_scheme_config_validation():
 def test_stable_moments_below_the_truncation_and_without_it():
     assert StableLike(c=1.0, alpha=1.5, min_radius=0.5).truncated_second_moment(0.3) == 0.0
     assert StableLike(c=1.0, alpha=1.5).total_mass() == math.inf
+
+
+def test_stable_density_at_huge_jumps():
+    # the norm overflows past |h| ~ 1e154; the density there is 0, with no
+    # warning (pytest turns warnings into errors), and unchanged elsewhere
+    nu = StableLike(c=1.0, alpha=1.2, dim=2)
+    h = np.array([[1e200, 0.0], [-1e300, 1e300], [3.0, 4.0]])
+    np.testing.assert_array_equal(nu.density(h), [0.0, 0.0, 5.0 ** -3.2])
 
 
 def test_smooth_custom_chi_on_a_stable_field_leaves_the_modulus_open():
