@@ -8,6 +8,7 @@ explicitly instead of being encoded in a float sentinel.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
@@ -37,8 +38,9 @@ class Cemetery:
 DELTA = Cemetery()
 
 
+@functools.cache
 def sphere_surface_area(dim: int) -> float:
-    """Surface measure of the unit sphere in R^dim.
+    """Surface measure of the unit sphere in R^dim, kept per dimension.
 
     Computed through log-gamma so large dimensions do not overflow.
     scipy's ``gammaln`` is imported on first use; ``math.lgamma`` is not

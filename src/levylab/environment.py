@@ -186,8 +186,7 @@ def quenched_cross_validate(run: QuenchedRun, t: float, paths: int) -> CrossVali
     probe_hi = min(V.k_max - 1, run.start_site + SITE_PROBE)
     sites = np.arange(probe_lo, probe_hi + 1)
     pos = sites * eps
-    psiu = psi_solve_many(V, pos, eps, "up")
-    psid = psi_solve_many(V, pos, eps, "down")
+    psiu, psid = psi_solve_many(V, pos, eps)
     psi_dev = float(max(np.max(np.abs(psiu - eps)), np.max(np.abs(psid - eps))))
     p_scheme = p_eval_many(V, pos, psiu, psid)
     p_walk = 1.0 / (np.exp(V.q[sites - V.k_min]) + 1.0)

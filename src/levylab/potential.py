@@ -17,10 +17,12 @@ a degree-24 Chebyshev interpolant resolves ``e^{+-V}`` (chebfun-style), and
 the walk integrates each piece at its Chebyshev points.  Each walk rescales
 its exponentials by V at its own start, so only a span whose own
 oscillation overflows double precision fails, wherever the rest of the
-window goes.  Since one walk gives phi and
-its slope together, psi is found by a few Newton walks, certified to be
-bisection's value to the bit.  The chain runs on the shared
-block driver :func:`levylab.core.run_chain` with time step ``eps^2``: either
+window goes.  One walk serves rows of both directions at once.  Since one
+walk gives phi and its slope together, psi is found by a few Newton walks,
+certified to be bisection's value to the bit; ``psi_up`` and ``psi_down``
+are solved together, as one batch of twice the rows.  The chain runs on
+the shared block driver :func:`levylab.core.run_chain` with time step
+``eps^2``: either
 a nearest-neighbour lattice walk (:func:`lattice_kernel`, shared with the
 random walks in random environments) or a generic psi-solver step.
 """
@@ -51,6 +53,7 @@ NEWTON_MAX_ITER = 8
 NEWTON_STOP = 1e-2 * PSI_REL_TOL  # Newton ends when every next step is below this times eps
 CERTIFY_ROUNDS = 2
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_FLOAT_EPS = float(np.finfo(float).eps)
 MAX_WALK_CELLS = 1 << 14
 WALK_END_ULPS = 64
 CHEB_DEGREE = 24
@@ -117,18 +120,26 @@ class _CellData:
             return _sample(self.fn, x)
         return self.left_value[cell] + self.slope[cell] * (x - self.bounds[cell])
 
-    def piece(self, cell: np.ndarray, pos: np.ndarray, length: np.ndarray, sgn: float,
+    def piece(self, cell: np.ndarray, pos: np.ndarray, length: np.ndarray, sgn: np.ndarray,
               ref: np.ndarray):
         """Integrals over the piece from ``pos`` to ``pos + sgn * length`` inside
         ``cell``, rescaled by ``ref``: the masses int e^{V-ref} and
-        int e^{ref-V}, and the self term int e^{V(b)} int_pos^b e^{-V(c)} dc db."""
+        int e^{ref-V}, and the self term int e^{V(b)} int_pos^b e^{-V(c)} dc db.
+        ``sgn`` is each row's direction, +1 or -1."""
         if self.fn is not None:
             half = 0.5 * length
             v = _sample(self.fn, pos[:, None] + (sgn * half)[:, None] * (_CHEB_X + 1.0))
-            ep = np.exp(v - ref[:, None])
-            em = np.exp(ref[:, None] - v)
-            return (half * (ep @ _CHEB_W), half * (em @ _CHEB_W),
-                    half * half * ((ep * (em @ _CHEB_CUM.T)) @ _CHEB_W))
+            out = np.empty((3, pos.size))
+            # One product per direction, over its rows in walk order: BLAS
+            # rounds a row differently with the number of rows it is given.
+            up = sgn > 0
+            for rows in (up, ~up):
+                ep = np.exp(v[rows] - ref[rows, None])
+                em = np.exp(ref[rows, None] - v[rows])
+                h = half[rows]
+                out[:, rows] = (h * (ep @ _CHEB_W), h * (em @ _CHEB_W),
+                                h * h * ((ep * (em @ _CHEB_CUM.T)) @ _CHEB_W))
+            return out
         v_edge = self.value(cell, pos)
         z = sgn * self.slope[cell] * length
         return (np.exp(v_edge - ref) * length * _phi1(z),
@@ -274,7 +285,7 @@ def _chebyshev_cells(fn: Callable[[np.ndarray], np.ndarray], lo: float,
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # The tail may also hold what moving the samples by an ulp changes in V.
             slope = np.max(np.abs(np.diff(v, axis=1) / np.diff(x, axis=1)), axis=1)
-            tol = CHEB_TAIL_TOL + np.finfo(float).eps * np.maximum(-left, right) * slope
+            tol = CHEB_TAIL_TOL + _FLOAT_EPS * np.maximum(-left, right) * slope
             for sign in (1.0, -1.0):
                 coef = np.abs(np.exp(sign * dv) @ _CHEB_COEF.T)
                 resolved &= np.max(coef[:, -3:], axis=1) <= tol * np.max(coef, axis=1)
@@ -315,41 +326,48 @@ def _walk(cd: _CellData, a: np.ndarray, h: np.ndarray):
     and the reference ``ref = V(a)`` they are rescaled by.  So every term
     sees only the span's own oscillation; a span whose oscillation
     overflows double precision raises PotentialOverflowError.
+
+    Rows walking up and rows walking down share one loop over cells: each
+    row carries its own direction and start cell, and adds its pieces in
+    the order it meets its cells.
     """
     res, ep, em = np.zeros((3, a.size))
+    up = h > 0
     start = cd.locate(a, "right")
     ref = cd.value(start, a)
-    for sgn, mask0 in ((1.0, h > 0), (-1.0, h < 0)):
-        if not np.any(mask0):
-            continue
-        active = np.nonzero(mask0)[0]
-        pos = a[active].copy()
-        remaining = np.abs(h[active])
-        cell = start[active] if sgn > 0 else cd.locate(pos, "left")
-        guard = 0
-        while active.size:
-            guard += 1
-            if guard > MAX_WALK_CELLS:
-                raise ConfigurationError(f"a cell walk spans more than {MAX_WALK_CELLS} cells; "
-                                         "use a coarser potential or a smaller eps")
-            room = cd.bounds[cell + 1] - pos if sgn > 0 else pos - cd.bounds[cell]
-            length = np.minimum(np.maximum(room, 0.0), remaining)
-            ep_piece, em_piece, self_piece = cd.piece(cell, pos, length, sgn, ref[active])
-            res[active] += ep_piece * em[active] + self_piece
-            ep[active] += ep_piece
-            em[active] += em_piece
-            pos = pos + sgn * length
-            remaining = remaining - length
-            done = remaining <= 1e-300
-            cell = cell + (1 if sgn > 0 else -1)
-            outside = (cell < 0) | (cell >= cd.n_cells)
-            if np.any(outside):
-                slack = _walk_slack(a[active], a[active] + h[active])
-                if np.any(outside & ~done & (remaining > slack)):
-                    raise RangeError("cell walk left the potential window")
-                done |= outside
-            if np.any(done):
-                active, pos, remaining, cell = (z[~done] for z in (active, pos, remaining, cell))
+    active = np.nonzero(up | (h < 0))[0]
+    up = up[active]
+    sgn = np.where(up, 1.0, -1.0)
+    step = np.where(up, 1, -1)
+    pos = a[active].copy()
+    remaining = np.abs(h[active])
+    cell = np.where(up, start[active], cd.locate(pos, "left"))
+    guard = 0
+    while active.size:
+        guard += 1
+        if guard > MAX_WALK_CELLS:
+            raise ConfigurationError(f"a cell walk spans more than {MAX_WALK_CELLS} cells; "
+                                     "use a coarser potential or a smaller eps")
+        room = np.where(up, cd.bounds[cell + 1] - pos, pos - cd.bounds[cell])
+        length = np.minimum(np.maximum(room, 0.0), remaining)
+        ep_piece, em_piece, self_piece = cd.piece(cell, pos, length, sgn, ref[active])
+        res[active] += ep_piece * em[active] + self_piece
+        ep[active] += ep_piece
+        em[active] += em_piece
+        pos = pos + sgn * length
+        remaining = remaining - length
+        done = remaining <= 1e-300
+        cell = cell + step
+        outside = (cell < 0) | (cell >= cd.n_cells)
+        if outside.any():
+            slack = _walk_slack(a[active], a[active] + h[active])
+            if (outside & ~done & (remaining > slack)).any():
+                raise RangeError("cell walk left the potential window")
+            done |= outside
+        if done.any():
+            keep = ~done
+            active, up, sgn, step, pos, remaining, cell = (
+                z[keep] for z in (active, up, sgn, step, pos, remaining, cell))
     bad = ~(np.isfinite(res) & np.isfinite(ep) & np.isfinite(em))
     if np.any(bad):
         raise PotentialOverflowError(
@@ -365,7 +383,7 @@ def _walk_slack(start: np.ndarray, end: np.ndarray) -> np.ndarray:
     positions visited, so a walk that ends exactly on the window edge can
     stop a few ulps short; that leftover is rounding, not an exit.
     """
-    return WALK_END_ULPS * np.finfo(float).eps * (np.abs(start) + np.abs(end))
+    return WALK_END_ULPS * _FLOAT_EPS * (np.abs(start) + np.abs(end))
 
 
 # ---------------------------------------------------------------------------
@@ -402,21 +420,25 @@ def phi_eval(V: Potential, a, h):
     a_arr, h_arr = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(h))
     shape = a_arr.shape
     a_arr, h_arr = (np.array(z, dtype=float).ravel() for z in (a_arr, h_arr))
+    if a_arr.size == 0:
+        return np.zeros(shape)
     V.check_window(float(np.min(np.minimum(a_arr, a_arr + h_arr))),
                    float(np.max(np.maximum(a_arr, a_arr + h_arr))))
     out = 2.0 * _walk(V.cells(), a_arr, h_arr)[0]
     return float(out[0]) if scalar else out.reshape(shape)
 
 
-def psi_solve_many(V: Potential, a: np.ndarray, eps: float, side: str) -> np.ndarray:
-    """For each point of ``a``, the unique positive step psi with
-    phi(a, +psi) (``side="up"``) or phi(a, -psi) (``"down"``) equal to eps^2.
+def psi_solve_many(V: Potential, a: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each point of ``a``, the unique positive steps ``(psi_up,
+    psi_down)`` with phi(a, +psi_up) and phi(a, -psi_down) equal to eps^2.
 
-    Each value is bisection's to ``PSI_REL_TOL * eps``: the bracket starts
-    at twice the step and doubles until the target is covered, with a
-    doubling cap flagging pathological potentials, then halves.  Every row
-    is its own bisection, so a row's psi does not depend on the rows that
-    share its call.  The solver reaches that value by certified Newton.
+    Both sides are solved in one batch of twice the rows, each row with its
+    own direction.  Each value is bisection's to ``PSI_REL_TOL * eps``: the
+    bracket starts at twice the step and doubles until the target is
+    covered, with a doubling cap flagging pathological potentials, then
+    halves.  Every row is its own bisection, so a row's psi does not depend
+    on the rows that share its call.  The solver reaches that value by
+    certified Newton.
 
     Newton's method on ``sqrt(phi) - eps`` finds the root in a few walks,
     since each walk gives phi and its slope ``2 e^{V(end)} int e^{-V}``.
@@ -424,28 +446,31 @@ def psi_solve_many(V: Potential, a: np.ndarray, eps: float, side: str) -> np.nda
     and one phi evaluation at the two ends it stops on certifies the replay:
     if phi is below the target at ``lo`` and not below it at ``hi``, and
     phi does not decrease, every comparison bisection makes agrees with the
-    replay, so the result is bisection's to the bit.  A failed end shows
-    which way bisection turns there, so the root moves across it and the
-    replay runs again, up to ``CERTIFY_ROUNDS`` times; paths still failing
-    are bisected with real phi comparisons.
+    replay, so the result is bisection's to the bit, whatever Newton
+    iterate the replay started from.  A failed end shows which way
+    bisection turns there, so the root moves across it and the replay runs
+    again, up to ``CERTIFY_ROUNDS`` times; paths still failing are bisected
+    with real phi comparisons.
     """
-    if side not in ("up", "down"):
-        raise ValidationError("side must be 'up' or 'down'")
     if not eps > 0:
         raise ValidationError("the step parameter must be positive")
-    a = np.asarray(a, dtype=float)
-    sgn = 1.0 if side == "up" else -1.0
+    a = np.asarray(a, dtype=float).ravel()
+    n = a.size
+    if n == 0:
+        return np.empty(0), np.empty(0)
+    a = np.concatenate([a, a])
+    sgn = np.repeat([1.0, -1.0], n)  # the up rows, then the down rows
     target = eps * eps
     hi0 = np.full(a.shape, 2.0 * eps)
     cap = BRACKET_CAP_FACTOR * eps
     while True:
         vals = phi_eval(V, a, sgn * hi0)
         short = vals < target
-        if not np.any(short):
+        if not short.any():
             break
         hi0[short] *= 2.0
         over = hi0 > cap * (1 + 1e-12)
-        if np.any(over):
+        if over.any():
             bad = float(a[over][0])
             raise SchemeStepError(
                 f"psi bracket expansion exceeded {BRACKET_CAP_FACTOR} steps at "
@@ -455,34 +480,37 @@ def psi_solve_many(V: Potential, a: np.ndarray, eps: float, side: str) -> np.nda
     root = _psi_newton(V, a, sgn, eps, hi0)
     for _ in range(CERTIFY_ROUNDS):
         lo, hi = _bisect(hi0, tol, lambda mid: mid < root)
-        ends = phi_eval(V, np.concatenate([a, a]), sgn * np.concatenate([lo, hi]))
+        ends = phi_eval(V, np.concatenate([a, a]), np.concatenate([sgn * lo, sgn * hi]))
         up, down = ends[: a.size] >= target, ends[a.size:] < target
         failed = up | down
-        if not np.any(failed):
-            return 0.5 * (lo + hi)
+        if not failed.any():
+            psi = 0.5 * (lo + hi)
+            return psi[:n], psi[n:]
         # Bisection turns the other way at that end: move the root across it.
         root = np.where(up, lo, np.where(down, np.nextafter(hi, np.inf), root))
 
     def below(mid):
         less = mid < root
-        less[failed] = phi_eval(V, a[failed], sgn * mid[failed]) < target
+        less[failed] = phi_eval(V, a[failed], sgn[failed] * mid[failed]) < target
         return less
 
     lo, hi = _bisect(hi0, tol, below)
-    return 0.5 * (lo + hi)
+    psi = 0.5 * (lo + hi)
+    return psi[:n], psi[n:]
 
 
-def _psi_newton(V: Potential, a: np.ndarray, sgn: float, eps: float,
+def _psi_newton(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float,
                 hi0: np.ndarray) -> np.ndarray:
     """Newton's method on ``g(h) = sqrt(phi(a, sgn h)) - eps`` from ``h = eps``,
-    one walk per iterate, each iterate clamped to ``[h/2, hi0]``.
+    one walk per iterate over the rows of both directions (``sgn`` is each
+    row's), each iterate clamped to ``[h/2, hi0]``.
 
     In the walk's rescaled terms ``phi'/phi = e^{V(end)-ref} em / phi_half``,
     so the step ``g/g' = 2 (1 - eps/sqrt(phi)) phi/phi'`` never overflows; a
     step that is not a number leaves ``h/2``.  The iteration stops once every
-    next step, predicted from the last two by quadratic convergence, is at
-    most ``NEWTON_STOP * eps``: that spares the walks that would only stir
-    rounding noise.
+    next step of either direction, predicted from the last two by quadratic
+    convergence, is at most ``NEWTON_STOP * eps``: that spares the walks that
+    would only stir rounding noise.
     """
     cd = V.cells()
     h = np.full_like(hi0, eps)
@@ -509,7 +537,7 @@ def _bisect(hi: np.ndarray, tol: float, below: Callable[[np.ndarray], np.ndarray
     lo = np.zeros_like(hi)
     while True:
         wide = hi - lo > tol
-        if not np.any(wide):
+        if not wide.any():
             return lo, hi
         mid = 0.5 * (lo + hi)
         less = below(mid)
@@ -527,6 +555,8 @@ def p_eval_many(V: Potential, a: np.ndarray, psi_up: np.ndarray,
     psi_down = np.asarray(psi_down, dtype=float)
     if np.any(psi_up <= 0) or np.any(psi_down <= 0):
         raise ValidationError("step sizes must be positive")
+    if a.size == 0:
+        return np.empty(0)
     V.check_window(float(np.min(a - psi_down)), float(np.max(a + psi_up)))
     # Both masses are walked from ``a``, so they share its reference V(a).
     mass = _walk(V.cells(), np.concatenate([a, a]), np.concatenate([-psi_down, psi_up]))[1]
@@ -586,8 +616,7 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
     def step(x, gen, limit):
         a = x[:, 0]
         try:
-            psiu = psi_solve_many(V, a, eps, "up")
-            psid = psi_solve_many(V, a, eps, "down")
+            psiu, psid = psi_solve_many(V, a, eps)
             p = p_eval_many(V, a, psiu, psid)
         except RangeError as exc:
             raise (WindowEdgeError if windowed else SchemeStepError)(
@@ -673,8 +702,7 @@ def _lattice_tables(V: Potential, eps: float, start, n_steps: int):
         return None  # the start site itself is not verified
     sites = np.arange(site_lo, site_hi + 1)
     pos = sites * eps
-    psiu = psi_solve_many(V, pos, eps, "up")
-    psid = psi_solve_many(V, pos, eps, "down")
+    psiu, psid = psi_solve_many(V, pos, eps)
     if (np.max(np.abs(psiu - eps)) > 1e-9 * eps
             or np.max(np.abs(psid - eps)) > 1e-9 * eps):
         return None

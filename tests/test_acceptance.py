@@ -161,8 +161,7 @@ def test_criterion_05_potential_closed_forms():
     worst_p = 0.0
     for k in range(-15, 16):
         a = k * eps
-        pu = psi_solve_many(V, [a], eps, "up")[0]
-        pd = psi_solve_many(V, [a], eps, "down")[0]
+        (pu,), (pd,) = psi_solve_many(V, [a], eps)
         worst_psi = max(worst_psi, abs(pu - eps), abs(pd - eps))
         qk = float(V.value(np.array([a]))[0] - V.value(np.array([a - eps]))[0])
         worst_p = max(worst_p, abs(p_eval_many(V, [a], [pu], [pd])[0] - 1.0 / (1.0 + np.exp(qk))))
@@ -191,7 +190,7 @@ def test_criterion_06_potential_brownian_limit():
     # constant potential -- asserted below), removing the parity atoms that
     # a point start leaves at finite eps.
     probe = lrng.stream(1049, namespace=lrng.SCRATCH).uniform(-eps, eps, size=64)
-    psi_dev = np.max(np.abs(psi_solve_many(V, probe, eps, "up") - eps))
+    psi_dev = np.max(np.abs(psi_solve_many(V, probe, eps)[0] - eps))
     assert psi_dev <= 1e-12
     shift = lrng.stream(1029, namespace=lrng.SCRATCH).uniform(-eps, eps, size=m.size)
     sample = m + shift

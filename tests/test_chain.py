@@ -161,6 +161,20 @@ def test_euler_constant_atoms_field_bytes():
     assert digest(batch) == "33d6b9653f15ca33ab44211e2ef51cfd46766175df7d4753e6f42c1a30c380bd"
 
 
+# The generic two-point step on a Brownian-like grid: cells of eps/10, so
+# walks cross several cells each way, and a cliff of slope -150 right of 0.6
+# that doubles the psi bracket of the paths that reach it. sha256 recorded
+# with each side of a step solved in its own batch.
+def test_potential_solver_brownian_grid_bytes():
+    knots = np.linspace(-3.0, 3.0, 1201)
+    steps = 0.07 * np.random.default_rng(2017).standard_normal(1200)
+    values = np.concatenate([[0.0], np.cumsum(steps)]) - 150.0 * np.maximum(knots - 0.6, 0.0)
+    cfg = SchemeConfig(paths=24, seed=11, grid=np.linspace(0.0, 0.2, 5), block_size=10)
+    batch = potential_chain_simulate(GridPotential(knots, values), 0.3, 0.05, 0.2, cfg)
+    assert np.isfinite(batch.xi).sum() == 8
+    assert digest(batch) == "fc1ffd9b543e706c8b9a44c75b8e8359763fbb60f0e28072bc4b3cefe3ebd242"
+
+
 def _rwre(cfg):
     runs = rwre_simulate(BernoulliPoisson(q=1.0, lam=1.0), 0.25, 1, 0.5, 2, cfg)
     return [r.walks for r in runs]

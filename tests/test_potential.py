@@ -34,9 +34,9 @@ import levylab.potential as pot
 
 
 def bisection_psi(V, a, eps, side):
-    """The psi solver as plain bisection: bracket doubling from 2 eps, then
-    halving to PSI_REL_TOL * eps.  The oracle the Newton solver must match
-    bit for bit."""
+    """The psi solver as plain bisection of one side in its own batch:
+    bracket doubling from 2 eps, then halving each row to PSI_REL_TOL * eps.
+    The oracle the Newton solver must match bit for bit."""
     a = np.asarray(a, dtype=float)
     sgn = 1.0 if side == "up" else -1.0
     target = eps * eps
@@ -47,12 +47,14 @@ def bisection_psi(V, a, eps, side):
             break
         hi[short] *= 2.0
     lo = np.zeros_like(hi)
-    while float(np.max(hi - lo)) > pot.PSI_REL_TOL * eps:
+    while True:
+        wide = hi - lo > pot.PSI_REL_TOL * eps
+        if not np.any(wide):
+            return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
         less = phi_eval(V, a, sgn * mid) < target
-        lo = np.where(less, mid, lo)
-        hi = np.where(less, hi, mid)
-    return 0.5 * (lo + hi)
+        lo = np.where(wide & less, mid, lo)
+        hi = np.where(wide & ~less, mid, hi)
 
 
 def check_solver(V, a, eps):
@@ -65,17 +67,15 @@ def check_solver(V, a, eps):
     """
     j = np.arange(1.0, 41.0)
     ladder = np.concatenate([1.0 - 2.0 ** -j, [1.0], 1.0 + 2.0 ** -j])
-    psis = []
-    for side, sgn in (("up", 1.0), ("down", -1.0)):
-        psi = psi_solve_many(V, [a], eps, side)[0]
+    (psi_up,), (psi_down,) = psis = psi_solve_many(V, [a], eps)
+    for side, sgn, psi in (("up", 1.0, psi_up), ("down", -1.0, psi_down)):
         assert psi == bisection_psi(V, [a], eps, side)[0]
         assert abs(phi_eval(V, a, sgn * psi) / eps ** 2 - 1.0) <= 1e-10
         hs = np.sort(psi * ladder)
         inside = (a + sgn * hs >= V.domain[0]) & (a + sgn * hs <= V.domain[1])
         vals = phi_eval(V, np.full(int(inside.sum()), a), sgn * hs[inside])
         assert np.all(np.diff(vals) >= 0.0)
-        psis.append(psi)
-    assert 0.0 < p_eval_many(V, [a], [psis[0]], [psis[1]])[0] < 1.0
+    assert 0.0 < p_eval_many(V, [a], *psis)[0] < 1.0
 
 
 class TestExpIntegral:
@@ -184,20 +184,20 @@ class TestPhi:
 class TestPsi:
     def test_constant_potential(self):
         V = constant_potential(0.0, -5, 5)
-        assert psi_solve_many(V, [0.0], 0.1, "up")[0] == pytest.approx(0.1, abs=1e-13)
-        assert psi_solve_many(V, [0.0], 0.1, "down")[0] == pytest.approx(0.1, abs=1e-13)
+        for psi in psi_solve_many(V, [0.0], 0.1):
+            assert psi[0] == pytest.approx(0.1, abs=1e-13)
 
     def test_lattice_alignment(self):
         q = np.array([0.4, -0.3, 0.8, 0.2, -0.6])
         V = PiecewiseConstantPotential(0.05, q, k_min=-2)
         for k in (-1, 0, 1):
             a = 0.05 * k
-            assert psi_solve_many(V, [a], 0.05, "up")[0] == pytest.approx(0.05, abs=1e-13)
-            assert psi_solve_many(V, [a], 0.05, "down")[0] == pytest.approx(0.05, abs=1e-13)
+            for psi in psi_solve_many(V, [a], 0.05):
+                assert psi[0] == pytest.approx(0.05, abs=1e-13)
 
     def test_shrinks_with_eps(self):
         V = GridPotential(np.linspace(-2, 2, 9), np.cos(np.linspace(-2, 2, 9)))
-        psis = [psi_solve_many(V, [0.2], e, "up")[0] for e in (0.2, 0.1, 0.05, 0.025)]
+        psis = [psi_solve_many(V, [0.2], e)[0][0] for e in (0.2, 0.1, 0.05, 0.025)]
         assert all(a > b for a, b in zip(psis, psis[1:]))
 
     def test_round_trip_identity(self):
@@ -205,8 +205,7 @@ class TestPsi:
                           0.7 * np.sin(3 * np.linspace(-2, 2, 17)))
         eps = 0.05
         for a in (-0.8, 0.0, 0.33):
-            for side, sgn in (("up", 1.0), ("down", -1.0)):
-                psi = psi_solve_many(V, [a], eps, side)[0]
+            for sgn, (psi,) in zip((1.0, -1.0), psi_solve_many(V, [a], eps)):
                 assert phi_eval(V, a, sgn * psi) == pytest.approx(
                     eps * eps, abs=1e-10 * eps * eps)
 
@@ -217,27 +216,22 @@ class TestPsi:
         x = np.linspace(-5.0, 5.0, 8001)
         V = GridPotential(x, np.where(x > 1.0, -150.0 * (x - 1.0), 0.0))
         a = np.array([-2.0, -1.0, 2.0, 3.0])
-        batched = psi_solve_many(V, a, 0.05, side)
+        batched = psi_solve_many(V, a, 0.05)[0 if side == "up" else 1]
         alone = [bisection_psi(V, [point], 0.05, side)[0] for point in a]
         np.testing.assert_array_equal(batched, alone)
-
-    def test_unknown_side_is_a_validation_error(self):
-        V = constant_potential(0.0, -5, 5)
-        with pytest.raises(ValidationError, match="side"):
-            psi_solve_many(V, np.array([0.0]), 0.1, "sideways")
 
     def test_domain_edge_error(self):
         # bracket expansion that would leave the window surfaces a range error
         V = GridPotential([-1.0, 1.0], [0.0, -30.0])
         with pytest.raises(RangeError):
-            psi_solve_many(V, [0.9], 0.5, "up")[0]
+            psi_solve_many(V, [0.9], 0.5)
 
     def test_bracket_expands_beyond_two_eps(self):
         # a steep downhill makes the upward step exceed twice the parameter,
         # which only the lattice-aligned case rules out
         V = GridPotential([-0.25, 2.0], [0.0, -450.0])  # slope -200
         eps = 0.05
-        psi = psi_solve_many(V, [0.0], eps, "up")[0]
+        psi = psi_solve_many(V, [0.0], eps)[0][0]
         assert psi > 2 * eps
         assert phi_eval(V, 0.0, psi) == pytest.approx(eps * eps, rel=1e-9)
 
@@ -265,9 +259,8 @@ class TestPsi:
             newton = pot._psi_newton
             monkeypatch.setattr(pot, "_psi_newton",
                                 lambda *args: newton(*args) * (1.0 + 1e-12))
-        for side in ("up", "down"):
-            np.testing.assert_array_equal(psi_solve_many(V, a, 0.05, side),
-                                          bisection_psi(V, a, 0.05, side))
+        for side, psi in zip(("up", "down"), psi_solve_many(V, a, 0.05)):
+            np.testing.assert_array_equal(psi, bisection_psi(V, a, 0.05, side))
 
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -287,8 +280,7 @@ class TestPsi:
         assert tables[0] == site0
         site_lo, p_table = tables[1:]
         pos = (site_lo + np.arange(p_table.size)) * mesh
-        psiu = psi_solve_many(V, pos, mesh, "up")
-        psid = psi_solve_many(V, pos, mesh, "down")
+        psiu, psid = psi_solve_many(V, pos, mesh)
         assert np.max(np.abs(psiu - mesh)) <= 1e-9 * mesh
         assert np.max(np.abs(psid - mesh)) <= 1e-9 * mesh
         assert np.all((p_table > 0.0) & (p_table < 1.0))
@@ -297,6 +289,56 @@ class TestPsi:
         np.testing.assert_allclose(p_eval_many(V, pos, np.full(pos.size, mesh),
                                                np.full(pos.size, mesh)), exact, rtol=1e-13)
         np.testing.assert_allclose(p_table, exact, rtol=1e-9)
+
+
+# Potentials whose steps cross several cells: a Brownian-like grid with a
+# cliff that doubles the up bracket, a lattice off the eps mesh, and a
+# callable whose walks go through Chebyshev cells.
+_GRID_X = np.linspace(-3.0, 3.0, 1201)
+JOINT_POTENTIALS = {
+    "grid": GridPotential(_GRID_X, np.concatenate(
+        [[0.0], np.cumsum(0.07 * np.random.default_rng(2017).standard_normal(1200))])
+        - 150.0 * np.maximum(_GRID_X - 0.6, 0.0)),
+    "lattice": PiecewiseConstantPotential(
+        0.037, 0.8 * np.random.default_rng(9).standard_normal(161), -80),
+    "callable": CallablePotential(lambda x: 0.3 * np.sin(2.0 * x) + 0.1 * x,
+                                  domain=(-3.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JOINT_POTENTIALS))
+def test_joint_batches_match_one_sided_batches(name):
+    # Both sides of psi, phi on mixed signs and p's two masses are walked in
+    # one batch; each row must keep the bits it has in a batch of one sign.
+    V = JOINT_POTENTIALS[name]
+    eps = 0.05
+    a = np.linspace(-1.3, 1.1, 25)
+    psi_up, psi_down = psi_solve_many(V, a, eps)
+    np.testing.assert_array_equal(psi_up, bisection_psi(V, a, eps, "up"))
+    np.testing.assert_array_equal(psi_down, bisection_psi(V, a, eps, "down"))
+    if name == "grid":
+        assert np.max(psi_up) > 2.0 * eps  # the cliff doubled a bracket
+
+    h = np.where(np.arange(a.size) % 3 == 1, -1.0, 1.0) * np.linspace(0.05, 0.4, a.size)
+    mixed = phi_eval(V, a, h)
+    for rows in (h > 0, h < 0):
+        np.testing.assert_array_equal(mixed[rows], phi_eval(V, a[rows], h[rows]))
+
+    cells = V.cells()
+    down = pot._walk(cells, a, -psi_down)[1]
+    up = pot._walk(cells, a, psi_up)[1]
+    np.testing.assert_array_equal(p_eval_many(V, a, psi_up, psi_down), down / (down + up))
+
+
+@pytest.mark.parametrize("query", [
+    lambda V: phi_eval(V, np.empty(0), np.empty(0)),
+    lambda V: psi_solve_many(V, np.empty(0), 0.05),
+    lambda V: p_eval_many(V, np.empty(0), np.empty(0), np.empty(0)),
+], ids=["phi", "psi", "p"])
+def test_empty_batches_give_empty_arrays(query):
+    out = query(JOINT_POTENTIALS["grid"])
+    for arr in (out if isinstance(out, tuple) else (out,)):
+        assert isinstance(arr, np.ndarray) and arr.shape == (0,)
 
 
 class TestChebyshevCells:
@@ -316,8 +358,7 @@ class TestChebyshevCells:
         a = np.linspace(-1.5, 1.5, 7)
         for h in (0.3, -0.4, 1.1):
             np.testing.assert_allclose(phi_eval(Vc, a, h), phi_eval(Vg, a, h), rtol=1e-13)
-        psi_c, psi_g = ((psi_solve_many(V, a, 0.05, "up"), psi_solve_many(V, a, 0.05, "down"))
-                        for V in (Vc, Vg))
+        psi_c, psi_g = (psi_solve_many(V, a, 0.05) for V in (Vc, Vg))
         for k in (0, 1):
             np.testing.assert_allclose(psi_c[k], psi_g[k], rtol=1e-13)
         np.testing.assert_allclose(p_eval_many(Vc, a, *psi_c), p_eval_many(Vg, a, *psi_g),
