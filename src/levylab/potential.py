@@ -22,9 +22,9 @@ walk gives phi and its slope together, psi is found by a few Newton walks,
 certified to be bisection's value to the bit; ``psi_up`` and ``psi_down``
 are solved together, as one batch of twice the rows.  The chain runs on
 the shared block driver :func:`levylab.core.run_chain` with time step
-``eps^2``: either
-a nearest-neighbour lattice walk (:func:`lattice_kernel`, shared with the
-random walks in random environments) or a generic psi-solver step.
+``eps^2``: either a nearest-neighbour lattice walk (:func:`lattice_kernel`,
+shared with the random walks in random environments) or a generic
+psi-solver step.
 """
 
 from __future__ import annotations
@@ -338,7 +338,6 @@ def _walk(cd: _CellData, a: np.ndarray, h: np.ndarray):
     active = np.nonzero(up | (h < 0))[0]
     up = up[active]
     sgn = np.where(up, 1.0, -1.0)
-    step = np.where(up, 1, -1)
     pos = a[active].copy()
     remaining = np.abs(h[active])
     cell = np.where(up, start[active], cd.locate(pos, "left"))
@@ -357,7 +356,7 @@ def _walk(cd: _CellData, a: np.ndarray, h: np.ndarray):
         pos = pos + sgn * length
         remaining = remaining - length
         done = remaining <= 1e-300
-        cell = cell + step
+        cell = np.where(up, cell + 1, cell - 1)
         outside = (cell < 0) | (cell >= cd.n_cells)
         if outside.any():
             slack = _walk_slack(a[active], a[active] + h[active])
@@ -366,8 +365,8 @@ def _walk(cd: _CellData, a: np.ndarray, h: np.ndarray):
             done |= outside
         if done.any():
             keep = ~done
-            active, up, sgn, step, pos, remaining, cell = (
-                z[keep] for z in (active, up, sgn, step, pos, remaining, cell))
+            active, up, sgn, pos, remaining, cell = (
+                z[keep] for z in (active, up, sgn, pos, remaining, cell))
     bad = ~(np.isfinite(res) & np.isfinite(ep) & np.isfinite(em))
     if np.any(bad):
         raise PotentialOverflowError(
@@ -484,17 +483,16 @@ def psi_solve_many(V: Potential, a: np.ndarray, eps: float) -> tuple[np.ndarray,
         up, down = ends[: a.size] >= target, ends[a.size:] < target
         failed = up | down
         if not failed.any():
-            psi = 0.5 * (lo + hi)
-            return psi[:n], psi[n:]
+            break
         # Bisection turns the other way at that end: move the root across it.
         root = np.where(up, lo, np.where(down, np.nextafter(hi, np.inf), root))
+    else:
+        def below(mid):
+            less = mid < root
+            less[failed] = phi_eval(V, a[failed], sgn[failed] * mid[failed]) < target
+            return less
 
-    def below(mid):
-        less = mid < root
-        less[failed] = phi_eval(V, a[failed], sgn[failed] * mid[failed]) < target
-        return less
-
-    lo, hi = _bisect(hi0, tol, below)
+        lo, hi = _bisect(hi0, tol, below)
     psi = 0.5 * (lo + hi)
     return psi[:n], psi[n:]
 
