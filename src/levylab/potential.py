@@ -338,16 +338,18 @@ def _walk(cd: _CellData, a: np.ndarray, h: np.ndarray):
     active = np.nonzero(up | (h < 0))[0]
     up = up[active]
     sgn = np.where(up, 1.0, -1.0)
+    step = np.where(up, 1, -1)
     pos = a[active].copy()
     remaining = np.abs(h[active])
-    cell = np.where(up, start[active], cd.locate(pos, "left"))
+    cell = start[active]
+    cell[~up] = cd.locate(pos[~up], "left")
     guard = 0
     while active.size:
         guard += 1
         if guard > MAX_WALK_CELLS:
             raise ConfigurationError(f"a cell walk spans more than {MAX_WALK_CELLS} cells; "
                                      "use a coarser potential or a smaller eps")
-        room = np.where(up, cd.bounds[cell + 1] - pos, pos - cd.bounds[cell])
+        room = sgn * (cd.bounds[cell + up] - pos)  # to the cell's far edge
         length = np.minimum(np.maximum(room, 0.0), remaining)
         ep_piece, em_piece, self_piece = cd.piece(cell, pos, length, sgn, ref[active])
         res[active] += ep_piece * em[active] + self_piece
@@ -356,7 +358,7 @@ def _walk(cd: _CellData, a: np.ndarray, h: np.ndarray):
         pos = pos + sgn * length
         remaining = remaining - length
         done = remaining <= 1e-300
-        cell = np.where(up, cell + 1, cell - 1)
+        cell = cell + step
         outside = (cell < 0) | (cell >= cd.n_cells)
         if outside.any():
             slack = _walk_slack(a[active], a[active] + h[active])
@@ -364,9 +366,9 @@ def _walk(cd: _CellData, a: np.ndarray, h: np.ndarray):
                 raise RangeError("cell walk left the potential window")
             done |= outside
         if done.any():
-            keep = ~done
-            active, up, sgn, pos, remaining, cell = (
-                z[keep] for z in (active, up, sgn, pos, remaining, cell))
+            keep = np.flatnonzero(~done)  # an index gathers faster than a mask
+            active, up, sgn, step, pos, remaining, cell = (
+                z[keep] for z in (active, up, sgn, step, pos, remaining, cell))
     bad = ~(np.isfinite(res) & np.isfinite(ep) & np.isfinite(em))
     if np.any(bad):
         raise PotentialOverflowError(
