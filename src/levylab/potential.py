@@ -55,6 +55,7 @@ CERTIFY_ROUNDS = 2
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _FLOAT_EPS = float(np.finfo(float).eps)
 MAX_WALK_CELLS = 1 << 14
+WALK_CHUNK = 1 << 14  # closed-form rows walked at a time: one side of a full block
 WALK_END_ULPS = 64
 CHEB_DEGREE = 24
 CHEB_TAIL_TOL = 1e-14  # trailing coefficients of a resolved cell, relative to the largest
@@ -317,8 +318,23 @@ def zero_potential(mesh: float, k_min: int, k_max: int) -> PiecewiseConstantPote
 # ---------------------------------------------------------------------------
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _walk(cd: _CellData, a: np.ndarray, h: np.ndarray):
+    """Integrals over [a, a+h], walked cell by cell from ``a`` (see :func:`_walk_rows`).
+
+    Closed-form cells are integrated row by row, so their rows are walked
+    ``WALK_CHUNK`` at a time, which keeps each step's temporaries in cache;
+    Chebyshev cells sum their rows in BLAS products whose rounding depends
+    on the row count, so they are walked in one go.
+    """
+    if cd.fn is None and a.size > WALK_CHUNK:
+        parts = [_walk_rows(cd, a[i:i + WALK_CHUNK], h[i:i + WALK_CHUNK])
+                 for i in range(0, a.size, WALK_CHUNK)]
+        return tuple(np.concatenate(z) for z in zip(*parts))
+    return _walk_rows(cd, a, h)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _walk_rows(cd: _CellData, a: np.ndarray, h: np.ndarray):
     """Integrals over [a, a+h], walked cell by cell from ``a``.
 
     Returns ``(phi_half, ep, em, ref)``: phi/2, which no rescaling touches,

@@ -330,6 +330,18 @@ def test_joint_batches_match_one_sided_batches(name):
     np.testing.assert_array_equal(p_eval_many(V, a, psi_up, psi_down), down / (down + up))
 
 
+@pytest.mark.parametrize("name", ["grid", "lattice"])
+def test_closed_form_walks_do_not_depend_on_the_row_chunk(name, monkeypatch):
+    V = JOINT_POTENTIALS[name]
+    a = np.linspace(-1.3, 1.1, 25)
+    h = np.where(np.arange(a.size) % 3 == 1, -1.0, 1.0) * np.linspace(0.05, 0.4, a.size)
+    whole = phi_eval(V, a, h), psi_solve_many(V, a, 0.05)
+    monkeypatch.setattr(pot, "WALK_CHUNK", 4)
+    chunked = phi_eval(V, a, h), psi_solve_many(V, a, 0.05)
+    np.testing.assert_array_equal(whole[0], chunked[0])
+    np.testing.assert_array_equal(whole[1], chunked[1])
+
+
 @pytest.mark.parametrize("query", [
     lambda V: phi_eval(V, np.empty(0), np.empty(0)),
     lambda V: psi_solve_many(V, np.empty(0), 0.05),
