@@ -138,13 +138,9 @@ def rwre_simulate(env: EnvironmentSpec, eps: float, start_site: int, horizon: fl
         q = env.sample(env_gen, eps, k_lo, k_hi)
         potential = PiecewiseConstantPotential(eps, q, k_lo)
         path_seed = config.seed + 1_000_003 * (e_idx + 1)
-        # Right probability at site k is 1/(e^{q_k} + 1), whose limit for an
-        # overflowing e^{q_k} is 0; leaving the q-window or the escape radius
-        # absorbs the walk at the cemetery.
-        with np.errstate(over="ignore"):
-            p_right = 1.0 / (np.exp(q) + 1.0)
-        step = lattice_kernel(p_right, k_lo, (k_lo, potential.k_max), eps,
-                              config.escape_radius)
+        # Leaving the q-window or the escape radius absorbs the walk at the cemetery.
+        step = lattice_kernel(potential.up_probability(k_lo, potential.k_max), k_lo,
+                              (k_lo, potential.k_max), eps, config.escape_radius)
         walks = run_chain(float(start_site), step, n_steps, capture, dt, grid, 1, config,
                           seed=path_seed, emit=lambda sites: sites * eps)
         runs.append(QuenchedRun(
@@ -189,7 +185,7 @@ def quenched_cross_validate(run: QuenchedRun, t: float, paths: int) -> CrossVali
     psiu, psid = psi_solve_many(V, pos, eps)
     psi_dev = float(max(np.max(np.abs(psiu - eps)), np.max(np.abs(psid - eps))))
     p_scheme = p_eval_many(V, pos, psiu, psid)
-    p_walk = 1.0 / (np.exp(V.q[sites - V.k_min]) + 1.0)
+    p_walk = V.up_probability(probe_lo, probe_hi)
     kernel_dev = float(np.max(np.abs(p_scheme - p_walk)))
 
     cfg = SchemeConfig(paths=paths, seed=run.path_seed + 7, grid=times)

@@ -206,12 +206,21 @@ class PiecewiseConstantPotential(Potential):
         j = np.floor(x / self.mesh + 1e-12).astype(int)
         return self.cells().left_value[np.clip(j - self.k_min + 1, 0, self.q.size)]
 
+    def up_probability(self, k_lo: int, k_hi: int) -> np.ndarray:
+        """Up-probabilities ``1/(e^{q_k} + 1)`` of the nearest-neighbour walk at
+        sites ``k_lo..k_hi``: the two-point scheme's exact kernel when eps is the
+        mesh.  An overflowing ``e^{q_k}`` gives its limit 0."""
+        with np.errstate(over="ignore"):
+            return 1.0 / (np.exp(self.q[k_lo - self.k_min:k_hi - self.k_min + 1]) + 1.0)
+
     def _build_cells(self) -> _CellData:
-        # Sum outward from the cell of [0, mesh), or the window end nearest it.
+        # Sum outward from the cell of [0, mesh), or the window end nearest it;
+        # a sum beyond double precision leaves its cells at +-inf.
         q = self.q
         a0 = min(max(1 - self.k_min, 0), q.size)
-        vals = self.offset + np.concatenate([-np.cumsum(q[:a0][::-1])[::-1], [0.0],
-                                             np.cumsum(q[a0:])])
+        with np.errstate(over="ignore"):
+            vals = self.offset + np.concatenate([-np.cumsum(q[:a0][::-1])[::-1], [0.0],
+                                                 np.cumsum(q[a0:])])
         bounds = (np.arange(vals.size + 1) + self.k_min - 1) * self.mesh
         return _CellData(bounds=bounds, left_value=vals, slope=np.zeros(vals.size))
 
@@ -596,8 +605,8 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
     """Run the two-point scheme and emit the embedding t -> X_{floor(t/eps^2)}.
 
     Lattice-aligned piecewise-constant potentials with lattice starts reduce
-    exactly to a nearest-neighbour walk; the reduction is verified per site
-    against the solver before being used.  Paths beyond the escape radius
+    exactly to a nearest-neighbour walk, which steps with the closed-form
+    ``up_probability`` and reads no cell.  Paths beyond the escape radius
     are absorbed at the cemetery.  A lattice or grid potential's window is
     its data, so paths that come within ``8 eps`` of its edge are absorbed
     too.  A CallablePotential's window only cuts a larger potential down to
@@ -616,7 +625,6 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
     dt = eps * eps
     grid, n_steps, capture = config.clock(horizon, lambda t: t / dt)
 
-    V.cells()  # build the cell table before any worker touches it
     lattice = _lattice_tables(V, eps, start, n_steps)
     if lattice is not None:
         site0, site_lo, p_table = lattice
@@ -625,6 +633,7 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
         return run_chain(site0, step, n_steps, capture, dt, grid, 1, config,
                          emit=lambda sites: sites * eps)
 
+    V.cells()  # build the cell table before any worker touches it
     lo_d, hi_d = V.domain
     margin = 8.0 * eps
     windowed = isinstance(V, CallablePotential)
@@ -693,8 +702,9 @@ def _lattice_tables(V: Potential, eps: float, start, n_steps: int):
     """Site-indexed up-probabilities when the scheme reduces to a lattice walk.
 
     Returns (start_site, site_lo, p_table) or None when the reduction does
-    not apply; used only after verifying psi_up = psi_down = eps at every
-    reachable site through the generic solver.
+    not apply.  With mesh eps and a lattice start, psi = eps at every kept
+    site and the kernel is the closed form ``V.up_probability``; as in RWRE,
+    the table holds 0 or 1 exactly where ``e^{q_k}`` overflows or vanishes.
     """
     if not isinstance(V, PiecewiseConstantPotential):
         return None
@@ -708,22 +718,13 @@ def _lattice_tables(V: Potential, eps: float, start, n_steps: int):
     site0 = np.rint(s / eps)
     if abs(s - site0 * eps) > 1e-9 * eps:
         return None
-    reach_lo = int(site0) - n_steps - 1
-    reach_hi = int(site0) + n_steps + 1
-    # Keep sites whose initial psi bracket (two cells each way) stays inside
-    # the window; at aligned sites the bracket never expands further.
-    site_lo = max(reach_lo, V.k_min + 1)
-    site_hi = min(reach_hi, V.k_max - 1)
+    # Keep reachable sites whose initial psi bracket (two cells each way)
+    # stays inside the window, as the generic step would need.
+    site_lo = max(int(site0) - n_steps - 1, V.k_min + 1)
+    site_hi = min(int(site0) + n_steps + 1, V.k_max - 1)
     if not site_lo <= site0 <= site_hi:
-        return None  # the start site itself is not verified
-    sites = np.arange(site_lo, site_hi + 1)
-    pos = sites * eps
-    psiu, psid = psi_solve_many(V, pos, eps)
-    if (np.max(np.abs(psiu - eps)) > 1e-9 * eps
-            or np.max(np.abs(psid - eps)) > 1e-9 * eps):
         return None
-    p_table = p_eval_many(V, pos, psiu, psid)
-    return float(site0), site_lo, p_table
+    return float(site0), site_lo, V.up_probability(site_lo, site_hi)
 
 
 # ---------------------------------------------------------------------------

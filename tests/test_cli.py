@@ -531,6 +531,48 @@ def test_overflow_is_an_escape_not_a_warning(workdir, capsys, case):
             assert np.all(np.isfinite(batch.states[alive]))
 
 
+def write_hostile_lattice_file(name, sites, q):
+    """A zero lattice on k = -20..20 with increment q at the given sites."""
+    ks = np.arange(-20, 21)
+    np.savetxt(name, np.stack([ks, np.where(np.isin(ks, sites), q, 0.0)], axis=1),
+               delimiter=",", fmt="%.17g")
+
+
+HOSTILE_LATTICES = {
+    "overflowing-exp": ([3], 800.0),
+    "vanishing-exp": ([3], -40.0),
+    "overflowing-sum": ([1, 2, 3, 4], 1e308),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_LATTICES))
+@pytest.mark.filterwarnings("error")
+def test_aligned_lattice_runs_take_any_finite_increment(workdir, capsys, case):
+    # An aligned run walks the closed-form table and reads no cell: p is 0 or
+    # 1 exactly where e^q overflows or vanishes against 1, as in simulate-rwre.
+    write_hostile_lattice_file("hostile.csv", *HOSTILE_LATTICES[case])
+    run_ok(["simulate-potential", "--potential", "hostile.csv", "--mesh", "0.05",
+            "--eps", "0.05", "--T", "0.2", "--paths", "5", "--seed", "3",
+            "--out", "out.csv"], capsys)
+    batch = read_paths_csv("out.csv")
+    alive = batch.times[None, :] < batch.xi[:, None]
+    assert alive.any() and np.all(np.isfinite(batch.states[alive]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_lattice_sum_off_the_mesh_is_a_numeric_failure(workdir, capsys):
+    # The cells beyond the overflowing sum are +inf; the generic step refuses
+    # the span that reaches them, with one line and without a warning.
+    write_hostile_lattice_file("hostile.csv", *HOSTILE_LATTICES["overflowing-sum"])
+    code = run(["simulate-potential", "--potential", "hostile.csv", "--mesh", "0.05",
+                "--eps", "0.025", "--T", "0.2", "--paths", "5", "--seed", "3",
+                "--out", "out.csv"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("numeric failure:")
+    assert not os.path.exists("out.csv")
+
+
 @pytest.mark.parametrize("start, code", [("-2.5", 1), ("2.2", 1), ("-2.0", 2), ("2.0", 2)])
 def test_lattice_start_outside_the_verified_sites(workdir, capsys, start, code):
     # The window holds sites -21..20 but only -19..19 have a verified

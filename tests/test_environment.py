@@ -206,6 +206,31 @@ def test_rwre_honours_the_escape_radius():
     assert np.all(np.isnan(far.walks.states))
 
 
+def test_rwre_and_the_potential_scheme_walk_one_table(monkeypatch):
+    # Both walks step with the lattice potential's closed-form table, so on
+    # the same sites they are bit-equal, even at a q whose e^q overflows.
+    import levylab.environment as environment
+    import levylab.potential as pot
+
+    tables = []
+    kernel = pot.lattice_kernel
+
+    def record(p_table, site_lo, *args):
+        tables.append((site_lo, p_table))
+        return kernel(p_table, site_lo, *args)
+
+    monkeypatch.setattr(environment, "lattice_kernel", record)
+    monkeypatch.setattr(pot, "lattice_kernel", record)
+    env = CustomEnvironment(sampler=lambda rng, eps, lo, hi: np.where(
+        np.arange(lo, hi + 1) == 3, 800.0, rng.normal(0.0, 0.5, hi - lo + 1)))
+    cfg = SchemeConfig(paths=20, seed=4, grid=np.array([0.0, 0.1]))
+    run, = rwre_simulate(env, 0.05, 0, 0.1, 1, cfg)
+    potential_chain_simulate(run.potential, 0.0, 0.05, 0.1, cfg)
+    (rwre_lo, rwre), (lo, table) = tables
+    assert table.size > 40 and table[3 - lo] == 0.0
+    np.testing.assert_array_equal(table, rwre[lo - rwre_lo:lo - rwre_lo + table.size])
+
+
 def test_donsker_variance_and_quenched_annealed_split():
     # variance of the rescaled potential approximates |a|, and quenched
     # per-environment means differ from the pooled (annealed) statistics

@@ -284,11 +284,27 @@ class TestPsi:
         assert np.max(np.abs(psiu - mesh)) <= 1e-9 * mesh
         assert np.max(np.abs(psid - mesh)) <= 1e-9 * mesh
         assert np.all((p_table > 0.0) & (p_table < 1.0))
-        np.testing.assert_array_equal(p_table, p_eval_many(V, pos, psiu, psid))
         exact = 1.0 / (np.exp(q[site_lo + np.arange(p_table.size) - k_min]) + 1.0)
+        np.testing.assert_array_equal(p_table, exact)
         np.testing.assert_allclose(p_eval_many(V, pos, np.full(pos.size, mesh),
                                                np.full(pos.size, mesh)), exact, rtol=1e-13)
-        np.testing.assert_allclose(p_table, exact, rtol=1e-9)
+        np.testing.assert_allclose(p_eval_many(V, pos, psiu, psid), exact, rtol=1e-9)
+
+    def test_zero_lattice_table_is_exactly_one_half(self):
+        # Bisection's psi may differ from eps by ulps; the closed form cannot.
+        tables = pot._lattice_tables(zero_potential(0.05, -300, 300), 0.05, 0.0, 298)
+        assert tables is not None and tables[2].size == 599
+        assert np.all(tables[2] == 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_lattice_sum_leaves_infinite_cells(self):
+        q = np.zeros(41)
+        q[21:25] = 1e308
+        V = PiecewiseConstantPotential(0.05, q, k_min=-20)
+        assert np.all(V.cells().left_value[23:] == np.inf)
+        _, site_lo, p_table = pot._lattice_tables(V, 0.05, 0.0, 10)
+        # sites 0..5: from sites 1..4 a walk never steps up into the infinite cells
+        np.testing.assert_array_equal(p_table[-site_lo:6 - site_lo], [0.5, 0, 0, 0, 0, 0.5])
 
 
 # Potentials whose steps cross several cells: a Brownian-like grid with a
@@ -463,7 +479,7 @@ class TestChain:
         assert np.array_equal(b1.states, b2.states, equal_nan=True)
 
     def test_lattice_matches_generic_path(self, monkeypatch):
-        # the verified lattice fast path and the generic solver walk coincide
+        # the closed-form lattice walk and the generic solver walk coincide
         # pathwise when fed the same streams
         import levylab.potential as pot
 
