@@ -618,7 +618,7 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
     if not callable(start):
         s = float(as_point(start, 1)[0])
         lo_d, hi_d = V.domain
-        if s < lo_d or s > hi_d:
+        if not lo_d <= s <= hi_d:
             raise ValidationError(
                 f"start point {s} lies outside the potential domain [{lo_d}, {hi_d}]"
             )
@@ -713,8 +713,6 @@ def _lattice_tables(V: Potential, eps: float, start, n_steps: int):
     if callable(start):
         return None
     s = float(as_point(start, 1)[0])
-    if not math.isfinite(s):
-        return None
     site0 = np.rint(s / eps)
     if abs(s - site0 * eps) > 1e-9 * eps:
         return None

@@ -192,14 +192,15 @@ def test_constant_field_moves_atoms_with_the_point():
 
 class TestPathRecord:
     def test_batch_marginal_and_blanking(self):
-        batch = PathBatch(times=[0.0, 1.0], states=np.array([[[0.0], [1.0]],
-                                                             [[0.0], [2.0]]]),
-                          xi=np.array([0.5, np.inf]))
-        batch.blank_dead()
-        vals, alive = batch.marginal(1.0)
-        assert vals.shape == (1, 1)
-        assert list(alive) == [False, True]
-        assert np.isnan(batch.states[0, 1, 0])
+        # (paths, times) states hold one coordinate
+        for states in ([[[0.0], [1.0]], [[0.0], [2.0]]], [[0.0, 1.0], [0.0, 2.0]]):
+            batch = PathBatch(times=[0.0, 1.0], states=np.array(states),
+                              xi=np.array([0.5, np.inf]))
+            batch.blank_dead()
+            vals, alive = batch.marginal(1.0)
+            assert vals.shape == (1, 1)
+            assert list(alive) == [False, True]
+            assert np.isnan(batch.states[0, 1, 0])
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_batch_marginal_at_a_non_finite_time(self, t):

@@ -82,6 +82,7 @@ class TestExpIntegral:
     def test_zero_potential(self):
         V = constant_potential(0.0, -5, 5)
         assert exp_integral(V, 0.0, 1.0, "+") == pytest.approx(1.0, rel=1e-14)
+        assert exp_integral(V, 0.5, 0.5, "+") == 0.0
 
     def test_lattice_cell(self):
         V = PiecewiseConstantPotential(1.0, np.array([0.0, np.log(2.0)]), k_min=0)
@@ -542,7 +543,7 @@ class TestChain:
                                  ids=["lattice", "grid"])
     def test_start_outside_the_domain_is_rejected(self, V):
         cfg = SchemeConfig(paths=4, seed=1)
-        for start in (V.domain[0] - 0.05, V.domain[1] + 1.0):
+        for start in (V.domain[0] - 0.05, V.domain[1] + 1.0, np.nan):
             with pytest.raises(ValidationError, match="outside the potential domain"):
                 potential_chain_simulate(V, start, 0.1, 0.05, cfg)
 
