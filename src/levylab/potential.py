@@ -72,18 +72,30 @@ _CHEB_W = _CHEB_CUM[-1]
 
 
 def _phi1(z):
-    """(e^z - 1) / z, stable near zero."""
+    """(e^z - 1) / z, stable near zero: the series on the rows with |z| < 1e-6."""
     z = np.asarray(z, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        return np.where(np.abs(z) < 1e-6, 1.0 + z / 2.0 + z * z / 6.0, np.expm1(z) / z)
+        out = np.expm1(z, out=np.empty_like(z))
+        out /= z
+    small = np.abs(z) < 1e-6
+    if small.any():
+        s = z[small]
+        out[small] = 1.0 + s / 2.0 + s * s / 6.0
+    return out
 
 
 def _phi2(z):
-    """(e^z - 1 - z) / z^2, stable near zero."""
+    """(e^z - 1 - z) / z^2, stable near zero: the series on the rows with |z| < 1e-5."""
     z = np.asarray(z, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        return np.where(np.abs(z) < 1e-5, 0.5 + z / 6.0 + z * z / 24.0,
-                        (np.expm1(z) - z) / (z * z))
+        out = np.expm1(z, out=np.empty_like(z))
+        out -= z
+        out /= z * z
+    small = np.abs(z) < 1e-5
+    if small.any():
+        s = z[small]
+        out[small] = 0.5 + s / 6.0 + s * s / 24.0
+    return out
 
 
 def _sample(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -141,8 +153,9 @@ class _CellData:
                 out[:, rows] = (h * (ep @ _CHEB_W), h * (em @ _CHEB_W),
                                 h * h * ((ep * (em @ _CHEB_CUM.T)) @ _CHEB_W))
             return out
-        v_edge = self.value(cell, pos)
-        z = sgn * self.slope[cell] * length
+        slope = self.slope[cell]
+        v_edge = self.left_value[cell] + slope * (pos - self.bounds[cell])
+        z = sgn * slope * length
         return (np.exp(v_edge - ref) * length * _phi1(z),
                 np.exp(ref - v_edge) * length * _phi1(-z), length * length * _phi2(z))
 
@@ -460,38 +473,105 @@ def psi_solve_many(V: Potential, a: np.ndarray, eps: float) -> tuple[np.ndarray,
 
     Both sides are solved in one batch of twice the rows, each row with its
     own direction.  Each value is bisection's to ``PSI_REL_TOL * eps``: the
-    bracket starts at twice the step and doubles until the target is
-    covered, with a doubling cap flagging pathological potentials, then
+    bracket ``hi0`` starts at twice the step and doubles until the target
+    is covered, with a doubling cap flagging pathological potentials, then
     halves.  Every row is its own bisection, so a row's psi does not depend
     on the rows that share its call.  The solver reaches that value by
-    certified Newton.
+    certified Newton, reading bisection's bracket off the root instead of
+    walking it.
 
     Newton's method on ``sqrt(phi) - eps`` finds the root in a few walks,
-    since each walk gives phi and its slope ``2 e^{V(end)} int e^{-V}``.
-    Bisection's float loop is then replayed against that root, at no cost,
-    and one phi evaluation at the two ends it stops on certifies the replay:
-    if phi is below the target at ``lo`` and not below it at ``hi``, and
-    phi does not decrease, every comparison bisection makes agrees with the
-    replay, so the result is bisection's to the bit, whatever Newton
-    iterate the replay started from.  A failed end shows which way
-    bisection turns there, so the root moves across it and the replay runs
-    again, up to ``CERTIFY_ROUNDS`` times; paths still failing are bisected
-    with real phi comparisons.
+    since each walk gives phi and its slope ``2 e^{V(end)} int e^{-V}``;
+    its iterates stay inside the potential window and the doubling cap.
+    ``hi0`` is taken as the smallest ``2 eps 2^j`` at or above the root,
+    and bisection's float loop from ``(0, hi0]`` is replayed against the
+    root, at no cost.  One phi evaluation at the two ends the replay stops
+    on certifies it: if phi is below the target at ``lo`` and not below it
+    at ``hi``, and phi does not decrease, every comparison bisection makes
+    agrees with the replay, so the result is bisection's to the bit,
+    whatever Newton iterate the replay started from.  The same premise
+    makes ``hi0`` the walked bracket: phi is covered at ``hi0 >= hi``, and
+    short at ``hi0 / 2 <= lo`` unless ``hi0`` is the first bracket.  A
+    failed end shows which way bisection turns there, so the root moves
+    across it, ``hi0`` is read again and the replay runs again, up to
+    ``CERTIFY_ROUNDS`` times: on the failed rows only for lattice and grid
+    cells, whose bits do not depend on the batch, on all rows for
+    Chebyshev cells.
+
+    The other rows are bisected as the walked bracket and real phi
+    comparisons: rows still failing, rows whose ``hi0`` would leave the
+    window or pass the cap (there the walked bracket raises as bisection
+    does), and all rows when a point lies outside the window or a Newton
+    walk raises (an overflow or the cell budget, beyond where bisection
+    would walk).
     """
-    if not eps > 0:
-        raise ValidationError("the step parameter must be positive")
+    if not 0 < eps < math.inf:
+        raise ValidationError("the step parameter must be positive and finite")
     a = np.asarray(a, dtype=float).ravel()
     n = a.size
     if n == 0:
         return np.empty(0), np.empty(0)
     a = np.concatenate([a, a])
     sgn = np.repeat([1.0, -1.0], n)  # the up rows, then the down rows
+    try:
+        psi = _psi_certified(V, a, sgn, eps)
+    except (PotentialOverflowError, ConfigurationError, ValidationError):
+        psi = np.full(a.shape, np.nan)
+    missed = np.flatnonzero(np.isnan(psi))
+    if missed.size:
+        psi[missed] = _psi_bisected(V, a[missed], sgn[missed], eps)
+    return psi[:n], psi[n:]
+
+
+def _psi_certified(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float) -> np.ndarray:
+    """psi by certified Newton with the bracket read off the root (see
+    :func:`psi_solve_many`); NaN on the rows it cannot certify."""
+    lo_d, hi_d = V.domain
+    if not np.all((a >= lo_d) & (a <= hi_d)):
+        return np.full(a.shape, np.nan)
+    limit = np.minimum(np.where(sgn > 0, hi_d - a, a - lo_d), BRACKET_CAP_FACTOR * eps)
+    return _certify(V, a, sgn, eps, _psi_newton(V, a, sgn, eps, limit), CERTIFY_ROUNDS)
+
+
+def _certify(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float, root: np.ndarray,
+             rounds: int) -> np.ndarray:
+    """Replay bisection against ``root`` from the bracket read off it and
+    certify the replay, for up to ``rounds`` rounds; NaN where it fails."""
+    lo_d, hi_d = V.domain
+    target = eps * eps
+    hi0 = np.full(a.shape, 2.0 * eps)
+    while (short := hi0 < root).any():
+        hi0[short] *= 2.0
+    end = a + sgn * hi0
+    ok = (hi0 <= BRACKET_CAP_FACTOR * eps * (1 + 1e-12)) & (end >= lo_d) & (end <= hi_d)
+    lo, hi = _bisect(hi0, PSI_REL_TOL * eps, lambda mid: mid < root)
+    rows = slice(None) if ok.all() else ok
+    k = np.count_nonzero(ok)
+    ends = phi_eval(V, np.concatenate([a[rows], a[rows]]),
+                    np.concatenate([sgn[rows] * lo[rows], sgn[rows] * hi[rows]]))
+    up, down = np.zeros((2, a.size), dtype=bool)
+    up[rows], down[rows] = ends[:k] >= target, ends[k:] < target
+    held = ok & ~up & ~down & ((lo >= 0.5 * hi0) | (hi0 == 2.0 * eps))
+    psi = np.where(held, 0.5 * (lo + hi), np.nan)
+    failed = up | down
+    if rounds > 1 and failed.any():
+        # Bisection turns the other way at that end: move the root across it.
+        root = np.where(up, lo, np.where(down, np.nextafter(hi, np.inf), root))
+        # A closed-form row has the same bits in any batch, so only the failed
+        # rows go again; Chebyshev rows go again in the batch they came in.
+        again = np.flatnonzero(failed) if V.cells().fn is None else np.arange(a.size)
+        psi[again] = _certify(V, a[again], sgn[again], eps, root[again], rounds - 1)
+    return psi
+
+
+def _psi_bisected(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float) -> np.ndarray:
+    """psi by plain bisection: the bracket doubles from ``2 eps`` over walks
+    until phi covers the target, then halves on real phi comparisons."""
     target = eps * eps
     hi0 = np.full(a.shape, 2.0 * eps)
     cap = BRACKET_CAP_FACTOR * eps
     while True:
-        vals = phi_eval(V, a, sgn * hi0)
-        short = vals < target
+        short = phi_eval(V, a, sgn * hi0) < target
         if not short.any():
             break
         hi0[short] *= 2.0
@@ -502,33 +582,15 @@ def psi_solve_many(V: Potential, a: np.ndarray, eps: float) -> tuple[np.ndarray,
                 f"psi bracket expansion exceeded {BRACKET_CAP_FACTOR} steps at "
                 f"position {bad}; the potential is pathological for this step size"
             )
-    tol = PSI_REL_TOL * eps
-    root = _psi_newton(V, a, sgn, eps, hi0)
-    for _ in range(CERTIFY_ROUNDS):
-        lo, hi = _bisect(hi0, tol, lambda mid: mid < root)
-        ends = phi_eval(V, np.concatenate([a, a]), np.concatenate([sgn * lo, sgn * hi]))
-        up, down = ends[: a.size] >= target, ends[a.size:] < target
-        failed = up | down
-        if not failed.any():
-            break
-        # Bisection turns the other way at that end: move the root across it.
-        root = np.where(up, lo, np.where(down, np.nextafter(hi, np.inf), root))
-    else:
-        def below(mid):
-            less = mid < root
-            less[failed] = phi_eval(V, a[failed], sgn[failed] * mid[failed]) < target
-            return less
-
-        lo, hi = _bisect(hi0, tol, below)
-    psi = 0.5 * (lo + hi)
-    return psi[:n], psi[n:]
+    lo, hi = _bisect(hi0, PSI_REL_TOL * eps, lambda mid: phi_eval(V, a, sgn * mid) < target)
+    return 0.5 * (lo + hi)
 
 
 def _psi_newton(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float,
-                hi0: np.ndarray) -> np.ndarray:
+                limit: np.ndarray) -> np.ndarray:
     """Newton's method on ``g(h) = sqrt(phi(a, sgn h)) - eps`` from ``h = eps``,
     one walk per iterate over the rows of both directions (``sgn`` is each
-    row's), each iterate clamped to ``[h/2, hi0]``.
+    row's), each iterate clamped to ``[h/2, limit]``.
 
     In the walk's rescaled terms ``phi'/phi = e^{V(end)-ref} em / phi_half``,
     so the step ``g/g' = 2 (1 - eps/sqrt(phi)) phi/phi'`` never overflows; a
@@ -538,15 +600,15 @@ def _psi_newton(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float,
     would only stir rounding noise.
     """
     cd = V.cells()
-    h = np.full_like(hi0, eps)
-    last = np.zeros_like(hi0)
+    h = np.minimum(limit, eps)
+    last = np.zeros_like(h)
     for _ in range(NEWTON_MAX_ITER):
         res, _, em, ref = _walk(cd, a, sgn * h)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = np.sqrt(2.0 * res) / eps
             slope = np.exp(V._value(a + sgn * h) - ref) * em / res
             step = 2.0 * (1.0 - 1.0 / ratio) / slope
-        new = np.fmin(np.fmax(h - step, 0.5 * h), hi0)
+        new = np.fmin(np.fmax(h - step, 0.5 * h), limit)
         step = np.abs(new - h)
         shrink = np.divide(step, last, out=np.ones_like(step), where=last > 0)
         h, last = new, step
@@ -559,6 +621,7 @@ def _bisect(hi: np.ndarray, tol: float, below: Callable[[np.ndarray], np.ndarray
     """Halve each bracket ``(0, hi]`` until it is at most ``tol`` wide,
     keeping the upper half where ``below(mid)`` is false; returns (lo, hi).
     A row stops at its own width, whatever the other rows' widths are."""
+    hi = hi.copy()
     lo = np.zeros_like(hi)
     while True:
         wide = hi - lo > tol
@@ -566,22 +629,30 @@ def _bisect(hi: np.ndarray, tol: float, below: Callable[[np.ndarray], np.ndarray
             return lo, hi
         mid = 0.5 * (lo + hi)
         less = below(mid)
-        lo = np.where(wide & less, mid, lo)
-        hi = np.where(wide & ~less, mid, hi)
+        less &= wide
+        wide &= ~less
+        np.copyto(lo, mid, where=less)
+        np.copyto(hi, mid, where=wide)
 
 
 def p_eval_many(V: Potential, a: np.ndarray, psi_up: np.ndarray,
                 psi_down: np.ndarray) -> np.ndarray:
     """Up-move probability at each point of ``a``: the e^V mass of
     ``[a - psi_down, a]`` over that of the whole step window
-    ``[a - psi_down, a + psi_up]``."""
+    ``[a - psi_down, a + psi_up]``.  The three arrays must have one shape."""
     a = np.asarray(a, dtype=float)
     psi_up = np.asarray(psi_up, dtype=float)
     psi_down = np.asarray(psi_down, dtype=float)
-    if np.any(psi_up <= 0) or np.any(psi_down <= 0):
-        raise ValidationError("step sizes must be positive")
+    if not a.shape == psi_up.shape == psi_down.shape:
+        raise ValidationError(f"points and step sizes differ in shape: {a.shape}, "
+                              f"{psi_up.shape} and {psi_down.shape}")
+    if not (np.all((psi_up > 0) & (psi_up < math.inf))
+            and np.all((psi_down > 0) & (psi_down < math.inf))):
+        raise ValidationError("step sizes must be positive and finite")
+    shape = a.shape
+    a, psi_up, psi_down = a.ravel(), psi_up.ravel(), psi_down.ravel()
     if a.size == 0:
-        return np.empty(0)
+        return np.empty(shape)
     V.check_window(float(np.min(a - psi_down)), float(np.max(a + psi_up)))
     # Both masses are walked from ``a``, so they share its reference V(a).
     mass = _walk(V.cells(), np.concatenate([a, a]), np.concatenate([-psi_down, psi_up]))[1]
@@ -592,7 +663,7 @@ def p_eval_many(V: Potential, a: np.ndarray, psi_up: np.ndarray,
     p = num / den
     if np.any((p <= 0) | (p >= 1)):
         raise ValidationError("transition probability left (0, 1); check the window")
-    return p
+    return p.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

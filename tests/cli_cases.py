@@ -195,6 +195,10 @@ def two_columns(*pairs):
 
 
 FIVE_KNOTS = [(-2, -0.2), (-1, -0.1), (0, 0), (1, 0.1), (2, 0.2)]
+STEEP_KNOTS = [-1.0, 0.100941360913408, 0.1422457139071176, 0.17856971070359084,
+               0.504489027283032, 0.6055567483749777, 1.0]
+STEEP_VALUES = [-24.148475482317515, 6.618100338783542, -0.7251322311333297,
+                -26.72515740280059, 9.533268092838334, 25.356843394834556, -29.192984521776822]
 
 
 def fine_grid():
@@ -278,6 +282,12 @@ CASES = [
     row("test_steep_linear_expression_is_not_absorbed_silently", "simulate-potential "
         "--potential=-200*x1 --eps 0.05 --T 0.01 --paths 8 --seed 2 --out lin.csv",
         check=drifted_near_one),
+    # One step on a steep seven-knot grid, where an unclamped Newton iterate
+    # for psi would leave the window [-1, 1].
+    row("steep-grid-step-near-its-cliffs", "simulate-potential --potential steep.csv "
+        "--start 0.08539713711221086 --eps 0.07603184195139444 --T 0.006 --paths 20 "
+        "--seed 1 --grid-points 2 --out steep_out.csv",
+        files={"steep.csv": two_columns(*zip(STEEP_KNOTS, STEEP_VALUES))}, check=some_alive),
     # the start 5e6 lies beyond the default escape radius 1e6
     row("test_start_beyond_the_escape_radius_is_absorbed_at_time_zero", "simulate-stable "
         "--n 10 --T 0.5 --start 5e6 --paths 3 --grid-points 6 --out far.csv",

@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levylab import rng as lrng
@@ -10,6 +10,7 @@ from levylab.core import SchemeConfig
 from levylab.diagnostics import ks_distance
 from levylab.errors import (
     ConfigurationError,
+    LevylabError,
     PotentialOverflowError,
     RangeError,
     SchemeStepError,
@@ -182,6 +183,18 @@ class TestPhi:
         assert phi_eval(V, a, h) == pytest.approx(2 * oracle, abs=10 * err + 1e-12)
 
 
+@st.composite
+def steep_grids(draw):
+    """Knots and values of a grid on [-1, 1] with slopes up to +-400."""
+    inner = draw(st.lists(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                          max_size=5, unique=True))
+    knots = np.array([-1.0, *sorted(inner), 1.0])
+    slopes = draw(st.lists(st.floats(-400.0, 400.0), min_size=knots.size - 1,
+                           max_size=knots.size - 1))
+    start = draw(st.floats(-40.0, 40.0))
+    return knots, start + np.concatenate([[0.0], np.cumsum(slopes * np.diff(knots))])
+
+
 class TestPsi:
     def test_constant_potential(self):
         V = constant_potential(0.0, -5, 5)
@@ -220,6 +233,11 @@ class TestPsi:
         batched = psi_solve_many(V, a, 0.05)[0 if side == "up" else 1]
         alone = [bisection_psi(V, [point], 0.05, side)[0] for point in a]
         np.testing.assert_array_equal(batched, alone)
+
+    @pytest.mark.parametrize("eps", [np.inf, np.nan, 0.0, -0.1])
+    def test_step_parameter_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            psi_solve_many(GridPotential([-1.0, 1.0], [0.2, 0.4]), [0.0], eps)
 
     def test_domain_edge_error(self):
         # bracket expansion that would leave the window surfaces a range error
@@ -263,6 +281,50 @@ class TestPsi:
         for side, psi in zip(("up", "down"), psi_solve_many(V, a, 0.05)):
             np.testing.assert_array_equal(psi, bisection_psi(V, a, 0.05, side))
 
+
+    # Seven-knot grids on [-1, 1] with values uniform in +-40 (cases 50, 157
+    # and 365 of: rng = np.random.default_rng(7); per case, sorted
+    # rng.uniform(-1, 1, 5) inner knots, rng.uniform(-40, 40, 7) values,
+    # a = rng.uniform(-0.95, 0.95), eps = rng.uniform(0.01, 0.1)).  Newton
+    # jumps out of the window there unless its iterates are clamped to it.
+    # The last example's steep downhill doubles the up bracket to 16 eps.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(grid=steep_grids(), a=st.floats(-1.0, 1.0), eps=st.floats(0.01, 0.1))
+    @example(grid=([-1.0, 0.100941360913408, 0.1422457139071176, 0.17856971070359084,
+                    0.504489027283032, 0.6055567483749777, 1.0],
+                   [-24.148475482317515, 6.618100338783542, -0.7251322311333297,
+                    -26.72515740280059, 9.533268092838334, 25.356843394834556,
+                    -29.192984521776822]),
+             a=0.08539713711221086, eps=0.07603184195139444)
+    @example(grid=([-1.0, -0.6322854099522595, -0.6055831435399146, -0.5154423817394893,
+                    -0.4404596315352718, 0.1466112453031918, 1.0],
+                   [-32.120322563240336, -14.023036879453148, 21.927499922077935,
+                    -38.272108186965916, -1.3871790860832647, 8.224497486887692,
+                    -36.03046376639539]),
+             a=-0.3914527131988237, eps=0.0915828544789484)
+    @example(grid=([-1.0, -0.8285564217641723, -0.7776819012983318, -0.2922616575590802,
+                    -0.1524440739782531, 0.20596933133622874, 1.0],
+                   [-3.9165292705095283, -27.223219178481564, 23.042189729301143,
+                    -7.195513062875101, -37.940302446986124, 30.351122987557147,
+                    -7.2654104386615685]),
+             a=-0.7754188233015258, eps=0.03600001351262707)
+    @example(grid=([-1.0, 1.0], [400.0, -400.0]), a=-0.5, eps=0.05)
+    def test_steep_grids_match_bisection(self, grid, a, eps):
+        V = GridPotential(*grid)
+        want = []
+        for side in ("up", "down"):
+            try:
+                want.append(bisection_psi(V, [a], eps, side))
+            except LevylabError as exc:
+                want.append(type(exc))
+        try:
+            got = psi_solve_many(V, [a], eps)
+        except LevylabError as exc:
+            assert type(exc) in want
+        else:
+            for psi, oracle in zip(got, want):
+                assert isinstance(oracle, np.ndarray)
+                assert psi.tobytes() == oracle.tobytes()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(mesh=st.floats(0.02, 0.5), origin=st.floats(0.0, 1.0), size=st.integers(8, 60),
@@ -345,6 +407,64 @@ def test_joint_batches_match_one_sided_batches(name):
     down = pot._walk(cells, a, -psi_down)[1]
     up = pot._walk(cells, a, psi_up)[1]
     np.testing.assert_array_equal(p_eval_many(V, a, psi_up, psi_down), down / (down + up))
+
+
+def test_one_step_on_a_linear_grid_walks_four_times(monkeypatch):
+    # Two Newton walks, the certificate and p: bisection's bracket is read
+    # off the certified root, not walked.
+    walks = []
+    walk_rows = pot._walk_rows
+    monkeypatch.setattr(pot, "_walk_rows", lambda *args: walks.append(1) or walk_rows(*args))
+    x = np.linspace(-30.0, 30.0, 1201)
+    V = GridPotential(x, x / 2)
+    a = np.linspace(-2.0, 2.0, 250)
+    p_eval_many(V, a, *psi_solve_many(V, a, 0.05))
+    assert len(walks) <= 4
+
+
+def _phi1_where(z):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return np.where(np.abs(z) < 1e-6, 1.0 + z / 2.0 + z * z / 6.0, np.expm1(z) / z)
+
+
+def _phi2_where(z):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return np.where(np.abs(z) < 1e-5, 0.5 + z / 6.0 + z * z / 24.0,
+                        (np.expm1(z) - z) / (z * z))
+
+
+_PHI_EDGES = [z for c in (0.0, 1e-6, 1e-5, 700.0, np.inf)
+              for x in (c, -c) for z in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(z=st.lists(st.one_of(st.floats(), st.floats(-1e-4, 1e-4), st.sampled_from(_PHI_EDGES)),
+                  min_size=1, max_size=40))
+@example(z=_PHI_EDGES)
+def test_phi_helpers_match_their_where_forms_bit_for_bit(z):
+    z = np.array(z)
+    assert pot._phi1(z).tobytes() == _phi1_where(z).tobytes()
+    assert pot._phi2(z).tobytes() == _phi2_where(z).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(JOINT_POTENTIALS))
+def test_second_certificate_round_matches_bisection(name, monkeypatch):
+    # Roots one part in 1e12 off fail the first certificate on most rows; the
+    # second round goes again on the failed rows of closed-form cells and on
+    # every row of Chebyshev cells.
+    V = JOINT_POTENTIALS[name]
+    a = np.linspace(-1.3, 1.1, 25)
+    newton = pot._psi_newton
+    monkeypatch.setattr(pot, "_psi_newton", lambda *args: newton(*args) * (1.0 + 1e-12))
+    rounds = []
+    certify = pot._certify
+    monkeypatch.setattr(pot, "_certify",
+                        lambda V, a, *rest: rounds.append(a.size) or certify(V, a, *rest))
+    psi_up, psi_down = psi_solve_many(V, a, 0.05)
+    np.testing.assert_array_equal(psi_up, bisection_psi(V, a, 0.05, "up"))
+    np.testing.assert_array_equal(psi_down, bisection_psi(V, a, 0.05, "down"))
+    assert len(rounds) == 2
+    assert (rounds[1] == 50) == (name == "callable")
 
 
 @pytest.mark.parametrize("name", ["grid", "lattice"])
@@ -469,6 +589,17 @@ class TestP:
         p = p_eval_many(V, [1.0], [1.0], [1.0])[0]
         assert p == pytest.approx(1.0 / (1.0 + np.exp(30.0)), rel=1e-10)
         assert p < 1e-12
+
+
+    @pytest.mark.parametrize("args", [
+        ([0.0], [np.nan], [0.1]),
+        ([0.0], [0.1], [np.inf]),
+        ([0.0, 0.1, 0.2], [0.1], [0.1]),
+        ([0.0, 0.1], [0.1, 0.1], [0.1, 0.1, 0.1]),
+    ], ids=["nan-step", "infinite-step", "short-psi", "long-psi-down"])
+    def test_bad_steps_are_validation_errors(self, args):
+        with pytest.raises(ValidationError):
+            p_eval_many(GridPotential([-1.0, 1.0], [0.2, 0.4]), *args)
 
 
 class TestChain:
