@@ -28,14 +28,13 @@ from .core import (
     SchemeConfig,
     StableLike,
     TripletField,
-    UserDensity,
     jump_measure_from_config,
     sphere_surface_area,
     triplet_from_config,
     validate_hypotheses,
 )
 from .diagnostics import explosion_stats, ks_distance, martingale_residual, wasserstein1
-from .embedding import doob_bound_check, floor_embed, gamma_clock, poissonize
+from .embedding import doob_bound_check, floor_embed, gamma_clock, poissonize_with
 from .environment import (
     BernoulliPoisson,
     CustomEnvironment,
@@ -67,6 +66,6 @@ from .potential import (
     potential_distance,
     transport_test_function,
 )
-from .stable import StableField, stable_chain_simulate, stable_threshold
+from .stable import StableField, stable_chain_simulate
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .errors import ConfigurationError, QuadratureError, SchemeStepError, ValidationError
+from .errors import SchemeStepError, ValidationError
 
 
 class Cemetery:
@@ -110,15 +110,17 @@ class Atoms(JumpMeasure):
                  delta_mass: float = 0.0):
         pts, ms, dmass = [], [], float(delta_mass)
         for loc, mass in atoms:
-            if mass <= 0:
-                raise ValidationError("atom masses must be positive")
+            if not 0 < mass < math.inf:
+                raise ValidationError(f"atom masses must be positive and finite, got {mass}")
             if loc is DELTA:
                 dmass += float(mass)
             else:
                 pts.append(np.atleast_1d(np.asarray(loc, dtype=float)))
+                if not np.all(np.isfinite(pts[-1])):
+                    raise ValidationError(f"atom locations must be finite, got {pts[-1].tolist()}")
                 ms.append(float(mass))
-        if dmass < 0:
-            raise ValidationError("cemetery mass must be nonnegative")
+        if not 0 <= dmass < math.inf:
+            raise ValidationError(f"cemetery mass must be nonnegative and finite, got {dmass}")
         if pts:
             d = pts[0].shape[0]
             if any(p.shape[0] != d for p in pts):
@@ -178,15 +180,16 @@ class StableLike(JumpMeasure):
     min_radius: float = 0.0
 
     def __post_init__(self):
-        if self.c < 0:
-            raise ValidationError("scale c must be nonnegative")
+        if not 0 <= self.c < math.inf:
+            raise ValidationError(f"scale c must be nonnegative and finite, got {self.c}")
         if not (0.0 < self.alpha < 2.0):
             raise ValidationError(
                 f"stable index must lie in (0, 2); alpha={self.alpha} makes the "
                 "compensated mass integral diverge"
             )
-        if self.min_radius < 0:
-            raise ValidationError("min_radius must be nonnegative")
+        if not 0 <= self.min_radius < math.inf:
+            raise ValidationError(f"min_radius must be nonnegative and finite, "
+                                  f"got {self.min_radius}")
 
     @property
     def surface(self) -> float:
@@ -236,93 +239,6 @@ class StableLike(JumpMeasure):
         return _rng.along(_rng.sphere_draw(rng, size, self.dim), radii)
 
 
-def quadpack(fn, lo: float, hi: float, tol_abs: float, tol_rel: float) -> float:
-    """Integral of the scalar ``fn`` over [lo, hi] (``hi`` may be ``np.inf``).
-
-    QUADPACK's adaptive Gauss-Kronrod rule with extrapolation (QAGS, or QAGI
-    on a half-line), called through scipy; the package's one-dimensional
-    integrals of user callables all go through here.  When QUADPACK flags a
-    failure (subdivision limit, roundoff, divergence) and its error estimate
-    exceeds ten times the requested tolerance, QuadratureError is raised.
-    The failure is read from ``full_output`` rather than from a warning, so
-    concurrent calls from worker threads do not share warning state.
-    scipy is imported here, on first use, so start-up does not pay for it.
-    """
-    from scipy import integrate
-
-    if hi <= lo:
-        return 0.0
-    value, abserr, _info, *failure = integrate.quad(fn, lo, hi, epsabs=tol_abs, epsrel=tol_rel,
-                                                    limit=400, full_output=1)
-    tolerance = tol_abs + tol_rel * abs(value)
-    if failure and abserr > 10 * tolerance:
-        reason = str(failure[0]).split("\n")[0]
-        raise QuadratureError(
-            f"adaptive quadrature over [{lo}, {hi}] did not converge: {reason}",
-            estimate=value, error=abserr, tolerance=tolerance,
-        )
-    return float(value)
-
-
-@dataclass(frozen=True)
-class UserDensity(JumpMeasure):
-    """User-supplied jump density on R^dim minus the origin.
-
-    ``density`` maps an (m, dim) array of jump vectors to densities.  The
-    tail sampler is mandatory for simulation; tail-mass and second-moment
-    callables are used when given, otherwise :meth:`integral` is used, in
-    dimension 1 only.
-    """
-
-    density: Callable[[np.ndarray], np.ndarray]
-    dim: int = 1
-    tail_sampler: Optional[Callable[[np.random.Generator, int, float], np.ndarray]] = None
-    tail_mass_fn: Optional[Callable[[float], float]] = None
-    second_moment_fn: Optional[Callable[[float], float]] = None
-
-    def integral(self, g: Callable[[float], float], cuts: Sequence[float],
-                 tol_abs: float, tol_rel: float) -> float:
-        """integral of g(h) rho(h) over cuts[0] < |h| < cuts[-1], in dimension 1.
-
-        ``cuts`` increase and may end at ``np.inf``; each side is integrated
-        by `quadpack` piece by piece between consecutive cuts, the tolerance
-        split evenly over the pieces.
-        """
-        if self.dim != 1:
-            raise ValidationError("user densities are integrated in dimension 1 only")
-        pieces = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
-        tol = tol_abs / (2 * max(len(pieces), 1))
-        total = 0.0
-        for sgn in (1.0, -1.0):
-            def integrand(r, sgn=sgn):
-                h = sgn * r
-                return g(h) * float(self.density(np.array([[h]]))[0])
-
-            for lo, hi in pieces:
-                total += quadpack(integrand, lo, hi, tol, tol_rel)
-        return total
-
-    def tail_mass(self, r: float, a=None) -> float:
-        if r <= 0:
-            raise ValidationError("radius must be positive")
-        if self.tail_mass_fn is not None:
-            return float(self.tail_mass_fn(r))
-        return self.integral(lambda h: 1.0, [r, np.inf], 1e-11, 1e-9)
-
-    def truncated_second_moment(self, r: float, a=None) -> float:
-        if r <= 0:
-            raise ValidationError("radius must be positive")
-        if self.second_moment_fn is not None:
-            return float(self.second_moment_fn(r))
-        return self.integral(lambda h: h * h, [0.0, r], 1e-11, 1e-9)
-
-    def sample_tail(self, rng: np.random.Generator, size: int, r: float) -> np.ndarray:
-        if self.tail_sampler is None:
-            raise ConfigurationError("this user density has no tail sampler")
-        out = np.asarray(self.tail_sampler(rng, size, r), dtype=float)
-        return out.reshape(size, self.dim)
-
-
 # ---------------------------------------------------------------------------
 # Compensation functions
 # ---------------------------------------------------------------------------
@@ -365,15 +281,6 @@ class CompensationFunction:
         """Upper bound for |chi(a, b)| over |b - a| >= r."""
         return self.bound
 
-    def deviation(self, a: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """``h - chi(a, a + h)`` for jump vectors ``h`` of shape (m, d).
-
-        Computed here by subtraction; the built-in conventions override it
-        with a closed form that keeps full relative precision as h -> 0.
-        """
-        h = np.atleast_2d(np.asarray(h, dtype=float))
-        return h - self(a, np.asarray(a, dtype=float) + h)
-
 
 class Chi1(CompensationFunction):
     """Smooth compensation (b-a) / (1 + |b-a|^2); valid for every jump measure."""
@@ -398,13 +305,6 @@ class Chi1(CompensationFunction):
     def abs_bound_beyond(self, r):
         # |h| / (1 + |h|^2) peaks at 1/2 and decays like 1/|h| afterwards.
         return 0.5 if r <= 1.0 else r / (1.0 + r * r)
-
-    def deviation(self, a, h):
-        h = np.atleast_2d(np.asarray(h, dtype=float))
-        with np.errstate(over="ignore", invalid="ignore"):
-            r2 = np.sum(h * h, axis=1)[:, None]
-            # past |h| ~ 1e154 r2 overflows, and the ratio, 1 there, would read inf/inf
-            return h * np.where(np.isinf(r2), 1.0, r2 / (1.0 + r2))
 
 
 class Chi2(CompensationFunction):
@@ -433,12 +333,6 @@ class Chi2(CompensationFunction):
 
     def abs_bound_beyond(self, r):
         return 1.0 if r < 1.0 else 0.0
-
-    def deviation(self, a, h):
-        h = np.atleast_2d(np.asarray(h, dtype=float))
-        with np.errstate(over="ignore"):  # a norm past ~1e154 is inf, outside either way
-            outside = np.linalg.norm(h, axis=1) >= 1.0
-        return h * outside[:, None]
 
 
 class CustomChi(CompensationFunction):
@@ -894,11 +788,12 @@ def validate_hypotheses(field: TripletField, chi: CompensationFunction,
     profile = []
     base = gen.uniform(low, high, size=(min(samples, 2000), field.dim))
     span = float(np.min(high - low))
+    m = base.shape[0]
     for j in range(9):
         eps = span * 0.5 ** (j + 1)
-        dirs = _rng.unit_sphere(gen, base.shape[0], field.dim)
-        radii = gen.uniform(0.0, eps, size=base.shape[0])
-        cpts_j = base + dirs * radii[:, None]
+        # a uniform sphere direction, then a radius uniform on [0, eps)
+        cpts_j = base + _rng.along(_rng.sphere_draw(gen, m, field.dim),
+                                   gen.uniform(0.0, eps, size=m))
         np.clip(cpts_j, low, high, out=cpts_j)
         r = _second_order_ratios(chi, base, cpts_j)
         profile.append((eps, float(np.max(r)) if r.size else 0.0))
@@ -923,12 +818,7 @@ def validate_hypotheses(field: TripletField, chi: CompensationFunction,
         if nu.mass_at(a) > 0:
             triplet_ok = False
             violations.append(f"jump measure charges the base point at {a.tolist()}")
-        try:
-            compensated = nu.truncated_second_moment(1.0, a) + nu.tail_mass(1.0, a)
-        except (ValidationError, QuadratureError) as exc:
-            triplet_ok = False
-            violations.append(f"compensated mass check failed at {a.tolist()}: {exc}")
-            continue
+        compensated = nu.truncated_second_moment(1.0, a) + nu.tail_mass(1.0, a)
         if not np.isfinite(compensated):
             triplet_ok = False
             violations.append(f"compensated mass infinite at {a.tolist()}")
@@ -982,7 +872,7 @@ def _chi_continuity_ok(chi, nu, a) -> Optional[bool]:
         if isinstance(nu, Atoms):
             d = nu._dists(a)
             return not bool(np.any(np.abs(d - kink) <= 1e-12))
-        if isinstance(nu, (StableLike, UserDensity)):
+        if isinstance(nu, StableLike):
             return True  # absolutely continuous: spheres are null sets
         return None
     return None

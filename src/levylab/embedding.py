@@ -47,38 +47,15 @@ def floor_embed(chain, eps: float, grid) -> PathBatch:
     return PathBatch(grid, states[idx][None])
 
 
-def _arrival_counts(eps: float, holding, grid):
-    """The grid and its arrival counts N(t / eps) for the given holding times."""
+def poissonize_with(chain, eps: float, holding: np.ndarray, grid) -> PathBatch:
+    """x(t) = chain[N(t / eps)] as a one-path batch, where N counts the
+    arrivals of the given unit-exponential holding times."""
     if not eps > 0:
         raise ValidationError("eps must be positive")
+    states = _chain_states(chain)
     grid = np.asarray(grid, dtype=float)
     arrivals = np.cumsum(np.asarray(holding, dtype=float))
-    return grid, np.searchsorted(arrivals, grid / eps, side="right")
-
-
-def poissonize(chain, eps: float, rng: np.random.Generator, grid) -> PathBatch:
-    """x(t) = chain[N(t / eps)] for a unit-rate Poisson counter N, as a
-    one-path batch.
-
-    When the horizon needs more arrivals than the chain has states, the
-    batch is truncated: its times end at the last grid time the chain
-    can represent.
-    """
-    states = _chain_states(chain)
-    n_states = states.shape[0]
-    grid, counts = _arrival_counts(eps, _rng.exponential(rng, n_states), grid)
-    ok = counts <= n_states - 1
-    if not np.all(ok):
-        grid, counts = grid[ok], counts[ok]
-        if grid.size == 0:
-            raise RangeError("the chain was exhausted before the first grid time")
-    return PathBatch(grid, states[counts][None])
-
-
-def poissonize_with(chain, eps: float, holding: np.ndarray, grid) -> PathBatch:
-    """Poissonization with externally supplied unit-exponential holding times."""
-    states = _chain_states(chain)
-    grid, counts = _arrival_counts(eps, holding, grid)
+    counts = np.searchsorted(arrivals, grid / eps, side="right")
     if np.any(counts > states.shape[0] - 1):
         raise RangeError("not enough chain states for the requested horizon")
     return PathBatch(grid, states[counts][None])
@@ -107,22 +84,6 @@ def gamma_clock(holding: np.ndarray, eps: float, t) -> np.ndarray | float:
     partial = np.concatenate([[0.0], np.cumsum(holding)])
     out = eps * (partial[k] + frac * holding[np.minimum(k, holding.size - 1)])
     return float(out[0]) if np.isscalar(t) else out
-
-
-def gamma_clock_inverse(holding: np.ndarray, eps: float, s) -> np.ndarray | float:
-    """Inverse of the clock by binary search over its knots (it is piecewise
-    affine and strictly increasing)."""
-    if not eps > 0:
-        raise ValidationError("eps must be positive")
-    holding = np.asarray(holding, dtype=float)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    partial = eps * np.concatenate([[0.0], np.cumsum(holding)])
-    k = np.searchsorted(partial, s_arr, side="right") - 1
-    if np.any(k < 0) or np.any(k >= holding.size):
-        raise RangeError("inverse clock query outside the covered range")
-    frac = (s_arr - partial[k]) / (eps * holding[k])
-    out = eps * (k + frac)
-    return float(out[0]) if np.isscalar(s) else out
 
 
 @dataclass(frozen=True)

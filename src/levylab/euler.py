@@ -36,7 +36,6 @@ from .core import (
     SchemeConfig,
     StableLike,
     TripletField,
-    UserDensity,
     as_point,
     run_chain,
     sphere_surface_area,
@@ -110,8 +109,6 @@ def _compensator_window(nu, lo: float, hi: float) -> np.ndarray:
         return np.einsum("k,ki->i", nu.masses[keep], nu.points[keep])
     if isinstance(nu, StableLike):
         return np.zeros(nu.dim)  # radial symmetry
-    if isinstance(nu, UserDensity):
-        return np.array([nu.integral(lambda h: h, [lo, hi], 1e-10, 1e-8)])
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
 
 

@@ -14,14 +14,8 @@ shell by shell with the singular shell transformed into a bounded integrand.
 Radial integrals against a `StableLike` measure go through
 `_gauss_legendre_many`, one composite Gauss-Legendre rule over per-row
 limits that integrates a whole batch of base points in numpy, each row
-stopping on its own and independently of the other rows.  A user density
-is integrated by `UserDensity.integral` (QUADPACK via scipy, in
-`levylab.core`) on each half-line from 0 to infinity, split at the Taylor
-radius, the test function's support reach and the kinks of chi.  Below the
-Taylor radius the compensated integrand ``f(a+h) - f(a) - chi(a, a+h) f'(a)``
-is evaluated as the integral form of the Taylor remainder plus
-``(h - chi(a, a+h)) f'(a)`` in closed form, so no small difference of large
-numbers is ever formed.
+stopping on its own and independently of the other rows.  Rows against
+`Atoms` are finite sums over the atoms; no other jump measure is supported.
 """
 
 from __future__ import annotations
@@ -40,7 +34,6 @@ from .core import (
     LevyTriplet,
     StableLike,
     TripletField,
-    UserDensity,
     as_point,
     sphere_surface_area,
 )
@@ -408,23 +401,6 @@ def _stable_radial_many(nus, lows, breaks, quad, tail, tol, tol_rel: float, sphe
 # ---------------------------------------------------------------------------
 
 
-# Below this jump size the compensated integrand of a user density is taken
-# in Taylor-remainder form.  Much larger switch radii lose accuracy on narrow
-# test functions (8 nodes no longer resolve f''); much smaller ones leave the
-# direct difference to cancel near the switch.
-_TAYLOR_RADIUS = 2.0 ** -10
-
-# int_0^1 (1 - t) g(t) dt by 8-point Gauss-Legendre on [0, 1].
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-_TAYLOR_T = 0.5 * (_GL_X + 1.0)
-_TAYLOR_W = 0.5 * _GL_W * (1.0 - _TAYLOR_T)
-
-
-def _cuts(lo: float, *radii: float) -> list[float]:
-    """``lo``, the radii above it in increasing order, then infinity."""
-    return [lo] + sorted({r for r in radii if r > lo}) + [np.inf]
-
-
 def _base_points(points, m: int, dim: int) -> np.ndarray:
     """``points`` as an (m, dim) array of finite points; a 1-d point may be
     given as a scalar."""
@@ -448,14 +424,16 @@ def _sphere_points(rule: _SphereRule, pts: np.ndarray, r: np.ndarray):
 
 
 def _other_rows(nus, pts, row_fn, out) -> list[int]:
-    """Fill ``out`` with ``row_fn(nu, a)`` at every row whose measure is not
-    StableLike; return the StableLike rows."""
+    """Fill ``out`` with ``row_fn(nu, a)`` at every `Atoms` row and return
+    the StableLike rows; any other measure is refused."""
     stable = []
     for i, nu in enumerate(nus):
         if isinstance(nu, StableLike):
             stable.append(i)
-        else:
+        elif isinstance(nu, Atoms):
             out[i] = row_fn(nu, pts[i])
+        else:
+            raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
     return stable
 
 
@@ -472,14 +450,13 @@ def jump_integral(nus: Sequence, chi: CompensationFunction, f: TestFunction, poi
     """
     pts = _base_points(points, len(nus), f.dim)
     out = np.zeros(len(nus))
-    stable = _other_rows(nus, pts, lambda nu, a: _jump_integral_row(nu, chi, f, a, tol_abs,
-                                                                     tol_rel), out)
+    stable = _other_rows(nus, pts, lambda nu, a: _jump_integral_row(nu, chi, f, a), out)
     if not stable:
         return out
     if not chi.is_odd():
         raise ValidationError(
             "radial integration of a non-odd custom compensation function is "
-            "not supported; supply an odd chi or an Atoms/UserDensity measure"
+            "not supported; supply an odd chi or an Atoms measure"
         )
     rule = _sphere_rule(f.dim)
     nus_s, pts_s = [nus[i] for i in stable], pts[stable]
@@ -511,36 +488,12 @@ def jump_integral(nus: Sequence, chi: CompensationFunction, f: TestFunction, poi
     return out
 
 
-def _jump_integral_row(nu, chi, f, a, tol_abs, tol_rel) -> float:
+def _jump_integral_row(nu: Atoms, chi, f, a) -> float:
+    if nu.mass_at(a) > 0.0:
+        raise ValidationError("jump measure must not charge the base point")
     fa = f.value_at(a)
-    grad = f.grad_at(a)
-    if isinstance(nu, Atoms):
-        if nu.mass_at(a) > 0.0:
-            raise ValidationError("jump measure must not charge the base point")
-        comp = chi(a, nu.points) @ grad
-        return -nu.delta_mass * fa + float(np.sum(nu.masses * (f(nu.points) - fa - comp)))
-    if isinstance(nu, UserDensity):
-        return _user_jump_integral(nu, chi, f, a, fa, grad, tol_abs, tol_rel)
-    raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
-
-
-def _user_jump_integral(nu: UserDensity, chi, f, a, fa, grad, tol_abs, tol_rel) -> float:
-    g = float(grad[0])
-
-    def core(h):
-        # f(a+h) - f(a) - h f'(a) = h^2 int_0^1 (1-t) f''(a+th) dt, and
-        # h - chi(a, a+h) in closed form: nothing cancels however small h is.
-        rem = float(np.dot(_TAYLOR_W, f.hess(a + h * _TAYLOR_T[:, None])[:, 0, 0]))
-        return h * h * rem + float(chi.deviation(a, np.array([[h]]))[0, 0]) * g
-
-    def direct(h):
-        b = (a + h)[None, :]
-        return float(f(b)[0]) - fa - float(chi(a, b)[0, 0]) * g
-
-    reach = float(f.support_distances(a[None, :])[1][0])
-    return (nu.integral(core, [0.0, _TAYLOR_RADIUS], tol_abs / 2.0, tol_rel)
-            + nu.integral(direct, _cuts(_TAYLOR_RADIUS, reach, *chi.radial_kinks()),
-                          tol_abs / 2.0, tol_rel))
+    comp = chi(a, nu.points) @ f.grad_at(a)
+    return -nu.delta_mass * fa + float(np.sum(nu.masses * (f(nu.points) - fa - comp)))
 
 
 def measure_integral(nus: Sequence, f: TestFunction, points, tol_abs: float = DEFAULT_TOL_ABS,
@@ -559,8 +512,7 @@ def measure_integral(nus: Sequence, f: TestFunction, points, tol_abs: float = DE
             f"test function {f.name} does not vanish near the point {pts[close[0]].tolist()}"
         )
     out = np.zeros(len(nus))
-    stable = _other_rows(nus, pts, lambda nu, a: _measure_integral_row(nu, f, a, tol_abs,
-                                                                        tol_rel), out)
+    stable = _other_rows(nus, pts, lambda nu, a: np.sum(nu.masses * f(nu.points)), out)
     if not stable:
         return out
     rule = _sphere_rule(f.dim)
@@ -582,16 +534,6 @@ def measure_integral(nus: Sequence, f: TestFunction, points, tol_abs: float = DE
     return out
 
 
-def _measure_integral_row(nu, f, a, tol_abs, tol_rel) -> float:
-    if isinstance(nu, Atoms):
-        return float(np.sum(nu.masses * f(nu.points)))
-    if isinstance(nu, UserDensity):
-        # f vanishes below the support distance and beyond the reach.
-        dist, reach = (float(v[0]) for v in f.support_distances(a[None, :]))
-        return nu.integral(lambda h: f.value_at(a + h), [dist, reach], tol_abs / 2.0, tol_rel)
-    raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
-
-
 def chi_quadratic_matrix(nus: Sequence, chi: CompensationFunction, points,
                          tol_abs: float = DEFAULT_TOL_ABS,
                          tol_rel: float = DEFAULT_TOL_REL) -> np.ndarray:
@@ -607,8 +549,7 @@ def chi_quadratic_matrix(nus: Sequence, chi: CompensationFunction, points,
     dim, = dims
     pts = _base_points(points, len(nus), dim)
     out = np.zeros((len(nus), dim, dim))
-    stable = _other_rows(nus, pts, lambda nu, a: _chi_quadratic_row(nu, chi, a, tol_abs,
-                                                                     tol_rel), out)
+    stable = _other_rows(nus, pts, lambda nu, a: _chi_quadratic_row(nu, chi, a), out)
     if not stable:
         return out
     rule = _sphere_rule(dim)
@@ -664,29 +605,18 @@ def _chi_square_cut(chi, nu: StableLike, kinks, tol_abs: float, cuts: dict) -> f
     return cuts[nu]
 
 
-def _chi_quadratic_row(nu, chi, a, tol_abs, tol_rel) -> np.ndarray:
-    if isinstance(nu, Atoms):
-        vals = chi(a, nu.points)
-        return np.einsum("k,ki,kj->ij", nu.masses, vals, vals)
-    if isinstance(nu, UserDensity):
-        def chi_sq(h):
-            return float(chi(a, (a + h)[None, :])[0, 0]) ** 2
-
-        # the Taylor radius gives the singular end at 0 a short piece of its own
-        total = nu.integral(chi_sq, _cuts(0.0, _TAYLOR_RADIUS, *chi.radial_kinks()),
-                            tol_abs, tol_rel)
-        return np.array([[total]])
-    raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
+def _chi_quadratic_row(nu: Atoms, chi, a) -> np.ndarray:
+    vals = chi(a, nu.points)
+    return np.einsum("k,ki,kj->ij", nu.masses, vals, vals)
 
 
 def chi_drift_adjustment(nu, chi_from: CompensationFunction, chi_to: CompensationFunction,
-                         a=None, tol_abs: float = DEFAULT_TOL_ABS,
-                         tol_rel: float = DEFAULT_TOL_REL) -> np.ndarray:
+                         a=None) -> np.ndarray:
     """integral of (chi_to - chi_from)(a, b) nu(db).
 
     Switching compensation conventions leaves the operator unchanged when
-    this vector is added to the drift.  The integrand is cubically small at
-    the base point, so plain validity of the triplet suffices.
+    this vector is added to the drift.  It is a finite sum for `Atoms` and
+    zero for a `StableLike` measure when both chi are odd.
     """
     dim = nu.dim
     a = np.zeros(dim) if a is None else as_point(a, dim)
@@ -703,17 +633,7 @@ def chi_drift_adjustment(nu, chi_from: CompensationFunction, chi_to: Compensatio
     if isinstance(nu, StableLike):
         if chi_from.is_odd() and chi_to.is_odd():
             return np.zeros(dim)  # odd integrand against a radial measure
-        raise ValidationError("drift adjustment for non-odd chi needs Atoms or UserDensity")
-
-    if isinstance(nu, UserDensity):
-        def chi_gap(h):
-            # chi_to - chi_from = dev_from - dev_to, cubically small at h = 0
-            hh = np.array([[h]])
-            return float(chi_from.deviation(a, hh)[0, 0] - chi_to.deviation(a, hh)[0, 0])
-
-        kinks = chi_from.radial_kinks() + chi_to.radial_kinks()
-        total = nu.integral(chi_gap, _cuts(0.0, *kinks), tol_abs, tol_rel)
-        return np.array([total])
+        raise ValidationError("drift adjustment for non-odd chi needs an Atoms measure")
 
     raise ValidationError(f"unsupported jump measure type {type(nu).__name__}")
 

@@ -37,10 +37,11 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .core import PathBatch, SchemeConfig, as_point, quadpack, run_chain
+from .core import PathBatch, SchemeConfig, as_point, run_chain
 from .errors import (
     ConfigurationError,
     PotentialOverflowError,
+    QuadratureError,
     RangeError,
     SchemeStepError,
     ValidationError,
@@ -851,6 +852,34 @@ def transport_test_function(V: Potential, f0: float, s0: float,
         return np.interp(x, nodes, f_nodes)
 
     return f
+
+
+def quadpack(fn, lo: float, hi: float, tol_abs: float, tol_rel: float) -> float:
+    """Integral of the scalar ``fn`` over [lo, hi] (``hi`` may be ``np.inf``).
+
+    QUADPACK's adaptive Gauss-Kronrod rule with extrapolation (QAGS, or QAGI
+    on a half-line), called through scipy; `potential_distance` integrates
+    its pieces with it.  When QUADPACK flags a failure (subdivision limit,
+    roundoff, divergence) and its error estimate exceeds ten times the
+    requested tolerance, QuadratureError is raised.  The failure is read
+    from ``full_output`` rather than from a warning, so concurrent calls
+    from worker threads do not share warning state.  scipy is imported
+    here, on first use, so start-up does not pay for it.
+    """
+    from scipy import integrate
+
+    if hi <= lo:
+        return 0.0
+    value, abserr, _info, *failure = integrate.quad(fn, lo, hi, epsabs=tol_abs, epsrel=tol_rel,
+                                                    limit=400, full_output=1)
+    tolerance = tol_abs + tol_rel * abs(value)
+    if failure and abserr > 10 * tolerance:
+        reason = str(failure[0]).split("\n")[0]
+        raise QuadratureError(
+            f"adaptive quadrature over [{lo}, {hi}] did not converge: {reason}",
+            estimate=value, error=abserr, tolerance=tolerance,
+        )
+    return float(value)
 
 
 def potential_distance(V: Potential, Vn: Potential, window: float) -> float:

@@ -83,11 +83,6 @@ def uniform_open_closed(rng: np.random.Generator, size) -> np.ndarray:
     return np.subtract(1.0, u, out=u)
 
 
-def unit_sphere(rng: np.random.Generator, size: int, dim: int) -> np.ndarray:
-    """Uniform points on the unit sphere via normalized Gaussians; exact in all dims."""
-    return along(sphere_draw(rng, size, dim), np.ones(size))
-
-
 def sphere_draw(rng: np.random.Generator, size: int, dim: int) -> np.ndarray:
     """The draw behind a uniform sphere direction, for :func:`along`.
 

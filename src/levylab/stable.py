@@ -27,7 +27,7 @@ from .core import (
     run_chain,
     sphere_surface_area,
 )
-from .errors import DegenerateStateError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -66,20 +66,6 @@ class StableField(TripletField):
         d = self.dim
         nu = StableLike(c=float(c[0]), alpha=float(alpha[0]), dim=d) if c[0] > 0 else None
         return LevyTriplet(np.zeros(d), np.zeros((d, d)), nu)
-
-
-def stable_threshold(field: StableField, a, n: float) -> float:
-    """Truncation radius below which the single-step law carries no mass.
-
-    Cutting the radial density (c(a)/n) |h|^(-d-alpha(a)) at this radius
-    makes it integrate to one, i.e. the step law is a probability measure.
-    """
-    a = as_point(a, field.dim)
-    c, alpha = field.evaluate(a[None, :])
-    if c[0] == 0.0:
-        raise DegenerateStateError(f"no jump mass at state {a.tolist()} (c = 0)")
-    s = sphere_surface_area(field.dim)
-    return float((c[0] * s / (n * alpha[0])) ** (1.0 / alpha[0]))
 
 
 def stable_jump_magnitude(c, alpha, dim: int, n: float, u) -> np.ndarray:
@@ -137,7 +123,8 @@ def scheme_triplet_field(field: StableField, n: float) -> TripletField:
         d = field.dim
         if c[0] == 0.0:
             return LevyTriplet(np.zeros(d), np.zeros((d, d)), None)
-        rmin = stable_threshold(field, a, n)
+        # the step threshold: the magnitude at u = 1, the smallest a step takes
+        rmin = float(stable_jump_magnitude(c[0], alpha[0], d, n, 1.0))
         nu = StableLike(c=float(c[0]), alpha=float(alpha[0]), dim=d, min_radius=rmin)
         return LevyTriplet(np.zeros(d), np.zeros((d, d)), nu)
 

@@ -507,6 +507,28 @@ CASES = [
          {"kind": "stable", "c": 1.0, "alpha": 1.5, "min_radius": -0.1},
          "min_radius must be nonnegative"),
     ]],
+    # Non-finite measure parameters used to run, with paths that never
+    # jumped (NaN) or a numeric failure (infinite masses and scales).
+    *[row(f"non-finite-{name}-{text}", EULER_ON_CONFIG, 1, named, files=cfg({"nu": nu(value)}))
+      for text, value in [("nan", math.nan), ("inf", math.inf)]
+      for name, nu, named in [
+        ("stable-c", lambda v: {"kind": "stable", "c": v, "alpha": 1.5},
+         "scale c must be nonnegative and finite"),
+        ("stable-min-radius", lambda v: {"kind": "stable", "c": 1.0, "alpha": 1.5,
+                                         "min_radius": v},
+         "min_radius must be nonnegative and finite"),
+        ("atom-mass", lambda v: {"kind": "atoms", "atoms": [{"point": [0.4], "mass": v}]},
+         "atom masses must be positive and finite"),
+        ("atom-point", lambda v: {"kind": "atoms", "atoms": [{"point": [v], "mass": 1.0}]},
+         "atom locations must be finite"),
+        ("delta-mass", lambda v: {**ATOMS_NU, "delta_mass": v},
+         "cemetery mass must be nonnegative and finite"),
+    ]],
+    # it used to reach the quadrature's panel cap, with a RuntimeWarning, before exit 2
+    row("operator-field-with-an-infinite-scale", OPERATOR_ON_CONFIG, 1,
+        "scale c must be nonnegative and finite", files=cfg({
+            **OPERATOR_CONFIG, "fields": [{"kind": "constant", "triplet": {
+                "drift": [0.0], "nu": {"kind": "stable", "c": math.inf, "alpha": 1.5}}}]})),
     # Operator configs that used to run with silent gap values (NaN margin or
     # box), end in a traceback (short labels), label fields by characters, run
     # a fractional grid size, or misreport a reversed box.

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from levylab.core import (
     SchemeConfig,
     StableLike,
     TripletField,
-    UserDensity,
     jump_measure_from_config,
     sphere_surface_area,
     triplet_from_config,
@@ -70,14 +68,6 @@ class TestTailMass:
         vals = [nu.tail_mass(r) for r in radii]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
-    def test_quadrature_agrees_with_closed_form(self):
-        stable = StableLike(c=0.8, alpha=1.4, dim=1)
-        user = UserDensity(density=stable.density, dim=1)
-        for r in [0.3, 1.0, 2.5]:
-            assert user.tail_mass(r) == pytest.approx(stable.tail_mass(r), rel=1e-8)
-            assert user.truncated_second_moment(r) == pytest.approx(
-                stable.truncated_second_moment(r), rel=1e-8)
-
 
 class TestTruncatedSecondMoment:
     def test_stable_closed_form(self):
@@ -124,39 +114,6 @@ class TestCompensationFunctions:
         assert np.max(np.abs(Chi1()(a, b))) <= 0.5
         assert np.max(np.abs(Chi2()(a, b))) <= 1.0
 
-
-    @pytest.mark.parametrize("size", [1e-12, 1e-6, 0.5, -1e-12, -1e-6, -0.5])
-    def test_deviation_closed_form(self, size):
-        # h - chi(a, a + h) in exact rational arithmetic, rounded once
-        exact = Fraction(size) ** 3 / (1 + Fraction(size) ** 2)
-        a = np.array([0.3])
-        h = np.array([[size]])
-        assert Chi1().deviation(a, h)[0, 0] == pytest.approx(float(exact), rel=1e-15)
-        assert Chi2().deviation(a, h)[0, 0] == 0.0
-
-    def test_custom_deviation_subtracts(self):
-        chi = CustomChi(lambda a, b: np.tanh(b - a), bound=1.0)
-        a = np.array([0.3])
-        h = np.array([[0.5], [-2.0]])
-        np.testing.assert_array_equal(chi.deviation(a, h), h - np.tanh((a + h) - a))
-
-    def test_deviation_beyond_unit_ball(self):
-        h = np.array([[3.0, 4.0], [0.6, 0.0]])
-        np.testing.assert_array_equal(Chi2().deviation(np.zeros(2), h), [[3.0, 4.0], [0.0, 0.0]])
-        np.testing.assert_allclose(Chi1().deviation(np.zeros(2), h),
-                                   h * (np.array([[25.0], [0.36]]) / np.array([[26.0], [1.36]])),
-                                   rtol=1e-15)
-
-    def test_deviation_at_huge_jumps(self):
-        # |h|^2 overflows past |h| ~ 1e154: both deviations are h there, with
-        # no warning (pytest turns warnings into errors); below it Chi1 keeps
-        # its closed form bit for bit.
-        h = np.array([[1e200], [-1e300], [1e150], [0.5]])
-        a = np.zeros(1)
-        r2 = h[2:] * h[2:]
-        expected = np.vstack([h[:2], h[2:] * (r2 / (1.0 + r2))])
-        np.testing.assert_array_equal(Chi1().deviation(a, h), expected)
-        np.testing.assert_array_equal(Chi2().deviation(a, h), [[1e200], [-1e300], [1e150], [0.0]])
 
 class TestLevyTriplet:
     def test_gamma_symmetry_enforced(self):
@@ -296,17 +253,9 @@ class TestValidateHypotheses:
         assert any(v.startswith("triplet invalid at") and "no triplet on the right half" in v
                    for v in rep.violations)
 
-    def test_two_dimensional_density_without_callables(self):
-        nu = UserDensity(lambda h: np.linalg.norm(h, axis=1) ** -3.5, dim=2)
-        field = ConstantTripletField(LevyTriplet([0.0, 0.0], np.eye(2), nu))
-        rep = validate_hypotheses(field, Chi1(), [-1.0, -1.0], [1.0, 1.0], samples=200, seed=1)
-        assert not rep.triplet_ok and not rep.all_ok
-        assert any(v.startswith("compensated mass check failed at")
-                   and "dimension 1 only" in v for v in rep.violations)
-
     def test_infinite_tail_mass(self):
-        nu = UserDensity(lambda h: np.abs(h[:, 0]) ** -1.5, dim=1,
-                         tail_mass_fn=lambda r: math.inf, second_moment_fn=lambda r: 1.0)
+        # c * surface / alpha overflows, so the tail mass beyond 1 reads inf
+        nu = StableLike(c=1e308, alpha=1e-3, dim=1)
         field = ConstantTripletField(LevyTriplet([0.0], [[1.0]], nu))
         rep = validate_hypotheses(field, Chi1(), [-1.0], [1.0], samples=200, seed=1)
         assert not rep.triplet_ok and not rep.all_ok

@@ -7,8 +7,6 @@ from levylab.embedding import (
     doob_bound_check,
     floor_embed,
     gamma_clock,
-    gamma_clock_inverse,
-    poissonize,
     poissonize_with,
 )
 from levylab.errors import RangeError, ValidationError
@@ -25,22 +23,26 @@ class TestFloorEmbed:
             floor_embed(np.array([0.0, 1.0]), 0.5, [2.0])
 
 
+def holding_times(seed, n):
+    return lrng.exponential(lrng.stream(seed), n)
+
+
 class TestPoissonize:
     def test_constant_chain(self):
-        rec = poissonize(np.full(50, 3.0), 0.1, lrng.stream(0), np.linspace(0, 2, 9))
+        rec = poissonize_with(np.full(50, 3.0), 0.1, holding_times(0, 50), np.linspace(0, 2, 9))
         assert np.all(rec.states == 3.0)
         assert rec.times.size == 9
 
     def test_reproducible(self):
         chain = np.arange(100.0)
-        r1 = poissonize(chain, 0.1, lrng.stream(5), np.linspace(0, 4, 11))
-        r2 = poissonize(chain, 0.1, lrng.stream(5), np.linspace(0, 4, 11))
+        r1 = poissonize_with(chain, 0.1, holding_times(5, 100), np.linspace(0, 4, 11))
+        r2 = poissonize_with(chain, 0.1, holding_times(5, 100), np.linspace(0, 4, 11))
         np.testing.assert_array_equal(r1.states, r2.states)
 
-    def test_truncation_flag(self):
+    def test_exhausted_chain_is_refused(self):
         chain = np.arange(5.0)
-        rec = poissonize(chain, 0.01, lrng.stream(1), np.linspace(0, 1, 21))
-        assert rec.times.size < 21
+        with pytest.raises(RangeError, match="not enough chain states"):
+            poissonize_with(chain, 0.01, holding_times(1, 5), np.linspace(0, 1, 21))
 
 
 class TestGammaClock:
@@ -69,14 +71,6 @@ class TestGammaClock:
     def test_insufficient_draws(self):
         with pytest.raises(RangeError):
             gamma_clock(np.ones(3), 1.0, 5.0)
-
-    def test_inverse_round_trip(self):
-        e = lrng.exponential(lrng.stream(4), 500)
-        eps = 0.02
-        ts = np.linspace(0.01, 9.0, 37)
-        gam = gamma_clock(e, eps, ts)
-        back = gamma_clock_inverse(e, eps, gam)
-        np.testing.assert_allclose(back, ts, rtol=1e-10)
 
 
 def test_coupling_identity_pathwise():
@@ -140,11 +134,9 @@ class TestDoobBound:
 
 EMBEDDINGS = {
     "floor_embed": lambda eps: floor_embed(np.arange(10.0), eps, [0.0, 0.5]),
-    "poissonize": lambda eps: poissonize(np.arange(10.0), eps, lrng.stream(1), [0.0, 0.5]),
     "poissonize_with": lambda eps: poissonize_with(np.arange(10.0), eps, np.ones(10),
                                                    [0.0, 0.5]),
     "gamma_clock": lambda eps: gamma_clock(np.ones(10), eps, 0.5),
-    "gamma_clock_inverse": lambda eps: gamma_clock_inverse(np.ones(10), eps, 0.5),
 }
 
 

@@ -17,7 +17,6 @@ from levylab.core import (
     LevyTriplet,
     SchemeConfig,
     StableLike,
-    UserDensity,
 )
 from levylab.diagnostics import ks_distance, ks_critical_value
 from levylab.errors import SchemeStepError, ValidationError
@@ -198,58 +197,16 @@ class TestChain:
         assert np.array_equal(b1.states, b2.states, equal_nan=True)
 
 
-@pytest.mark.parametrize("mode, quads", [(DRIFT_COMPENSATE, 4), (GAUSSIAN_SURROGATE, 6)])
-def test_frozen_user_density_is_integrated_once_per_run(monkeypatch, mode, quads):
-    # The compensator window and tail mass of a user density (and, for the
-    # surrogate, its truncated second moment) take two quadratures each, one
-    # per side. They are constants of the run, so the step count must not
-    # change how many are made.
-    from scipy import integrate
-
-    stable = StableLike(c=1.0, alpha=0.9, dim=1)
-    user = UserDensity(density=stable.density, dim=1,
-                       tail_sampler=lambda rng, size, r: stable.sample_tail(rng, size, r))
-    field = ConstantTripletField(LevyTriplet([0.2], [[0.0]], user))
-    calls = []
-    quad = integrate.quad
-
-    def counting_quad(*args, **kwargs):
-        calls.append(1)
-        return quad(*args, **kwargs)
-
-    monkeypatch.setattr(integrate, "quad", counting_quad)
-    counts = []
-    for horizon in (0.1, 1.0):
-        calls.clear()
-        cfg = SchemeConfig(paths=20, seed=1, grid=np.array([0.0, horizon]))
-        euler_chain_simulate(field, Chi2(), 0.0, 0.05, horizon,
-                             IncrementPlan(tau=0.01, small_jump_mode=mode), cfg)
-        counts.append(len(calls))
-    assert counts == [quads, quads]
-
-
 def test_gaussian_surrogate_small_jump_variance():
     # a measure living entirely below tau: the surrogate must reproduce the
     # truncated second moment per unit time, with no compound-Poisson part
-    inner = StableLike(c=1.0, alpha=1.5, dim=1, min_radius=1e-4)
-
-    def density(h):
-        h = np.atleast_2d(h)
-        vals = inner.density(h)
-        vals[np.abs(h[:, 0]) >= 0.01] = 0.0
-        return vals
-
-    second = lambda r: inner.truncated_second_moment(min(r, 0.01))
-    nu = UserDensity(density=density, dim=1,
-                     tail_mass_fn=lambda r: 0.0 if r >= 0.01 else np.nan,
-                     second_moment_fn=second,
-                     tail_sampler=lambda rng, size, r: np.zeros((size, 1)))
+    nu = Atoms([((0.005,), 40.0), ((-0.005,), 40.0)])
     trip = LevyTriplet([0.0], [[0.0]], nu)
     plan = IncrementPlan(tau=0.01, small_jump_mode=GAUSSIAN_SURROGATE)
     dt = 0.5
     inc, _ = levy_increment_sample(trip, Chi2(), dt, plan, lrng.stream(28),
                                    size=100_000)
-    target = second(0.01) * dt
+    target = nu.truncated_second_moment(0.01) * dt
     assert float(np.var(inc)) == pytest.approx(target, rel=0.03)
 
 
@@ -361,25 +318,6 @@ def test_stable_step_memory_does_not_grow_with_the_jump_count():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.25 * peaks[0]
-
-
-def test_user_density_tail_sampler_path():
-    # a user density with its own tail sampler feeds the compound-Poisson part
-    stable = StableLike(c=1.0, alpha=0.7, dim=1)
-    user = UserDensity(
-        density=stable.density, dim=1,
-        tail_sampler=lambda rng, size, r: stable.sample_tail(rng, size, r),
-        tail_mass_fn=stable.tail_mass,
-        second_moment_fn=stable.truncated_second_moment)
-    trip_u = LevyTriplet([0.0], [[0.0]], user)
-    trip_s = LevyTriplet([0.0], [[0.0]], stable)
-    plan = IncrementPlan(tau=0.05)
-    inc_u, _ = levy_increment_sample(trip_u, Chi2(), 0.5, plan, lrng.stream(30),
-                                     size=30_000)
-    inc_s, _ = levy_increment_sample(trip_s, Chi2(), 0.5, plan, lrng.stream(31),
-                                     size=30_000)
-    stat, p = ks_distance(inc_u[:, 0], inc_s[:, 0])
-    assert p > 0.01
 
 
 def test_single_step_generator_consistency():

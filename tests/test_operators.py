@@ -17,7 +17,6 @@ from levylab.core import (
     LevyTriplet,
     StableLike,
     TripletField,
-    UserDensity,
 )
 from levylab.errors import QuadratureError, ValidationError
 from levylab.operators import (
@@ -384,126 +383,43 @@ class TestPMP:
         assert rep.violations[0].operator_value > 0
 
 
-def test_user_density_jump_integral_matches_stable():
-    stable = StableLike(c=0.9, alpha=1.1, dim=1)
-    user = UserDensity(density=stable.density, dim=1,
-                       tail_mass_fn=lambda r: stable.tail_mass(r),
-                       second_moment_fn=lambda r: stable.truncated_second_moment(r))
-    f = bump([0.0], 1.5)
-    trip_s = LevyTriplet([0.0], [[0.0]], stable)
-    trip_u = LevyTriplet([0.0], [[0.0]], user)
-    vs = apply_operator(trip_s, Chi2(), f, [0.2])
-    vu = apply_operator(trip_u, Chi2(), f, [0.2], tol_abs=1e-7, tol_rel=1e-6)
-    assert vu == pytest.approx(vs, abs=5e-6)
+def symmetrised_jump_oracle(c, alpha, f, a):
+    """int_0^inf (f(a+r) + f(a-r) - 2 f(a)) c r^(-1-alpha) dr: the jump integral
+    of the symmetric 1-d stable measure for every odd chi, whose term cancels.
 
+    scipy's quad integrates from r0 to the support reach, cut where the rays
+    leave the support; below r0 the second difference is f''(a) r^2, in
+    closed form, and beyond the reach the constant -2 f(a) is.
+    """
+    fa = f.value_at([a])
+    ends = np.abs(a - np.array([f.support_low[0], f.support_high[0]]))
+    reach = float(ends.max())
+    r0 = 1e-4 * 0.5 * float(f.support_high[0] - f.support_low[0])
 
-def stable_as_user_density(stable):
-    return UserDensity(density=stable.density, dim=1,
-                       tail_mass_fn=lambda r: stable.tail_mass(r),
-                       second_moment_fn=lambda r: stable.truncated_second_moment(r))
+    def second_difference(r):
+        return (f.value_at([a + r]) + f.value_at([a - r]) - 2.0 * fa) * c * r ** (-1.0 - alpha)
 
-
-@pytest.mark.parametrize("center, radius, a", [(3.0, 0.8, 0.0), (-2.5, 0.5, 0.3)])
-def test_user_density_measure_integral_matches_stable(center, radius, a):
-    stable = StableLike(c=0.9, alpha=1.1, dim=1)
-    f = bump([center], radius)
-    vs, vu = measure_integral([stable, stable_as_user_density(stable)], f, [[a], [a]])
-    assert vu == pytest.approx(vs, rel=1e-6, abs=1e-9)
-
-
-@pytest.mark.parametrize("chi", [Chi1(), Chi2()], ids=["chi1", "chi2"])
-def test_user_density_chi_quadratic_matrix_matches_stable(chi):
-    stable = StableLike(c=0.9, alpha=1.1, dim=1)
-    ms = chi_quadratic_matrix([stable], chi, [[0.2]])[0]
-    mu = chi_quadratic_matrix([stable_as_user_density(stable)], chi, [[0.2]])[0]
-    assert mu.shape == (1, 1)
-    assert mu[0, 0] == pytest.approx(ms[0, 0], rel=1e-6)
-
-
-def test_asymmetric_user_density_drift_adjustment():
-    # an asymmetric density has a nonzero convention adjustment; cross-check
-    # against direct quadrature of (chi2 - chi1) against the density
-    from scipy.integrate import quad
-
-    def rho(h):
-        h = np.atleast_2d(h)[:, 0]
-        out = np.zeros_like(h)
-        pos = h > 0
-        out[pos] = np.abs(h[pos]) ** -2.5
-        neg = h < 0
-        out[neg] = 0.5 * np.abs(h[neg]) ** -2.5
-        return out
-
-    nu = UserDensity(density=rho, dim=1,
-                     tail_mass_fn=lambda r: (1.5 / 1.5) * r ** -1.5,
-                     second_moment_fn=lambda r: (1.5 / 0.5) * r ** 0.5)
-    adj = chi_drift_adjustment(nu, Chi1(), Chi2(), tol_abs=1e-9)
-
-    def dev(h):
-        chi2 = h if abs(h) < 1 else 0.0
-        chi1 = h / (1 + h * h)
-        return (chi2 - chi1) * float(rho(np.array([[h]]))[0])
-
-    # the tail decays like h^{-3.5}; 2000 leaves a remainder below 1e-8
-    oracle = (quad(dev, 1e-9, 2000.0, limit=800)[0]
-              + quad(dev, -2000.0, -1e-9, limit=800)[0])
-    assert adj[0] == pytest.approx(oracle, abs=5e-6)
-
-
-def _asymmetric_power_density():
-    """rho(h) = |h|^-2.5 for h > 0 and 0.5 |h|^-2.5 for h < 0."""
-    def rho(h):
-        h = np.atleast_2d(h)[:, 0]
-        out = np.zeros_like(h)
-        live = h != 0
-        out[live] = np.where(h[live] > 0, 1.0, 0.5) * np.abs(h[live]) ** -2.5
-        return out
-
-    return UserDensity(density=rho, dim=1, tail_mass_fn=lambda r: r ** -1.5,
-                       second_moment_fn=lambda r: 3.0 * r ** 0.5)
-
-
-# Oracles: mpmath quadrature at 90 digits, split at 0, the support edges and
-# the chi2 kink, with the core |h| < 1e-9 (and again 1e-11) taken in Taylor
-# form; the two core radii agree to 5e-14.  A 40-digit recomputation with a
-# Taylor core below 1e-20 reproduced two of them to 1e-11.
-USER_DENSITY_ORACLES = [
-    (Chi1, 0.0, 0.3, 0.7, 1e-7, -8.301822749175),
-    (Chi1, 0.2, 0.0, 1.0, 1e-7, -4.494270566251),
-    (Chi1, 0.0, 0.0, 1.5, 1e-9, -2.308683189260),
-    (Chi1, 0.2, 0.5, 0.8, 1e-9, -6.532701338427),
-    (Chi2, 0.0, 0.3, 0.7, 1e-7, -8.464280354620),
-    (Chi2, 0.2, 0.0, 1.0, 1e-7, -4.448175878207),
-    (Chi2, 0.0, 0.0, 1.5, 1e-9, -2.308683189260),
-    (Chi2, 0.2, 0.5, 0.8, 1e-9, -6.652036502325),
-]
-
-
-@pytest.mark.parametrize("chi, a, center, radius, tol_abs, oracle", USER_DENSITY_ORACLES)
-def test_user_density_jump_integral_matches_oracle(chi, a, center, radius, tol_abs, oracle):
-    # the compensated integrand cancels to rounding noise near h = 0; the
-    # Taylor-remainder core keeps the integral within tolerance
-    nu = _asymmetric_power_density()
-    start = time.perf_counter()
-    value = jump_integral([nu], chi(), bump([center], radius), [[a]],
-                          tol_abs=tol_abs, tol_rel=1e-6)[0]
-    assert time.perf_counter() - start < 1.0
-    assert abs(value - oracle) <= tol_abs + 1e-6 * abs(oracle)
+    cuts = [float(e) for e in ends if r0 < e < reach]
+    body = quad(second_difference, r0, reach, points=cuts or None, limit=800,
+                epsabs=1e-12, epsrel=1e-10)[0]
+    core = f.hess_at([a])[0, 0] * c * r0 ** (2.0 - alpha) / (2.0 - alpha)
+    return core + body - 2.0 * fa * c * reach ** -alpha / alpha
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(alpha=st.floats(0.3, 1.9), a=st.floats(-0.5, 0.5), center=st.floats(-0.5, 0.5),
        radius=st.floats(0.05, 2.0), chi=st.sampled_from([Chi1(), Chi2()]))
-def test_user_density_matches_stable_branch(alpha, a, center, radius, chi):
+def test_stable_jump_integral_matches_quad_oracle(alpha, a, center, radius, chi):
     stable = StableLike(c=1.0, alpha=alpha, dim=1)
-    user = stable_as_user_density(stable)
     tol_abs, tol_rel = 1e-7, 1e-6
     f = bump([center], radius)
-    ref = jump_integral([stable], chi, f, [[a]], tol_abs, tol_rel)[0]
-    got = jump_integral([user], chi, f, [[a]], tol_abs, tol_rel)[0]
+    ref = symmetrised_jump_oracle(1.0, alpha, f, a)
+    got = jump_integral([stable], chi, f, [[a]], tol_abs, tol_rel)[0]
     assert abs(got - ref) <= tol_abs + tol_rel * abs(ref)
-    ref = chi_quadratic_matrix([stable], chi, [[a]], tol_abs, tol_rel)[0, 0, 0]
-    got = chi_quadratic_matrix([user], chi, [[a]], tol_abs, tol_rel)[0, 0, 0]
+    # int chi(h)^2 |h|^(-1-alpha) dh in closed form
+    ref = (2.0 / (2.0 - alpha) if isinstance(chi, Chi2)
+           else (np.pi * alpha / 2) / np.sin(np.pi * alpha / 2))
+    got = chi_quadratic_matrix([stable], chi, [[a]], tol_abs, tol_rel)[0, 0, 0]
     assert abs(got - ref) <= tol_abs + tol_rel * abs(ref)
 
 
@@ -700,16 +616,6 @@ def test_chi2_quadratic_matrix_in_three_dimensions(alpha):
     m = chi_quadratic_matrix([StableLike(c=c, alpha=alpha, dim=3)], Chi2(), np.zeros((1, 3)))[0]
     np.testing.assert_allclose(m, c * 4.0 * np.pi / (3.0 * (2.0 - alpha)) * np.eye(3),
                                rtol=1e-8, atol=1e-8 * c / (2.0 - alpha))
-
-
-def test_user_density_without_callables_is_one_dimensional():
-    stable = StableLike(c=1.0, alpha=1.5, dim=2)
-    user = UserDensity(density=stable.density, dim=2)
-    f = bump([3.0, 0.0], 0.5)
-    with pytest.raises(ValidationError, match="dimension 1 only"):
-        user.tail_mass(1.0)
-    with pytest.raises(ValidationError, match="dimension 1 only"):
-        jump_integral([user], Chi2(), f, [[0.0, 0.0]])
 
 
 def test_measure_integral_of_the_zero_stable_measure():

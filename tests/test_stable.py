@@ -4,7 +4,7 @@ import pytest
 from levylab import rng as lrng
 from levylab.core import Atoms, Chi2, SchemeConfig, StableLike, TripletField
 from levylab.diagnostics import ks_distance
-from levylab.errors import DegenerateStateError, ValidationError
+from levylab.errors import ValidationError
 from levylab.operators import apply_operator, default_test_functions
 from levylab.stable import (
     StableField,
@@ -12,43 +12,23 @@ from levylab.stable import (
     stable_chain_simulate,
     stable_jump_magnitude,
     stable_tail_probability,
-    stable_threshold,
 )
-
-
-class TestThreshold:
-    def test_d1_alpha1(self):
-        fld = StableField.constant(1.0, 1.0, 1)
-        assert stable_threshold(fld, 0.0, 2) == pytest.approx(1.0, rel=1e-14)
-        assert stable_threshold(fld, 0.0, 200) == pytest.approx(0.01, rel=1e-14)
-
-    def test_d2(self):
-        fld = StableField.constant(1.0, 1.0, 2)
-        for n in (3, 17):
-            assert stable_threshold(fld, [0.0, 0.0], n) == pytest.approx(
-                2 * np.pi / n, rel=1e-14)
-
-    def test_degenerate_scale(self):
-        fld = StableField.constant(0.0, 1.0, 1)
-        with pytest.raises(DegenerateStateError):
-            stable_threshold(fld, 0.0, 10)
-
-    def test_alpha_range_enforced(self):
-        fld = StableField(c=lambda x: np.ones(x.shape[0]),
-                          alpha=lambda x: np.full(x.shape[0], 2.5), dim=1)
-        with pytest.raises(ValidationError):
-            stable_threshold(fld, 0.0, 10)
 
 
 class TestJumpLaw:
     def test_magnitude_closed_form(self):
         assert stable_jump_magnitude(1.0, 1.0, 1, 4, 0.5) == pytest.approx(1.0)
+        # the step threshold, at u = 1: (c |S^{d-1}| / (n alpha))^(1/alpha)
+        assert stable_jump_magnitude(1.0, 1.0, 1, 2, 1.0) == pytest.approx(1.0, rel=1e-14)
+        assert stable_jump_magnitude(1.0, 1.0, 1, 200, 1.0) == pytest.approx(0.01, rel=1e-14)
+        for n in (3, 17):
+            assert stable_jump_magnitude(1.0, 1.0, 2, n, 1.0) == pytest.approx(
+                2 * np.pi / n, rel=1e-14)
 
     def test_minimum_jump_at_u_one(self):
-        fld = StableField.constant(2.0, 1.3, 1)
         n = 37
         assert stable_jump_magnitude(2.0, 1.3, 1, n, 1.0) == pytest.approx(
-            stable_threshold(fld, 0.0, n), rel=1e-12)
+            (2.0 * 2.0 / (n * 1.3)) ** (1.0 / 1.3), rel=1e-12)
 
     def test_tail_probability_formula(self):
         p = stable_tail_probability(1.0, 1.0, 1, 1000, np.array([0.01, 0.1, 1.0]))
@@ -170,9 +150,16 @@ def test_scheme_triplet_field_matches_truncation():
     fld = StableField.constant(1.0, 1.2, 1)
     n = 100.0
     trunc = scheme_triplet_field(fld, n)(np.array([0.0]))
-    assert trunc.jumps.min_radius == pytest.approx(stable_threshold(fld, 0.0, n))
+    assert trunc.jumps.min_radius == pytest.approx((2.0 / (n * 1.2)) ** (1.0 / 1.2))
     # total mass of the normalized step law times n
     assert trunc.jumps.total_mass() == pytest.approx(n, rel=1e-12)
+
+
+def test_scheme_triplet_field_refuses_an_index_outside_0_2():
+    fld = StableField(c=lambda x: np.ones(x.shape[0]),
+                      alpha=lambda x: np.full(x.shape[0], 2.5), dim=1)
+    with pytest.raises(ValidationError):
+        scheme_triplet_field(fld, 10)(np.array([0.0]))
 
 
 def test_scheme_triplet_field_without_jumps_where_the_scale_vanishes():
