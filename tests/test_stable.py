@@ -15,15 +15,27 @@ from levylab.stable import (
 )
 
 
+def _threshold(fld, a, n):
+    """The step threshold (c |S^{d-1}| / (n alpha))^(1/alpha) the scheme cuts at."""
+    return scheme_triplet_field(fld, n)(np.asarray(a, dtype=float)).jumps.min_radius
+
+
+class TestThreshold:
+    def test_d1_alpha1(self):
+        fld = StableField.constant(1.0, 1.0, 1)
+        assert _threshold(fld, [0.0], 2) == pytest.approx(1.0, rel=1e-14)
+        assert _threshold(fld, [0.0], 200) == pytest.approx(0.01, rel=1e-14)
+
+    def test_d2(self):
+        fld = StableField.constant(1.0, 1.0, 2)
+        for n in (3, 17):
+            assert _threshold(fld, [0.0, 0.0], n) == pytest.approx(
+                2 * np.pi / n, rel=1e-14)
+
+
 class TestJumpLaw:
     def test_magnitude_closed_form(self):
         assert stable_jump_magnitude(1.0, 1.0, 1, 4, 0.5) == pytest.approx(1.0)
-        # the step threshold, at u = 1: (c |S^{d-1}| / (n alpha))^(1/alpha)
-        assert stable_jump_magnitude(1.0, 1.0, 1, 2, 1.0) == pytest.approx(1.0, rel=1e-14)
-        assert stable_jump_magnitude(1.0, 1.0, 1, 200, 1.0) == pytest.approx(0.01, rel=1e-14)
-        for n in (3, 17):
-            assert stable_jump_magnitude(1.0, 1.0, 2, n, 1.0) == pytest.approx(
-                2 * np.pi / n, rel=1e-14)
 
     def test_minimum_jump_at_u_one(self):
         n = 37
