@@ -37,7 +37,6 @@ from .embedding import doob_bound_check
 from .environment import BernoulliPoisson, IIDScaled, rwre_simulate
 from .errors import (
     ConfigurationError,
-    DegenerateStateError,
     PotentialOverflowError,
     QuadratureError,
     RangeError,
@@ -66,8 +65,8 @@ MAX_OUTPUT_ELEMENTS = 1 << 27
 
 _VALIDATION_ERRORS = (ValidationError, ConfigurationError, RangeError, OSError,
                       UnicodeError, json.JSONDecodeError)
-_NUMERIC_ERRORS = (QuadratureError, SchemeStepError, DegenerateStateError,
-                   PotentialOverflowError, FloatingPointError)
+_NUMERIC_ERRORS = (QuadratureError, SchemeStepError, PotentialOverflowError,
+                   FloatingPointError)
 
 
 class _UsageError(Exception):

@@ -44,10 +44,6 @@ class WindowEdgeError(SchemeStepError):
     """A path reached the edge of a potential window that is not its domain."""
 
 
-class DegenerateStateError(LevylabError):
-    """The scheme's transition law degenerates at the current state."""
-
-
 class PotentialOverflowError(LevylabError):
     """An exponential-integral window overflows double precision."""
 

@@ -334,6 +334,7 @@ def _gauss_legendre_level(integrand, rows, lo, hi, panels: int, width: int) -> n
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _stable_radial_many(nus, lows, breaks, quad, tail, tol, tol_rel: float, sphere_term,
                         width: int, describe) -> np.ndarray:
     """Integrals of c r^{-1-alpha} G_i(r) dr over (lows[i], infinity), one per problem.
@@ -346,10 +347,20 @@ def _stable_radial_many(nus, lows, breaks, quad, tail, tol, tol_rel: float, sphe
     which makes the integrand bounded; below ``r_lo`` the quadratic Taylor
     term ``quad[i] r^2`` is used, so its cancellation noise is never sampled.
     The other pieces are integrated in ``log r``.  Each problem's tolerance
-    ``tol[i]`` is split evenly over its pieces.
+    ``tol[i]`` is split evenly over its pieces.  A scale so large that the
+    integrand or a term overflows double precision raises QuadratureError
+    at the first value that is not finite, before any panel doubling.
     """
     c = np.array([nu.c for nu in nus])
     alpha = np.array([nu.alpha for nu in nus])
+
+    def finite(values, problems):
+        if not np.isfinite(values).all():
+            row = np.argwhere(~np.isfinite(values))[0, 0]
+            raise QuadratureError("the integrand is not finite in double precision: "
+                                  f"{describe(int(problems[row]))}")
+        return values
+
     total = np.zeros(len(nus))
     tails = np.zeros(len(nus))
     shells, pieces = [], []
@@ -378,7 +389,7 @@ def _stable_radial_many(nus, lows, breaks, quad, tail, tol, tol_rel: float, sphe
 
         def shell(k, s):
             g = sphere_term(p[k], b[k, None] * s ** beta[k, None])
-            return scale[k, None] * s ** (-2.0 * beta[k, None]) * g
+            return finite(scale[k, None] * s ** (-2.0 * beta[k, None]) * g, p[k])
 
         total[p] = scale * q * b * b * s_lo + _gauss_legendre_many(
             shell, s_lo, np.ones_like(s_lo), ptol, tol_rel, width, lambda k: describe(p[k]))
@@ -389,11 +400,12 @@ def _stable_radial_many(nus, lows, breaks, quad, tail, tol, tol_rel: float, sphe
 
         def piece(k, u):
             r = np.exp(u)
-            return c[pp[k], None] * r ** (-alpha[pp[k], None]) * sphere_term(pp[k], r)
+            return finite(c[pp[k], None] * r ** (-alpha[pp[k], None]) * sphere_term(pp[k], r),
+                          pp[k])
 
         np.add.at(total, pp, _gauss_legendre_many(piece, u_lo, u_hi, ptol, tol_rel, width,
                                                   lambda k: describe(pp[k])))
-    return total + tails
+    return finite(total + tails, np.arange(len(nus)))
 
 
 # ---------------------------------------------------------------------------

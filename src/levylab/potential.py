@@ -24,7 +24,11 @@ are solved together, as one batch of twice the rows.  The chain runs on
 the shared block driver :func:`levylab.core.run_chain` with time step
 ``eps^2``: either a nearest-neighbour lattice walk (:func:`lattice_kernel`,
 shared with the random walks in random environments) or a generic
-psi-solver step.
+psi-solver step.  The generic step locates its points' start cells once
+for all its walks, and on closed-form cells the certificate walk also
+walks each step to its psi, so ``p`` costs no walk of its own: on a grid
+such as V = x/2 a step walks three times, twice for Newton and once for
+the certificate.
 """
 
 from __future__ import annotations
@@ -72,31 +76,28 @@ _CHEB_CUM = _cheb.chebvander(_CHEB_X, CHEB_DEGREE + 1) @ _cheb.chebint(_CHEB_COE
 _CHEB_W = _CHEB_CUM[-1]
 
 
-def _phi1(z):
-    """(e^z - 1) / z, stable near zero: the series on the rows with |z| < 1e-6."""
+def _phi_terms(z):
+    """``(e^z - 1)/z``, ``(e^{-z} - 1)/(-z)`` and ``(e^z - 1 - z)/z^2``, each
+    stable near zero: their series on the rows with |z| below 1e-6, 1e-6
+    and 1e-5.  The first and last share one ``expm1``."""
     z = np.asarray(z, dtype=float)
+    nz = -z
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        out = np.expm1(z, out=np.empty_like(z))
-        out /= z
-    small = np.abs(z) < 1e-6
+        second = np.expm1(z)
+        plus = second / z
+        second -= z
+        second /= z * z
+        minus = np.expm1(nz)
+        minus /= nz
+    size = np.abs(z)
+    small = size < 1e-5
     if small.any():
         s = z[small]
-        out[small] = 1.0 + s / 2.0 + s * s / 6.0
-    return out
-
-
-def _phi2(z):
-    """(e^z - 1 - z) / z^2, stable near zero: the series on the rows with |z| < 1e-5."""
-    z = np.asarray(z, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        out = np.expm1(z, out=np.empty_like(z))
-        out -= z
-        out /= z * z
-    small = np.abs(z) < 1e-5
-    if small.any():
-        s = z[small]
-        out[small] = 0.5 + s / 6.0 + s * s / 24.0
-    return out
+        second[small] = 0.5 + s / 6.0 + s * s / 24.0
+        small = size < 1e-6
+        for out, s in ((plus, z[small]), (minus, nz[small])):
+            out[small] = 1.0 + s / 2.0 + s * s / 6.0
+    return plus, minus, second
 
 
 def _sample(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -156,9 +157,9 @@ class _CellData:
             return out
         slope = self.slope[cell]
         v_edge = self.left_value[cell] + slope * (pos - self.bounds[cell])
-        z = sgn * slope * length
-        return (np.exp(v_edge - ref) * length * _phi1(z),
-                np.exp(ref - v_edge) * length * _phi1(-z), length * length * _phi2(z))
+        plus, minus, second = _phi_terms(sgn * slope * length)
+        return (np.exp(v_edge - ref) * length * plus,
+                np.exp(ref - v_edge) * length * minus, length * length * second)
 
 
 class Potential:
@@ -341,23 +342,57 @@ def zero_potential(mesh: float, k_min: int, k_max: int) -> PiecewiseConstantPote
 # ---------------------------------------------------------------------------
 
 
-def _walk(cd: _CellData, a: np.ndarray, h: np.ndarray):
+def _starts(cd: _CellData, a: np.ndarray, up: np.ndarray):
+    """Where each row's walk from ``a`` starts: its cell, located upward
+    where ``up`` holds and downward elsewhere, and ``ref = V(a)``, read in
+    the cell located upward."""
+    cell = cd.locate(a, "right")
+    ref = cd.value(cell, a)
+    down = ~up
+    cell[down] = cd.locate(a[down], "left")
+    return cell, ref
+
+
+def _walk(cd: _CellData, a: np.ndarray, h: np.ndarray, start=None):
     """Integrals over [a, a+h], walked cell by cell from ``a`` (see :func:`_walk_rows`).
 
+    ``start`` is each row's ``(cell, ref)`` from :func:`_starts` for the
+    direction of ``h``: a step locates its points once for all its walks.
     Closed-form cells are integrated row by row, so their rows are walked
     ``WALK_CHUNK`` at a time, which keeps each step's temporaries in cache;
     Chebyshev cells sum their rows in BLAS products whose rounding depends
     on the row count, so they are walked in one go.
     """
     if cd.fn is None and a.size > WALK_CHUNK:
-        parts = [_walk_rows(cd, a[i:i + WALK_CHUNK], h[i:i + WALK_CHUNK])
+        parts = [_walk_rows(cd, a[i:i + WALK_CHUNK], h[i:i + WALK_CHUNK],
+                            None if start is None else tuple(z[i:i + WALK_CHUNK] for z in start))
                  for i in range(0, a.size, WALK_CHUNK)]
         return tuple(np.concatenate(z) for z in zip(*parts))
-    return _walk_rows(cd, a, h)
+    return _walk_rows(cd, a, h, start)
+
+
+def _walk_bracket(cd: _CellData, a: np.ndarray, sgn: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray, start):
+    """phi at both ends of each row's bracket, ``a + sgn lo`` and ``a + sgn
+    hi``, and the mass int e^{V-ref} of the step to its midpoint, all from
+    one walk; the masses are NaN on Chebyshev cells.
+
+    A closed-form row has the same bits in any batch, so the midpoints ride
+    along and give ``p`` exactly as :func:`p_eval_many` would.  A Chebyshev
+    cell sums its rows in BLAS products whose rounding depends on the row
+    count, so extra rows would move the ends' bits; its masses are walked
+    later in ``p``'s own batch.
+    """
+    k = a.size
+    parts = [lo, hi] if cd.fn is not None else [lo, hi, 0.5 * (lo + hi)]
+    res, ep = _walk(cd, np.tile(a, len(parts)), np.concatenate([sgn * z for z in parts]),
+                    tuple(np.tile(z, len(parts)) for z in start))[:2]
+    mass = ep[2 * k:] if len(parts) == 3 else np.full(k, np.nan)
+    return 2.0 * res[:k], 2.0 * res[k:2 * k], mass
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _walk_rows(cd: _CellData, a: np.ndarray, h: np.ndarray):
+def _walk_rows(cd: _CellData, a: np.ndarray, h: np.ndarray, start):
     """Integrals over [a, a+h], walked cell by cell from ``a``.
 
     Returns ``(phi_half, ep, em, ref)``: phi/2, which no rescaling touches,
@@ -367,21 +402,20 @@ def _walk_rows(cd: _CellData, a: np.ndarray, h: np.ndarray):
     overflows double precision raises PotentialOverflowError.
 
     Rows walking up and rows walking down share one loop over cells: each
-    row carries its own direction and start cell, and adds its pieces in
-    the order it meets its cells.
+    row carries its own direction and start cell (``start``, or located
+    here when None), and adds its pieces in the order it meets its cells.
     """
     res, ep, em = np.zeros((3, a.size))
     up = h > 0
-    start = cd.locate(a, "right")
-    ref = cd.value(start, a)
+    cell, ref = _starts(cd, a, up) if start is None else start
     active = np.nonzero(up | (h < 0))[0]
     up = up[active]
     sgn = np.where(up, 1.0, -1.0)
     step = np.where(up, 1, -1)
     pos = a[active].copy()
     remaining = np.abs(h[active])
-    cell = start[active]
-    cell[~up] = cd.locate(pos[~up], "left")
+    cell = cell[active]
+    ref_a = ref[active]
     guard = 0
     while active.size:
         guard += 1
@@ -390,26 +424,28 @@ def _walk_rows(cd: _CellData, a: np.ndarray, h: np.ndarray):
                                      "use a coarser potential or a smaller eps")
         room = sgn * (cd.bounds[cell + up] - pos)  # to the cell's far edge
         length = np.minimum(np.maximum(room, 0.0), remaining)
-        ep_piece, em_piece, self_piece = cd.piece(cell, pos, length, sgn, ref[active])
-        res[active] += ep_piece * em[active] + self_piece
-        ep[active] += ep_piece
-        em[active] += em_piece
+        ep_piece, em_piece, self_piece = cd.piece(cell, pos, length, sgn, ref_a)
+        rows = slice(None) if active.size == a.size else active  # a slice adds in place
+        res[rows] += ep_piece * em[rows] + self_piece
+        ep[rows] += ep_piece
+        em[rows] += em_piece
         pos = pos + sgn * length
         remaining = remaining - length
         done = remaining <= 1e-300
         cell = cell + step
-        outside = (cell < 0) | (cell >= cd.n_cells)
-        if outside.any():
+        if cell.min() < 0 or cell.max() >= cd.n_cells:
+            outside = (cell < 0) | (cell >= cd.n_cells)
             slack = _walk_slack(a[active], a[active] + h[active])
             if (outside & ~done & (remaining > slack)).any():
                 raise RangeError("cell walk left the potential window")
             done |= outside
         if done.any():
             keep = np.flatnonzero(~done)  # an index gathers faster than a mask
-            active, up, sgn, step, pos, remaining, cell = (
-                z[keep] for z in (active, up, sgn, step, pos, remaining, cell))
-    bad = ~(np.isfinite(res) & np.isfinite(ep) & np.isfinite(em))
-    if np.any(bad):
+            active, up, sgn, step, pos, remaining, cell, ref_a = (
+                z[keep] for z in (active, up, sgn, step, pos, remaining, cell, ref_a))
+    # The three sums are nonnegative, so their maximum is finite exactly when all are.
+    bad = ~np.isfinite(np.maximum(np.maximum(res, ep), em))
+    if bad.any():
         raise PotentialOverflowError(
             f"the potential oscillates beyond double precision on the span from "
             f"{float(a[bad][0])} to {float(a[bad][0] + h[bad][0])}")
@@ -497,47 +533,67 @@ def psi_solve_many(V: Potential, a: np.ndarray, eps: float) -> tuple[np.ndarray,
     across it, ``hi0`` is read again and the replay runs again, up to
     ``CERTIFY_ROUNDS`` times: on the failed rows only for lattice and grid
     cells, whose bits do not depend on the batch, on all rows for
-    Chebyshev cells.
+    Chebyshev cells.  Every walk of the call starts from the same points,
+    so their start cells are located once.
 
     The other rows are bisected as the walked bracket and real phi
     comparisons: rows still failing, rows whose ``hi0`` would leave the
     window or pass the cap (there the walked bracket raises as bisection
     does), and all rows when a point lies outside the window or a Newton
     walk raises (an overflow or the cell budget, beyond where bisection
-    would walk).
+    would walk).  An ``eps`` whose square underflows is refused: phi's
+    target would be 0 or lose its digits.
     """
+    a = np.asarray(a, dtype=float).ravel()
+    psi = _psi_rows(V, a, eps)[0]
+    return psi[:a.size], psi[a.size:]
+
+
+def _check_step_parameter(eps: float) -> None:
     if not 0 < eps < math.inf:
         raise ValidationError("the step parameter must be positive and finite")
-    a = np.asarray(a, dtype=float).ravel()
-    n = a.size
-    if n == 0:
-        return np.empty(0), np.empty(0)
+    if eps * eps < np.finfo(float).tiny:
+        raise ValidationError(f"the step parameter {eps} is too small: its square, the "
+                              "time step, underflows double precision")
+
+
+def _psi_rows(V: Potential, a: np.ndarray, eps: float):
+    """psi on the rows ``(a up, a down)`` (see :func:`psi_solve_many`), and
+    each row's mass int e^{V-V(a)} up to its psi where the certificate walk
+    gave it (see :func:`_walk_bracket`), NaN elsewhere."""
+    _check_step_parameter(eps)
+    if a.size == 0:
+        return np.empty((2, 0))
+    sgn = np.repeat([1.0, -1.0], a.size)  # the up rows, then the down rows
     a = np.concatenate([a, a])
-    sgn = np.repeat([1.0, -1.0], n)  # the up rows, then the down rows
     try:
-        psi = _psi_certified(V, a, sgn, eps)
+        psi, mass = _psi_certified(V, a, sgn, eps)
     except (PotentialOverflowError, ConfigurationError, ValidationError):
-        psi = np.full(a.shape, np.nan)
+        psi, mass = np.full((2, a.size), np.nan)
     missed = np.flatnonzero(np.isnan(psi))
     if missed.size:
         psi[missed] = _psi_bisected(V, a[missed], sgn[missed], eps)
-    return psi[:n], psi[n:]
+    return psi, mass
 
 
-def _psi_certified(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float) -> np.ndarray:
+def _psi_certified(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float):
     """psi by certified Newton with the bracket read off the root (see
-    :func:`psi_solve_many`); NaN on the rows it cannot certify."""
+    :func:`psi_solve_many`) and the masses of :func:`_certify`; NaN on the
+    rows it cannot certify."""
     lo_d, hi_d = V.domain
     if not np.all((a >= lo_d) & (a <= hi_d)):
-        return np.full(a.shape, np.nan)
+        return np.full((2, a.size), np.nan)
     limit = np.minimum(np.where(sgn > 0, hi_d - a, a - lo_d), BRACKET_CAP_FACTOR * eps)
-    return _certify(V, a, sgn, eps, _psi_newton(V, a, sgn, eps, limit), CERTIFY_ROUNDS)
+    start = _starts(V.cells(), a, sgn > 0)
+    root = _psi_newton(V, a, sgn, eps, limit, start)
+    return _certify(V, a, sgn, eps, root, CERTIFY_ROUNDS, start)
 
 
 def _certify(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float, root: np.ndarray,
-             rounds: int) -> np.ndarray:
+             rounds: int, start):
     """Replay bisection against ``root`` from the bracket read off it and
-    certify the replay, for up to ``rounds`` rounds; NaN where it fails."""
+    certify the replay, for up to ``rounds`` rounds; returns psi and the
+    masses of :func:`_walk_bracket`, both NaN where it fails."""
     lo_d, hi_d = V.domain
     target = eps * eps
     hi0 = np.full(a.shape, 2.0 * eps)
@@ -547,13 +603,14 @@ def _certify(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float, root: np.
     ok = (hi0 <= BRACKET_CAP_FACTOR * eps * (1 + 1e-12)) & (end >= lo_d) & (end <= hi_d)
     lo, hi = _bisect(hi0, PSI_REL_TOL * eps, lambda mid: mid < root)
     rows = slice(None) if ok.all() else ok
-    k = np.count_nonzero(ok)
-    ends = phi_eval(V, np.concatenate([a[rows], a[rows]]),
-                    np.concatenate([sgn[rows] * lo[rows], sgn[rows] * hi[rows]]))
     up, down = np.zeros((2, a.size), dtype=bool)
-    up[rows], down[rows] = ends[:k] >= target, ends[k:] < target
+    mass = np.full(a.size, np.nan)
+    phi_lo, phi_hi, mass[rows] = _walk_bracket(V.cells(), a[rows], sgn[rows], lo[rows],
+                                               hi[rows], tuple(z[rows] for z in start))
+    up[rows], down[rows] = phi_lo >= target, phi_hi < target
     held = ok & ~up & ~down & ((lo >= 0.5 * hi0) | (hi0 == 2.0 * eps))
     psi = np.where(held, 0.5 * (lo + hi), np.nan)
+    mass[~held] = np.nan
     failed = up | down
     if rounds > 1 and failed.any():
         # Bisection turns the other way at that end: move the root across it.
@@ -561,8 +618,9 @@ def _certify(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float, root: np.
         # A closed-form row has the same bits in any batch, so only the failed
         # rows go again; Chebyshev rows go again in the batch they came in.
         again = np.flatnonzero(failed) if V.cells().fn is None else np.arange(a.size)
-        psi[again] = _certify(V, a[again], sgn[again], eps, root[again], rounds - 1)
-    return psi
+        psi[again], mass[again] = _certify(V, a[again], sgn[again], eps, root[again],
+                                           rounds - 1, tuple(z[again] for z in start))
+    return psi, mass
 
 
 def _psi_bisected(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float) -> np.ndarray:
@@ -588,7 +646,7 @@ def _psi_bisected(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float) -> n
 
 
 def _psi_newton(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float,
-                limit: np.ndarray) -> np.ndarray:
+                limit: np.ndarray, start) -> np.ndarray:
     """Newton's method on ``g(h) = sqrt(phi(a, sgn h)) - eps`` from ``h = eps``,
     one walk per iterate over the rows of both directions (``sgn`` is each
     row's), each iterate clamped to ``[h/2, limit]``.
@@ -604,7 +662,7 @@ def _psi_newton(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float,
     h = np.minimum(limit, eps)
     last = np.zeros_like(h)
     for _ in range(NEWTON_MAX_ITER):
-        res, _, em, ref = _walk(cd, a, sgn * h)
+        res, _, em, ref = _walk(cd, a, sgn * h, start)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = np.sqrt(2.0 * res) / eps
             slope = np.exp(V._value(a + sgn * h) - ref) * em / res
@@ -621,9 +679,22 @@ def _psi_newton(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float,
 def _bisect(hi: np.ndarray, tol: float, below: Callable[[np.ndarray], np.ndarray]):
     """Halve each bracket ``(0, hi]`` until it is at most ``tol`` wide,
     keeping the upper half where ``below(mid)`` is false; returns (lo, hi).
-    A row stops at its own width, whatever the other rows' widths are."""
+    A row stops at its own width, whatever the other rows' widths are.
+
+    Before each of the first ``floor(log2(min(hi) / tol)) - 2`` halvings
+    every row is still about ``8 tol`` wide or more, far beyond the rounding
+    of the halvings, so those run on all rows with no width test; the last
+    few run masked, row by row.
+    """
     hi = hi.copy()
     lo = np.zeros_like(hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.log2(np.min(hi, initial=np.inf) / tol)
+    for _ in range(int(bound) - 2 if np.isfinite(bound) and bound >= 1 else 0):
+        mid = lo + hi
+        mid *= 0.5
+        less = below(mid)
+        lo, hi = np.where(less, mid, lo), np.where(less, hi, mid)
     while True:
         wide = hi - lo > tol
         if not wide.any():
@@ -647,24 +718,44 @@ def p_eval_many(V: Potential, a: np.ndarray, psi_up: np.ndarray,
     if not a.shape == psi_up.shape == psi_down.shape:
         raise ValidationError(f"points and step sizes differ in shape: {a.shape}, "
                               f"{psi_up.shape} and {psi_down.shape}")
+    unknown = np.full((2, a.size), np.nan)
+    return _p_eval(V, a.ravel(), psi_up.ravel(), psi_down.ravel(), *unknown).reshape(a.shape)
+
+
+def _p_eval(V: Potential, a: np.ndarray, psi_up: np.ndarray, psi_down: np.ndarray,
+            down: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """:func:`p_eval_many` on flat arrays, given the masses ``down`` of
+    ``[a - psi_down, a]`` and ``up`` of ``[a, a + psi_up]``, rescaled by
+    V(a), that are known already: the rows where either is NaN are walked
+    here, and both arrays are filled in.  A known mass comes from a
+    certified step, which lies inside the window."""
     if not (np.all((psi_up > 0) & (psi_up < math.inf))
             and np.all((psi_down > 0) & (psi_down < math.inf))):
         raise ValidationError("step sizes must be positive and finite")
-    shape = a.shape
-    a, psi_up, psi_down = a.ravel(), psi_up.ravel(), psi_down.ravel()
-    if a.size == 0:
-        return np.empty(shape)
-    V.check_window(float(np.min(a - psi_down)), float(np.max(a + psi_up)))
-    # Both masses are walked from ``a``, so they share its reference V(a).
-    mass = _walk(V.cells(), np.concatenate([a, a]), np.concatenate([-psi_down, psi_up]))[1]
-    num = mass[: a.size]
-    den = num + mass[a.size:]
+    walk = np.flatnonzero(np.isnan(down) | np.isnan(up))
+    if walk.size:
+        rows = slice(None) if walk.size == a.size else walk
+        a, psi_up, psi_down = a[rows], psi_up[rows], psi_down[rows]
+        V.check_window(float(np.min(a - psi_down)), float(np.max(a + psi_up)))
+        # Both masses are walked from ``a``, so they share its reference V(a).
+        mass = _walk(V.cells(), np.concatenate([a, a]), np.concatenate([-psi_down, psi_up]))[1]
+        down[rows], up[rows] = mass[:walk.size], mass[walk.size:]
+    den = down + up
     if np.any(den <= 0):
         raise ValidationError("degenerate step window: zero exponential mass")
-    p = num / den
+    p = down / den
     if np.any((p <= 0) | (p >= 1)):
         raise ValidationError("transition probability left (0, 1); check the window")
-    return p.reshape(shape)
+    return p
+
+
+def _step_solve(V: Potential, a: np.ndarray, eps: float):
+    """``(psi_up, psi_down, p)`` at the points ``a``: the values of
+    :func:`psi_solve_many` and then :func:`p_eval_many`, with ``p``'s masses
+    taken from the certificate walk where it gave them (closed-form cells)."""
+    psi, mass = _psi_rows(V, a, eps)
+    n = a.size
+    return psi[:n], psi[n:], _p_eval(V, a, psi[:n], psi[n:], mass[n:], mass[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +776,7 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
     size, so such a path, or a step solve that leaves the window, raises
     WindowEdgeError instead.
     """
-    if not eps > 0:
-        raise ValidationError("the step parameter must be positive")
+    _check_step_parameter(eps)
     if not callable(start):
         s = float(as_point(start, 1)[0])
         lo_d, hi_d = V.domain
@@ -713,8 +803,7 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
     def step(x, gen, limit):
         a = x[:, 0]
         try:
-            psiu, psid = psi_solve_many(V, a, eps)
-            p = p_eval_many(V, a, psiu, psid)
+            psiu, psid, p = _step_solve(V, a, eps)
         except RangeError as exc:
             raise (WindowEdgeError if windowed else SchemeStepError)(
                 f"step solve left the potential window near positions "

@@ -288,6 +288,11 @@ CASES = [
         "--start 0.08539713711221086 --eps 0.07603184195139444 --T 0.006 --paths 20 "
         "--seed 1 --grid-points 2 --out steep_out.csv",
         files={"steep.csv": two_columns(*zip(STEEP_KNOTS, STEEP_VALUES))}, check=some_alive),
+    # eps^2 = 1e-320 is subnormal: phi's target kept three digits, and one
+    # step came out 5e-4 off eps with exit 0.
+    row("step-parameter-whose-square-underflows", "simulate-potential --potential 0.1*x1 "
+        "--eps 1e-160 --T 1e-320 --paths 3 --out out.csv", 1,
+        "the step parameter 1e-160 is too small"),
     # the start 5e6 lies beyond the default escape radius 1e6
     row("test_start_beyond_the_escape_radius_is_absorbed_at_time_zero", "simulate-stable "
         "--n 10 --T 0.5 --start 5e6 --paths 3 --grid-points 6 --out far.csv",
@@ -529,6 +534,12 @@ CASES = [
         "scale c must be nonnegative and finite", files=cfg({
             **OPERATOR_CONFIG, "fields": [{"kind": "constant", "triplet": {
                 "drift": [0.0], "nu": {"kind": "stable", "c": math.inf, "alpha": 1.5}}}]})),
+    # a finite scale whose integrand overflows: it used to print RuntimeWarnings
+    # and reach the quadrature's panel cap before exit 2
+    row("operator-field-with-an-overflowing-scale", OPERATOR_ON_CONFIG, 2,
+        "the integrand is not finite in double precision", files=cfg({
+            **OPERATOR_CONFIG, "fields": [{"kind": "constant", "triplet": {
+                "drift": [0.0], "nu": {"kind": "stable", "c": 1e308, "alpha": 1.5}}}]})),
     # Operator configs that used to run with silent gap values (NaN margin or
     # box), end in a traceback (short labels), label fields by characters, run
     # a fractional grid size, or misreport a reversed box.

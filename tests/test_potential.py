@@ -239,6 +239,14 @@ class TestPsi:
         with pytest.raises(ValidationError, match="positive and finite"):
             psi_solve_many(GridPotential([-1.0, 1.0], [0.2, 0.4]), [0.0], eps)
 
+    @pytest.mark.parametrize("eps", [1e-320, 1e-200])
+    def test_step_parameter_whose_square_underflows_is_refused(self, eps):
+        # 1e-320 used to hang (its tolerance is 0) and 1e-200 to return
+        # 4.5e-13 eps (eps^2 is 0, which any phi covers).
+        x = np.linspace(-3.0, 3.0, 13)
+        with pytest.raises(ValidationError, match="square, the time step, underflows"):
+            psi_solve_many(GridPotential(x, x / 2), [0.0], eps)
+
     def test_domain_edge_error(self):
         # bracket expansion that would leave the window surfaces a range error
         V = GridPotential([-1.0, 1.0], [0.0, -30.0])
@@ -422,6 +430,97 @@ def test_one_step_on_a_linear_grid_walks_four_times(monkeypatch):
     assert len(walks) <= 4
 
 
+_LINEAR_X = np.linspace(-30.0, 30.0, 1201)
+
+
+def test_one_fused_step_on_a_linear_grid_walks_three_times(monkeypatch):
+    # Two Newton walks and the certificate, which also walks the midpoints
+    # that give p.
+    walks = []
+    walk_rows = pot._walk_rows
+    monkeypatch.setattr(pot, "_walk_rows", lambda *args: walks.append(1) or walk_rows(*args))
+    pot._step_solve(GridPotential(_LINEAR_X, _LINEAR_X / 2), np.linspace(-2.0, 2.0, 250), 0.05)
+    assert len(walks) <= 3
+
+
+_BROWNIAN_X = np.linspace(-10.0, 10.0, 4001)
+# (potential, points, eps, certificate rounds the step runs): the benchmark's
+# V = x/2 grid; a Brownian-like grid, where a few of 32768 rows fail the
+# first certificate round; the off-mesh lattice, where rows fail both and
+# are bisected; and a callable, whose masses are walked in p's own batch.
+STEP_CASES = {
+    "linear-grid": (GridPotential(_LINEAR_X, _LINEAR_X / 2), np.linspace(-2.0, 2.0, 250), 0.05, 1),
+    "brownian-grid": (GridPotential(_BROWNIAN_X, np.concatenate([[0.0], np.cumsum(
+        np.sqrt(np.diff(_BROWNIAN_X)) * np.random.default_rng(5).standard_normal(4000))])),
+        np.linspace(-3.0, 3.0, 16384), 0.01, 2),
+    "off-mesh-lattice": (JOINT_POTENTIALS["lattice"], np.linspace(-2.5, 2.5, 300), 0.05, 2),
+    "callable": (JOINT_POTENTIALS["callable"], np.linspace(-2.0, 2.0, 300), 0.05, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CASES))
+def test_fused_step_matches_psi_and_p_bit_for_bit(name, monkeypatch):
+    V, a, eps, rounds = STEP_CASES[name]
+    want_up, want_down = psi_solve_many(V, a, eps)
+    want = (want_up, want_down, p_eval_many(V, a, want_up, want_down))
+    seen, bisected = [], []
+    certify, bisect_rows = pot._certify, pot._psi_bisected
+    monkeypatch.setattr(pot, "_certify",
+                        lambda V, a, *rest: seen.append(a.size) or certify(V, a, *rest))
+    monkeypatch.setattr(pot, "_psi_bisected",
+                        lambda V, a, *rest: bisected.append(a.size) or bisect_rows(V, a, *rest))
+    got = pot._step_solve(V, a, eps)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    if rounds is not None:
+        assert len(seen) == rounds
+    if name == "off-mesh-lattice":
+        assert bisected
+
+
+def _masked_bisect(hi, tol, below):
+    """Bisection with every round masked row by row: the reference loop."""
+    hi = hi.copy()
+    lo = np.zeros_like(hi)
+    while True:
+        wide = hi - lo > tol
+        if not wide.any():
+            return lo, hi
+        mid = 0.5 * (lo + hi)
+        less = below(mid) & wide
+        lo = np.where(less, mid, lo)
+        hi = np.where(wide & ~less, mid, hi)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(eps=st.floats(1.5e-154, 1e3),
+       rows=st.lists(st.tuples(st.integers(0, 10), st.floats(0.0, 1.0), st.integers(0, 60),
+                               st.sampled_from([-1, 0, 1])), min_size=1, max_size=6),
+       width=st.one_of(st.none(), st.tuples(st.integers(36, 44), st.integers(-4, 4))))
+def test_bisect_matches_the_masked_loop_bit_for_bit(eps, rows, width):
+    # Brackets 2 eps 2^j; each root sits on an end some bracket of its
+    # replay reaches, or on a float next to it.  Besides psi's tolerance,
+    # the tolerance may sit within a few ulps of 2 eps 2^-m, where the
+    # number of rounds every row takes is an integer.
+    tol = pot.PSI_REL_TOL * eps
+    if width is not None:
+        tol = 2.0 * eps * 2.0 ** -width[0]
+        for _ in range(abs(width[1])):
+            tol = np.nextafter(tol, width[1] * np.inf)
+    hi0 = np.array([2.0 * eps * 2.0 ** j for j, *_ in rows])
+    root = []
+    for h, (_, frac, level, ulps) in zip(hi0, rows):
+        ends = [h]
+        _masked_bisect(np.array([h]), tol, lambda mid: ends.append(mid[0]) or mid < h * frac)
+        r = ends[min(level, len(ends) - 1)]
+        root.append(np.nextafter(r, ulps * np.inf) if ulps else r)
+    root = np.array(root)
+    got = pot._bisect(hi0, tol, lambda mid: mid < root)
+    want = _masked_bisect(hi0, tol, lambda mid: mid < root)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
 def _phi1_where(z):
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         return np.where(np.abs(z) < 1e-6, 1.0 + z / 2.0 + z * z / 6.0, np.expm1(z) / z)
@@ -443,8 +542,10 @@ _PHI_EDGES = [z for c in (0.0, 1e-6, 1e-5, 700.0, np.inf)
 @example(z=_PHI_EDGES)
 def test_phi_helpers_match_their_where_forms_bit_for_bit(z):
     z = np.array(z)
-    assert pot._phi1(z).tobytes() == _phi1_where(z).tobytes()
-    assert pot._phi2(z).tobytes() == _phi2_where(z).tobytes()
+    plus, minus, second = pot._phi_terms(z)
+    assert plus.tobytes() == _phi1_where(z).tobytes()
+    assert minus.tobytes() == _phi1_where(-z).tobytes()
+    assert second.tobytes() == _phi2_where(z).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(JOINT_POTENTIALS))
