@@ -10,6 +10,7 @@ on stdout.  Exit codes: 0 success, 1 validation error, 2 numeric failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -138,7 +139,10 @@ def paths_to_csv(batch: PathBatch) -> str:
         ids = chain.from_iterable(repeat(str(p), g) for p in range(p0, p1))
         flags = np.where(alive, "1", "0").tolist()
         parts.append("\n".join(map(",".join, zip(ids, t_text * (p1 - p0), *coords, flags))))
-    return "\n".join(parts) + "\n"
+    # The empty last part ends the text with a newline; adding "\n" after the
+    # join would make a third full copy while ``parts`` is still alive.
+    parts.append("")
+    return "\n".join(parts)
 
 
 def read_paths_csv(path: str) -> PathBatch:
@@ -220,7 +224,10 @@ def _scheme_config(args, seed: int, horizon: float, dim: int) -> SchemeConfig:
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process: parsing does not change it,
+    and building its seven subcommands costs some 20 times a parse."""
     parser = _Parser(prog="levylab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -14,7 +14,12 @@ A :class:`StableField`'s jumps are drawn and summed a range of paths at a
 time, so its step's memory per thread is bounded by ``_JUMP_CHUNK`` jumps
 (or one path's jumps, if more), whatever the block's jump count; the stream
 and the sums are those of one draw over the block.  ``MAX_EXPECTED_JUMPS``
-bounds a step's time, not its memory.  The frozen engine of a constant
+bounds a step's time, not its memory.  A range of 2^16 jumps keeps each of
+its arrays (radii, exponents, directions, owners) at 512 KB, so a range's
+working set stays in a core's L2 cache.  Against 2^18 jumps, on a 2-vCPU
+Intel Xeon, one step of 16384 paths (6.9 million jumps) took 164 ms instead
+of 208 (best of 15), and a process running perfbench's 32768-path Euler
+call peaked at 54 MB of RSS instead of 65.  The frozen engine of a constant
 triplet still draws a block's tail jumps in one go.
 """
 
@@ -54,7 +59,10 @@ MAX_EXPECTED_JUMPS = 1e6
 
 # The stable-fast step draws and sums its jumps for ranges of whole paths
 # holding at most this many jumps (or one path, when that path alone holds more).
-_JUMP_CHUNK = 1 << 18
+# At 2^16 a range's arrays are 512 KB each and stay in L2: a step measured a
+# fifth faster and 11 MB lighter than at 2^18 (module docstring); 2^15 was
+# no faster than 2^16.
+_JUMP_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)

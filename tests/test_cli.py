@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -474,8 +475,9 @@ def test_operator_report_on_a_constant_atoms_field(workdir, capsys):
 def test_importing_levylab_leaves_scipy_unloaded():
     # scipy.special, .integrate, .optimize and .stats take most of a CLI
     # process's start-up (import levylab.cli: 0.90 s with them, 0.29 s without,
-    # medians of 7 on a 2-vCPU Intel Xeon). Quadrature, sphere_surface_area, the
-    # maximum search and the KS and W1 helpers import them on first use.
+    # medians of 7 on a 2-vCPU Intel Xeon). Quadrature, sphere_surface_area above
+    # dimension 10, the maximum search and the KS and W1 helpers import them on
+    # first use.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = ("import sys\n"
@@ -488,6 +490,68 @@ def test_importing_levylab_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.split() == ["[]", "[]"]
+
+
+def test_cli_run_paths_leave_scipy_unloaded(tmp_path):
+    """Every subcommand's run, in one fresh interpreter, loads no scipy module.
+
+    sphere_surface_area reads dimensions up to 10 from a table, so the stable
+    and Euler schemes and the stable operator reports do not import
+    scipy.special.  diagnose-paths on two files still loads scipy.stats for
+    its KS and W1 comparison, and is left out.
+    """
+    inputs = {
+        "field.json": json.dumps({"kind": "stable-field", "dim": 1, "c_expr": "1",
+                                  "alpha_expr": "1.5"}),
+        "triplet.json": json.dumps({"drift": [0.0], "gamma": [[0.0]],
+                                    "nu": {"kind": "stable", "c": 1.0, "alpha": 1.5}}),
+        "op1.json": cli_cases.operator_report_config(1, grid_points=2)["op.json"],
+        "op2.json": cli_cases.operator_report_config(2, grid_points=2)["op.json"],
+        "grid.csv": cli_cases.two_columns(*((k / 10, k / 20) for k in range(-50, 51))),
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    runs = [
+        "simulate-stable --n 10 --T 0.3 --paths 5 --out s1.csv",
+        "simulate-stable --dim 3 --n 10 --T 0.3 --paths 5 --out s3.csv",
+        "simulate-euler --triplet-config field.json --eps 0.05 --T 0.2 --paths 5 --out e1.csv",
+        "simulate-euler --triplet-config triplet.json --eps 0.05 --T 0.2 --paths 5 --out e2.csv",
+        "simulate-potential --potential zero --eps 0.1 --T 0.1 --paths 5 --out p0.csv",
+        "simulate-potential --potential grid.csv --eps 0.1 --T 0.05 --paths 5 --out pg.csv",
+        "simulate-potential --potential 0.1*x1 --eps 0.1 --T 0.05 --paths 5 --out px.csv",
+        "simulate-rwre --env iid:0.5 --eps 0.05 --T 0.1 --paths 5 --out r.csv",
+        "diagnose-operator --config op1.json --out o1.json",
+        "diagnose-operator --config op2.json --out o2.json",
+        "diagnose-clock --eps 0.1 --t 1 --threshold 0.5 --trials 10 --out c.json",
+        "diagnose-paths s1.csv --t 0.3 --out d.json",
+    ]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import contextlib, io, json, sys\n"
+             "from levylab import cli\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert cli.run(argv.split()) == 0, argv\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[]"]
+
+
+def test_parser_is_built_once_and_parses_alike_on_every_run(workdir, capsys):
+    assert build_parser() is build_parser()
+    errors, threads = [], []
+    for _ in range(3):
+        assert run(["simulate-stable", "--n", "10", "--bogus"]) == 64
+        errors.append(capsys.readouterr().err)
+        assert run(["simulate-stable", "--n", "10", "--T", "0.1", "--paths", "2",
+                    "--grid-points", "2", "--out", "s.csv"]) == 0
+        threads.append(json.loads(capsys.readouterr().out)["config"]["threads"])
+    assert errors[0].startswith("usage error: the following arguments are required: "
+                                "--T, --out\nusage: levylab")
+    assert errors == [errors[0]] * 3
+    assert threads == [os.cpu_count() or 1] * 3
 
 
 def write_text(name, text):
@@ -567,3 +631,22 @@ def test_writer_matches_row_loop_across_default_chunks(tmp_path):
     assert text == row_loop_paths_to_csv(batch)
     (tmp_path / "p.csv").write_text(text)
     assert paths_to_csv(read_paths_csv(str(tmp_path / "p.csv"))) == text
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_writer_holds_at_most_two_copies_of_its_text(dim):
+    # 1000 paths on 101 grid times: the rows of a simulate-stable run at its
+    # defaults.  The chunk texts and the joined text are both alive at the
+    # join; a further full copy would take the peak to three times the text.
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, 1.0, 101)
+    xi = np.where(rng.random(1000) < 0.2, rng.uniform(0.0, 1.0, 1000), math.inf)
+    batch = PathBatch(times, rng.standard_cauchy((1000, 101, dim)), xi=xi)
+    tracemalloc.start()
+    try:
+        text = paths_to_csv(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 1000 * 101 + 1
+    assert peak < 2.3 * len(text)

@@ -47,6 +47,25 @@ def test_sphere_surface_bits(dim):
     assert sphere_surface_area(dim) == float.fromhex(SPHERE_SURFACE_BITS[dim - 1])
 
 
+def scipy_sphere_surface(dim):
+    from scipy.special import gammaln
+
+    return float(np.exp(np.log(2.0) + 0.5 * dim * np.log(np.pi) - gammaln(0.5 * dim)))
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_sphere_surface_is_scipys_log_gamma_formula(dim):
+    # d <= 10 is read from a table so the CLI need not import scipy.special;
+    # beyond it the formula runs through scipy.
+    assert sphere_surface_area(dim).hex() == scipy_sphere_surface(dim).hex()
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_sphere_surface_refuses_dimensions_below_one(dim):
+    with pytest.raises(ValidationError, match="dimension must be >= 1"):
+        sphere_surface_area(dim)
+
+
 class TestTailMass:
     def test_stable_closed_form(self):
         nu = StableLike(c=1.0, alpha=1.0, dim=1)
