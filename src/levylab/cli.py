@@ -123,22 +123,29 @@ def paths_to_csv(batch: PathBatch) -> str:
     """CSV rows path_id,t,x1..xd,alive; alive=0 rows carry nan states.
 
     Coordinates are ``repr(float)``, the shortest round-trip decimal; times
-    are fixed to 9 decimals.  Columns are formatted a chunk of paths at a time.
+    are fixed to 9 decimals.  Columns are formatted a chunk of at most
+    ``_CSV_CHUNK_ROWS`` rows at a time: whole paths, or pieces of one path
+    when it alone holds more grid times.
     """
     n, g, d = batch.states.shape
     header = "path_id,t," + ",".join(f"x{i + 1}" for i in range(d)) + ",alive"
     times = batch.times
-    t_text = [f"{t:.9f}" for t in times.tolist()]
+    span = min(g, _CSV_CHUNK_ROWS)
     per_chunk = max(1, _CSV_CHUNK_ROWS // max(g, 1))
+    # A long path's time texts are made a piece at a time, like its rows.
+    whole = [f"{t:.9f}" for t in times.tolist()] if g == span else None
     parts = [header]
     for p0 in range(0, n if g else 0, per_chunk):
         p1 = min(p0 + per_chunk, n)
-        alive = (times[None, :] < batch.xi[p0:p1, None]).ravel()
-        states = np.where(alive[:, None], batch.states[p0:p1].reshape(-1, d), np.nan)
-        coords = [map(repr, states[:, k].tolist()) for k in range(d)]
-        ids = chain.from_iterable(repeat(str(p), g) for p in range(p0, p1))
-        flags = np.where(alive, "1", "0").tolist()
-        parts.append("\n".join(map(",".join, zip(ids, t_text * (p1 - p0), *coords, flags))))
+        for j0 in range(0, g, span):
+            j1 = min(j0 + span, g)
+            t_text = whole if whole is not None else [f"{t:.9f}" for t in times[j0:j1].tolist()]
+            alive = (times[None, j0:j1] < batch.xi[p0:p1, None]).ravel()
+            states = np.where(alive[:, None], batch.states[p0:p1, j0:j1].reshape(-1, d), np.nan)
+            coords = [map(repr, states[:, k].tolist()) for k in range(d)]
+            ids = chain.from_iterable(repeat(str(p), j1 - j0) for p in range(p0, p1))
+            flags = np.where(alive, "1", "0").tolist()
+            parts.append("\n".join(map(",".join, zip(ids, t_text * (p1 - p0), *coords, flags))))
     # The empty last part ends the text with a newline; adding "\n" after the
     # join would make a third full copy while ``parts`` is still alive.
     parts.append("")

@@ -613,14 +613,28 @@ def run_chain(init, step, n_steps: int, capture: np.ndarray, dt: float, grid: np
     (through ``emit``, if given) after step ``capture[j]``, which must be
     nondecreasing.  A live path holding a non-finite state after a call
     raises SchemeStepError.  Blocks run on ``config.threads`` threads; the
-    result does not depend on that count.
+    result does not depend on that count.  This is :func:`run_chains` for
+    one chain.
     """
     seed = config.seed if seed is None else seed
-    out = np.empty((config.paths, grid.size, dim))
-    xi = np.full(config.paths, np.inf)
+    return run_chains([(init, step, seed, emit)], n_steps, capture, dt, grid, dim, config)[0]
+
+
+def run_chains(chains, n_steps: int, capture: np.ndarray, dt: float, grid: np.ndarray,
+               dim: int, config: SchemeConfig) -> list[PathBatch]:
+    """Run several chains on one clock and one pool; one batch per chain.
+
+    ``chains`` holds ``(init, step, seed, emit)`` tuples, each read as the
+    arguments of :func:`run_chain` (``emit`` may be None).  The chains share
+    ``n_steps``, ``capture``, ``grid``, ``dim`` and ``config``; the blocks
+    of all of them are one list of tasks for ``config.threads`` threads.
+    A block's stream is ``(seed, block)`` of its own chain, so each batch
+    is the one :func:`run_chain` returns for that chain alone.
+    """
     capture = capture.tolist()
-    if emit is None:
-        emit = np.asarray
+    blocks = _rng.path_blocks(config.paths, config.block_size)
+    outs = [np.empty((config.paths, grid.size, dim)) for _ in chains]
+    xis = [np.full(config.paths, np.inf) for _ in chains]
 
     def absorbed_at(k):
         # (k * dt) can round above the first grid time that captures step k;
@@ -631,11 +645,14 @@ def run_chain(init, step, n_steps: int, capture: np.ndarray, dt: float, grid: np
     # A state that overflows becomes inf: the escape test absorbs it, and a
     # live non-finite state still raises.  One errstate per block, not per step.
     @np.errstate(over="ignore")
-    def run_block(block):
-        lo, hi, idx = block
+    def run_block(task):
+        c, (lo, hi, idx) = task
+        init, step, seed, emit = chains[c]
+        if emit is None:
+            emit = np.asarray
         gen = _rng.stream(seed, idx, _rng.PATHS)
         x = resolve_start(init, dim, hi - lo, gen)
-        block_out, block_xi = out[lo:hi], xi[lo:hi]
+        block_out, block_xi = outs[c][lo:hi], xis[c][lo:hi]
         beyond = np.linalg.norm(emit(x), axis=1) > config.escape_radius
         block_xi[beyond] = 0.0
         live = np.nonzero(~beyond)[0]
@@ -665,17 +682,18 @@ def run_chain(init, step, n_steps: int, capture: np.ndarray, dt: float, grid: np
                 live = live[~gone]
         block_out[:, j:] = emit(x)[:, None, :]
 
-    blocks = _rng.path_blocks(config.paths, config.block_size)
-    if config.threads > 1 and len(blocks) > 1:
+    tasks = [(c, b) for c in range(len(chains)) for b in blocks]
+    if config.threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(run_block, blocks))
+            list(pool.map(run_block, tasks))
     else:
-        for b in blocks:
-            run_block(b)
+        for task in tasks:
+            run_block(task)
 
-    batch = PathBatch(grid, out, xi=xi)
-    batch.blank_dead()
-    return batch
+    batches = [PathBatch(grid, out, xi=xi) for out, xi in zip(outs, xis)]
+    for batch in batches:
+        batch.blank_dead()
+    return batches
 
 
 # ---------------------------------------------------------------------------

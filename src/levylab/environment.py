@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng as _rng
-from .core import PathBatch, SchemeConfig, run_chain
+from .core import PathBatch, SchemeConfig, run_chains
 from .diagnostics import ks_distance, wasserstein1
 from .errors import ConfigurationError, ValidationError
 from .potential import (
@@ -111,11 +111,12 @@ def rwre_simulate(env: EnvironmentSpec, eps: float, start_site: int, horizon: fl
     moves at most one site per step), holding the exit probability at zero;
     a walk beyond ``config.escape_radius`` is absorbed, as in every scheme;
     a memory cap converts oversize windows into a configuration error.
-    Environments are drawn sequentially from the master seed.  The walks of
-    one environment run on :func:`levylab.core.run_chain` with the potential
-    scheme's lattice kernel: independent per-block streams keyed by the
-    run's ``path_seed``, spread over ``config.threads`` threads without
-    changing the output.
+    Every environment is drawn first, each from its own stream of the master
+    seed.  Then the walks of all of them run in one
+    :func:`levylab.core.run_chains` call with the potential scheme's lattice
+    kernel: each environment's blocks have streams keyed by its run's
+    ``path_seed``, and the (environment, block) tasks share
+    ``config.threads`` threads without changing the output.
     """
     if not eps > 0:
         raise ValidationError("the step parameter must be positive")
@@ -132,21 +133,21 @@ def rwre_simulate(env: EnvironmentSpec, eps: float, start_site: int, horizon: fl
     k_lo = start_site - radius
     k_hi = start_site + radius
 
-    runs = []
+    potentials, chains = [], []
     for e_idx in range(environments):
         env_gen = _rng.stream(config.seed, e_idx, _rng.ENVIRONMENTS)
-        q = env.sample(env_gen, eps, k_lo, k_hi)
-        potential = PiecewiseConstantPotential(eps, q, k_lo)
+        potential = PiecewiseConstantPotential(eps, env.sample(env_gen, eps, k_lo, k_hi), k_lo)
         path_seed = config.seed + 1_000_003 * (e_idx + 1)
         # Leaving the q-window or the escape radius absorbs the walk at the cemetery.
         step = lattice_kernel(potential.up_probability(k_lo, potential.k_max), k_lo,
                               (k_lo, potential.k_max), eps, config.escape_radius)
-        walks = run_chain(float(start_site), step, n_steps, capture, dt, grid, 1, config,
-                          seed=path_seed, emit=lambda sites: sites * eps)
-        runs.append(QuenchedRun(
-            potential=potential, walks=walks, start_site=start_site,
-            environment_seed=e_idx, path_seed=path_seed))
-    return runs
+        potentials.append(potential)
+        chains.append((float(start_site), step, path_seed, lambda sites: sites * eps))
+    walks = run_chains(chains, n_steps, capture, dt, grid, 1, config)
+    return [QuenchedRun(potential=potential, walks=batch, start_site=start_site,
+                        environment_seed=e_idx, path_seed=path_seed)
+            for e_idx, (potential, (_, _, path_seed, _), batch)
+            in enumerate(zip(potentials, chains, walks))]
 
 
 @dataclass

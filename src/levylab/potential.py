@@ -820,6 +820,23 @@ def potential_chain_simulate(V: Potential, start, eps: float, horizon: float,
     return run_chain(start, step, n_steps, capture, dt, grid, 1, config)
 
 
+# Words per draw of the lattice walk (or one step's words, if more): at 2^16
+# a range's words and flags stay in L2, as Euler's _JUMP_CHUNK jumps do.
+_WORD_CHUNK = 1 << 16
+
+
+def up_thresholds(p: np.ndarray) -> np.ndarray:
+    """The uint64 thresholds ``T = ceil(p * 2^53)``, with ``u < p`` exactly when
+    ``(w >> 11) < T`` for the Philox word ``w`` behind ``u = (w >> 11) * 2^-53``.
+
+    ``p * 2^53`` is exact, and ``w >> 11`` is an integer below 2^53, so the
+    ceiling loses nothing.  ``p`` outside [0, 1] or NaN maps as ``u < p``
+    does: to 0 (never up) or 2^53 (always up).
+    """
+    p = np.fmin(np.fmax(np.asarray(p, dtype=float), 0.0), 1.0)
+    return np.ceil(p * 2.0 ** 53).astype(np.uint64)
+
+
 def lattice_kernel(p_table: np.ndarray, site_lo: int, keep: tuple[int, int], eps: float,
                    radius: float):
     """Chain kernel of a nearest-neighbour walk on integer sites (held as floats).
@@ -832,27 +849,48 @@ def lattice_kernel(p_table: np.ndarray, site_lo: int, keep: tuple[int, int], eps
     test itself finds its ends exactly.  A call walks the sites as integers
     for ``K`` steps: ``limit``, or fewer if a path could leave ``[L, H]``
     sooner, so no path is absorbed before step ``K`` and absorption is
-    tested there only.  Each step draws ``gen.random(m)`` as the one-step
-    walk does, so the stream and the output are the same.
+    tested there only.
+
+    Each step reads the ``m`` Philox words ``gen.random(m)`` would turn into
+    uniforms, raw and in the same order, against the table's
+    :func:`up_thresholds`, kept in place of ``p_table``; so the stream and
+    the output are the one-step walk's.  When every threshold is equal (the
+    zero potential, or any constant lattice), a path's site after ``K``
+    steps depends only on its number of up moves, which are counted over
+    the ``K * m`` words in ranges of ``_WORD_CHUNK``.
     """
     reach = max(abs(keep[0]), abs(keep[1]))
     n = bisect_right(range(reach + 1), radius, key=lambda s: s * eps) - 1
     rel_lo, rel_hi = max(keep[0], -n) - site_lo, min(keep[1], n) - site_lo
+    table = up_thresholds(p_table)
+    flat = bool(np.all(table == table[0]))
+
+    def draws(gen, taken, m):
+        # The words of ``taken`` steps as (steps, m) ranges, each word w
+        # already shifted to the W = w >> 11 behind its uniform.
+        rows = max(1, _WORD_CHUNK // m)
+        for k in range(0, taken, rows):
+            words = gen.bit_generator.random_raw(min(rows, taken - k) * m).reshape(-1, m)
+            words >>= 11
+            yield words
 
     def step(sites, gen, limit):
         m = sites.shape[0]
         rel = (sites[:, 0] - site_lo).astype(np.intp)
         room = min(int(rel.min()) - rel_lo, rel_hi - int(rel.max())) + 1
-        u, p = np.empty(m), np.empty(m)
-        up = np.empty(m, dtype=bool)
         taken = max(1, min(limit, room))
-        for _ in range(taken):
-            gen.random(m, out=u)
-            np.take(p_table, rel, out=p)
-            np.less(u, p, out=up)
-            rel -= 1
-            rel += up
-            rel += up
+        if flat:
+            ups = sum((words < table[0]).sum(axis=0) for words in draws(gen, taken, m))
+            rel += 2 * ups - taken
+        else:
+            cut, move = np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.intp)
+            for words in draws(gen, taken, m):
+                for w in words:
+                    np.take(table, rel, out=cut)
+                    np.less(w, cut, out=move, casting="unsafe")
+                    move += move
+                    move -= 1  # +1 up, -1 down
+                    rel += move
         gone = (rel < rel_lo) | (rel > rel_hi)
         return (rel + site_lo).astype(float)[:, None], gone, taken
 

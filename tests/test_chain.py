@@ -24,6 +24,7 @@ from levylab.core import (
     TripletField,
     resolve_start,
     run_chain,
+    run_chains,
 )
 from levylab.environment import BernoulliPoisson, rwre_simulate
 from levylab.errors import SchemeStepError, ValidationError
@@ -39,6 +40,7 @@ from levylab.potential import (
     lattice_kernel,
     phi_eval,
     potential_chain_simulate,
+    up_thresholds,
     zero_potential,
 )
 from levylab.stable import StableField, stable_chain_simulate
@@ -223,6 +225,46 @@ def test_thread_count_does_not_change_output(engine, data):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.mark.parametrize("block_size", [1, 2, 6])
+def test_thread_count_does_not_change_rwre_over_environments(block_size):
+    # Three environments of six paths make 18, 9 or 3 (environment, block)
+    # tasks: more, and fewer, than the threads.
+    outputs = []
+    for threads in (1, 2, 3, 4):
+        cfg = SchemeConfig(paths=6, seed=21, threads=threads, block_size=block_size,
+                           escape_radius=0.6)
+        runs = rwre_simulate(BernoulliPoisson(q=1.0, lam=1.0), 0.25, 1, 0.5, 3, cfg)
+        outputs.append([digest(r.walks) for r in runs])
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+    assert len(set(outputs[0])) == 3
+
+
+def _gaussian_step(x, gen, limit):
+    x = x + 0.1 * gen.standard_normal(x.shape)
+    return x, np.abs(x[:, 0]) > 1.0, 1
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_one_multi_chain_call_matches_one_call_per_chain(threads):
+    # Chains with their own kernels, seeds and emits, on one clock and pool.
+    cfg = SchemeConfig(paths=7, seed=4, block_size=3, threads=threads, escape_radius=0.5)
+    grid = np.linspace(0.0, 0.36, 5)
+    n_steps, dt = 36, 0.01
+    capture = np.minimum(np.floor(grid / dt + 1e-12).astype(int), n_steps)
+    p_table = np.random.default_rng(8).uniform(0.2, 0.8, 41)
+    chains = [
+        (0.0, lattice_kernel(np.full(41, 0.5), -20, (-19, 19), 0.1, 0.5), 3,
+         lambda sites: sites * 0.1),
+        (2.0, lattice_kernel(p_table, -20, (-19, 19), 0.1, 0.5), 9, lambda sites: sites * 0.1),
+        (uniform_start, _gaussian_step, 3, None),
+    ]
+    batches = run_chains(chains, n_steps, capture, dt, grid, 1, cfg)
+    alone = [run_chain(init, step, n_steps, capture, dt, grid, 1, cfg, seed=seed, emit=emit)
+             for init, step, seed, emit in chains]
+    assert [digest(b) for b in batches] == [digest(b) for b in alone]
+    assert all(np.isfinite(b.xi).any() for b in batches)
+
+
 def test_nan_mid_chain_is_a_step_error():
     field = TripletField(lambda a: LevyTriplet.unchecked([np.nan], [[1.0]]), 1)
     cfg = SchemeConfig(paths=4, seed=1, grid=np.array([0.0, 0.2]))
@@ -324,6 +366,41 @@ def one_step_run(site0, step, n_steps, capture, eps, grid, config):
     return batch
 
 
+# p at the edges of the threshold map, and the two floats beside 1/2.
+SPECIAL_P = [0.0, 5e-324, 2.0 ** -54, 2.0 ** -53, np.nextafter(0.5, 0.0), 0.5,
+             np.nextafter(0.5, 1.0), 1.0 - 2.0 ** -53, 1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(st.sampled_from(SPECIAL_P), st.floats(0.0, 1.0)))
+def test_up_thresholds_compare_as_the_uniforms_do(p):
+    # gen.random gives u = W * 2^-53 for the integer W = w >> 11 of a word w;
+    # the walk steps up when W is below its threshold.  Check the words on
+    # and beside the threshold, and the ends of the range of W.
+    t = int(up_thresholds(np.array([p]))[0])
+    assert 0 <= t <= 2 ** 53
+    for w in {0, t - 1, t, t + 1, 2 ** 53 - 1}:
+        if 0 <= w < 2 ** 53:
+            assert (w < t) == (w * 2.0 ** -53 < p), (p, w, t)
+
+
+def _lattice_tables(size, rng):
+    """p tables for the lattice walk: uniform ones, flat ones (1/2, an end, or
+    a drawn constant), and ones holding exact 0.0 and 1.0."""
+    def with_ends():
+        table = rng.uniform(0.05, 0.95, size)
+        table[rng.random(size) < 0.3] = 0.0
+        table[rng.random(size) < 0.3] = 1.0
+        return table
+
+    return st.one_of(
+        st.builds(lambda: rng.uniform(0.05, 0.95, size)),
+        st.sampled_from([0.5, 0.0, 1.0, None]).map(
+            lambda p: np.full(size, rng.random() if p is None else p)),
+        st.builds(with_ends),
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_multi_step_lattice_walk_matches_the_one_step_walk(data):
@@ -332,7 +409,6 @@ def test_multi_step_lattice_walk_matches_the_one_step_walk(data):
     site_lo = data.draw(st.integers(-12, 4), label="site_lo")
     size = data.draw(st.integers(3, 30), label="table size")
     table_seed = data.draw(st.integers(0, 2 ** 32), label="table seed")
-    p_table = np.random.default_rng(table_seed).uniform(0.05, 0.95, size)
     site_hi = site_lo + size - 1
     keep_lo = data.draw(st.integers(site_lo, site_hi), label="keep_lo")
     keep_hi = data.draw(st.integers(keep_lo, site_hi), label="keep_hi")
@@ -356,6 +432,18 @@ def test_multi_step_lattice_walk_matches_the_one_step_walk(data):
                        block_size=data.draw(st.integers(1, paths), label="block_size"),
                        threads=data.draw(st.integers(1, 3), label="threads"))
     keep = (keep_lo, keep_hi)
+    p_table = data.draw(_lattice_tables(size, np.random.default_rng(table_seed)),
+                        label="p_table")
+    # Every path of block 0 starts at site0, and its first step compares
+    # these uniforms with the start's entry.  Putting the least of them, or
+    # the float above it, there (everywhere, on a flat table) makes a
+    # threshold one word off change a step.
+    u = lrng.stream(cfg.seed, 0).random(min(cfg.block_size, paths)).min()
+    word = data.draw(st.sampled_from([None, u, np.nextafter(u, 1.0)]), label="start entry")
+    if word is not None and np.all(p_table == p_table[0]):
+        p_table[:] = word
+    elif word is not None:
+        p_table[site0 - site_lo] = word
 
     expected = one_step_run(float(site0), one_step_lattice_kernel(
         p_table, site_lo, keep, eps, radius), n_steps, capture, eps, grid, cfg)

@@ -633,20 +633,25 @@ def test_writer_matches_row_loop_across_default_chunks(tmp_path):
     assert paths_to_csv(read_paths_csv(str(tmp_path / "p.csv"))) == text
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_writer_holds_at_most_two_copies_of_its_text(dim):
+@pytest.mark.parametrize("n, g, dim", [(1000, 101, 1), (1000, 101, 2),
+                                       (1, 200000, 1), (2, 100000, 1)],
+                         ids=["1", "2", "1x200000", "2x100000"])
+def test_writer_holds_at_most_two_copies_of_its_text(n, g, dim):
     # 1000 paths on 101 grid times: the rows of a simulate-stable run at its
     # defaults.  The chunk texts and the joined text are both alive at the
     # join; a further full copy would take the peak to three times the text.
+    # Paths longer than a chunk are cut into pieces, or one chunk's string
+    # lists would outweigh the text.
     rng = np.random.default_rng(5)
-    times = np.linspace(0.0, 1.0, 101)
-    xi = np.where(rng.random(1000) < 0.2, rng.uniform(0.0, 1.0, 1000), math.inf)
-    batch = PathBatch(times, rng.standard_cauchy((1000, 101, dim)), xi=xi)
+    times = np.linspace(0.0, 1.0, g)
+    xi = np.where(rng.random(n) < 0.2, rng.uniform(0.0, 1.0, n), math.inf)
+    batch = PathBatch(times, rng.standard_cauchy((n, g, dim)), xi=xi)
+    assert g > cli._CSV_CHUNK_ROWS or n * g > cli._CSV_CHUNK_ROWS
     tracemalloc.start()
     try:
         text = paths_to_csv(batch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text.count("\n") == 1000 * 101 + 1
+    assert text.count("\n") == n * g + 1
     assert peak < 2.3 * len(text)

@@ -31,3 +31,17 @@ def test_skip_ahead_refuses_other_bit_generators():
     # Its arithmetic is that of Philox's four-word buffer and block counter.
     with pytest.raises(ValidationError, match="Philox"):
         lrng.skip_ahead(np.random.default_rng(0), 3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.integers(0, 40), before=st.integers(0, 7))
+def test_raw_words_are_the_words_behind_random(m, before):
+    # The lattice walk reads the words of gen.random(m) raw: random() is
+    # (w >> 11) * 2^-53 of the next word w, and both draws move the stream
+    # alike.  A numpy whose next_double changed would fail here.
+    raw, ref = lrng.stream(8, 3), lrng.stream(8, 3)
+    raw.random(before)
+    ref.random(before)
+    words = raw.bit_generator.random_raw(m)
+    assert np.array_equal((words >> 11) * 2.0 ** -53, ref.random(m))
+    assert raw.random() == ref.random()
