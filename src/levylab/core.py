@@ -241,18 +241,6 @@ class StableLike(JumpMeasure):
             return math.inf if self.c > 0 else 0.0
         return self.tail_mass(self.min_radius)
 
-    def sample_tail(self, rng: np.random.Generator, size: int, r: float) -> np.ndarray:
-        """Draw jumps from the normalized restriction to ``|h| > r``.
-
-        The radial law has an inverse CDF in closed form; directions are
-        uniform on the sphere.
-        """
-        r0 = max(r, self.min_radius)
-        if r0 <= 0:
-            raise ValidationError("tail sampling needs a positive radius")
-        radii = r0 * _rng.uniform_open_closed(rng, size) ** (-1.0 / self.alpha)
-        return _rng.along(_rng.sphere_draw(rng, size, self.dim), radii)
-
 
 # ---------------------------------------------------------------------------
 # Compensation functions

@@ -10,17 +10,16 @@ by a Gaussian surrogate matching their second moment.  The chain runs on the
 shared block driver :func:`levylab.core.run_chain` with time step ``eps``;
 cemetery jumps and the escape radius absorb paths.
 
-A :class:`StableField`'s jumps are drawn and summed a range of paths at a
-time, so its step's memory per thread is bounded by ``_JUMP_CHUNK`` jumps
-(or one path's jumps, if more), whatever the block's jump count; the stream
-and the sums are those of one draw over the block.  ``MAX_EXPECTED_JUMPS``
+Every engine draws and sums its tail jumps a range of paths at a time, so
+a step's memory per thread is bounded by ``_JUMP_CHUNK`` jumps (or one
+path's jumps, if more), whatever the block's jump count; the stream and the
+sums are those of one draw over the block.  ``MAX_EXPECTED_JUMPS``
 bounds a step's time, not its memory.  A range of 2^16 jumps keeps each of
 its arrays (radii, exponents, directions, owners) at 512 KB, so a range's
 working set stays in a core's L2 cache.  Against 2^18 jumps, on a 2-vCPU
 Intel Xeon, one step of 16384 paths (6.9 million jumps) took 164 ms instead
 of 208 (best of 15), and a process running perfbench's 32768-path Euler
-call peaked at 54 MB of RSS instead of 65.  The frozen engine of a constant
-triplet still draws a block's tail jumps in one go.
+call peaked at 54 MB of RSS instead of 65.
 """
 
 from __future__ import annotations
@@ -53,12 +52,12 @@ DRIFT_COMPENSATE = "drift-compensate"
 GAUSSIAN_SURROGATE = "gaussian-surrogate"
 
 # A step whose compound-Poisson part expects more jumps per path than this is
-# refused rather than drawn.  It bounds a step's time; the stable-fast step's
-# memory is bounded by _JUMP_CHUNK.
+# refused rather than drawn.  It bounds a step's time; a step's memory is
+# bounded by _JUMP_CHUNK.
 MAX_EXPECTED_JUMPS = 1e6
 
-# The stable-fast step draws and sums its jumps for ranges of whole paths
-# holding at most this many jumps (or one path, when that path alone holds more).
+# A step draws and sums its tail jumps for ranges of whole paths holding at
+# most this many jumps (or one path, when that path alone holds more).
 # At 2^16 a range's arrays are 512 KB each and stay in L2: a step measured a
 # fifth faster and 11 MB lighter than at 2^18 (module docstring); 2^15 was
 # no faster than 2^16.
@@ -141,20 +140,6 @@ def effective_drift(triplet: LevyTriplet, chi: CompensationFunction,
     return delta - _compensator_window(nu, plan.tau, 1.0)
 
 
-def _sample_tail_jumps(nu, rng: np.random.Generator, size: int, tau: float):
-    """Draw ``size`` jump vectors from the normalized tail; flags cemetery jumps."""
-    if isinstance(nu, Atoms):
-        # Called only at a positive tail rate, which sums exactly these weights.
-        keep = np.linalg.norm(nu.points, axis=1) > tau
-        weights = np.concatenate([nu.masses[keep], [nu.delta_mass]])
-        idx = rng.choice(len(weights), size=size, p=weights / weights.sum())
-        to_delta = idx == len(weights) - 1
-        jumps = np.zeros((size, nu.dim))
-        jumps[~to_delta] = nu.points[keep][idx[~to_delta]]
-        return jumps, to_delta
-    return nu.sample_tail(rng, size, tau), np.zeros(size, dtype=bool)
-
-
 def _path_ranges(counts: np.ndarray):
     """Yield ``(p0, p1)``: consecutive ranges of whole paths tiling ``counts``.
 
@@ -170,13 +155,51 @@ def _path_ranges(counts: np.ndarray):
         p0 = p1
 
 
+def _add_tail_jumps(inc: np.ndarray, counts: np.ndarray, gen: np.random.Generator,
+                    stable=None, atoms=None) -> np.ndarray:
+    """Add ``counts[i]`` tail jumps into ``inc[i]``, a range of paths at a time.
+
+    ``stable = (r0, expo)`` draws radii ``r0 * u**expo``, ``u`` uniform on
+    (0, 1] and ``expo`` a scalar or one exponent per path, in uniform
+    directions.  ``atoms = (jumps, p)`` draws row ``i`` of ``jumps`` with
+    probability ``p[i]``; the last row is the cemetery's, all zeros.
+    Returns the mask of paths that jumped to the cemetery.
+    """
+    dead = np.zeros(len(counts), dtype=bool)
+    total = int(counts.sum())
+    # A stable stream holds all the radii first, one word each, and all the
+    # directions after them.  Past one range the radii come from a copy of
+    # gen that skips past them; within one, gen reads them in order itself.
+    radius_gen = _rng.skip_ahead(gen, total) if stable and total > _JUMP_CHUNK else gen
+    for p0, p1 in _path_ranges(counts):
+        k = counts[p0:p1]
+        n = int(k.sum())
+        owner = np.repeat(np.arange(p1 - p0), k)
+        if stable:
+            r0, expo = stable
+            # A scalar expo stays scalar: at -1 numpy takes 1/u, not pow(u, -1).
+            radii = _rng.uniform_open_closed(radius_gen, n)
+            np.power(radii, np.repeat(expo[p0:p1], k) if np.ndim(expo) else expo, out=radii)
+            radii *= r0
+            jumps = _rng.along(_rng.sphere_draw(gen, n, inc.shape[1]), radii)
+        else:
+            table, p = atoms
+            idx = gen.choice(len(p), size=n, p=p)
+            dead[p0:p1][owner[idx == len(p) - 1]] = True
+            jumps = table[idx]
+        # In owner order onto what inc holds, as one np.add.at would.
+        for j in range(inc.shape[1]):
+            np.add.at(inc[p0:p1, j], owner, jumps[:, j])
+    return dead
+
+
 def _frozen_sampler(triplet: LevyTriplet, chi: CompensationFunction, dt: float,
                     plan: IncrementPlan):
     """Sampler of increments over ``dt`` of a triplet frozen at the origin.
 
-    The drift, Gaussian factor, jump rate and surrogate scale are computed
-    here, once; ``sample(gen, size)`` then draws ``size`` increments and a
-    mask of the samples that jumped straight to the cemetery.
+    The drift, Gaussian factor, jump rate, tail law and surrogate scale are
+    computed here, once; ``sample(gen, size)`` then draws ``size`` increments
+    and a mask of the samples that jumped straight to the cemetery.
     """
     if not dt > 0:
         raise ValidationError("the step duration must be positive")
@@ -188,6 +211,13 @@ def _frozen_sampler(triplet: LevyTriplet, chi: CompensationFunction, dt: float,
     sqrt_dt = np.sqrt(dt)
     rate = nu.tail_mass(plan.tau) * dt
     _guard_jump_count(rate)
+    tail = {}
+    if rate > 0.0 and isinstance(nu, Atoms):
+        keep = np.linalg.norm(nu.points, axis=1) > plan.tau
+        weights = np.append(nu.masses[keep], nu.delta_mass)
+        tail["atoms"] = (np.vstack([nu.points[keep], np.zeros(d)]), weights / weights.sum())
+    elif rate > 0.0:
+        tail["stable"] = (max(plan.tau, nu.min_radius), -1.0 / nu.alpha)
     surrogate_sd = None
     if plan.small_jump_mode == GAUSSIAN_SURROGATE:
         var = nu.truncated_second_moment(plan.tau) / d
@@ -196,18 +226,10 @@ def _frozen_sampler(triplet: LevyTriplet, chi: CompensationFunction, dt: float,
 
     def sample(gen: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         inc = np.tile(drift_dt, (size, 1))
-        dead = np.zeros(size, dtype=bool)
         if diffuse:
             inc += sqrt_dt * gen.standard_normal((size, d)) @ factor.T
-        if rate > 0.0:
-            counts = gen.poisson(rate, size=size)
-            total = int(counts.sum())
-            if total:
-                jumps, to_delta = _sample_tail_jumps(nu, gen, total, plan.tau)
-                owner = np.repeat(np.arange(size), counts)
-                if np.any(to_delta):
-                    dead |= np.bincount(owner[to_delta], minlength=size).astype(bool)
-                np.add.at(inc, owner, jumps)
+        dead = (_add_tail_jumps(inc, gen.poisson(rate, size=size), gen, **tail) if tail
+                else np.zeros(size, dtype=bool))
         if surrogate_sd is not None:
             inc += surrogate_sd * gen.standard_normal((size, d))
         return inc, dead
@@ -223,7 +245,8 @@ def levy_increment_sample(triplet: LevyTriplet, chi: CompensationFunction, dt: f
     ``at`` is the freezing point: atom locations are absolute, so jumps are
     taken toward them from ``at`` (default origin, in which case atom
     locations are the jump vectors themselves).  Returns the increments and
-    a mask of samples that jumped straight to the cemetery.
+    a mask of samples that jumped straight to the cemetery.  A stable tail
+    of more than ``_JUMP_CHUNK`` jumps needs a Philox ``rng`` to skip ahead in.
     """
     if at is not None:
         at = as_point(at, triplet.dim)
@@ -248,29 +271,14 @@ def _stable_increments(field: StableField, x: np.ndarray, chi: CompensationFunct
     surf = sphere_surface_area(d)
     lam = c * surf * plan.tau ** (-alpha) / alpha
     _guard_jump_count(lam * dt)
-    counts = gen.poisson(lam * dt)
-    # The stream holds all the radii first, one word each, and all the
-    # directions after them: the radii come from a copy of gen, which skips
-    # past them.  Drawn a range after another, both give the one-shot draw.
-    radius_gen = _rng.skip_ahead(gen, int(counts.sum()))
-    expo = -1.0 / alpha
     inc = np.zeros((m, d))
-    for p0, p1 in _path_ranges(counts):
-        k = counts[p0:p1]
-        radii = _rng.uniform_open_closed(radius_gen, int(k.sum()))
-        np.power(radii, np.repeat(expo[p0:p1], k), out=radii)
-        radii *= plan.tau
-        jumps = _rng.along(_rng.sphere_draw(gen, len(radii), d), radii)
-        owner = np.repeat(np.arange(p1 - p0), k)
-        # Summed in owner order from zero, as np.add.at would.
-        for j in range(d):
-            inc[p0:p1, j] = np.bincount(owner, weights=jumps[:, j], minlength=p1 - p0)
+    dead = _add_tail_jumps(inc, gen.poisson(lam * dt), gen, stable=(plan.tau, -1.0 / alpha))
     if plan.small_jump_mode == GAUSSIAN_SURROGATE:
         var = c * surf * plan.tau ** (2.0 - alpha) / (2.0 - alpha) / d
         inc += np.sqrt(var * dt)[:, None] * gen.standard_normal((m, d))
     # Radial symmetry kills both the compensator window and the
     # convention adjustment, so no drift term appears.
-    return inc, np.zeros(m, dtype=bool)
+    return inc, dead
 
 
 def euler_chain_simulate(field: TripletField, chi: CompensationFunction, start,

@@ -246,6 +246,11 @@ CASES = [
         files={"atoms.json": json.dumps({"drift": [0.1], "gamma": [[0.3]], "nu": {
             "kind": "atoms", "atoms": [{"point": [0.4], "mass": 1.5},
                                        {"point": "DELTA", "mass": 0.1}]}})}),
+    # a constant triplet with a stable measure: the frozen engine's stable tail
+    row("euler-constant-stable-triplet", "simulate-euler --triplet-config triplet.json "
+        "--eps 0.05 --T 0.2 --paths 50 --seed 3 --out euler.csv",
+        files={"triplet.json": json.dumps({"drift": [0.1], "gamma": [[0.3]],
+                                           "nu": {"kind": "stable", "c": 1.0, "alpha": 1.5}})}),
     row("diagnose-paths-marginal", "diagnose-paths paths.csv --t 0.2 --out paths.json",
         files={"paths.csv": path_csv("0,0.0,0.0,1", "0,0.2,0.3,1", "1,0.0,0.0,1",
                                      "1,0.2,-0.1,1", "2,0.0,0.0,1", "2,0.2,nan,0")}),

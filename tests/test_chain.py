@@ -120,29 +120,56 @@ def test_euler_stable_field_2d_bytes_in_small_chunks(monkeypatch, chunk, field, 
     test_euler_stable_field_2d_bytes(field, chi, mode, escaped, expected)
 
 
-# A constant field with a stable jump measure runs the frozen engine, which
-# draws a block's tail jumps in one go. sha256 recorded with the one-shot tail
-# draw and np.add.at over the whole block, in 1-d with both small-jump modes
-# and in 2-d under chi1.
+# A constant field with a stable jump measure runs the frozen engine. sha256
+# recorded with the one-shot tail draw and np.add.at over the whole block, in
+# 1-d with both small-jump modes at alpha 1.5 and at alpha 1 (where numpy's
+# power of an array by the scalar -1 has its own fast path), and in 2-d under
+# chi1, with the tail radius at tau and at a min_radius above it.
 STABLE_1D_FIELD = ConstantTripletField(LevyTriplet([0.1], [[1.0]], StableLike(1.0, 1.5, 1)))
+STABLE_1D_ALPHA1_FIELD = ConstantTripletField(
+    LevyTriplet([0.1], [[1.0]], StableLike(1.0, 1.0, 1)))
 STABLE_2D_FIELD = ConstantTripletField(
     LevyTriplet([0.1, 0.0], [[1.0, 0.0], [0.0, 0.5]], StableLike(1.0, 1.2, 2)))
-
-
-@pytest.mark.parametrize("field, chi, start, mode, cfg, escaped, expected", [
+STABLE_2D_MIN_RADIUS_FIELD = ConstantTripletField(LevyTriplet(
+    [0.1, 0.0], [[1.0, 0.0], [0.0, 0.5]], StableLike(1.0, 1.0, 2, min_radius=0.02)))
+CONSTANT_STABLE_CASES = [
     (STABLE_1D_FIELD, Chi2(), 0.0, DRIFT_COMPENSATE, PINNED_CONFIG, 13,
      "f1cfbb9b176b9f9fd807a035b80b790d9608ff42453adc0f275428bd6b4da59d"),
     (STABLE_1D_FIELD, Chi2(), 0.0, GAUSSIAN_SURROGATE, PINNED_CONFIG, 10,
      "1ea3b0bd041e11bd77b8d7a21b676569c9da77bac1f3f92a8f0c43fbe83093c6"),
+    (STABLE_1D_ALPHA1_FIELD, Chi2(), 0.0, DRIFT_COMPENSATE, PINNED_CONFIG, 16,
+     "54458712be1d10cf345b84512242ec65a949f9b46adcdfccd7de38e25a9bd8e1"),
+    (STABLE_1D_ALPHA1_FIELD, Chi2(), 0.0, GAUSSIAN_SURROGATE, PINNED_CONFIG, 16,
+     "762265f8d849566a6360cd5fd5bcbc96981e86727b705bdff85952a53787e3f7"),
     (STABLE_2D_FIELD, Chi1(), [0.0, 0.1], DRIFT_COMPENSATE, EULER_2D_CONFIG, 3,
      "f6bf6ab427cbb8ebf5fb7ab2481f26f0e183636be6ecc9581037c2512450ed85"),
-], ids=["1d", "1d-surrogate", "2d-chi1"])
+    (STABLE_2D_MIN_RADIUS_FIELD, Chi1(), [0.0, 0.1], DRIFT_COMPENSATE, EULER_2D_CONFIG, 12,
+     "45989827ab5269e551423763f6bfe844cfd7a54b8accdcbb8fa955330d221f93"),
+]
+CONSTANT_STABLE_IDS = ["1d", "1d-surrogate", "1d-alpha1", "1d-alpha1-surrogate", "2d-chi1",
+                       "2d-chi1-min-radius"]
+
+
+@pytest.mark.parametrize("field, chi, start, mode, cfg, escaped, expected",
+                         CONSTANT_STABLE_CASES, ids=CONSTANT_STABLE_IDS)
 def test_euler_constant_stable_field_bytes(field, chi, start, mode, cfg, escaped, expected):
     horizon = float(cfg.grid[-1])
     batch = euler_chain_simulate(field, chi, start, 0.05, horizon,
                                  IncrementPlan(tau=1e-2, small_jump_mode=mode), cfg)
     assert np.isfinite(batch.xi).sum() == escaped
     assert digest(batch) == expected
+
+
+# The frozen engine's tail in ranges, as the stable field's above: radii from
+# the block's generator in one range and from a copy that skips past them in
+# several, and ranges cut inside a block.
+@pytest.mark.parametrize("chunk", [1, 3, 7, 150])
+@pytest.mark.parametrize("field, chi, start, mode, cfg, escaped, expected",
+                         CONSTANT_STABLE_CASES, ids=CONSTANT_STABLE_IDS)
+def test_euler_constant_stable_field_bytes_in_small_chunks(monkeypatch, chunk, field, chi, start,
+                                                           mode, cfg, escaped, expected):
+    monkeypatch.setattr(euler, "_JUMP_CHUNK", chunk)
+    test_euler_constant_stable_field_bytes(field, chi, start, mode, cfg, escaped, expected)
 
 
 # A constant field's atoms are jump vectors, so the frozen engine samples it a
@@ -161,6 +188,13 @@ def test_euler_constant_atoms_field_bytes():
     batch = euler_chain_simulate(ATOMS_FIELD, Chi1(), [0.2, 0.0], 0.05, 0.5, ATOMS_PLAN, cfg)
     assert np.isfinite(batch.xi).sum() == 17
     assert digest(batch) == "33d6b9653f15ca33ab44211e2ef51cfd46766175df7d4753e6f42c1a30c380bd"
+
+
+# Atom indices drawn a range at a time, one uniform each, give the same bytes.
+@pytest.mark.parametrize("chunk", [1, 3, 7, 150])
+def test_euler_constant_atoms_field_bytes_in_small_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(euler, "_JUMP_CHUNK", chunk)
+    test_euler_constant_atoms_field_bytes()
 
 
 # The generic two-point step on a Brownian-like grid: cells of eps/10, so

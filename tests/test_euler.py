@@ -295,28 +295,62 @@ def test_stable_step_in_ranges_is_the_one_shot_step(seed, chunk, mode):
 
 
 def test_frozen_stable_tail_takes_any_generator():
-    # The frozen engine draws a stable tail in one go, without skip_ahead.
+    # A tail of one range reads its radii straight from the generator, so
+    # any generator will do.
     trip = LevyTriplet([0.0], [[0.0]], StableLike(1.0, 1.5))
     inc, dead = levy_increment_sample(trip, Chi2(), 0.1, IncrementPlan(tau=0.5),
                                       np.random.default_rng(0), size=10)
     assert inc.shape == (10, 1) and np.isfinite(inc).all() and not dead.any()
 
 
-def test_stable_step_memory_does_not_grow_with_the_jump_count():
-    # One stable-fast step of 4096 paths at about 0.5M and 2M jumps: the
-    # jumps are drawn and summed a range at a time, so the peak stays put.
-    field = StableField.constant(1.0, 1.5, 1)
-    plan = IncrementPlan(tau=1e-3)
-    rate = 2.0 * plan.tau ** -1.5 / 1.5
+def test_frozen_stable_tail_of_several_ranges_needs_philox(monkeypatch):
+    # Past one range the radii come from a copy that skips ahead of them,
+    # which only a Philox stream can make.
+    monkeypatch.setattr(euler, "_JUMP_CHUNK", 4)
+    trip = LevyTriplet([0.0], [[0.0]], StableLike(1.0, 1.5))
+    with pytest.raises(ValidationError, match="Philox"):
+        levy_increment_sample(trip, Chi2(), 1.0, IncrementPlan(tau=0.5),
+                              np.random.default_rng(0), size=10)
+
+
+def _peaks_at_half_and_two_million_jumps(step, rate):
+    """tracemalloc peaks of one 4096-path step at about 0.5M and 2M tail jumps."""
     x = np.zeros((4096, 1))
     peaks = []
     for jumps in (5e5, 2e6):
         tracemalloc.start()
         try:
-            _stable_increments(field, x, Chi2(), jumps / len(x) / rate, plan, lrng.stream(1))
+            step(jumps / len(x) / rate, x)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+def test_stable_step_memory_does_not_grow_with_the_jump_count():
+    # The jumps are drawn and summed a range at a time, so the peak stays put.
+    field = StableField.constant(1.0, 1.5, 1)
+    plan = IncrementPlan(tau=1e-3)
+
+    def step(dt, x):
+        _stable_increments(field, x, Chi2(), dt, plan, lrng.stream(1))
+
+    peaks = _peaks_at_half_and_two_million_jumps(step, 2.0 * plan.tau ** -1.5 / 1.5)
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("nu", [StableLike(1.0, 1.5, 1),
+                                Atoms([(0.5, 1.0), (-0.3, 0.5), (DELTA, 0.5)])],
+                         ids=["stable", "atoms"])
+def test_frozen_step_memory_does_not_grow_with_the_jump_count(nu):
+    # The frozen engine's tail goes through the same range loop.
+    trip = LevyTriplet([0.0], [[0.0]], nu)
+    plan = IncrementPlan(tau=1e-3)
+
+    def step(dt, x):
+        levy_increment_sample(trip, Chi2(), dt, plan, lrng.stream(1), size=len(x))
+
+    peaks = _peaks_at_half_and_two_million_jumps(step, nu.tail_mass(plan.tau))
     assert peaks[1] < 1.25 * peaks[0]
 
 
