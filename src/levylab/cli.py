@@ -49,6 +49,7 @@ from .euler import IncrementPlan, euler_chain_simulate
 from .expr import compile_expression
 from .operators import convergence_gaps, vanishing_test_functions
 from .potential import (
+    MAX_LATTICE_SITE,
     CallablePotential,
     GridPotential,
     PiecewiseConstantPotential,
@@ -334,9 +335,11 @@ def _load_potential(args, n_steps: int, widen: int):
         if data.shape[1] != 2:
             raise ValidationError("potential CSV needs two columns")
         if args.mesh is not None:
-            ks = data[:, 0].astype(int)
-            if np.any(np.diff(ks) != 1):
-                raise ValidationError("lattice potential file must list consecutive k")
+            ks = data[:, 0]
+            if not (np.all(np.abs(ks) <= MAX_LATTICE_SITE) and np.all(ks % 1 == 0)
+                    and np.all(np.diff(ks) == 1)):
+                raise ValidationError("lattice potential file must list consecutive k, "
+                                      "integers within 2^53 of 0")
             return PiecewiseConstantPotential(float(args.mesh), data[:, 1], int(ks[0]))
         return GridPotential(data[:, 0], data[:, 1])
     fn = compile_expression(spec, 1)

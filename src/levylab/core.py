@@ -151,7 +151,8 @@ class Atoms(JumpMeasure):
 
     def _dists(self, a) -> np.ndarray:
         a = as_point(a, self.dim) if a is not None else np.zeros(self.dim)
-        return np.linalg.norm(self.points - a, axis=1)
+        with np.errstate(over="ignore"):  # a distance past ~1e154 is inf, beyond every radius
+            return np.linalg.norm(self.points - a, axis=1)
 
     def tail_mass(self, r: float, a=None) -> float:
         if r <= 0:

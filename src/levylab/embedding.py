@@ -123,6 +123,13 @@ def doob_bound_check(eps: float, horizon: float, threshold: float, trials: int,
     if not (eps > 0 and 0 < horizon < np.inf and threshold > 0):
         raise ValidationError("eps and threshold must be positive, the horizon positive "
                               "and finite")
+    try:  # threshold^2 may overflow, or underflow to 0
+        bound = 4.0 * (horizon + eps) * eps / float(threshold) ** 2
+    except (OverflowError, ZeroDivisionError):
+        bound = np.inf
+    if not bound < np.inf:
+        raise ValidationError(f"the bound 4 (t + eps) eps / threshold^2 leaves double precision "
+                              f"at threshold {threshold}")
     knots = np.ceil(horizon / eps)
     if not knots <= MAX_CHUNK_ELEMENTS:
         raise ValidationError(f"the clock check needs {knots:.0f} knots per trial, more than "
@@ -140,7 +147,6 @@ def doob_bound_check(eps: float, horizon: float, threshold: float, trials: int,
         hits += int(np.sum(dev >= threshold))
         done += m
     freq = hits / trials
-    bound = 4.0 * (horizon + eps) * eps / threshold ** 2
     se = float(np.sqrt(max(freq * (1 - freq), 1.0 / trials) / trials))
     return ClockBoundReport(eps=eps, horizon=horizon, threshold=threshold,
                             trials=trials, bound=bound, frequency=freq, std_error=se)

@@ -111,7 +111,8 @@ def gaussian_factor(gamma: np.ndarray) -> np.ndarray:
 def _compensator_window(nu, lo: float, hi: float) -> np.ndarray:
     """integral of h over lo < |h| < hi against nu (a vector), per variant."""
     if isinstance(nu, Atoms):
-        r = np.linalg.norm(nu.points, axis=1)
+        with np.errstate(over="ignore"):  # a norm past ~1e154 is inf, beyond hi
+            r = np.linalg.norm(nu.points, axis=1)
         keep = (r > lo) & (r < hi)
         return np.einsum("k,ki->i", nu.masses[keep], nu.points[keep])
     if isinstance(nu, StableLike):
@@ -213,7 +214,8 @@ def _frozen_sampler(triplet: LevyTriplet, chi: CompensationFunction, dt: float,
     _guard_jump_count(rate)
     tail = {}
     if rate > 0.0 and isinstance(nu, Atoms):
-        keep = np.linalg.norm(nu.points, axis=1) > plan.tau
+        with np.errstate(over="ignore"):  # a norm past ~1e154 is inf, beyond tau
+            keep = np.linalg.norm(nu.points, axis=1) > plan.tau
         weights = np.append(nu.masses[keep], nu.delta_mass)
         tail["atoms"] = (np.vstack([nu.points[keep], np.zeros(d)]), weights / weights.sum())
     elif rate > 0.0:

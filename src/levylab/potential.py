@@ -25,10 +25,11 @@ the shared block driver :func:`levylab.core.run_chain` with time step
 ``eps^2``: either a nearest-neighbour lattice walk (:func:`lattice_kernel`,
 shared with the random walks in random environments) or a generic
 psi-solver step.  The generic step locates its points' start cells once
-for all its walks, and on closed-form cells the certificate walk also
-walks each step to its psi, so ``p`` costs no walk of its own: on a grid
-such as V = x/2 a step walks three times, twice for Newton and once for
-the certificate.
+for all its walks, and the certificate walk also walks each step to its
+psi, so ``p`` costs no walk of its own: on a grid such as V = x/2 a step
+walks three times, twice for Newton and once for the certificate.  Every
+integral is summed row by row in a fixed order, so a row gets the same
+bits in a batch of any size.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ CERTIFY_ROUNDS = 2
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _FLOAT_EPS = float(np.finfo(float).eps)
 MAX_WALK_CELLS = 1 << 14
-WALK_CHUNK = 1 << 14  # closed-form rows walked at a time: one side of a full block
+WALK_CHUNK = 1 << 14  # rows walked at a time: one side of a full block
 WALK_END_ULPS = 64
+MAX_LATTICE_SITE = 2 ** 53  # floats hold every integer site up to here
 CHEB_DEGREE = 24
 CHEB_TAIL_TOL = 1e-14  # trailing coefficients of a resolved cell, relative to the largest
 DISTANCE_TOL_ABS = 1e-10  # quadrature tolerances of potential_distance
@@ -142,19 +144,16 @@ class _CellData:
         int e^{ref-V}, and the self term int e^{V(b)} int_pos^b e^{-V(c)} dc db.
         ``sgn`` is each row's direction, +1 or -1."""
         if self.fn is not None:
+            # einsum, not BLAS, sums each row in a fixed order: a row gets
+            # the same bits in any batch.
             half = 0.5 * length
             v = _sample(self.fn, pos[:, None] + (sgn * half)[:, None] * (_CHEB_X + 1.0))
-            out = np.empty((3, pos.size))
-            # One product per direction, over its rows in walk order: BLAS
-            # rounds a row differently with the number of rows it is given.
-            up = sgn > 0
-            for rows in (up, ~up):
-                ep = np.exp(v[rows] - ref[rows, None])
-                em = np.exp(ref[rows, None] - v[rows])
-                h = half[rows]
-                out[:, rows] = (h * (ep @ _CHEB_W), h * (em @ _CHEB_W),
-                                h * h * ((ep * (em @ _CHEB_CUM.T)) @ _CHEB_W))
-            return out
+            ep = np.exp(v - ref[:, None])
+            em = np.exp(ref[:, None] - v)
+            cum = np.einsum("ij,kj->ik", em, _CHEB_CUM)
+            return (half * np.einsum("ij,j->i", ep, _CHEB_W),
+                    half * np.einsum("ij,j->i", em, _CHEB_W),
+                    half * half * np.einsum("ij,j->i", ep * cum, _CHEB_W))
         slope = self.slope[cell]
         v_edge = self.left_value[cell] + slope * (pos - self.bounds[cell])
         plus, minus, second = _phi_terms(sgn * slope * length)
@@ -358,37 +357,15 @@ def _walk(cd: _CellData, a: np.ndarray, h: np.ndarray, start=None):
 
     ``start`` is each row's ``(cell, ref)`` from :func:`_starts` for the
     direction of ``h``: a step locates its points once for all its walks.
-    Closed-form cells are integrated row by row, so their rows are walked
-    ``WALK_CHUNK`` at a time, which keeps each step's temporaries in cache;
-    Chebyshev cells sum their rows in BLAS products whose rounding depends
-    on the row count, so they are walked in one go.
+    Every cell kind is integrated row by row, so rows are walked
+    ``WALK_CHUNK`` at a time, which keeps each step's temporaries in cache.
     """
-    if cd.fn is None and a.size > WALK_CHUNK:
+    if a.size > WALK_CHUNK:
         parts = [_walk_rows(cd, a[i:i + WALK_CHUNK], h[i:i + WALK_CHUNK],
                             None if start is None else tuple(z[i:i + WALK_CHUNK] for z in start))
                  for i in range(0, a.size, WALK_CHUNK)]
         return tuple(np.concatenate(z) for z in zip(*parts))
     return _walk_rows(cd, a, h, start)
-
-
-def _walk_bracket(cd: _CellData, a: np.ndarray, sgn: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray, start):
-    """phi at both ends of each row's bracket, ``a + sgn lo`` and ``a + sgn
-    hi``, and the mass int e^{V-ref} of the step to its midpoint, all from
-    one walk; the masses are NaN on Chebyshev cells.
-
-    A closed-form row has the same bits in any batch, so the midpoints ride
-    along and give ``p`` exactly as :func:`p_eval_many` would.  A Chebyshev
-    cell sums its rows in BLAS products whose rounding depends on the row
-    count, so extra rows would move the ends' bits; its masses are walked
-    later in ``p``'s own batch.
-    """
-    k = a.size
-    parts = [lo, hi] if cd.fn is not None else [lo, hi, 0.5 * (lo + hi)]
-    res, ep = _walk(cd, np.tile(a, len(parts)), np.concatenate([sgn * z for z in parts]),
-                    tuple(np.tile(z, len(parts)) for z in start))[:2]
-    mass = ep[2 * k:] if len(parts) == 3 else np.full(k, np.nan)
-    return 2.0 * res[:k], 2.0 * res[k:2 * k], mass
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -531,10 +508,9 @@ def psi_solve_many(V: Potential, a: np.ndarray, eps: float) -> tuple[np.ndarray,
     short at ``hi0 / 2 <= lo`` unless ``hi0`` is the first bracket.  A
     failed end shows which way bisection turns there, so the root moves
     across it, ``hi0`` is read again and the replay runs again, up to
-    ``CERTIFY_ROUNDS`` times: on the failed rows only for lattice and grid
-    cells, whose bits do not depend on the batch, on all rows for
-    Chebyshev cells.  Every walk of the call starts from the same points,
-    so their start cells are located once.
+    ``CERTIFY_ROUNDS`` times, on the failed rows only.  Every walk of the
+    call starts from the same points, so their start cells are located
+    once.
 
     The other rows are bisected as the walked bracket and real phi
     comparisons: rows still failing, rows whose ``hi0`` would leave the
@@ -560,7 +536,7 @@ def _check_step_parameter(eps: float) -> None:
 def _psi_rows(V: Potential, a: np.ndarray, eps: float):
     """psi on the rows ``(a up, a down)`` (see :func:`psi_solve_many`), and
     each row's mass int e^{V-V(a)} up to its psi where the certificate walk
-    gave it (see :func:`_walk_bracket`), NaN elsewhere."""
+    gave it (see :func:`_certify`), NaN elsewhere."""
     _check_step_parameter(eps)
     if a.size == 0:
         return np.empty((2, 0))
@@ -592,8 +568,8 @@ def _psi_certified(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float):
 def _certify(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float, root: np.ndarray,
              rounds: int, start):
     """Replay bisection against ``root`` from the bracket read off it and
-    certify the replay, for up to ``rounds`` rounds; returns psi and the
-    masses of :func:`_walk_bracket`, both NaN where it fails."""
+    certify the replay, for up to ``rounds`` rounds; returns psi and each
+    row's mass int e^{V-V(a)} up to it, both NaN where it fails."""
     lo_d, hi_d = V.domain
     target = eps * eps
     hi0 = np.full(a.shape, 2.0 * eps)
@@ -602,12 +578,17 @@ def _certify(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float, root: np.
     end = a + sgn * hi0
     ok = (hi0 <= BRACKET_CAP_FACTOR * eps * (1 + 1e-12)) & (end >= lo_d) & (end <= hi_d)
     lo, hi = _bisect(hi0, PSI_REL_TOL * eps, lambda mid: mid < root)
+    # One walk gives phi at both ends of each row's bracket, and the mass to its
+    # midpoint gives p as p_eval_many would: a row has the same bits in any batch.
     rows = slice(None) if ok.all() else ok
+    ends = np.concatenate([sgn[rows] * z[rows] for z in (lo, hi, 0.5 * (lo + hi))])
+    res, ep = _walk(V.cells(), np.tile(a[rows], 3), ends,
+                    tuple(np.tile(z[rows], 3) for z in start))[:2]
+    k = ends.size // 3
     up, down = np.zeros((2, a.size), dtype=bool)
     mass = np.full(a.size, np.nan)
-    phi_lo, phi_hi, mass[rows] = _walk_bracket(V.cells(), a[rows], sgn[rows], lo[rows],
-                                               hi[rows], tuple(z[rows] for z in start))
-    up[rows], down[rows] = phi_lo >= target, phi_hi < target
+    up[rows], down[rows] = 2.0 * res[:k] >= target, 2.0 * res[k:2 * k] < target
+    mass[rows] = ep[2 * k:]
     held = ok & ~up & ~down & ((lo >= 0.5 * hi0) | (hi0 == 2.0 * eps))
     psi = np.where(held, 0.5 * (lo + hi), np.nan)
     mass[~held] = np.nan
@@ -615,9 +596,7 @@ def _certify(V: Potential, a: np.ndarray, sgn: np.ndarray, eps: float, root: np.
     if rounds > 1 and failed.any():
         # Bisection turns the other way at that end: move the root across it.
         root = np.where(up, lo, np.where(down, np.nextafter(hi, np.inf), root))
-        # A closed-form row has the same bits in any batch, so only the failed
-        # rows go again; Chebyshev rows go again in the batch they came in.
-        again = np.flatnonzero(failed) if V.cells().fn is None else np.arange(a.size)
+        again = np.flatnonzero(failed)  # a row has the same bits in any batch
         psi[again], mass[again] = _certify(V, a[again], sgn[again], eps, root[again],
                                            rounds - 1, tuple(z[again] for z in start))
     return psi, mass
@@ -752,7 +731,7 @@ def _p_eval(V: Potential, a: np.ndarray, psi_up: np.ndarray, psi_down: np.ndarra
 def _step_solve(V: Potential, a: np.ndarray, eps: float):
     """``(psi_up, psi_down, p)`` at the points ``a``: the values of
     :func:`psi_solve_many` and then :func:`p_eval_many`, with ``p``'s masses
-    taken from the certificate walk where it gave them (closed-form cells)."""
+    taken from the certificate walk where it gave them."""
     psi, mass = _psi_rows(V, a, eps)
     n = a.size
     return psi[:n], psi[n:], _p_eval(V, a, psi[:n], psi[n:], mass[n:], mass[:n])
@@ -857,9 +836,14 @@ def lattice_kernel(p_table: np.ndarray, site_lo: int, keep: tuple[int, int], eps
     the output are the one-step walk's.  When every threshold is equal (the
     zero potential, or any constant lattice), a path's site after ``K``
     steps depends only on its number of up moves, which are counted over
-    the ``K * m`` words in ranges of ``_WORD_CHUNK``.
+    the ``K * m`` words in ranges of ``_WORD_CHUNK``.  A kept range that
+    reaches ``MAX_LATTICE_SITE``, where a float site loses its unit step,
+    is a ValidationError.
     """
     reach = max(abs(keep[0]), abs(keep[1]))
+    if reach >= MAX_LATTICE_SITE:
+        raise ValidationError(f"the walk reaches lattice site {float(reach):.6g}, beyond 2^53, "
+                              "where a float site loses its unit step; move the start nearer 0")
     n = bisect_right(range(reach + 1), radius, key=lambda s: s * eps) - 1
     rel_lo, rel_hi = max(keep[0], -n) - site_lo, min(keep[1], n) - site_lo
     table = up_thresholds(p_table)

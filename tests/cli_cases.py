@@ -312,6 +312,10 @@ CASES = [
         ("rwre-env", "simulate-rwre --env bernoulli:1e300:1 --eps 0.05 --T 0.2"),
         ("euler-triplet", "simulate-euler --triplet-config huge.json --eps 0.05 --T 0.2"),
     ]],
+    # An atom norm past ~1e154 is inf, beyond every radius, without a warning.
+    row("euler-atom-whose-norm-overflows", EULER_ON_CONFIG, files=cfg({
+        "drift": [0.0], "gamma": [[0.1]],
+        "nu": {"kind": "atoms", "atoms": [{"point": [1e200], "mass": 1.0}]}})),
     # An aligned lattice run reads no cell: p is 0 or 1 exactly where e^q
     # overflows or vanishes against 1.
     *[row(f"test_aligned_lattice_runs_take_any_finite_increment[{name}]",
@@ -335,6 +339,17 @@ CASES = [
         ("zero-potential", "simulate-potential --potential zero --eps 0.05 --T 0.1 "
          "--start 1000", 1000.0),
     ]],
+    # Beyond 2^53 a float site loses its unit step; such starts used to end in
+    # an OverflowError traceback, or run paths that never moved.
+    *[row(f"lattice-site-too-far-{name}", f"{argv} --paths 3 --out far.csv", 1,
+          "validation error: the walk reaches lattice site") for name, argv in [
+        ("zero-potential", "simulate-potential --potential zero --eps 0.05 --T 0.01 "
+         "--start 1e300"),
+        ("rwre", "simulate-rwre --env iid:1 --eps 0.1 --T 0.1 "
+         "--start-site 99999999999999999999"),
+        ("zero-potential-no-escape", "simulate-potential --potential zero --eps 1 --T 4 "
+         "--start 1e17 --escape-radius inf"),
+    ]],
     # The window holds sites -21..20, but only -19..19 have a verified
     # up-probability; outside them the generic step fails cleanly.
     *[row(f"test_lattice_start_outside_the_verified_sites[{start}-{code}]",
@@ -351,6 +366,14 @@ CASES = [
         ("output-paths", "simulate-stable --n 10 --T 1 --paths 100000000000 --grid-points 2"),
         ("output-grid-points", "simulate-stable --n 10 --T 1 --grid-points 1000000000000"),
         ("output-dim", "simulate-stable --n 10 --T 1 --dim 1000000000"),
+    ]],
+    # The clock bound's threshold^2 underflows to 0 or overflows: refused
+    # before the trials, not a traceback after them.
+    *[row(f"clock-threshold-square-{name}", f"diagnose-clock {flags} --out c.json", 1,
+          "the bound 4 (t + eps) eps / threshold^2 leaves double precision")
+      for name, flags in [
+        ("underflows", "--eps 1 --t 1 --threshold 1e-300"),
+        ("overflows", "--eps 1e300 --t 1e300 --threshold 1e300"),
     ]],
 
     # potentials
@@ -387,6 +410,15 @@ CASES = [
     row("lattice-file-skipping-a-k", "simulate-potential --potential lat.csv --mesh 0.1 "
         "--eps 0.1 --T 0.1 --out out.csv", 1, "consecutive k",
         files={"lat.csv": lattice(ks=[-2, -1, 1, 2])}),
+    # A k that is not an integer within 2^53 of 0 used to be cast: truncated,
+    # or with a RuntimeWarning before the error.
+    *[row(f"lattice-file-k-{name}", "simulate-potential --potential lat.csv --mesh 0.1 "
+          "--eps 0.1 --T 0.1 --out out.csv", 1, "integers within 2^53 of 0",
+          files={"lat.csv": lattice(ks=ks)}) for name, ks in [
+        ("fractional", [k + 0.5 for k in range(41)]),
+        ("nan", [-1, 0, "nan", 2]),
+        ("huge", [1e19]),
+    ]],
     row("grid-file-with-one-knot", "simulate-potential --potential one.csv --eps 0.1 --T 0.1 "
         "--out out.csv", 1, "at least two aligned knots", files={"one.csv": "0,1\n"}),
     row("grid-file-with-unsorted-knots", "simulate-potential --potential unsorted.csv "

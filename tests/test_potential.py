@@ -443,18 +443,50 @@ def test_one_fused_step_on_a_linear_grid_walks_three_times(monkeypatch):
     assert len(walks) <= 3
 
 
+def test_one_step_on_a_callable_walks_three_times(monkeypatch):
+    # Chebyshev cells sum each row in a fixed order, so their certificate
+    # walk, too, walks the midpoints that give p.
+    walks = []
+    walk_rows = pot._walk_rows
+    monkeypatch.setattr(pot, "_walk_rows", lambda *args: walks.append(1) or walk_rows(*args))
+    pot._step_solve(JOINT_POTENTIALS["callable"], np.linspace(-2.0, 2.0, 250), 0.05)
+    assert len(walks) <= 3
+
+
+@pytest.mark.parametrize("name", sorted(JOINT_POTENTIALS))
+def test_a_row_gets_the_same_bits_in_any_batch(name):
+    # One call on n rows and n calls on one row each, for every batched
+    # kernel: closed-form and Chebyshev cells alike sum each row in a fixed
+    # order.
+    V = JOINT_POTENTIALS[name]
+    rng = np.random.default_rng(34)
+    a, h = rng.uniform(-2.0, 2.0, 40), rng.uniform(-0.5, 0.5, 40)
+    up, down = psi_solve_many(V, a, 0.05)
+    kernels = [
+        (lambda a, h: (phi_eval(V, a, h),), (a, h)),
+        (lambda a: psi_solve_many(V, a, 0.05), (a,)),
+        (lambda a, up, down: (p_eval_many(V, a, up, down),), (a, up, down)),
+        (lambda a: pot._step_solve(V, a, 0.05), (a,)),
+    ]
+    for kernel, args in kernels:
+        whole = kernel(*args)
+        rows = [kernel(*(z[i:i + 1] for z in args)) for i in range(a.size)]
+        for k, out in enumerate(whole):
+            assert out.tobytes() == np.concatenate([r[k] for r in rows]).tobytes()
+
+
 _BROWNIAN_X = np.linspace(-10.0, 10.0, 4001)
 # (potential, points, eps, certificate rounds the step runs): the benchmark's
-# V = x/2 grid; a Brownian-like grid, where a few of 32768 rows fail the
-# first certificate round; the off-mesh lattice, where rows fail both and
-# are bisected; and a callable, whose masses are walked in p's own batch.
+# V = x/2 grid and a callable, where every row passes the first certificate
+# round; a Brownian-like grid, where a few of 32768 rows fail it; and the
+# off-mesh lattice, where rows fail both and are bisected.
 STEP_CASES = {
     "linear-grid": (GridPotential(_LINEAR_X, _LINEAR_X / 2), np.linspace(-2.0, 2.0, 250), 0.05, 1),
     "brownian-grid": (GridPotential(_BROWNIAN_X, np.concatenate([[0.0], np.cumsum(
         np.sqrt(np.diff(_BROWNIAN_X)) * np.random.default_rng(5).standard_normal(4000))])),
         np.linspace(-3.0, 3.0, 16384), 0.01, 2),
     "off-mesh-lattice": (JOINT_POTENTIALS["lattice"], np.linspace(-2.5, 2.5, 300), 0.05, 2),
-    "callable": (JOINT_POTENTIALS["callable"], np.linspace(-2.0, 2.0, 300), 0.05, None),
+    "callable": (JOINT_POTENTIALS["callable"], np.linspace(-2.0, 2.0, 300), 0.05, 1),
 }
 
 
@@ -472,8 +504,7 @@ def test_fused_step_matches_psi_and_p_bit_for_bit(name, monkeypatch):
     got = pot._step_solve(V, a, eps)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
-    if rounds is not None:
-        assert len(seen) == rounds
+    assert len(seen) == rounds
     if name == "off-mesh-lattice":
         assert bisected
 
@@ -551,21 +582,24 @@ def test_phi_helpers_match_their_where_forms_bit_for_bit(z):
 @pytest.mark.parametrize("name", sorted(JOINT_POTENTIALS))
 def test_second_certificate_round_matches_bisection(name, monkeypatch):
     # Roots one part in 1e12 off fail the first certificate on most rows; the
-    # second round goes again on the failed rows of closed-form cells and on
-    # every row of Chebyshev cells.
+    # second round goes again on exactly the rows the first one failed.
     V = JOINT_POTENTIALS[name]
     a = np.linspace(-1.3, 1.1, 25)
     newton = pot._psi_newton
     monkeypatch.setattr(pot, "_psi_newton", lambda *args: newton(*args) * (1.0 + 1e-12))
+    sgn = np.repeat([1.0, -1.0], a.size)
+    monkeypatch.setattr(pot, "CERTIFY_ROUNDS", 1)
+    failed = np.isnan(pot._psi_certified(V, np.tile(a, 2), sgn, 0.05)[0])
+    monkeypatch.setattr(pot, "CERTIFY_ROUNDS", 2)
     rounds = []
     certify = pot._certify
-    monkeypatch.setattr(pot, "_certify",
-                        lambda V, a, *rest: rounds.append(a.size) or certify(V, a, *rest))
+    monkeypatch.setattr(pot, "_certify", lambda V, a, sgn, *rest: rounds.append(
+        a * sgn) or certify(V, a, sgn, *rest))
     psi_up, psi_down = psi_solve_many(V, a, 0.05)
     np.testing.assert_array_equal(psi_up, bisection_psi(V, a, 0.05, "up"))
     np.testing.assert_array_equal(psi_down, bisection_psi(V, a, 0.05, "down"))
-    assert len(rounds) == 2
-    assert (rounds[1] == 50) == (name == "callable")
+    assert len(rounds) == 2 and failed.any()
+    np.testing.assert_array_equal(rounds[1], (np.tile(a, 2) * sgn)[failed])
 
 
 @pytest.mark.parametrize("name", ["grid", "lattice"])
