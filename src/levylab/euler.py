@@ -10,7 +10,8 @@ by a Gaussian surrogate matching their second moment.  The chain runs on the
 shared block driver :func:`levylab.core.run_chain` with time step ``eps``;
 cemetery jumps and the escape radius absorb paths.
 
-Every engine draws and sums its tail jumps a range of paths at a time, so
+Both engines, ``frozen`` for a constant triplet and ``stable-fast`` for a
+stable field, draw and sum their tail jumps a range of paths at a time, so
 a step's memory per thread is bounded by ``_JUMP_CHUNK`` jumps (or one
 path's jumps, if more), whatever the block's jump count; the stream and the
 sums are those of one draw over the block.  ``MAX_EXPECTED_JUMPS``
@@ -40,7 +41,6 @@ from .core import (
     SchemeConfig,
     StableLike,
     TripletField,
-    as_point,
     run_chain,
     sphere_surface_area,
 )
@@ -241,19 +241,14 @@ def _frozen_sampler(triplet: LevyTriplet, chi: CompensationFunction, dt: float,
 
 def levy_increment_sample(triplet: LevyTriplet, chi: CompensationFunction, dt: float,
                           plan: IncrementPlan, rng: np.random.Generator,
-                          size: int = 1, at=None) -> tuple[np.ndarray, np.ndarray]:
+                          size: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``size`` increments over duration ``dt`` of the frozen triplet.
 
-    ``at`` is the freezing point: atom locations are absolute, so jumps are
-    taken toward them from ``at`` (default origin, in which case atom
-    locations are the jump vectors themselves).  Returns the increments and
-    a mask of samples that jumped straight to the cemetery.  A stable tail
-    of more than ``_JUMP_CHUNK`` jumps needs a Philox ``rng`` to skip ahead in.
+    The triplet is frozen at the origin, so atom locations are the jump
+    vectors themselves.  Returns the increments and a mask of samples that
+    jumped straight to the cemetery.  A stable tail of more than
+    ``_JUMP_CHUNK`` jumps needs a Philox ``rng`` to skip ahead in.
     """
-    if at is not None:
-        at = as_point(at, triplet.dim)
-        triplet = LevyTriplet(triplet.drift, triplet.gamma, triplet.jumps.shifted(-at),
-                              _checked=False)
     return _frozen_sampler(triplet, chi, dt, plan)(rng, size)
 
 
@@ -291,8 +286,7 @@ def euler_chain_simulate(field: TripletField, chi: CompensationFunction, start,
     The engine follows the field's class.  A :class:`ConstantTripletField`
     runs ``frozen``: one sampler, built once per run, steps whole path
     blocks.  A :class:`StableField` runs ``stable-fast``, vectorized
-    over the block's states.  Any other field runs ``per-path``, one
-    increment sampler per path and step, and is correspondingly slower.  A
+    over the block's states.  Any other field is a ValidationError.  A
     path is absorbed at the cemetery by a cemetery jump or beyond the
     escape radius.
     """
@@ -309,11 +303,10 @@ def euler_chain_simulate(field: TripletField, chi: CompensationFunction, start,
         def increments(x, gen):
             return _stable_increments(field, x, chi, eps, plan, gen)
     else:
-        def increments(x, gen):
-            draws = [levy_increment_sample(field(a), chi, eps, plan, gen, size=1, at=a)
-                     for a in x]
-            return (np.concatenate([inc for inc, _ in draws]),
-                    np.concatenate([dead for _, dead in draws]))
+        raise ValidationError(
+            "the Euler scheme runs a ConstantTripletField or a StableField, "
+            f"not a {type(field).__name__}"
+        )
 
     def step(x, gen, limit):
         inc, to_delta = increments(x, gen)

@@ -106,7 +106,7 @@ def _evaluate(node, points: np.ndarray):
         return points[:, node[1]]
     fn = node[0]
     args = [_evaluate(child, points) for child in node[1:]]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return fn(*args)
 
 

@@ -256,15 +256,21 @@ class GridPotential(Potential):
             raise ValidationError("knots and values must be finite")
         if np.any(np.diff(knots) <= 0):
             raise ValidationError("knots must be strictly increasing")
-        self.knots, self.values = knots, values
+        with np.errstate(over="ignore"):
+            slope = np.diff(values) / np.diff(knots)
+        steep = np.flatnonzero(~np.isfinite(slope))
+        if steep.size:
+            i = steep[0]
+            raise ValidationError(f"the slope between knots {knots[i]:g} and {knots[i + 1]:g} "
+                                  "is not finite in double precision")
+        self.knots, self.values, self.slope = knots, values, slope
         self.domain = (float(knots[0]), float(knots[-1]))
 
     def _value(self, x: np.ndarray) -> np.ndarray:
         return np.interp(x, self.knots, self.values)
 
     def _build_cells(self) -> _CellData:
-        return _CellData(bounds=self.knots, left_value=self.values[:-1],
-                         slope=np.diff(self.values) / np.diff(self.knots))
+        return _CellData(bounds=self.knots, left_value=self.values[:-1], slope=self.slope)
 
 
 class CallablePotential(Potential):
@@ -965,36 +971,16 @@ def transport_test_function(V: Potential, f0: float, s0: float,
     return f
 
 
-def quadpack(fn, lo: float, hi: float, tol_abs: float, tol_rel: float) -> float:
-    """Integral of the scalar ``fn`` over [lo, hi] (``hi`` may be ``np.inf``).
+def potential_distance(V: Potential, Vn: Potential, window: float) -> float:
+    """int_{-M}^{M} max(|e^V - e^{Vn}|, |e^{-V} - e^{-Vn}|) da.
 
-    QUADPACK's adaptive Gauss-Kronrod rule with extrapolation (QAGS, or QAGI
-    on a half-line), called through scipy; `potential_distance` integrates
-    its pieces with it.  When QUADPACK flags a failure (subdivision limit,
-    roundoff, divergence) and its error estimate exceeds ten times the
-    requested tolerance, QuadratureError is raised.  The failure is read
-    from ``full_output`` rather than from a warning, so concurrent calls
-    from worker threads do not share warning state.  scipy is imported
-    here, on first use, so start-up does not pay for it.
+    Each piece between the potentials' breakpoints goes to QUADPACK's
+    adaptive Gauss-Kronrod rule with extrapolation (QAGS), called through
+    scipy, which is imported here, on first use, so start-up does not pay
+    for it.
     """
     from scipy import integrate
 
-    if hi <= lo:
-        return 0.0
-    value, abserr, _info, *failure = integrate.quad(fn, lo, hi, epsabs=tol_abs, epsrel=tol_rel,
-                                                    limit=400, full_output=1)
-    tolerance = tol_abs + tol_rel * abs(value)
-    if failure and abserr > 10 * tolerance:
-        reason = str(failure[0]).split("\n")[0]
-        raise QuadratureError(
-            f"adaptive quadrature over [{lo}, {hi}] did not converge: {reason}",
-            estimate=value, error=abserr, tolerance=tolerance,
-        )
-    return float(value)
-
-
-def potential_distance(V: Potential, Vn: Potential, window: float) -> float:
-    """int_{-M}^{M} max(|e^V - e^{Vn}|, |e^{-V} - e^{-Vn}|) da."""
     if window <= 0:
         raise ValidationError("the window must be positive")
     lo, hi = -window, window
@@ -1010,5 +996,22 @@ def potential_distance(V: Potential, Vn: Potential, window: float) -> float:
                                 np.abs(np.exp(-va) - np.exp(-vb)))[0])
 
     tol = DISTANCE_TOL_ABS / max(len(cuts) - 1, 1)
-    return sum(quadpack(integrand, float(a), float(b), tol, DISTANCE_TOL_REL)
-               for a, b in zip(cuts[:-1], cuts[1:]))
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        value, abserr, _info, *failure = integrate.quad(
+            integrand, float(a), float(b), epsabs=tol, epsrel=DISTANCE_TOL_REL, limit=400,
+            full_output=1)
+        # A failure QUADPACK flags (subdivision limit, roundoff, divergence)
+        # is raised only when its error estimate exceeds ten times the
+        # requested tolerance.  It is read from full_output, not from a
+        # warning, so concurrent calls from worker threads do not share
+        # warning state.
+        tolerance = tol + DISTANCE_TOL_REL * abs(value)
+        if failure and abserr > 10 * tolerance:
+            reason = str(failure[0]).split("\n")[0]
+            raise QuadratureError(
+                f"adaptive quadrature over [{a}, {b}] did not converge: {reason}",
+                estimate=value, error=abserr, tolerance=tolerance,
+            )
+        total += float(value)
+    return total

@@ -24,6 +24,7 @@ on its command line, within the row's time limit::
 
 Adding a CLI case means adding one row.
 """
+import hashlib
 import json
 import math
 import os
@@ -111,6 +112,13 @@ def verdict(case, directory, before, code, out, err):
 
 
 # --- checks on the outputs of exit-0 rows ----------------------------------
+
+def recorded_bytes(digest):
+    """The first output's sha256 is ``digest``."""
+    def same_bytes(outputs):
+        return hashlib.sha256(outputs[0].read_bytes()).hexdigest() == digest
+    return same_bytes
+
 
 def finite_gaps(outputs):
     report = json.loads(outputs[0].read_text())["reports"][0]
@@ -211,6 +219,9 @@ EULER_ON_CONFIG = ("simulate-euler --triplet-config cfg.json --eps 0.1 --T 0.3 -
 OPERATOR_ON_CONFIG = "diagnose-operator --config cfg.json --out out.csv"
 STABLE = "simulate-stable --n 10 --T 0.3 --paths 3 --out out.csv"
 RWRE = "simulate-rwre --T 0.1 --paths 3 --out out.csv"
+EULER_SURROGATE = ("simulate-euler --triplet-config cfg.json --tau 0.01 --small-jump-mode "
+                   "gaussian-surrogate --eps 0.05 --T 0.2 --paths 20 --seed 3 --grid-points 5 "
+                   "--out out.csv")
 EULER_STABLE = ("simulate-euler --triplet-config stable.json --eps 0.05 --T 0.2 --paths 3 "
                 "--out out.csv")
 ZERO_POTENTIAL = "simulate-potential --potential zero --T 0.1 --paths 3 --out out.csv"
@@ -251,6 +262,25 @@ CASES = [
         "--eps 0.05 --T 0.2 --paths 50 --seed 3 --out euler.csv",
         files={"triplet.json": json.dumps({"drift": [0.1], "gamma": [[0.3]],
                                            "nu": {"kind": "stable", "c": 1.0, "alpha": 1.5}})}),
+    # The Gaussian surrogate of the jumps below tau, on each kind of measure
+    # with such jumps; sha256 recorded when the rows were added.
+    *[row(f"euler-gaussian-surrogate-{name}", EULER_SURROGATE, files=cfg(document),
+          check=recorded_bytes(digest)) for name, document, digest in [
+        ("stable-min-radius", {"drift": [0.1], "gamma": [[0.3]], "nu": {
+            "kind": "stable", "c": 1.0, "alpha": 1.5, "min_radius": 0.001}},
+         "6d9f9abe1798260c3354fe2b611148a016f5eeea9fbd1d2ea3c7dea49209be3e"),
+        ("atoms-below-tau", {"drift": [0.0], "gamma": [[0.0]], "nu": {"kind": "atoms", "atoms": [
+            {"point": [0.005], "mass": 40.0}, {"point": [-0.005], "mass": 40.0},
+            {"point": [0.4], "mass": 1.0}]}},
+         "cd4610b6f65ae9ff729000853fbac856cf6104c8430544ec8f841b6b4d671f18"),
+        ("stable-field", {"kind": "stable-field", "dim": 1, "c_expr": "1", "alpha_expr": "1.5"},
+         "e088c25ce29c4449b9a2cfb51faa6fe23d93503c9009b58dadd7a43fbd7af043"),
+    ]],
+    # The smooth compensation function on stable fields; sha256 recorded when
+    # the row was added.
+    row("operator-report-chi1", "diagnose-operator --config cfg.json --out out.json",
+        files=cfg({**OPERATOR_CONFIG, "chi": "chi1"}),
+        check=recorded_bytes("7798291fcd3f58c8f0226f7618da10bac3ddaaaabedc17f86f7a1e9f5066e5f6")),
     row("diagnose-paths-marginal", "diagnose-paths paths.csv --t 0.2 --out paths.json",
         files={"paths.csv": path_csv("0,0.0,0.0,1", "0,0.2,0.3,1", "1,0.0,0.0,1",
                                      "1,0.2,-0.1,1", "2,0.0,0.0,1", "2,0.2,nan,0")}),
@@ -390,6 +420,19 @@ CASES = [
     row("test_steep_linear_expression_overflowing_one_span", "simulate-potential "
         "--potential=-2000*x1 --eps 0.05 --T 0.01 --paths 8 --seed 2 --out lin.csv", 2,
         "numeric failure: the potential oscillates"),
+    # An expression that overflows is not finite in its window; it used to
+    # print a RuntimeWarning first.
+    *[row(f"expression-potential-overflowing-{name}", f"simulate-potential --potential '{text}' "
+          "--eps 0.1 --T 0.1 --paths 4 --out o.csv", 1, "not finite") for name, text in [
+        ("product", "1e308*x1"),
+        ("exp", "exp(1000*x1)"),
+    ]],
+    # The slope between knots 1 and 2 overflows; it used to print two
+    # RuntimeWarnings and end as a numeric failure.
+    row("grid-file-with-an-overflowing-slope", "simulate-potential --potential steep.csv "
+        "--start 1 --eps 0.1 --T 0.1 --paths 4 --out out.csv", 1,
+        "validation error: the slope between knots 1 and 2 is not finite",
+        files={"steep.csv": two_columns((0, 0), (1, 1e308), (2, -1e308))}),
     row("potential-finer-than-the-walk-cap", "simulate-potential --potential fine.csv "
         "--eps 0.2 --T 0.08 --paths 5 --seed 1 --out fine_out.csv", 1,
         "validation error: a cell walk spans more than", files={"fine.csv": fine_grid}),

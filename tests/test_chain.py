@@ -21,7 +21,6 @@ from levylab.core import (
     PathBatch,
     SchemeConfig,
     StableLike,
-    TripletField,
     resolve_start,
     run_chain,
     run_chains,
@@ -54,24 +53,14 @@ def uniform_start(gen, m):
     return gen.uniform(-1.0, 1.0, size=(m, 1))
 
 
-# A state-dependent field with absolute atoms: Euler samples it path by path.
-GENERIC_FIELD = TripletField(
-    lambda a: LevyTriplet([-a[0]], [[1.0]], Atoms([(a + 0.5, 1.0), (DELTA, 0.2)])), 1)
 TANH_STABLE = StableField(lambda x: 1.0 + 0 * x[:, 0],
                           lambda x: 1.2 + 0.3 * np.tanh(x[:, 0]), 1)
 PINNED_CONFIG = SchemeConfig(paths=25, seed=7, grid=np.linspace(0.0, 0.5, 4),
                              block_size=6, escape_radius=2.0)
 
 
-# sha256 of states + xi recorded with the per-scheme block loops that the
-# driver replaced; five blocks each, with escapes (and cemetery jumps).
-def test_euler_generic_multi_block_bytes():
-    batch = euler_chain_simulate(GENERIC_FIELD, Chi2(), 0.0, 0.05, 0.5,
-                                 IncrementPlan(tau=1e-2), PINNED_CONFIG)
-    assert np.isfinite(batch.xi).sum() == 2
-    assert digest(batch) == "e493548c6fda02ae9c265b7fcbd4f0377d9c9db711032ffed79e6abc5bf09e09"
-
-
+# sha256 of states + xi recorded with the per-scheme block loop that the
+# driver replaced; five blocks, with escapes.
 def test_stable_callable_start_multi_block_bytes():
     batch = stable_chain_simulate(TANH_STABLE, uniform_start, 40, 0.5, PINNED_CONFIG)
     assert np.isfinite(batch.xi).sum() == 11
@@ -230,9 +219,6 @@ ENGINES = {
     "euler-stable-fast": lambda cfg: euler_chain_simulate(
         StableField.constant(1.0, 1.3), Chi2(), 0.0, 0.05, 0.2,
         IncrementPlan(tau=1e-2), replace(cfg, escape_radius=0.5)),
-    "euler-generic": lambda cfg: euler_chain_simulate(
-        GENERIC_FIELD, Chi2(), uniform_start, 0.1, 0.5, IncrementPlan(tau=1e-2),
-        replace(cfg, escape_radius=2.0)),
     "potential-lattice": lambda cfg: potential_chain_simulate(
         zero_potential(0.2, -20, 20), 0.0, 0.2, 0.4, replace(cfg, escape_radius=0.5)),
     "potential-solver": lambda cfg: potential_chain_simulate(
@@ -300,7 +286,7 @@ def test_one_multi_chain_call_matches_one_call_per_chain(threads):
 
 
 def test_nan_mid_chain_is_a_step_error():
-    field = TripletField(lambda a: LevyTriplet.unchecked([np.nan], [[1.0]]), 1)
+    field = ConstantTripletField(LevyTriplet.unchecked([np.nan], [[1.0]]))
     cfg = SchemeConfig(paths=4, seed=1, grid=np.array([0.0, 0.2]))
     with pytest.raises(SchemeStepError, match="non-finite"):
         euler_chain_simulate(field, Chi2(), 0.0, 0.1, 0.2, IncrementPlan(), cfg)

@@ -81,6 +81,9 @@ class TestTailMass:
         nu = Atoms([(DELTA, 0.25)], dim=1)
         assert nu.tail_mass(1000.0, a=0.0) == 0.25
 
+    def test_cemetery_prints_as_delta(self):
+        assert repr(DELTA) == "DELTA"
+
     def test_nonincreasing_in_radius(self):
         nu = StableLike(c=0.7, alpha=1.3, dim=1)
         radii = np.linspace(0.1, 5.0, 40)

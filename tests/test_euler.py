@@ -17,6 +17,7 @@ from levylab.core import (
     LevyTriplet,
     SchemeConfig,
     StableLike,
+    TripletField,
 )
 from levylab.diagnostics import ks_distance, ks_critical_value
 from levylab.errors import SchemeStepError, ValidationError
@@ -172,20 +173,12 @@ class TestChain:
         stat, _ = ks_distance(marginals[1e-3], marginals[1e-4])
         assert stat < 0.005
 
-    def test_state_dependent_generic_field(self):
-        # generic per-path fallback: small scale, checks it runs and stays finite
-        def fn(a):
-            scale = 1.0 + 0.5 * np.tanh(a[0])
-            return LevyTriplet([0.1 * a[0]], [[0.3]],
-                               StableLike(c=scale, alpha=1.1, dim=1))
-
-        from levylab.core import TripletField
-        field = TripletField(fn, dim=1)
-        cfg = SchemeConfig(paths=40, seed=17, grid=np.array([0.0, 0.2]))
-        batch = euler_chain_simulate(field, Chi2(), 0.0, 0.05, 0.2,
-                                     IncrementPlan(tau=0.01), cfg)
-        m, alive = batch.marginal(0.2)
-        assert np.isfinite(m).all()
+    def test_plain_triplet_field_is_refused(self):
+        # Only a constant triplet or a stable field has an engine.
+        field = TripletField(lambda a: LevyTriplet([0.1 * a[0]], [[0.3]]), dim=1)
+        cfg = SchemeConfig(paths=4, seed=17, grid=np.array([0.0, 0.2]))
+        with pytest.raises(ValidationError, match="ConstantTripletField or a StableField"):
+            euler_chain_simulate(field, Chi2(), 0.0, 0.05, 0.2, IncrementPlan(tau=0.01), cfg)
 
     def test_deterministic_replay(self):
         field = StableField.constant(1.0, 1.3)

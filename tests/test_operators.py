@@ -423,6 +423,13 @@ def test_stable_jump_integral_matches_quad_oracle(alpha, a, center, radius, chi)
     assert abs(got - ref) <= tol_abs + tol_rel * abs(ref)
 
 
+def test_stable_jump_integral_refuses_a_custom_chi_not_declared_odd():
+    # The radial rule needs an odd chi, and a CustomChi does not declare one.
+    chi = CustomChi(lambda a, b: np.tanh(b - a), bound=1.0)
+    with pytest.raises(ValidationError, match="non-odd custom compensation function"):
+        jump_integral([StableLike(c=1.0, alpha=1.5)], chi, bump([0.0], 0.9), [[0.5]])
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.5, 1.9])
 def test_stable_chi1_quadratic_matrix_closed_form(alpha):
     # int (h / (1 + h^2))^2 c |h|^{-1-alpha} dh = c (pi alpha / 2) / sin(pi alpha / 2)
