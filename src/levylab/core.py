@@ -341,17 +341,44 @@ class Chi2(CompensationFunction):
 
 class CustomChi(CompensationFunction):
     """chi given by a callable ``fn(a, b)`` smooth in ``b``; a chi with kinks
-    subclasses `CompensationFunction` and overrides ``radial_kinks``."""
+    subclasses `CompensationFunction` and overrides ``radial_kinks``.
 
-    def __init__(self, fn, bound: float, name: str = "custom"):
+    ``odd=True`` declares h -> chi(a, a+h) odd, which the radial rules for a
+    `StableLike` measure need.  The claim is checked once, here, at a few
+    base points and offsets in R^dim; a chi that fails it is a
+    ValidationError.
+    """
+
+    def __init__(self, fn, bound: float, name: str = "custom", *, odd: bool = False,
+                 dim: int = 1):
         self._fn = fn
         self.bound = float(bound)
         self.name = name
+        self._odd = bool(odd)
+        if self._odd:
+            self._check_odd(dim)
 
     def __call__(self, a, b):
         a = np.asarray(a, dtype=float)
         b = np.atleast_2d(np.asarray(b, dtype=float))
         return np.atleast_2d(np.asarray(self._fn(a, b), dtype=float))
+
+    def is_odd(self):
+        return self._odd
+
+    def _check_odd(self, dim: int):
+        # Dyadic points and offsets, so a + h, a - h and their differences
+        # from a are exact; short and long offsets, along two directions.
+        signs = np.where(np.arange(dim) % 2, -1.0, 1.0)
+        h = np.concatenate([r * np.stack([np.ones(dim), signs])
+                            for r in (2.0 ** -10, 0.5, 1.0, 3.0, 2.0 ** 10)])
+        for a in (np.zeros(dim), np.full(dim, 0.75), -2.5 * signs):
+            up, down = self(a, a + h), self(a, a - h)
+            if not np.all(np.abs(up + down) <= 1e-12 * (1.0 + np.abs(up))):
+                raise ValidationError(
+                    f"compensation function {self.name!r} is declared odd, but "
+                    f"chi(a, a + h) != -chi(a, a - h) at a = {a.tolist()}"
+                )
 
 
 def compensation_by_name(name: str) -> CompensationFunction:

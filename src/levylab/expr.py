@@ -6,7 +6,16 @@ The whitelist admits binary ``+ - * / **``, unary ``+ -``, numbers
 (digits with an optional point and exponent), the coordinates x1..xd and
 the functions exp, log, abs (one argument) and min, max (two or more).
 Trees nested deeper than ``MAX_DEPTH`` levels are rejected.
-Compiled expressions evaluate vectorized over an (m, d) array of points.
+
+The tree is compiled once into nested closures, one per node, and a call
+evaluates them vectorized over an (m, d) array of points under one
+``np.errstate``.  A number next to an array under ``+ - * /`` or min/max
+is passed to the ufunc as a Python float instead of a filled array: those
+operations are exact elementwise, so the bits are the same.  Every other
+number (a base or exponent of ``**``, an argument of exp, log or abs, a
+whole constant expression) is filled to an (m,) array, since numpy's
+scalar fast paths for ``**`` and libm's scalar functions can round
+differently.  The result is always an (m,) float array.
 """
 
 from __future__ import annotations
@@ -99,23 +108,47 @@ def _parse(text: str, dim: int):
     return translate(body, 0)
 
 
-def _evaluate(node, points: np.ndarray):
+# Elementwise exact: an operand may be a Python float without moving a bit.
+_EXACT = frozenset((np.add, np.subtract, np.multiply, np.divide, np.minimum, np.maximum))
+
+
+def _array(node):
+    """A compiled node as a closure; a number is filled to an (m,) array."""
+    if isinstance(node, float):
+        return lambda pts: np.full(pts.shape[0], node)
+    return node
+
+
+def _compile(node):
+    """The closure of ``node`` over an (m, d) point array; a number stays a float."""
     if node[0] == "const":
-        return np.full(points.shape[0], node[1])
+        return node[1]
     if node[0] == "coord":
-        return points[:, node[1]]
+        axis = node[1]
+        return lambda pts: pts[:, axis]
     fn = node[0]
-    args = [_evaluate(child, points) for child in node[1:]]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return fn(*args)
+    args = [_compile(child) for child in node[1:]]
+    if len(args) == 1:
+        if fn is np.negative and isinstance(args[0], float):
+            return -args[0]  # a sign flip, exact
+        arg = _array(args[0])
+        return lambda pts: fn(arg(pts))
+    left, right = args
+    if fn in _EXACT and isinstance(left, float) != isinstance(right, float):
+        if isinstance(right, float):
+            return lambda pts: fn(left(pts), right)
+        return lambda pts: fn(left, right(pts))
+    left, right = _array(left), _array(right)
+    return lambda pts: fn(left(pts), right(pts))
 
 
 def compile_expression(text: str, dim: int) -> Callable[[np.ndarray], np.ndarray]:
     """Compile ``text`` into a vectorized function of an (m, dim) point array."""
-    tree = _parse(text, dim)
+    body = _array(_compile(_parse(text, dim)))
 
     def fn(points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.asarray(_evaluate(tree, pts), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.asarray(body(pts), dtype=float)
 
     return fn

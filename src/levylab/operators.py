@@ -468,7 +468,8 @@ def jump_integral(nus: Sequence, chi: CompensationFunction, f: TestFunction, poi
     if not chi.is_odd():
         raise ValidationError(
             "radial integration of a non-odd custom compensation function is "
-            "not supported; supply an odd chi or an Atoms measure"
+            "not supported; declare an odd one with CustomChi(..., odd=True) "
+            "or use an Atoms measure"
         )
     rule = _sphere_rule(f.dim)
     nus_s, pts_s = [nus[i] for i in stable], pts[stable]

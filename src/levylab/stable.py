@@ -52,20 +52,30 @@ class StableField(TripletField):
     def evaluate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Scale and index at each of the (m, d) points, as read-only (m,) arrays."""
         points = np.atleast_2d(points)
+        m = points.shape[0]
         c = np.asarray(self.c(points), dtype=float)
         a = np.asarray(self.alpha(points), dtype=float)
-        if not np.all(np.isfinite(c) & (c >= 0)):
+        # One min/max pair per array; a NaN fails both comparisons.
+        if c.size and not (c.min() >= 0 and c.max() < np.inf):
             raise ValidationError("the scale function must be finite and nonnegative")
-        if not np.all((a > 0) & (a < 2)):
+        if a.size and not (a.min() > 0 and a.max() < 2):
             raise ValidationError("the stability index must stay inside (0, 2)")
-        m = points.shape[0]
-        return np.broadcast_to(c, (m,)), np.broadcast_to(a, (m,))
+        return _read_only(c, m), _read_only(a, m)
 
     def __call__(self, a) -> LevyTriplet:
         c, alpha = self.evaluate(as_point(a, self.dim)[None, :])
         d = self.dim
         nu = StableLike(c=float(c[0]), alpha=float(alpha[0]), dim=d) if c[0] > 0 else None
         return LevyTriplet(np.zeros(d), np.zeros((d, d)), nu)
+
+
+def _read_only(values: np.ndarray, m: int) -> np.ndarray:
+    """``values`` as a read-only (m,) view, broadcast only if not (m,) already."""
+    if values.shape != (m,):
+        return np.broadcast_to(values, (m,))
+    view = values.view()
+    view.flags.writeable = False
+    return view
 
 
 def stable_jump_magnitude(c, alpha, dim: int, n: float, u) -> np.ndarray:
@@ -75,6 +85,21 @@ def stable_jump_magnitude(c, alpha, dim: int, n: float, u) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     u = np.asarray(u, dtype=float)
     return (c * s / (n * alpha * u)) ** (1.0 / alpha)
+
+
+def _magnitude_into(u: np.ndarray, c: np.ndarray, alpha: np.ndarray, s: float,
+                    n: float) -> np.ndarray:
+    """:func:`stable_jump_magnitude` at (m,) arrays, built in ``u``'s buffer.
+
+    The same operations in the same order, so the same bits; ``u`` is
+    overwritten and one temporary is allocated.
+    """
+    den = n * alpha
+    den *= u
+    np.multiply(c, s, out=u)
+    u /= den
+    np.divide(1.0, alpha, out=den)
+    return np.power(u, den, out=u)
 
 
 def stable_tail_probability(c: float, alpha: float, dim: int, n: float, r) -> np.ndarray:
@@ -96,15 +121,24 @@ def stable_chain_simulate(field: StableField, start, n: float, horizon: float,
     if not n >= 1:
         raise ValidationError("the scale n must be at least 1")
     grid, n_steps, capture = config.clock(horizon, lambda t: t * n)
+    d, radius, s = field.dim, config.escape_radius, sphere_surface_area(field.dim)
 
     def step(x, gen, limit):
         c, alpha = field.evaluate(x)
-        q = _rng.sphere_draw(gen, x.shape[0], field.dim)
-        u = _rng.uniform_open_closed(gen, x.shape[0])
+        m = x.shape[0]
+        if d == 1:
+            # The stream of sphere_draw's m words, then uniform_open_closed's m.
+            words = gen.random(2 * m)
+            q, u = words[:m], np.subtract(1.0, words[m:], out=words[m:])
+        else:
+            q = _rng.sphere_draw(gen, m, d)
+            u = _rng.uniform_open_closed(gen, m)
         # u > 0 and alpha > 0, so a zero scale gives a magnitude of exactly +0.0.
-        mag = stable_jump_magnitude(c, alpha, field.dim, n, u)
+        mag = _magnitude_into(u, c, alpha, s, n)
         x = x + _rng.along(q, mag)
-        return x, np.linalg.norm(x, axis=1) > config.escape_radius, 1
+        # In 1-d the norm is |x|; norm would square x, which overflows past 1e154.
+        gone = np.abs(x[:, 0]) > radius if d == 1 else np.linalg.norm(x, axis=1) > radius
+        return x, gone, 1
 
     return run_chain(start, step, n_steps, capture, 1.0 / n, grid, field.dim, config)
 

@@ -530,6 +530,12 @@ CASES = [
         "exp takes exactly one argument"),
     row("negative-scale-expression", f"{STABLE} --c-expr -1", 1,
         "the scale function must be finite and nonnegative"),
+    # Valid at the start, invalid once the paths move: every step validates.
+    row("index-expression-leaves-0-2-after-moving",
+        f'{STABLE} --alpha-expr "1.5 + min(abs(x1), 1)"', 1,
+        "the stability index must stay inside (0, 2)"),
+    row("scale-expression-turns-negative-after-moving", f'{STABLE} --T 1 --c-expr "1 - abs(x1)"',
+        1, "the scale function must be finite and nonnegative"),
     row("zero-threads", f"{STABLE} --threads 0", 1, "threads must be >= 1"),
     row("unknown-environment", f"{RWRE} --env levy:1 --eps 0.1", 1, "unknown environment spec"),
     row("zero-environments", f"{RWRE} --env iid:1 --eps 0.1 --envs 0", 1,

@@ -430,6 +430,38 @@ def test_stable_jump_integral_refuses_a_custom_chi_not_declared_odd():
         jump_integral([StableLike(c=1.0, alpha=1.5)], chi, bump([0.0], 0.9), [[0.5]])
 
 
+@pytest.mark.parametrize("alpha", [0.7, 1.5])
+def test_a_custom_chi_declared_odd_integrates_against_a_stable_measure(alpha):
+    chi = CustomChi(lambda a, b: np.tanh(b - a), bound=1.0, odd=True)
+    tol_abs, tol_rel = 1e-7, 1e-6
+    f = bump([0.1], 0.9)
+    ref = symmetrised_jump_oracle(1.0, alpha, f, 0.5)
+    got = jump_integral([StableLike(c=1.0, alpha=alpha)], chi, f, [[0.5]], tol_abs, tol_rel)[0]
+    assert abs(got - ref) <= tol_abs + tol_rel * abs(ref)
+    adjust = chi_drift_adjustment(StableLike(c=1.0, alpha=alpha), chi, Chi1())
+    assert adjust.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("fn, dim", [
+    (lambda a, b: np.tanh(b - a) * np.exp(-np.abs(a)), 1),
+    (lambda a, b: (b - a) / (1.0 + np.sum((b - a) ** 2, axis=1, keepdims=True)), 2),
+])
+def test_an_odd_custom_chi_may_declare_itself_odd(fn, dim):
+    assert CustomChi(fn, bound=1.0, odd=True, dim=dim).is_odd()
+    assert not CustomChi(fn, bound=1.0, dim=dim).is_odd()
+
+
+@pytest.mark.parametrize("fn, dim", [
+    (lambda a, b: np.tanh(b - a) + 1e-3, 1),                     # offset
+    (lambda a, b: (b - a) ** 2, 1),                               # even
+    (lambda a, b: np.tanh(b - a) + (b - a > 2.0), 1),             # odd for |h| <= 2 only
+    (lambda a, b: (b - a) * (1.0 + (b[:, :1] > 1.0)), 2),          # odd near the origin only
+])
+def test_a_custom_chi_declared_odd_that_is_not_is_refused(fn, dim):
+    with pytest.raises(ValidationError, match="declared odd"):
+        CustomChi(fn, bound=1.0, odd=True, dim=dim)
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.5, 1.9])
 def test_stable_chi1_quadratic_matrix_closed_form(alpha):
     # int (h / (1 + h^2))^2 c |h|^{-1-alpha} dh = c (pi alpha / 2) / sin(pi alpha / 2)

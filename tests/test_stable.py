@@ -2,12 +2,21 @@ import numpy as np
 import pytest
 
 from levylab import rng as lrng
-from levylab.core import Atoms, Chi2, SchemeConfig, StableLike, TripletField
+from levylab.core import (
+    Atoms,
+    Chi2,
+    SchemeConfig,
+    StableLike,
+    TripletField,
+    sphere_surface_area,
+)
 from levylab.diagnostics import ks_distance
 from levylab.errors import ValidationError
+from levylab.expr import compile_expression
 from levylab.operators import apply_operator, default_test_functions
 from levylab.stable import (
     StableField,
+    _magnitude_into,
     scheme_triplet_field,
     stable_chain_simulate,
     stable_jump_magnitude,
@@ -178,3 +187,55 @@ def test_scheme_triplet_field_without_jumps_where_the_scale_vanishes():
     fld = StableField.constant(0.0, 1.2, 1)
     trip = scheme_triplet_field(fld, 100.0)(np.array([0.0]))
     assert isinstance(trip.jumps, Atoms) and trip.jumps.masses.size == 0
+
+
+@pytest.mark.parametrize("row", [0, 617, 999])
+@pytest.mark.parametrize("which, bad", [
+    *[("c", v) for v in (np.nan, np.inf, -np.inf, -1e-300, -1.0)],
+    *[("alpha", v) for v in (np.nan, 0.0, -0.0, -1.0, 2.0, 2.5, np.inf, -np.inf)],
+])
+def test_one_invalid_row_of_a_thousand_is_refused(row, which, bad):
+    values = {"c": np.ones(1000), "alpha": np.full(1000, 1.5)}
+    values[which][row] = bad
+    fld = StableField(c=lambda x: values["c"], alpha=lambda x: values["alpha"], dim=1)
+    message = "scale function" if which == "c" else "stability index"
+    with pytest.raises(ValidationError, match=message):
+        fld.evaluate(np.zeros((1000, 1)))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_evaluate_on_no_rows_returns_two_empty_arrays(dim):
+    for fld in (StableField.constant(1.0, 1.5, dim),
+                StableField(compile_expression("1 - x1", dim),
+                            compile_expression("1.2 + 0.2*exp(-x1*x1)", dim), dim)):
+        c, alpha = fld.evaluate(np.empty((0, dim)))
+        assert c.shape == alpha.shape == (0,)
+
+
+@pytest.mark.parametrize("c_fn", [
+    lambda x: 2.0,                           # a scalar, broadcast
+    lambda x: np.full(1, 2.0),               # a (1,) array, broadcast
+    lambda x: np.full(x.shape[0], 2.0),      # an (m,) array, viewed
+])
+def test_evaluate_returns_read_only_m_arrays_and_leaves_the_callers_writable(c_fn):
+    kept = np.full(4, 1.5)
+    fld = StableField(c=c_fn, alpha=lambda x: kept, dim=2)
+    c, alpha = fld.evaluate(np.zeros((4, 2)))
+    assert c.shape == alpha.shape == (4,)
+    assert c.tolist() == [2.0] * 4 and alpha.tolist() == [1.5] * 4
+    assert not c.flags.writeable and not alpha.flags.writeable
+    assert kept.flags.writeable
+
+
+def test_the_steps_in_place_magnitude_equals_stable_jump_magnitude_bit_for_bit():
+    # α = 1 and 0.5 rows included: as arrays, they take no fast power path.
+    gen = lrng.stream(74, namespace=lrng.SCRATCH)
+    m = 4000
+    c = np.concatenate([[0.0, 1.0, 1e-300, 1e300], 3.0 * gen.random(m - 4)])
+    alpha = np.concatenate([[1.0, 0.5, 1.5, 1.999], 0.01 + 1.98 * gen.random(m - 4)])
+    u = lrng.uniform_open_closed(gen, m)
+    for dim in (1, 2, 3):
+        with np.errstate(over="ignore"):
+            ref = stable_jump_magnitude(c, alpha, dim, 37.0, u)
+            got = _magnitude_into(u.copy(), c, alpha, sphere_surface_area(dim), 37.0)
+        assert got.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
