@@ -266,8 +266,8 @@ class CompensationFunction:
         """Radii at which h -> chi(a, a+h) is not smooth."""
         return ()
 
-    def is_odd(self) -> bool:
-        """Whether h -> chi(a, a+h) is odd in h (true for both defaults)."""
+    def is_odd(self, dim: int) -> bool:
+        """Whether h -> chi(a, a+h) is odd in h on R^dim (true for both defaults)."""
         return False
 
     def is_shift_invariant(self) -> bool:
@@ -298,7 +298,7 @@ class Chi1(CompensationFunction):
         with np.errstate(over="ignore"):  # past |h| ~ 1e154 this is 0, within 1e-154
             return h / (1.0 + np.sum(h * h, axis=1))[:, None]
 
-    def is_odd(self):
+    def is_odd(self, dim):
         return True
 
     def is_shift_invariant(self):
@@ -327,7 +327,7 @@ class Chi2(CompensationFunction):
     def radial_kinks(self):
         return (1.0,)
 
-    def is_odd(self):
+    def is_odd(self, dim):
         return True
 
     def is_shift_invariant(self):
@@ -344,26 +344,27 @@ class CustomChi(CompensationFunction):
     subclasses `CompensationFunction` and overrides ``radial_kinks``.
 
     ``odd=True`` declares h -> chi(a, a+h) odd, which the radial rules for a
-    `StableLike` measure need.  The claim is checked once, here, at a few
-    base points and offsets in R^dim; a chi that fails it is a
-    ValidationError.
+    `StableLike` measure need.  The claim is checked at a few base points and
+    offsets the first time ``is_odd`` is asked about a dimension; a chi that
+    fails it is a ValidationError.
     """
 
-    def __init__(self, fn, bound: float, name: str = "custom", *, odd: bool = False,
-                 dim: int = 1):
+    def __init__(self, fn, bound: float, name: str = "custom", *, odd: bool = False):
         self._fn = fn
         self.bound = float(bound)
         self.name = name
         self._odd = bool(odd)
-        if self._odd:
-            self._check_odd(dim)
+        self._odd_dims = set()
 
     def __call__(self, a, b):
         a = np.asarray(a, dtype=float)
         b = np.atleast_2d(np.asarray(b, dtype=float))
         return np.atleast_2d(np.asarray(self._fn(a, b), dtype=float))
 
-    def is_odd(self):
+    def is_odd(self, dim):
+        if self._odd and dim not in self._odd_dims:
+            self._check_odd(dim)
+            self._odd_dims.add(dim)
         return self._odd
 
     def _check_odd(self, dim: int):
@@ -607,6 +608,26 @@ class SchemeConfig:
         return grid, n_steps, capture
 
 
+def escaped(x: np.ndarray, radius: float) -> np.ndarray:
+    """Mask of the rows of the (m, d) states ``x`` with norm above ``radius``.
+
+    The one escape test of every chain.  In 1-d the norm is ``|x|``; in more
+    dimensions a row whose squared norm overflows, though its entries are
+    finite, is measured again after scaling by its largest entry, so a state
+    of 1e200 stays inside a radius of 1e300.
+    """
+    if x.shape[1] == 1:
+        return np.abs(x[:, 0]) > radius
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(x, axis=1)
+    over = r == np.inf
+    if np.any(over):
+        over &= np.all(np.isfinite(x), axis=1)
+        top = np.max(np.abs(x[over]), axis=1)
+        r[over] = top * np.linalg.norm(x[over] / top[:, None], axis=1)
+    return r > radius
+
+
 def run_chain(init, step, n_steps: int, capture: np.ndarray, dt: float, grid: np.ndarray,
               dim: int, config: SchemeConfig, seed: Optional[int] = None,
               emit: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> PathBatch:
@@ -615,8 +636,8 @@ def run_chain(init, step, n_steps: int, capture: np.ndarray, dt: float, grid: np
     Each block of ``config.block_size`` paths owns the Philox stream
     ``(seed, block)`` (``seed`` defaults to ``config.seed``), starts from
     ``resolve_start(init, ...)`` and takes ``n_steps`` steps; a start with
-    ``norm(emit(x)) > config.escape_radius``, the kernels' own escape test,
-    is absorbed at ``xi = 0``.  A kernel call
+    ``escaped(emit(x), config.escape_radius)``, the kernels' own escape
+    test, is absorbed at ``xi = 0``.  A kernel call
     ``step(x, gen, limit)`` maps the (m, dim) states of the live paths, the
     block's generator and ``limit``, the number of steps left before the
     next grid capture or ``n_steps``, to ``(x_new, gone, taken)``: the
@@ -669,7 +690,7 @@ def run_chains(chains, n_steps: int, capture: np.ndarray, dt: float, grid: np.nd
         gen = _rng.stream(seed, idx, _rng.PATHS)
         x = resolve_start(init, dim, hi - lo, gen)
         block_out, block_xi = outs[c][lo:hi], xis[c][lo:hi]
-        beyond = np.linalg.norm(emit(x), axis=1) > config.escape_radius
+        beyond = escaped(emit(x), config.escape_radius)
         block_xi[beyond] = 0.0
         live = np.nonzero(~beyond)[0]
         j = k = 0

@@ -41,6 +41,7 @@ from .core import (
     SchemeConfig,
     StableLike,
     TripletField,
+    escaped,
     run_chain,
     sphere_surface_area,
 )
@@ -311,6 +312,6 @@ def euler_chain_simulate(field: TripletField, chi: CompensationFunction, start,
     def step(x, gen, limit):
         inc, to_delta = increments(x, gen)
         x = x + inc
-        return x, to_delta | (np.linalg.norm(x, axis=1) > config.escape_radius), 1
+        return x, to_delta | escaped(x, config.escape_radius), 1
 
     return run_chain(start, step, n_steps, capture, eps, grid, field.dim, config)

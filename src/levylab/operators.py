@@ -465,7 +465,7 @@ def jump_integral(nus: Sequence, chi: CompensationFunction, f: TestFunction, poi
     stable = _other_rows(nus, pts, lambda nu, a: _jump_integral_row(nu, chi, f, a), out)
     if not stable:
         return out
-    if not chi.is_odd():
+    if not chi.is_odd(f.dim):
         raise ValidationError(
             "radial integration of a non-odd custom compensation function is "
             "not supported; declare an odd one with CustomChi(..., odd=True) "
@@ -644,7 +644,7 @@ def chi_drift_adjustment(nu, chi_from: CompensationFunction, chi_to: Compensatio
         return out
 
     if isinstance(nu, StableLike):
-        if chi_from.is_odd() and chi_to.is_odd():
+        if chi_from.is_odd(dim) and chi_to.is_odd(dim):
             return np.zeros(dim)  # odd integrand against a radial measure
         raise ValidationError("drift adjustment for non-odd chi needs an Atoms measure")
 

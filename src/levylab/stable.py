@@ -24,6 +24,7 @@ from .core import (
     StableLike,
     TripletField,
     as_point,
+    escaped,
     run_chain,
     sphere_surface_area,
 )
@@ -87,21 +88,6 @@ def stable_jump_magnitude(c, alpha, dim: int, n: float, u) -> np.ndarray:
     return (c * s / (n * alpha * u)) ** (1.0 / alpha)
 
 
-def _magnitude_into(u: np.ndarray, c: np.ndarray, alpha: np.ndarray, s: float,
-                    n: float) -> np.ndarray:
-    """:func:`stable_jump_magnitude` at (m,) arrays, built in ``u``'s buffer.
-
-    The same operations in the same order, so the same bits; ``u`` is
-    overwritten and one temporary is allocated.
-    """
-    den = n * alpha
-    den *= u
-    np.multiply(c, s, out=u)
-    u /= den
-    np.divide(1.0, alpha, out=den)
-    return np.power(u, den, out=u)
-
-
 def stable_tail_probability(c: float, alpha: float, dim: int, n: float, r) -> np.ndarray:
     """P(|step| > r) for the single-step law; capped at one below the threshold."""
     s = sphere_surface_area(dim)
@@ -121,24 +107,15 @@ def stable_chain_simulate(field: StableField, start, n: float, horizon: float,
     if not n >= 1:
         raise ValidationError("the scale n must be at least 1")
     grid, n_steps, capture = config.clock(horizon, lambda t: t * n)
-    d, radius, s = field.dim, config.escape_radius, sphere_surface_area(field.dim)
 
     def step(x, gen, limit):
         c, alpha = field.evaluate(x)
-        m = x.shape[0]
-        if d == 1:
-            # The stream of sphere_draw's m words, then uniform_open_closed's m.
-            words = gen.random(2 * m)
-            q, u = words[:m], np.subtract(1.0, words[m:], out=words[m:])
-        else:
-            q = _rng.sphere_draw(gen, m, d)
-            u = _rng.uniform_open_closed(gen, m)
+        q = _rng.sphere_draw(gen, x.shape[0], field.dim)
+        u = _rng.uniform_open_closed(gen, x.shape[0])
         # u > 0 and alpha > 0, so a zero scale gives a magnitude of exactly +0.0.
-        mag = _magnitude_into(u, c, alpha, s, n)
+        mag = stable_jump_magnitude(c, alpha, field.dim, n, u)
         x = x + _rng.along(q, mag)
-        # In 1-d the norm is |x|; norm would square x, which overflows past 1e154.
-        gone = np.abs(x[:, 0]) > radius if d == 1 else np.linalg.norm(x, axis=1) > radius
-        return x, gone, 1
+        return x, escaped(x, config.escape_radius), 1
 
     return run_chain(start, step, n_steps, capture, 1.0 / n, grid, field.dim, config)
 

@@ -21,6 +21,7 @@ from levylab.core import (
     PathBatch,
     SchemeConfig,
     StableLike,
+    escaped,
     resolve_start,
     run_chain,
     run_chains,
@@ -312,6 +313,34 @@ def test_euler_2d_start_beyond_the_escape_radius():
     within = euler_chain_simulate(field, Chi2(), [7e5, 7e5], 0.05, 0.2, IncrementPlan(), cfg)
     assert np.all(within.xi == np.inf)
     assert np.all(np.isfinite(within.states))
+
+
+@pytest.mark.parametrize("x, beyond", [
+    ([[1e200], [-1e200], [2e300], [-np.inf], [0.0]], [False, False, True, True, False]),
+    ([[1e200, -1e200], [7e299, 7e299], [8e299, -8e299], [np.inf, 0.0], [1e308, 1e308]],
+     [False, False, True, True, True]),
+    ([[1e200, 1e200, -1e200], [0.0, 0.0, 0.0]], [False, False]),
+], ids=["1d", "2d", "3d"])
+def test_escaped_measures_states_whose_square_overflows(x, beyond):
+    assert escaped(np.array(x), 1e300).tolist() == beyond
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_start_or_a_state_past_1e154_stays_inside_a_radius_of_1e300(dim):
+    # Squaring 1e200 overflows; the start test and every engine's step must
+    # agree that the state is inside.
+    cfg = SchemeConfig(paths=6, seed=3, grid=np.array([0.0, 1.0, 2.0]), escape_radius=1e300)
+    start = np.full(dim, 1e200)
+    far = stable_chain_simulate(StableField.constant(1.0, 1.5, dim), start, 1, 2.0, cfg)
+    assert np.all(far.xi == np.inf) and np.all(far.states == 1e200)
+    far = euler_chain_simulate(StableField.constant(1.0, 1.5, dim), Chi2(), start, 1.0, 2.0,
+                               IncrementPlan(tau=1e-2), cfg)
+    assert np.all(far.xi == np.inf) and np.all(far.states == 1e200)
+    # A scale of 1e300 moves a path from 0 by at least 1e200 in one step.
+    near = stable_chain_simulate(StableField.constant(1e300, 1.5, dim), np.zeros(dim), 1, 2.0,
+                                 cfg)
+    assert np.all(near.xi == np.inf) and np.all(np.isfinite(near.states))
+    assert np.all(np.abs(near.states[:, 1]).max(axis=1) > 1e200)
 
 
 def test_only_the_starts_beyond_the_radius_are_absorbed():

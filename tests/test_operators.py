@@ -445,10 +445,15 @@ def test_a_custom_chi_declared_odd_integrates_against_a_stable_measure(alpha):
 @pytest.mark.parametrize("fn, dim", [
     (lambda a, b: np.tanh(b - a) * np.exp(-np.abs(a)), 1),
     (lambda a, b: (b - a) / (1.0 + np.sum((b - a) ** 2, axis=1, keepdims=True)), 2),
+    (lambda a, b: np.stack([np.tanh(b[:, 1] - a[1]), b[:, 0] - a[0]], axis=1), 2),
 ])
 def test_an_odd_custom_chi_may_declare_itself_odd(fn, dim):
-    assert CustomChi(fn, bound=1.0, odd=True, dim=dim).is_odd()
-    assert not CustomChi(fn, bound=1.0, dim=dim).is_odd()
+    # The check runs in R^dim, so a chi that reads a second coordinate passes.
+    assert CustomChi(fn, bound=1.0, odd=True).is_odd(dim)
+    assert not CustomChi(fn, bound=1.0).is_odd(dim)
+    adjust = chi_drift_adjustment(StableLike(c=1.0, alpha=1.5, dim=dim), Chi1(),
+                                  CustomChi(fn, bound=1.0, odd=True))
+    assert adjust.tolist() == [0.0] * dim
 
 
 @pytest.mark.parametrize("fn, dim", [
@@ -458,8 +463,12 @@ def test_an_odd_custom_chi_may_declare_itself_odd(fn, dim):
     (lambda a, b: (b - a) * (1.0 + (b[:, :1] > 1.0)), 2),          # odd near the origin only
 ])
 def test_a_custom_chi_declared_odd_that_is_not_is_refused(fn, dim):
+    chi = CustomChi(fn, bound=1.0, odd=True)
     with pytest.raises(ValidationError, match="declared odd"):
-        CustomChi(fn, bound=1.0, odd=True, dim=dim)
+        chi.is_odd(dim)
+    with pytest.raises(ValidationError, match="declared odd"):
+        jump_integral([StableLike(c=1.0, alpha=1.5, dim=dim)], chi, bump([0.0] * dim, 0.9),
+                      [[0.5] * dim])
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.5, 1.9])

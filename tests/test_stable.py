@@ -2,21 +2,13 @@ import numpy as np
 import pytest
 
 from levylab import rng as lrng
-from levylab.core import (
-    Atoms,
-    Chi2,
-    SchemeConfig,
-    StableLike,
-    TripletField,
-    sphere_surface_area,
-)
+from levylab.core import Atoms, Chi2, SchemeConfig, StableLike, TripletField
 from levylab.diagnostics import ks_distance
 from levylab.errors import ValidationError
 from levylab.expr import compile_expression
 from levylab.operators import apply_operator, default_test_functions
 from levylab.stable import (
     StableField,
-    _magnitude_into,
     scheme_triplet_field,
     stable_chain_simulate,
     stable_jump_magnitude,
@@ -225,17 +217,3 @@ def test_evaluate_returns_read_only_m_arrays_and_leaves_the_callers_writable(c_f
     assert c.tolist() == [2.0] * 4 and alpha.tolist() == [1.5] * 4
     assert not c.flags.writeable and not alpha.flags.writeable
     assert kept.flags.writeable
-
-
-def test_the_steps_in_place_magnitude_equals_stable_jump_magnitude_bit_for_bit():
-    # α = 1 and 0.5 rows included: as arrays, they take no fast power path.
-    gen = lrng.stream(74, namespace=lrng.SCRATCH)
-    m = 4000
-    c = np.concatenate([[0.0, 1.0, 1e-300, 1e300], 3.0 * gen.random(m - 4)])
-    alpha = np.concatenate([[1.0, 0.5, 1.5, 1.999], 0.01 + 1.98 * gen.random(m - 4)])
-    u = lrng.uniform_open_closed(gen, m)
-    for dim in (1, 2, 3):
-        with np.errstate(over="ignore"):
-            ref = stable_jump_magnitude(c, alpha, dim, 37.0, u)
-            got = _magnitude_into(u.copy(), c, alpha, sphere_surface_area(dim), 37.0)
-        assert got.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
